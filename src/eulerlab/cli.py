@@ -22,28 +22,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
+from . import acceptance
 from . import diagnostics as dg
 from . import elliptic2d, flows, oned
-from . import grid as _g
 from . import serialize as _ser
 from . import streamlines as sl
-from .grid import (Grid, ScalarField, VectorField, GridError,
-                   STRIP, HALF_PLANE, PLANE, TORUS)
+from .grid import Grid, ScalarField, GridError, STRIP, HALF_PLANE, PLANE, TORUS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
-
-# boundary slope of the transverse profile at slope parameter 4, frozen
-# from the 1D solver at n = 16385 (Richardson-stable to 13 digits); the
-# strip curvature check compares against pi times its square
-WALL_SLOPE = 3.342097151308673
 
 _SOLVER_ERRORS = (oned.NoSubsolution, oned.NonConvergence,
                   oned.BadTruncation, elliptic2d.NonConvergence)
@@ -59,22 +55,29 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads any token that starts with a dash as a flag unless
+        # it is a plain negative number, so "--seed -8,-0.5" would lose its
+        # value; glue such a value onto its flag as "--seed=-8,-0.5"
+        args = list(sys.argv[1:] if args is None else args)
+        flags = self._option_string_actions
+        glued = []
+        while args:
+            tok = args.pop(0)
+            action = flags.get(tok)
+            if (action is not None and action.nargs is None and args
+                    and args[0].startswith("-") and args[0] not in flags):
+                tok += "=" + args.pop(0)
+            glued.append(tok)
+        return super().parse_known_args(glued, namespace)
+
 
 # ---------------------------------------------------------------------------
 # option tables
 
 
-class _Opt:
-    __slots__ = ("flag", "dest", "conv", "choices", "action", "help")
-
-    def __init__(self, flag, dest, conv=str, choices=None, action="store",
-                 help=""):
-        self.flag = flag
-        self.dest = dest
-        self.conv = conv
-        self.choices = choices
-        self.action = action
-        self.help = help
+_Opt = namedtuple("_Opt", "flag dest conv choices action help",
+                  defaults=(str, None, "store", ""))
 
 
 def _common_options():
@@ -217,22 +220,16 @@ def _coerce_config(opt: _Opt, key, val):
         return list(val) if isinstance(val, (list, tuple)) else [val]
     if opt.dest == "R":
         return val
-    if opt.conv is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float, str)):
-            raise ConfigError("config key %r must be a number" % key)
+    if opt.conv in (float, int):
+        kind = "a number" if opt.conv is float else "an integer"
+        types = (int, float, str) if opt.conv is float else (int, str)
+        if isinstance(val, bool) or not isinstance(val, types):
+            raise ConfigError("config key %r must be %s" % (key, kind))
         try:
-            return float(val)
+            return opt.conv(val)
         except ValueError:
-            raise ConfigError("config key %r must be a number, got %r"
-                              % (key, val))
-    if opt.conv is int:
-        if isinstance(val, bool) or not isinstance(val, (int, str)):
-            raise ConfigError("config key %r must be an integer" % key)
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError("config key %r must be an integer, got %r"
-                              % (key, val))
+            raise ConfigError("config key %r must be %s, got %r"
+                              % (key, kind, val))
     if not isinstance(val, str):
         raise ConfigError("config key %r must be a string" % key)
     if opt.choices and val not in opt.choices:
@@ -266,6 +263,28 @@ def _default(r, key, value):
         r[key] = value
 
 
+# floats that must be positive, and integers with their least admissible
+# value (the smallest grids and bin counts the library accepts); every
+# numeric option must also be finite
+_POSITIVE = ("lam", "L", "tol", "step")
+_AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": 1, "kappa_bins": 16,
+             "max_steps": 1}
+
+
+def _check_numbers(r, opts):
+    for dest, opt in opts.items():
+        val = r[dest]
+        if val is None or opt.conv not in (float, int):
+            continue
+        if not math.isfinite(val):
+            raise ConfigError("%s must be finite, got %r" % (opt.flag, val))
+        if dest in _POSITIVE and not val > 0.0:
+            raise ConfigError("%s must be positive, got %r" % (opt.flag, val))
+        if val < _AT_LEAST.get(dest, val):
+            raise ConfigError("%s must be at least %d, got %d"
+                              % (opt.flag, _AT_LEAST[dest], val))
+
+
 def _resolve(cmd, ns):
     spec = _COMMANDS[cmd]
     opts = {o.dest: o for o in spec["options"]}
@@ -281,6 +300,7 @@ def _resolve(cmd, ns):
     for name, _ in spec["positionals"]:
         r[name] = getattr(ns, name)
     _default(r, "out", "eulerlab_out")
+    _check_numbers(r, opts)
     _FINISH[cmd](r)
     return r
 
@@ -306,6 +326,9 @@ def _solver_defaults(r, which):
     _default(r, "tol", 1e-8)
     _default(r, "far_field", "profile")
     _default(r, "start", "sub" if which == "strip" else "super")
+    if which == "strip" and r["nx"] % 2 == 0:
+        raise ConfigError("--nx must be odd so that x1 = 0 is a node "
+                          "column, got %d" % r["nx"])
 
 
 def _finish_solve(r):
@@ -341,9 +364,10 @@ def _finish_trace(r):
 def _finish_verify(r):
     _default(r, "suite", "all")
     _default(r, "fast", False)
-    if r["suite"] not in _SUITES:
+    suites = acceptance._SUITES
+    if r["suite"] not in suites:
         raise ConfigError("unknown suite %r; known suites: %s"
-                          % (r["suite"], ", ".join(sorted(_SUITES))))
+                          % (r["suite"], ", ".join(sorted(suites))))
 
 
 def _finish_reproduce(r):
@@ -379,9 +403,12 @@ def _parse_seed(s):
     if len(vals) != 2:
         raise ConfigError("seed must be x,y — two numbers, got %r" % (s,))
     try:
-        return float(vals[0]), float(vals[1])
+        x, y = float(vals[0]), float(vals[1])
     except (TypeError, ValueError):
         raise ConfigError("seed must be numeric x,y, got %r" % (s,))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError("seed must be finite x,y, got %r" % (s,))
+    return x, y
 
 
 def _parse_radii(spec):
@@ -393,8 +420,8 @@ def _parse_radii(spec):
     except (TypeError, ValueError):
         raise ConfigError("--R must be a comma list of numbers, got %r"
                           % (spec,))
-    if any(v <= 0.0 for v in radii):
-        raise ConfigError("--R radii must be positive")
+    if not all(0.0 < v < math.inf for v in radii):
+        raise ConfigError("--R radii must be positive and finite")
     return radii
 
 
@@ -459,18 +486,19 @@ _DEFAULT_GRIDS = {
 
 
 def _solve_flow(which, r):
-    """Fresh solve for the analyze/trace --solve source; returns
-    (stream field, flow)."""
+    """Fresh 2D solve from the resolved options; returns (stream field,
+    solver report, nonlinearity)."""
     if which == "strip":
         nl = oned.arctan_family(r["lam"])
-        field = elliptic2d.solve_type3_strip(
+        field, srep = elliptic2d.solve_type3_strip(
             nl, L=r["L"], nx=r["nx"], ny=r["ny"], tol=r["tol"],
-            far_field=r["far_field"], start=r["start"])
+            far_field=r["far_field"], start=r["start"], with_report=True)
     else:
         nl = oned.allen_cahn()
-        field = elliptic2d.solve_saddle_quadrant(
-            nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"])
-    return field, flows.velocity_from_stream(field, nl)
+        field, srep = elliptic2d.solve_saddle_quadrant(
+            nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"],
+            with_report=True)
+    return field, srep, nl
 
 
 def _flow_from_source(r):
@@ -478,29 +506,40 @@ def _flow_from_source(r):
         name = _catalog_name(r["catalog"])
         grid = _parse_grid(r["grid"] or _DEFAULT_GRIDS[name])
         try:
-            return flows.analytic_flow(name, grid), None
+            return flows.analytic_flow(name, grid)
         except (GridError, ValueError) as e:
             raise ConfigError(str(e))
     if r["file"]:
         try:
-            return flows.load_flow(r["file"]), None
+            return flows.load_flow(r["file"])
         except OSError as e:
             raise ConfigError("cannot read flow bundle %s: %s"
                               % (r["file"], e))
         except (ValueError, KeyError) as e:
             raise ConfigError("not a flow bundle: %s (%s)" % (r["file"], e))
-    field, flow = _solve_flow(r["solve"], r)
-    return flow, field
+    field, _, nl = _solve_flow(r["solve"], r)
+    return flows.velocity_from_stream(field, nl)
 
 
 def _outdir(r):
     d = r["out"]
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("cannot create output directory %s: %s" % (d, e))
     return d
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _solver_failure(e, cfg, report_path) -> int:
+    _ser.write_json({"schema_version": _ser.SCHEMA_VERSION, "config": cfg,
+                     "error": type(e).__name__, "message": str(e)},
+                    report_path)
+    print("solver error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def cmd_solve1d(r) -> int:
@@ -517,13 +556,7 @@ def cmd_solve1d(r) -> int:
             prof = oned.solve_heteroclinic(nl, L=r["L"], n=r["n"],
                                            tol=r["tol"])
     except _SOLVER_ERRORS as e:
-        _ser.write_json({"schema_version": _ser.SCHEMA_VERSION,
-                         "config": cfg,
-                         "error": type(e).__name__,
-                         "message": str(e)}, report_path)
-        print("solver error: %s: %s" % (type(e).__name__, e),
-              file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(e, cfg, report_path)
     oned.save_profile(prof, os.path.join(out, "profile.csv"), report_path,
                       extra={"config": cfg, "error": None})
     print("profile: residual %s after %d sweeps"
@@ -537,56 +570,41 @@ def cmd_solve1d(r) -> int:
 ATTACHMENT_WARN = 1e-2
 
 
-def attachment_gap(field: ScalarField, nl, which: str) -> float:
+def attachment_gap(field: ScalarField, limit: oned.Profile,
+                   which: str) -> float:
     """Relative gap between the solved stream and its 1D far-field limit,
     sampled at 0.9 of the truncation length.
 
-    The strip is compared column-against-transverse-profile, the half plane
+    ``limit`` is the transverse profile (strip) or heteroclinic (half plane)
+    the solve itself used, as carried on its report.  The strip is compared
+    column-against-transverse-profile, the half plane
     row-against-odd-heteroclinic.  Well-attached truncations sit orders of
     magnitude below ATTACHMENT_WARN; too-short ones land well above it.
     """
     g = field.grid
     u = field.values
+    scale = np.max(np.abs(limit.values))
     if which == "strip":
-        ref = oned.solve_strip_profile(nl, g.ny, tol=1e-10).values
         col = int(np.argmin(np.abs(g.x_nodes() - 0.9 * g.x_range[1])))
-        return float(np.max(np.abs(u[col, :] - ref)) / np.max(np.abs(ref)))
-    het = oned.solve_heteroclinic(nl, L=g.y_range[1], n=g.ny, tol=1e-10)
+        return float(np.max(np.abs(u[col, :] - limit.values)) / scale)
     row = int(np.argmin(np.abs(g.y_nodes() - 0.9 * g.y_range[1])))
     x = g.x_nodes()
-    ref = np.sign(x) * np.interp(np.abs(x), het.nodes(), het.values)
-    return float(np.max(np.abs(u[:, row] - ref)) / np.max(np.abs(het.values)))
+    ref = np.sign(x) * np.interp(np.abs(x), limit.nodes(), limit.values)
+    return float(np.max(np.abs(u[:, row] - ref)) / scale)
 
 
 def cmd_solve(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "solve")
     report_path = os.path.join(out, "report.json")
-    which = r["which"]
-    nl = oned.arctan_family(r["lam"]) if which == "strip" \
-        else oned.allen_cahn()
     try:
-        if which == "strip":
-            field, srep = elliptic2d.solve_type3_strip(
-                nl, L=r["L"], nx=r["nx"], ny=r["ny"], tol=r["tol"],
-                far_field=r["far_field"], start=r["start"],
-                with_report=True)
-        else:
-            field, srep = elliptic2d.solve_saddle_quadrant(
-                nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"],
-                with_report=True)
+        field, srep, nl = _solve_flow(r["which"], r)
     except _SOLVER_ERRORS as e:
-        _ser.write_json({"schema_version": _ser.SCHEMA_VERSION,
-                         "config": cfg,
-                         "error": type(e).__name__,
-                         "message": str(e)}, report_path)
-        print("solver error: %s: %s" % (type(e).__name__, e),
-              file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(e, cfg, report_path)
     flow = flows.velocity_from_stream(field, nl)
     flows.save_flow(flow, os.path.join(out, "flow.csv"),
                     os.path.join(out, "flow.json"), extra={"config": cfg})
-    gap = attachment_gap(field, nl, which)
+    gap = attachment_gap(field, srep.profile, r["which"])
     warn = gap > ATTACHMENT_WARN
     _ser.write_json({"schema_version": _ser.SCHEMA_VERSION,
                      "config": cfg,
@@ -607,18 +625,16 @@ def cmd_solve(r) -> int:
 def cmd_analyze(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "analyze")
-    flow, _ = _flow_from_source(r)
+    flow = _flow_from_source(r)
     try:
         rep = dg.run_diagnostics(flow, R_list=r["R"], n_bins=r["bins"],
                                  kappa_bins=r["kappa_bins"],
                                  shear_tol=r["shear_tol"])
     except (dg.RTooLarge, dg.NotAStripGrid) as e:
         raise ConfigError(str(e))
-    aset = dg.angle_set(flow, n_bins=r["bins"])
-    prof = dg.kappa_distribution(flow, r["kappa_bins"])
-    dg.save_angle_set(aset, os.path.join(out, "angle_set.csv"))
-    dg.save_curvature_profile(prof, os.path.join(out,
-                                                 "curvature_profile.csv"))
+    dg.save_angle_set(rep.angle_set, os.path.join(out, "angle_set.csv"))
+    dg.save_curvature_profile(rep.kappa_profile,
+                              os.path.join(out, "curvature_profile.csv"))
     dg.save_report(rep, os.path.join(out, "report.json"),
                    extra={"config": cfg})
     print("classification=%s TC=%s Jinf=%s gap=%s"
@@ -630,7 +646,7 @@ def cmd_analyze(r) -> int:
 def cmd_trace(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "trace")
-    flow, _ = _flow_from_source(r)
+    flow = _flow_from_source(r)
     polys = []
     for seed in r["seed"]:
         try:
@@ -648,484 +664,58 @@ def cmd_trace(r) -> int:
     return EXIT_OK
 
 
-def _write_stagnation_csv(path, points):
-    _ser.write_csv(path, ["x", "y", "speed"],
-                   [[p[0] for p in points], [p[1] for p in points],
-                    [p[2] for p in points]])
-
-
-def _reproduce_figure1(out, cfg):
-    # half-plane saddle: separatrix pair (the zero level set: wall plus
-    # vertical axis, crossing at the origin) and a hyperbolic trace fan
-    nl = oned.allen_cahn()
-    field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
+def _reproduce_figure(out, cfg, tag, field, nl, seeds):
+    """Separatrices (the zero level set), a trace fan from ``seeds`` and
+    the stagnation points of one solved stream field."""
     flow = flows.velocity_from_stream(field, nl)
     seps = sl.level_contours(field, [0.0])
-    sl.save_polylines(seps, os.path.join(out, "figure1_separatrices.csv"),
-                      os.path.join(out, "figure1_separatrices.json"),
+    sl.save_polylines(seps, os.path.join(out, tag + "_separatrices.csv"),
+                      os.path.join(out, tag + "_separatrices.json"),
                       extra={"config": cfg})
-    seeds = [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
-             (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)]
     traces = [sl.trace(flow, s) for s in seeds]
-    sl.save_polylines(traces, os.path.join(out, "figure1_traces.csv"),
-                      os.path.join(out, "figure1_traces.json"),
+    sl.save_polylines(traces, os.path.join(out, tag + "_traces.csv"),
+                      os.path.join(out, tag + "_traces.json"),
                       extra={"config": cfg})
     pts = sl.stagnation_points(flow)
-    _write_stagnation_csv(os.path.join(out, "figure1_stagnation.csv"), pts)
-    print("figure1: %d separatrix chains, %d traces, %d stagnation points"
-          % (len(seps), len(traces), len(pts)))
-
-
-def _reproduce_figure2(out, cfg):
-    # strip flow: hairpin fan entering from both far ends plus the central
-    # separatrix, hinging on the two wall stagnation points (0, -1), (0, 1)
-    nl = oned.arctan_family(4.0)
-    field = elliptic2d.solve_type3_strip(nl)
-    flow = flows.velocity_from_stream(field, nl)
-    seps = sl.level_contours(field, [0.0])
-    sl.save_polylines(seps, os.path.join(out, "figure2_separatrices.csv"),
-                      os.path.join(out, "figure2_separatrices.json"),
-                      extra={"config": cfg})
-    seeds = [(-8.0, -0.25), (-8.0, -0.5), (-8.0, -0.75),
-             (8.0, 0.25), (8.0, 0.5), (8.0, 0.75)]
-    traces = [sl.trace(flow, s) for s in seeds]
-    sl.save_polylines(traces, os.path.join(out, "figure2_traces.csv"),
-                      os.path.join(out, "figure2_traces.json"),
-                      extra={"config": cfg})
-    pts = sl.stagnation_points(flow)
-    _write_stagnation_csv(os.path.join(out, "figure2_stagnation.csv"), pts)
-    print("figure2: %d separatrix chains, %d traces, %d stagnation points"
-          % (len(seps), len(traces), len(pts)))
+    _ser.write_csv(os.path.join(out, tag + "_stagnation.csv"),
+                   ["x", "y", "speed"], [[p[0] for p in pts],
+                                         [p[1] for p in pts],
+                                         [p[2] for p in pts]])
+    print("%s: %d separatrix chains, %d traces, %d stagnation points"
+          % (tag, len(seps), len(traces), len(pts)))
 
 
 def cmd_reproduce(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "reproduce")
     if r["figure"] in ("figure1", "all"):
-        _reproduce_figure1(out, cfg)
+        # half-plane saddle: separatrix pair (the zero level set: wall plus
+        # vertical axis, crossing at the origin) and a hyperbolic trace fan
+        nl = oned.allen_cahn()
+        _reproduce_figure(out, cfg, "figure1",
+                          elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321),
+                          nl, [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
+                               (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)])
     if r["figure"] in ("figure2", "all"):
-        _reproduce_figure2(out, cfg)
+        # strip flow: hairpin fan entering from both far ends plus the
+        # central separatrix, hinging on the two wall stagnation points
+        # (0, -1), (0, 1)
+        nl = oned.arctan_family(4.0)
+        _reproduce_figure(out, cfg, "figure2",
+                          elliptic2d.solve_type3_strip(nl), nl,
+                          [(-8.0, -0.25), (-8.0, -0.5), (-8.0, -0.75),
+                           (8.0, 0.25), (8.0, 0.5), (8.0, 0.75)])
     print("wrote %s" % out)
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# acceptance checks (the verify command and the acceptance test suite
-# share these)
-
-
-class CheckResult:
-    __slots__ = ("name", "passed", "measured", "expected", "tol")
-
-    def __init__(self, name, passed, measured, expected, tol):
-        self.name = name
-        self.passed = bool(passed)
-        self.measured = measured
-        self.expected = expected
-        self.tol = tol
-
-    @staticmethod
-    def _s(v):
-        return _ser.fmt17(v) if isinstance(v, float) else str(v)
-
-    def line(self) -> str:
-        return "%s %s measured=%s expected=%s tol=%s" % (
-            "PASS" if self.passed else "FAIL", self.name,
-            self._s(self.measured), self._s(self.expected), self.tol)
-
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "measured": self.measured, "expected": self.expected,
-                "tol": self.tol}
-
-
-class _FlowCache:
-    """Memo for the solved and sampled flows the checks share."""
-
-    def __init__(self, fast: bool = False):
-        self.fast = bool(fast)
-        self._memo = {}
-
-    def _get(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def strip(self, nx=769, ny=129):
-        def build():
-            nl = oned.arctan_family(4.0)
-            field = elliptic2d.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)
-            return field, flows.velocity_from_stream(field, nl)
-        return self._get(("strip", nx, ny), build)
-
-    def saddle(self):
-        def build():
-            nl = oned.allen_cahn()
-            field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
-            return field, flows.velocity_from_stream(field, nl)
-        return self._get(("saddle",), build)
-
-    def taylor_green(self, n):
-        box = (0.0, 2.0 * np.pi)
-        return self._get(("cellular", n), lambda: flows.analytic_flow(
-            "TaylorGreen", Grid(TORUS, n, n, box, box)))
-
-    def shear(self, name):
-        return self._get(("shear", name), lambda: flows.analytic_flow(
-            name, Grid(STRIP, 257, 65, (-4.0, 4.0), (-1.0, 1.0))))
-
-    def counterexample(self, n):
-        return self._get(("counterexample", n), lambda: flows.analytic_flow(
-            "ExponentialCounterexample",
-            Grid(PLANE, n, n, (-1.0, 1.0), (-1.0, 1.0))))
-
-    def cellular_n(self):
-        # the one resolution --fast shrinks; the 64-bin CV stays under its
-        # 5% budget at 256^2 (measured 3.0%, vs 1.1% at 512^2)
-        return 256 if self.fast else 512
-
-
-def _rel(measured, target):
-    return abs(measured - target) / abs(target)
-
-
-def check_shear_triviality(cache):
-    out = []
-    for name in ("Couette", "Poiseuille", "Kolmogorov"):
-        fl = cache.shear(name)
-        tc = dg.total_curvature(fl)
-        verdict = dg.classify(dg.angle_set(fl), tc).kind
-        out.append(CheckResult("shear_curvature[%s]" % name,
-                               tc <= 1e-12, tc, 0.0, "<= 1e-12"))
-        out.append(CheckResult("shear_verdict[%s]" % name,
-                               verdict == "Shear", verdict, "Shear",
-                               "exact"))
-    return out
-
-
-def check_counterexample(cache):
-    fl = cache.counterexample(100)
-    mom = flows.closed_form_momentum_residual(fl)
-    worst = float(np.max(np.hypot(mom.vx, mom.vy)))
-    out = [CheckResult("counterexample_closed_form_momentum",
-                       worst <= 1e-12, worst, 0.0, "<= 1e-12")]
-    peaks = []
-    for n in (128, 256):
-        fln = cache.counterexample(n)
-        m, _ = flows.euler_residual(fln)
-        inner = fln.grid.interior_mask()
-        peaks.append(float(np.max(np.hypot(m.vx, m.vy)[inner])))
-    ratio = peaks[0] / peaks[1]
-    out.append(CheckResult("counterexample_fd_refinement_ratio",
-                           3.0 <= ratio <= 5.0, ratio, 4.0, "[3, 5]"))
-    return out
-
-
-def check_sign_equation(cache):
-    gr = Grid(STRIP, 257, 65, (-4.0, 4.0), (-1.0, 1.0))
-    _, Y = gr.mesh()
-    u = ScalarField(gr, 0.5 * Y * np.abs(Y))
-    lap = _g.laplacian(u).values
-    away = np.abs(Y) >= 2.0 * gr.hy - 1e-12
-    worst = float(np.max(np.abs(lap - np.sign(Y))[away]))
-    return [CheckResult("sign_equation_exact_off_kink",
-                        worst <= 1e-11, worst, 0.0, "<= 1e-11")]
-
-
-def check_transverse_profile(cache):
-    nl = oned.arctan_family(4.0)
-    sub = oned.solve_strip_profile(nl, 2001)
-    sup = oned.solve_strip_profile(nl, 2001, start="super")
-    gap = float(np.max(np.abs(sub.values - sup.values)))
-    out = [
-        CheckResult("profile_residual_sub_started",
-                    sub.residual < 1e-10, sub.residual, 0.0, "< 1e-10"),
-        CheckResult("profile_residual_super_started",
-                    sup.residual < 1e-10, sup.residual, 0.0, "< 1e-10"),
-        CheckResult("profile_uniqueness_gap", gap < 1e-8, gap, 0.0,
-                    "< 1e-8"),
-    ]
-    try:
-        oned.solve_strip_profile(oned.arctan_family(2.0), 257)
-        raised = "no exception"
-    except oned.NoSubsolution:
-        raised = "NoSubsolution"
-    out.append(CheckResult("profile_below_threshold",
-                           raised == "NoSubsolution", raised,
-                           "NoSubsolution", "exact"))
-    return out
-
-
-def check_strip_flow(cache):
-    field, fl = cache.strip()
-    tc = dg.total_curvature(fl)
-    aset = dg.angle_set(fl)
-    verdict = dg.classify(aset, tc).kind
-    upper, lower, ends = dg.semicircle_bins(aset.n_bins)
-    occ = set(int(i) for i in aset.occupied_indices())
-    missing_upper = len(upper - occ)
-    stray_lower = len(occ & (lower - ends))
-    out = [
-        CheckResult("strip_verdict", verdict == "TypeIIIUpper", verdict,
-                    "TypeIIIUpper", "exact"),
-        CheckResult("strip_upper_bins_occupied", missing_upper == 0,
-                    missing_upper, 0, "no vacancies"),
-        CheckResult("strip_open_lower_bins_empty", stray_lower == 0,
-                    stray_lower, 0, "no strays"),
-    ]
-    target = np.pi * WALL_SLOPE ** 2
-    out.append(CheckResult("strip_curvature_formula",
-                           _rel(tc, target) < 0.03, tc, target,
-                           "rel < 3e-2"))
-    js = dg.signed_curvature_integral(fl)
-    (_, trace_val), = dg.boundary_trace_Jinf(fl, [8.0])
-    out.append(CheckResult("strip_two_route_agreement",
-                           abs(abs(js) - abs(trace_val)) / abs(js) < 0.05,
-                           abs(trace_val), abs(js), "rel < 5e-2"))
-    gap = 2.0 / np.pi * tc - abs(js)
-    out.append(CheckResult("strip_equality_gap",
-                           abs(gap) <= 1e-6 * (1.0 + tc), gap, 0.0,
-                           "<= 1e-6*(1+TC)"))
-    wl = dg.wall_limits(fl)
-    (bot_l, bot_r), (top_l, top_r) = wl["bottom"], wl["top"]
-    lhs = top_r ** 2 - top_l ** 2
-    rhs = bot_r ** 2 - bot_l ** 2
-    scale = 0.5 * (top_r ** 2 + top_l ** 2)
-    out.append(CheckResult("strip_boundary_asymptotics",
-                           abs(lhs - rhs) <= 0.02 * scale, lhs - rhs, 0.0,
-                           "<= 2e-2 of wall scale"))
-    slip = float(np.min(_g.ddx(field)))
-    out.append(CheckResult("strip_monotone_in_x", slip >= -1e-8, slip, 0.0,
-                           ">= -1e-8"))
-    u = field.values
-    sym = max(float(np.max(np.abs(u + u[::-1, :]))),
-              float(np.max(np.abs(u - u[:, ::-1]))))
-    out.append(CheckResult("strip_symmetry_gaps", sym < 1e-6, sym, 0.0,
-                           "< 1e-6"))
-    return out
-
-
-def check_saddle_flow(cache):
-    field, fl = cache.saddle()
-    tc = dg.total_curvature(fl)
-    target = np.pi / 4.0
-    out = [CheckResult("saddle_curvature_formula", _rel(tc, target) < 0.05,
-                       tc, target, "rel < 5e-2")]
-    wall = fl.velocity.vx[:, 0]
-    worst = float(np.max(np.diff(wall) / fl.grid.hx))
-    out.append(CheckResult("saddle_wall_trace_nonincreasing",
-                           worst <= 1e-8, worst, 0.0, "<= 1e-8"))
-    pts = sl.stagnation_points(fl)
-    out.append(CheckResult("saddle_stagnation_count", len(pts) == 1,
-                           len(pts), 1, "exactly one"))
-    if pts:
-        h = max(fl.grid.hx, fl.grid.hy)
-        dist = float(np.hypot(pts[0][0], pts[0][1]))
-        out.append(CheckResult("saddle_stagnation_at_origin",
-                               dist <= 2.0 * h, dist, 0.0, "<= 2h"))
-    verdict = dg.classify(dg.angle_set(fl), tc).kind
-    out.append(CheckResult("saddle_verdict", verdict == "TypeIIIUpper",
-                           verdict, "TypeIIIUpper", "exact"))
-    return out
-
-
-def check_equal_distribution(cache):
-    n = cache.cellular_n()
-    fl = cache.taylor_green(n)
-    tc = dg.total_curvature(fl)
-    prof = dg.kappa_distribution(fl)
-    cv = float(prof.bin_mass.std() / prof.bin_mass.mean())
-    mean = float(prof.bin_mass.mean())
-    out = [
-        CheckResult("cellular_bin_cv[%d]" % n, cv < 0.05, cv, 0.0,
-                    "< 5e-2"),
-        CheckResult("cellular_bin_mean[%d]" % n,
-                    abs(mean - tc / 64.0) <= 0.01 * tc / 64.0, mean,
-                    tc / 64.0, "rel < 1e-2"),
-    ]
-    _, st = cache.strip()
-    sprof = dg.kappa_distribution(st)
-    cv_up = dg.semicircle_cv(sprof, "upper")
-    upper, lower, ends = dg.semicircle_bins(sprof.n_bins)
-    stray = float(sprof.bin_mass[sorted(lower - ends)].sum())
-    out.append(CheckResult("strip_upper_bin_cv", cv_up < 0.08, cv_up, 0.0,
-                           "< 8e-2"))
-    out.append(CheckResult("strip_open_lower_mass",
-                           stray < 0.01 * sprof.total, stray, 0.0,
-                           "< 1e-2 of total"))
-    return out
-
-
-def check_strict_gap(cache):
-    fl = cache.taylor_green(256)
-    tc = dg.total_curvature(fl)
-    js = dg.signed_curvature_integral(fl)
-    bound = 2.0 / np.pi * tc
-    gap = bound - abs(js)
-    return [CheckResult("cellular_strict_gap", gap > 0.1 * bound, gap,
-                        0.1 * bound, "strictly above")]
-
-
-def check_identity_chain(cache):
-    vals = {}
-    for n in (128, 256, 512):
-        fl = cache.taylor_green(n)
-        vals[n] = float(np.max(dg.curvature_identity_residual(
-            fl, speed_fraction=0.1).values))
-    out = [
-        CheckResult("identity_chain_two_level_ratio",
-                    vals[128] / vals[512] >= 6.0, vals[128] / vals[512],
-                    16.0, ">= 6"),
-        CheckResult("identity_chain_one_level_ratio",
-                    vals[256] / vals[512] >= 2.8, vals[256] / vals[512],
-                    4.0, ">= 2.8"),
-    ]
-    _, fine = cache.strip()
-    _, coarse = cache.strip(385, 65)
-    r_coarse = float(np.max(dg.curvature_identity_residual(
-        coarse, speed_fraction=0.1).values))
-    r_fine = float(np.max(dg.curvature_identity_residual(
-        fine, speed_fraction=0.1).values))
-    out.append(CheckResult("identity_chain_strip_ratio",
-                           r_coarse / r_fine >= 2.5, r_coarse / r_fine,
-                           4.0, ">= 2.5"))
-    fl = cache.counterexample(129)
-    worst = float(np.max(dg.curvature_identity_residual(
-        fl, derivatives="analytic").values))
-    out.append(CheckResult("identity_chain_closed_form_exact",
-                           worst <= 1e-12, worst, 0.0, "<= 1e-12"))
-    return out
-
-
-def _axis_profile(fn, ny=65):
-    y = np.linspace(-1.0, 1.0, ny)
-    vals = fn(y)
-    return oned.Profile((-1.0, 1.0), vals, (float(vals[0]), float(vals[-1])),
-                        0.0, 0)
-
-
-def check_stability_margins(cache):
-    parabola = _axis_profile(lambda y: y * y)
-    linear = _axis_profile(lambda y: y)
-    m_poi = dg.stability_margin(cache.shear("Poiseuille"), parabola,
-                                "VorticityGradient")
-    m_cou = dg.stability_margin(cache.shear("Couette"), linear,
-                                "VorticityGradient")
-    m_kol = dg.stability_margin(cache.shear("Kolmogorov"), parabola,
-                                "VorticityGradient")
-    return [
-        CheckResult("margin_parabolic_reference",
-                    abs(m_poi - 2.0) <= 1e-10, m_poi, 2.0, "abs <= 1e-10"),
-        CheckResult("margin_linear_reference_inapplicable",
-                    abs(m_cou) <= 1e-12, m_cou, 0.0,
-                    "exactly 0 (no positive certificate)"),
-        CheckResult("margin_sinusoidal_negative", m_kol < 0.0, m_kol, 0.0,
-                    "strictly below"),
-    ]
-
-
-def _value_mapped(fl, fn):
-    """Flow with velocity samples mapped pointwise, vorticity recomputed."""
-    vx, vy = fn(fl.velocity.vx, fl.velocity.vy)
-    gr = fl.grid
-    om = ScalarField(gr, _g.ddx(ScalarField(gr, vy))
-                     - _g.ddy(ScalarField(gr, vx)))
-    return flows.Flow(gr, VectorField(gr, vx, vy), om)
-
-
-def _value_rotated(fl, alpha):
-    c, s = np.cos(alpha), np.sin(alpha)
-    return _value_mapped(fl, lambda vx, vy: (c * vx - s * vy,
-                                             s * vx + c * vy))
-
-
-def check_invariance(cache):
-    fl = cache.taylor_green(256)
-    tc = dg.total_curvature(fl)
-    rot = _value_rotated(fl, 0.7)
-    tc_rot = dg.total_curvature(rot)
-    out = [CheckResult("invariance_rotation_curvature",
-                       abs(tc_rot - tc) <= 1e-10 * tc, tc_rot, tc,
-                       "rel <= 1e-10")]
-    # 0.7 rad is 40.107 bin widths, so the rolled occupancy can only be
-    # matched to the rounded roll with one bin of slack each way; samples
-    # sitting a fraction of a width from a bin edge legitimately cross it
-    occ0 = dg.angle_set(fl).occupied
-    occ1 = dg.angle_set(rot).occupied
-    rolled = np.roll(occ0, int(round(0.7 * occ0.size / (2.0 * np.pi))))
-
-    def dilated(occ):
-        return occ | np.roll(occ, 1) | np.roll(occ, -1)
-
-    strays = int(np.sum(occ1 & ~dilated(rolled))
-                 + np.sum(rolled & ~dilated(occ1)))
-    out.append(CheckResult("invariance_rotation_bin_shift[cellular]",
-                           strays == 0, strays, 0,
-                           "rolled occupancy matches within one bin"))
-    out.append(CheckResult("invariance_rotation_verdict",
-                           dg.classify(dg.angle_set(rot), tc_rot).kind
-                           == "FullCircle",
-                           dg.classify(dg.angle_set(rot), tc_rot).kind,
-                           "FullCircle", "exact"))
-    # a quarter turn is an exact bin multiple: the strip's half-occupied
-    # set must roll by exactly a quarter of the bins, no slack
-    _, st = cache.strip()
-    a0 = dg.angle_set(st)
-    a1 = dg.angle_set(_value_rotated(st, np.pi / 2.0))
-    mismatches = int(np.sum(a1.occupied
-                            != np.roll(a0.occupied, a0.n_bins // 4)))
-    out.append(CheckResult("invariance_rotation_bin_shift[strip]",
-                           mismatches == 0, mismatches, 0,
-                           "exact roll by n/4 bins"))
-    for label, base in (("cellular", fl), ("strip", st)):
-        tc0 = dg.total_curvature(base)
-        scaled = _value_mapped(base, lambda vx, vy: (3.0 * vx, 3.0 * vy))
-        tc_scaled = dg.total_curvature(scaled)
-        out.append(CheckResult(
-            "invariance_scaling_curvature[%s]" % label,
-            abs(tc_scaled - 9.0 * tc0) <= 1e-8 * 9.0 * tc0, tc_scaled,
-            9.0 * tc0, "rel <= 1e-8"))
-        k0 = dg.classify(dg.angle_set(base), tc0).kind
-        k1 = dg.classify(dg.angle_set(scaled), tc_scaled).kind
-        out.append(CheckResult("invariance_scaling_verdict[%s]" % label,
-                               k0 == k1, k1, k0, "exact"))
-    return out
-
-
-_CHECKS = (
-    ("shear_triviality", check_shear_triviality),
-    ("counterexample", check_counterexample),
-    ("sign_equation", check_sign_equation),
-    ("transverse_profile", check_transverse_profile),
-    ("strip_flow", check_strip_flow),
-    ("saddle_flow", check_saddle_flow),
-    ("equal_distribution", check_equal_distribution),
-    ("strict_gap", check_strict_gap),
-    ("identity_chain", check_identity_chain),
-    ("stability_margins", check_stability_margins),
-    ("invariance", check_invariance),
-)
-_CHECK_MAP = dict(_CHECKS)
-
-_SUITES = {
-    "all": [name for name, _ in _CHECKS],
-    "shears": ["shear_triviality", "sign_equation", "stability_margins"],
-    "oned": ["transverse_profile"],
-    "identities": ["counterexample", "identity_chain"],
-    "type3": ["strip_flow"],
-    "saddle": ["saddle_flow"],
-    "cellular": ["equal_distribution", "strict_gap"],
-    "invariance": ["invariance"],
-}
 
 
 def cmd_verify(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "verify")
-    cache = _FlowCache(fast=r["fast"])
+    cache = acceptance._FlowCache(fast=r["fast"])
     results = []
-    for name in _SUITES[r["suite"]]:
-        results.extend(_CHECK_MAP[name](cache))
+    for name in acceptance._SUITES[r["suite"]]:
+        results.extend(acceptance._CHECK_MAP[name](cache))
     for res in results:
         print(res.line())
     failed = sum(1 for res in results if not res.passed)
@@ -1154,18 +744,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         if not getattr(ns, "command", None):
             raise ConfigError("a command is required: %s"
                               % ", ".join(_COMMANDS))
-        resolved = _resolve(ns.command, ns)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _DISPATCH[ns.command](resolved)
+        return _DISPATCH[ns.command](_resolve(ns.command, ns))
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,10 @@ Every curvature quantity shares one stagnation floor,
 max(1e-10, 1e-3 * h * max|grad v|): angles are only defined where the
 velocity is visibly nonzero, and the curvature integrand is set to zero on
 the floored set (it vanishes almost everywhere on stagnation sets in the
-continuum, so this discards nothing).
+continuum, so this discards nothing).  The velocity partials, that floor and
+the curvature quadrature split form one per-flow bundle: run_diagnostics
+builds it once and derives every report quantity from it, while a public
+diagnostic called on its own builds its own.
 
 The wall functional is computed by two routes that share no code: an
 interior integral of the signed curvature density, and a cutoff-weighted
@@ -19,6 +22,8 @@ the whole pipeline, so the report carries both.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -82,13 +87,16 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (2.0 * np.pi / n_bins) - np.pi
 
 
-def stagnation_floor(flow) -> float:
-    """Speed below which a node counts as stagnant."""
-    v1x, v1y, v2x, v2y = _g.vector_gradient(flow.velocity)
+def _floor(grid, v1x, v1y, v2x, v2y) -> float:
     gmax = max(np.abs(v1x).max(), np.abs(v1y).max(),
                np.abs(v2x).max(), np.abs(v2y).max())
-    h = max(flow.grid.hx, flow.grid.hy)
+    h = max(grid.hx, grid.hy)
     return max(1e-10, 1e-3 * h * float(gmax))
+
+
+def stagnation_floor(flow) -> float:
+    """Speed below which a node counts as stagnant."""
+    return _floor(flow.grid, *_g.vector_gradient(flow.velocity))
 
 
 def _neighbor_dot(vx, vy, axis, periodic):
@@ -103,10 +111,16 @@ def _neighbor_dot(vx, vy, axis, periodic):
     return dot
 
 
-def _curvature_parts(flow):
-    """Split the curvature quadrature into resolved and sub-cell parts.
+_Bundle = namedtuple("_Bundle", "v1x v1y v2x v2y floor dens live ridge_mass "
+                     "across_y")
 
-    Returns (dens, live, ridge_mass).  ``dens`` is the pointwise density
+
+def _bundle(flow) -> _Bundle:
+    """Velocity partials, stagnation floor, and the curvature quadrature
+    split into resolved and sub-cell parts.
+
+    ``across_y`` marks nodes whose steepest velocity variation runs along
+    x2.  ``dens`` is the pointwise density
     |v1 grad v2 - v2 grad v1|^2 / |v|^2 on ``live`` nodes and zero
     elsewhere; ``ridge_mass`` is a per-node correction, zero off a small
     exceptional set.
@@ -147,6 +161,7 @@ def _curvature_parts(flow):
     g = flow.grid
     v = flow.velocity
     v1x, v1y, v2x, v2y = _g.vector_gradient(v)
+    floor = _floor(g, v1x, v1y, v2x, v2y)
     cx = v.vx * v2x - v.vy * v1x
     cy = v.vx * v2y - v.vy * v1y
     speed2 = v.vx ** 2 + v.vy ** 2
@@ -155,7 +170,7 @@ def _curvature_parts(flow):
     gy2 = v1y ** 2 + v2y ** 2
     across_y = gy2 >= gx2
     hn = np.where(across_y, g.hy, g.hx)
-    moving = speed > stagnation_floor(flow)
+    moving = speed > floor
     censored = moving & (speed <= hn * np.sqrt(gx2 + gy2))
     live = moving & ~censored
     dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
@@ -165,7 +180,7 @@ def _curvature_parts(flow):
     ridge = censored & sweep
     wq = _g.quadrature_weights(g)
     ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
-    return dens, live, ridge_mass
+    return _Bundle(v1x, v1y, v2x, v2y, floor, dens, live, ridge_mass, across_y)
 
 
 class AngleSet:
@@ -202,10 +217,14 @@ def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleS
 
 
 def total_curvature(flow, region_mask=None) -> float:
-    dens, _, ridge_mass = _curvature_parts(flow)
+    return _total_curvature(flow, _bundle(flow), region_mask)
+
+
+def _total_curvature(flow, b, region_mask=None):
+    ridge_mass = b.ridge_mass
     if region_mask is not None:
         ridge_mass = np.where(np.asarray(region_mask, dtype=bool), ridge_mass, 0.0)
-    return (_g.integrate(ScalarField(flow.grid, dens), mask=region_mask)
+    return (_g.integrate(ScalarField(flow.grid, b.dens), mask=region_mask)
             + float(ridge_mass.sum()))
 
 
@@ -217,14 +236,17 @@ def signed_curvature_integral(flow) -> float:
     (always 0) would silently drop the walls' quadrature share from one route
     and not the other.
     """
-    dens, _, ridge_mass = _curvature_parts(flow)
+    return _signed_curvature_integral(flow, _bundle(flow))
+
+
+def _signed_curvature_integral(flow, b):
     sgn = np.sign(flow.velocity.vy)
     ny = flow.grid.ny
     for j in flow.grid.wall_rows():
         inner = 1 if j == 0 else ny - 2
         sgn[:, j] = np.sign(flow.velocity.vy[:, inner])
-    return 2.0 / np.pi * (_g.integrate(ScalarField(flow.grid, sgn * dens))
-                          + float((sgn * ridge_mass).sum()))
+    return 2.0 / np.pi * (_g.integrate(ScalarField(flow.grid, sgn * b.dens))
+                          + float((sgn * b.ridge_mass).sum()))
 
 
 def curvature_identity_residual(flow, derivatives: str = "fd",
@@ -244,11 +266,15 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     stencils, the identity becomes exact algebra, and only the stagnation
     floor itself is masked.
     """
+    return _identity_residual(flow, _bundle(flow), derivatives, speed_fraction)
+
+
+def _identity_residual(flow, b, derivatives, speed_fraction):
     g = flow.grid
     if derivatives == "fd":
         v = flow.velocity
         v1, v2 = v.vx, v.vy
-        v1x, v1y, v2x, v2y = _g.vector_gradient(v)
+        v1x, v1y, v2x, v2y = b.v1x, b.v1y, b.v2x, b.v2y
         pgrads = None
         if flow.pressure is not None:
             pg = _g.gradient(flow.pressure)
@@ -267,7 +293,7 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
 
     speed2 = v1 ** 2 + v2 ** 2
     speed = np.sqrt(speed2)
-    floor = stagnation_floor(flow)
+    floor = b.floor
     if derivatives == "fd":
         floor = max(floor, speed_fraction * float(speed.max()))
     live = speed > floor
@@ -380,23 +406,25 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     across the steepest-variation axis.  Nodes whose arc fits inside one bin
     (almost all of them) land in the bin of their own direction; a node
     whose cell sweeps wider than a bin spreads its mass uniformly over its
-    arc, and the sub-cell band corrections of _curvature_parts spread over
+    arc, and the sub-cell band corrections of _bundle spread over
     the half circle centered on the node's direction, which is exactly the
     turn such a band makes.  Every spread is normalized to the node's full
     mass, so the profile total matches total_curvature to rounding.
     """
+    return _kappa_distribution(flow, _bundle(flow), n_bins)
+
+
+def _kappa_distribution(flow, b, n_bins):
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
     g = flow.grid
-    dens, live, ridge_mass = _curvature_parts(flow)
+    live, ridge_mass, across_y = b.live, b.ridge_mass, b.across_y
     wq = _g.quadrature_weights(g)
     v = flow.velocity
     width = 2.0 * np.pi / n_bins
 
     e1 = np.array([1.0, 0.0])
     theta = angle_from(e1, np.stack([v.vx, v.vy], axis=-1))
-    v1x, v1y, v2x, v2y = _g.vector_gradient(v)
-    across_y = (v1y ** 2 + v2y ** 2) >= (v1x ** 2 + v2x ** 2)
 
     def wrap(a):
         return (a + np.pi) % (2.0 * np.pi) - np.pi
@@ -419,7 +447,7 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     span = np.where(across_y, span_y, span_x)
     center = np.where(across_y, center_y, center_x)
 
-    node_mass = wq * dens
+    node_mass = wq * b.dens
     point = live & (span <= width)
     wide = live & ~point
     idx = _bin_index(theta[point], n_bins)
@@ -601,22 +629,6 @@ def wall_limits(flow, fraction: float = 0.1):
     return out
 
 
-def _d1_1d(vals, h):
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return out
-
-
-def _d2_1d(vals, h):
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h ** 2
-    out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / h ** 2
-    out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / h ** 2
-    return out
-
-
 def stability_margin(flow, profile, mode: str = "VorticityGradient") -> float:
     """Distance of a strip flow from a given shear profile s.
 
@@ -632,10 +644,10 @@ def stability_margin(flow, profile, mode: str = "VorticityGradient") -> float:
         raise ValueError("profile is sampled on a different transverse axis")
     s = profile.values
     if mode == "VorticityGradient":
-        omega_s = -_d1_1d(s, g.hy)
+        omega_s = -_g._diff1(s, g.hy, 0, False)
         diff = flow.vorticity.values - omega_s[None, :]
         dd = _g.ddy(ScalarField(g, diff))
-        return float(_d2_1d(s, g.hy).min() - np.abs(dd).max())
+        return float(_g._diff2(s, g.hy, 0, False).min() - np.abs(dd).max())
     if mode == "W2inf":
         e = ScalarField(g, flow.velocity.vx - s[None, :])
         worst = float(np.abs(e.values).max())
@@ -665,6 +677,10 @@ class DiagnosticsReport:
         self.identity_residual_max = float(identity_residual_max)
         self.lower_bound_gap = (2.0 / np.pi) * self.total_curvature \
             - abs(self.J_inf_signed)
+        # the AngleSet and CurvatureProfile behind the verdict and the CVs,
+        # set by run_diagnostics for the artifact writers; not serialized
+        self.angle_set = None
+        self.kappa_profile = None
 
     def to_dict(self):
         return {
@@ -686,9 +702,10 @@ def run_diagnostics(flow, R_list=None, n_bins: int = 360,
     R_list defaults to quarter points of the domain half-width on wall
     geometries and stays empty elsewhere (the trace route needs walls).
     """
-    aset = angle_set(flow, n_bins=n_bins)
-    tc = total_curvature(flow)
-    j_signed = signed_curvature_integral(flow)
+    b = _bundle(flow)
+    aset = angle_set(flow, threshold=b.floor, n_bins=n_bins)
+    tc = _total_curvature(flow, b)
+    j_signed = _signed_curvature_integral(flow, b)
     if flow.grid.kind in (STRIP, HALF_PLANE):
         if R_list is None:
             span = max(abs(flow.grid.x_range[0]), abs(flow.grid.x_range[1]))
@@ -696,10 +713,10 @@ def run_diagnostics(flow, R_list=None, n_bins: int = 360,
         trace = boundary_trace_Jinf(flow, R_list)
     else:
         trace = []
-    prof = kappa_distribution(flow, kappa_bins)
-    resid = curvature_identity_residual(flow)
+    prof = _kappa_distribution(flow, b, kappa_bins)
+    resid = _identity_residual(flow, b, "fd", 0.05)
     interior = flow.grid.interior_mask()
-    return DiagnosticsReport(
+    rep = DiagnosticsReport(
         total_curvature=tc,
         J_inf_signed=j_signed,
         J_inf_trace=trace,
@@ -708,6 +725,9 @@ def run_diagnostics(flow, R_list=None, n_bins: int = 360,
         kappa_cv_lower=semicircle_cv(prof, "lower"),
         identity_residual_max=float(resid.values[interior].max()),
     )
+    rep.angle_set = aset
+    rep.kappa_profile = prof
+    return rep
 
 
 def save_report(report: DiagnosticsReport, path, extra=None) -> None:

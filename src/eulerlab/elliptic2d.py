@@ -125,6 +125,9 @@ class SolveReport:
         self.final_update = float(final_update)
         self.sandwich_violations = int(sandwich_violations)
         self.monotone = bool(monotone)
+        # the 1D profile or heteroclinic a flow construction solved for its
+        # far-field data, kept for the attachment check; not serialized
+        self.profile = None
 
     def to_dict(self):
         return {
@@ -258,10 +261,6 @@ def residual(u: ScalarField, nl: oned.Nonlinearity) -> ScalarField:
         v = u.values
         lap = ((np.roll(v, 1, 0) + np.roll(v, -1, 0) - 2.0 * v) / g.hx ** 2
                + (np.roll(v, 1, 1) + np.roll(v, -1, 1) - 2.0 * v) / g.hy ** 2)
-        if not g.periodic_x:
-            lap[0, :] = lap[-1, :] = 0.0
-        if not g.periodic_y:
-            lap[:, 0] = lap[:, -1] = 0.0
         return ScalarField(g, -lap - np.where(g.interior_mask(), nl.f(v), 0.0))
     out = np.zeros((g.nx, g.ny))
     out[1:-1, 1:-1] = _five_point(u.values, g.hx, g.hy) - nl.f(u.values[1:-1, 1:-1])
@@ -438,7 +437,8 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
     walls, far-field data at x1 = L from the 1D transverse profile (or zero
     with far_field="zero", the exhaustion variant), then odd-extends through
     x1 = 0.  The transverse profile is solved on the same ny-node grid, so its
-    constant extension is an exact discrete supersolution.
+    constant extension is an exact discrete supersolution; the report
+    returned with with_report=True carries it as ``profile``.
 
     nx must be odd so that x1 = 0 is a node column.
     """
@@ -491,6 +491,7 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
 
     field = odd_extend_x1(u_half, "odd")
     if with_report:
+        report.profile = profile
         return field, report
     return field
 
@@ -504,7 +505,8 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
     heteroclinic traces g on the far sides, descending from the exact
     discrete supersolution min(g(x1), g(x2)) (or ascending from a product
     sine bump with start="sub"), then odd-extends in x1.  The heteroclinic
-    is solved on the same n-node axis grid.
+    is solved on the same n-node axis grid; the report returned with
+    with_report=True carries it as ``profile``.
     """
     if nl.family != "AllenCahn":
         raise ValueError("the saddle construction needs the double-well term")
@@ -545,5 +547,6 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
 
     field = odd_extend_x1(u_quad, "odd")
     if with_report:
+        report.profile = g
         return field, report
     return field

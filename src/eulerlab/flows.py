@@ -104,21 +104,13 @@ def _matched_diff1(v: np.ndarray, h: float, axis: int, periodic: bool) -> np.nda
     the error field stays smooth up to the rim.
     """
     if periodic:
-        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+        return _g._diff1(v, h, axis, True)
     if v.shape[axis] < 4:
         raise GridError("matched rim closure needs at least 4 nodes per axis")
-    out = np.empty_like(v)
-    s = [slice(None), slice(None)]
-
-    def sl(sel):
-        s[axis] = sel
-        return tuple(s)
-
-    out[sl(slice(1, -1))] = (v[sl(slice(2, None))] - v[sl(slice(0, -2))]) / (2.0 * h)
-    out[sl(0)] = (-4.0 * v[sl(0)] + 7.0 * v[sl(1)]
-                  - 4.0 * v[sl(2)] + v[sl(3)]) / (2.0 * h)
-    out[sl(-1)] = (4.0 * v[sl(-1)] - 7.0 * v[sl(-2)]
-                   + 4.0 * v[sl(-3)] - v[sl(-4)]) / (2.0 * h)
+    out = _g._diff1(v, h, axis, False)
+    w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    o[0] = (-4.0 * w[0] + 7.0 * w[1] - 4.0 * w[2] + w[3]) / (2.0 * h)
+    o[-1] = (4.0 * w[-1] - 7.0 * w[-2] + 4.0 * w[-3] - w[-4]) / (2.0 * h)
     return out
 
 
@@ -142,7 +134,9 @@ def pressure_from_stream(u: ScalarField, nl) -> ScalarField:
 
 def euler_residual(flow: Flow):
     """Momentum residual v.grad(v) + grad(P) and divergence, by finite
-    differences (centered inside, one-sided on the rim)."""
+    differences (centered inside, one-sided on the rim).  The divergence is
+    the trace of the same velocity gradient, so it equals
+    grid.divergence(velocity) bit for bit."""
     if flow.pressure is None:
         raise MissingPressure("flow carries no pressure field")
     v = flow.velocity
@@ -151,7 +145,7 @@ def euler_residual(flow: Flow):
     mom = VectorField(flow.grid,
                       v.vx * v1x + v.vy * v1y + pg.vx,
                       v.vx * v2x + v.vy * v2y + pg.vy)
-    return mom, _g.divergence(v)
+    return mom, ScalarField(flow.grid, v1x + v2y)
 
 
 def closed_form_momentum_residual(flow: Flow) -> VectorField:
@@ -290,10 +284,12 @@ def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
     if json_path is None:
         return
     interior = g.interior_mask()
-    div = _g.divergence(flow.velocity)
+    if has_p:
+        mom, div = euler_residual(flow)
+    else:
+        div = _g.divergence(flow.velocity)
     norms = {"divergence_max": float(np.max(np.abs(div.values[interior])))}
     if has_p:
-        mom, _ = euler_residual(flow)
         norms["momentum_max"] = float(max(
             np.max(np.abs(mom.vx[interior])), np.max(np.abs(mom.vy[interior]))))
     env = {

@@ -163,11 +163,6 @@ class VectorField:
         self.vx = _check_values(grid, vx)
         self.vy = _check_values(grid, vy)
 
-    @classmethod
-    def from_functions(cls, grid: Grid, fx, fy):
-        xx, yy = grid.mesh()
-        return cls(grid, fx(xx, yy), fy(xx, yy))
-
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.vx, self.vy)
 
@@ -179,23 +174,18 @@ def same_grid(a, b) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# stencils
+# stencils (along one axis of an array of any rank, so 1D profiles share them)
 
 
 def _diff1(v: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
     out = np.empty_like(v)
-    s = [slice(None), slice(None)]
-
-    def sl(sel):
-        s[axis] = sel
-        return tuple(s)
-
-    out[sl(slice(1, -1))] = (v[sl(slice(2, None))] - v[sl(slice(0, -2))]) / (2.0 * h)
+    w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
     # one-sided second-order closures at the edges
-    out[sl(0)] = (-3.0 * v[sl(0)] + 4.0 * v[sl(1)] - v[sl(2)]) / (2.0 * h)
-    out[sl(-1)] = (3.0 * v[sl(-1)] - 4.0 * v[sl(-2)] + v[sl(-3)]) / (2.0 * h)
+    o[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+    o[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
     return out
 
 
@@ -204,17 +194,11 @@ def _diff2(v: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     if periodic:
         return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / h2
     out = np.empty_like(v)
-    s = [slice(None), slice(None)]
-
-    def sl(sel):
-        s[axis] = sel
-        return tuple(s)
-
-    out[sl(slice(1, -1))] = (
-        v[sl(slice(2, None))] - 2.0 * v[sl(slice(1, -1))] + v[sl(slice(0, -2))]) / h2
+    w, o = np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h2
     # (2, -5, 4, -1)/h^2 is second order and exact through cubics
-    out[sl(0)] = (2.0 * v[sl(0)] - 5.0 * v[sl(1)] + 4.0 * v[sl(2)] - v[sl(3)]) / h2
-    out[sl(-1)] = (2.0 * v[sl(-1)] - 5.0 * v[sl(-2)] + 4.0 * v[sl(-3)] - v[sl(-4)]) / h2
+    o[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h2
+    o[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h2
     return out
 
 
@@ -281,7 +265,7 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
 
 
 def integrate(f, mask=None) -> float:
-    """Trapezoid-rule integral of a scalar field or raw node array.
+    """Trapezoid-rule integral of a scalar field.
 
     ``mask`` is an optional boolean node array; masked-out nodes contribute
     zero.
@@ -297,10 +281,6 @@ def integrate(f, mask=None) -> float:
             raise GridError("mask shape %r does not match grid" % (mask.shape,))
         w = np.where(mask, w, 0.0)
     return float(np.sum(v * w))
-
-
-def integrate_values(grid: Grid, values: np.ndarray, mask=None) -> float:
-    return integrate(ScalarField(grid, values), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +301,6 @@ def save_scalar_field(f: ScalarField, csv_path, json_path=None, extra=None) -> N
     if json_path is not None:
         env = {"schema_version": _ser.SCHEMA_VERSION, "grid": f.grid.to_dict(),
                "values": f.values}
-        if extra:
-            env.update(extra)
-        _ser.write_json(env, json_path)
-
-
-def save_vector_field(w: VectorField, csv_path, json_path=None, extra=None) -> None:
-    xv, yv = _node_table(w.grid)
-    _ser.write_csv(csv_path, ["x", "y", "vx", "vy"],
-                   [xv, yv, w.vx.T.ravel(), w.vy.T.ravel()])
-    if json_path is not None:
-        env = {"schema_version": _ser.SCHEMA_VERSION, "grid": w.grid.to_dict(),
-               "vx": w.vx, "vy": w.vy}
         if extra:
             env.update(extra)
         _ser.write_json(env, json_path)

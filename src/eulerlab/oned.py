@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from . import grid as _g
 from . import serialize as _ser
 
 
@@ -148,8 +149,9 @@ class Profile:
         self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
         self.residual = float(residual)
         self.iterations = int(iterations)
-        self.boundary_derivatives = (boundary_slope(self, "lower"),
-                                     boundary_slope(self, "upper"))
+        # the grid's one-sided second-order edge closures
+        slope = _g._diff1(v, self.h, 0, False)
+        self.boundary_derivatives = (float(slope[0]), float(slope[-1]))
 
     @property
     def h(self) -> float:
@@ -164,12 +166,9 @@ class Profile:
 
 def boundary_slope(p: Profile, end: str) -> float:
     """One-sided second-order derivative of a profile at an endpoint."""
-    v, h = p.values, p.h
-    if end == "lower":
-        return float((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h))
-    if end == "upper":
-        return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
-    raise ValueError("end must be 'lower' or 'upper', got %r" % (end,))
+    if end not in ("lower", "upper"):
+        raise ValueError("end must be 'lower' or 'upper', got %r" % (end,))
+    return p.boundary_derivatives[0 if end == "lower" else 1]
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,17 @@ import time
 
 import pytest
 
-from eulerlab import cli
+from eulerlab import acceptance
 
 
 @pytest.fixture(scope="module")
 def cache():
-    return cli._FlowCache()
+    return acceptance._FlowCache()
 
 
 def run_checks(name, cache, budget):
     start = time.perf_counter()
-    results = cli._CHECK_MAP[name](cache)
+    results = acceptance._CHECK_MAP[name](cache)
     elapsed = time.perf_counter() - start
     bad = [res.line() for res in results if not res.passed]
     assert not bad, "\n" + "\n".join(bad)

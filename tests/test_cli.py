@@ -9,6 +9,8 @@ first and the artifacts second.
 
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -348,3 +350,64 @@ def test_verify_shears_suite_passes(tmp_path, capsys):
 def test_verify_oned_suite_passes(tmp_path, capsys):
     assert cli.main(["verify", "--suite", "oned",
                      "--out", str(tmp_path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# front-door robustness and the documented commands
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve1d", "--family", "arctan", "--lambda", "4", "--tol", "nan"],
+    ["solve1d", "--family", "arctan", "--lambda", "inf"],
+    ["solve1d", "--family", "arctan", "--lambda", "-1"],
+    ["analyze", "--catalog", "couette", "--out", "{file}/x"],
+    ["solve", "strip", "--nx", "9"],
+    ["solve", "strip", "--nx", "16"],
+    ["solve", "halfplane", "--n", "5"],
+    ["analyze", "--catalog", "couette", "--bins", "0"],
+    ["analyze", "--catalog", "couette", "--kappa-bins", "8"],
+    ["analyze", "--catalog", "couette", "--R", "nan"],
+    ["trace", "--catalog", "couette", "--seed", "0,0.5", "--step", "0"],
+    ["trace", "--catalog", "couette", "--seed", "0,0.5", "--max-steps", "0"],
+    ["trace", "--catalog", "couette", "--seed", "inf,0.5"],
+])
+def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
+    plain = tmp_path / "plain_file"
+    plain.write_text("")
+    argv = [a.replace("{file}", str(plain)) for a in argv]
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_seed_needs_no_equals_sign(tmp_path):
+    out = tmp_path / "run"
+    code = cli.main(["trace", "--catalog", "couette", "--seed", "-3,-0.5",
+                     "--seed", "-2,0.25", "--out", str(out)])
+    assert code == 0
+    manifest = read_json(out / "traces.json")
+    assert [t["seed"] for t in manifest["traces"]] == [[-3.0, -0.5],
+                                                       [-2.0, 0.25]]
+
+
+def _readme_commands():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    return (re.findall(r"^eulerlab .*$", text, re.M)
+            + re.findall(r"`(eulerlab [^`]+)`", text))
+
+
+def test_readme_commands_parse_and_resolve(monkeypatch):
+    monkeypatch.delenv("EULERLAB_OUT", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        ns = cli._build_parser().parse_args(argv)
+        resolved = cli._resolve(ns.command, ns)
+        assert resolved["out"] == "eulerlab_out", line

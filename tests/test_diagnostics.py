@@ -533,3 +533,21 @@ def test_curvature_profile_csv(tmp_path, strip_flow):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_center,mass,occupied"
     assert len(lines) == 1 + prof.n_bins
+
+
+def test_report_keeps_the_sets_it_was_built_from(strip_flow):
+    # one bundle per flow inside run_diagnostics reproduces the standalone
+    # public diagnostics bit for bit
+    rep = dg.run_diagnostics(strip_flow, n_bins=180, kappa_bins=32)
+    aset = dg.angle_set(strip_flow, n_bins=180)
+    prof = dg.kappa_distribution(strip_flow, 32)
+    assert np.array_equal(rep.angle_set.mass, aset.mass)
+    floor = dg.stagnation_floor(strip_flow)
+    assert rep.angle_set.stagnation_threshold == floor
+    assert np.array_equal(rep.kappa_profile.bin_mass, prof.bin_mass)
+    assert rep.total_curvature == dg.total_curvature(strip_flow)
+    assert rep.J_inf_signed == dg.signed_curvature_integral(strip_flow)
+    resid = dg.curvature_identity_residual(strip_flow)
+    interior = strip_flow.grid.interior_mask()
+    assert rep.identity_residual_max == float(resid.values[interior].max())
+    assert "angle_set" not in rep.to_dict()

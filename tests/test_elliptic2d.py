@@ -389,3 +389,16 @@ def test_saddle_two_sided_limit():
 def test_saddle_rejects_wrong_family():
     with pytest.raises(ValueError):
         e2.solve_saddle_quadrant(oned.arctan_family(4.0))
+
+
+def test_reports_carry_the_far_field_solutions(type3_full, saddle_full):
+    # the 1D problems the constructions solved ride on their reports, so
+    # nothing downstream needs to solve them again
+    u, report = type3_full
+    profile = oned.solve_strip_profile(oned.arctan_family(4.0), u.grid.ny)
+    assert np.array_equal(report.profile.values, profile.values)
+    assert "profile" not in report.to_dict()
+    w, report = saddle_full
+    het = oned.solve_heteroclinic(oned.allen_cahn(), L=w.grid.y_range[1],
+                                  n=w.grid.ny)
+    assert np.array_equal(report.profile.values, het.values)

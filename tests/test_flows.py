@@ -352,3 +352,13 @@ def test_flow_grid_mismatch_raises():
     w = g.ScalarField(b, np.zeros(b.shape))
     with pytest.raises(g.IncompatibleGrid):
         flows.Flow(a, v, w)
+
+
+def test_euler_divergence_is_the_grid_divergence():
+    gr = g.Grid(g.TORUS, 48, 48, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
+    X, Y = gr.mesh()
+    vel = g.VectorField(gr, np.sin(X + 2.0 * Y), np.cos(X) * np.sin(3.0 * Y))
+    flow = flows.Flow(gr, vel, g.ScalarField(gr, np.zeros(gr.shape)),
+                      g.ScalarField(gr, np.cos(X)))
+    _, div = flows.euler_residual(flow)
+    assert np.array_equal(div.values, g.divergence(vel).values)
