@@ -42,7 +42,7 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 _SOLVER_ERRORS = (oned.NoSubsolution, oned.NonConvergence,
-                  oned.BadTruncation, elliptic2d.NonConvergence)
+                  oned.BadTruncation)
 
 
 class ConfigError(ValueError):
@@ -267,7 +267,7 @@ def _default(r, key, value):
 # value (the smallest grids and bin counts the library accepts); every
 # numeric option must also be finite
 _POSITIVE = ("lam", "L", "tol", "step")
-_AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": 1, "kappa_bins": 16,
+_AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": 16, "kappa_bins": 16,
              "max_steps": 1}
 
 

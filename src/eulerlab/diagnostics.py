@@ -198,6 +198,9 @@ class AngleSet:
 
 def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleSet:
     """Bin the directions angle_from((1,0), v) of all non-stagnant nodes."""
+    # with fewer bins classify fills an empty half-circle as a pinhole
+    if n_bins < 16:
+        raise ValueError("need at least 16 bins")
     if threshold is None:
         threshold = stagnation_floor(flow)
     if not threshold > 0.0:

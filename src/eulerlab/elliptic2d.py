@@ -1,11 +1,9 @@
 """Monotone solver for -Lap(u) = f(u) on rectangles with Dirichlet data.
 
-The iteration is the two-dimensional version of the 1D machinery in
-:mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u
-between a verified discrete subsolution and supersolution.  The inner
-linear systems are solved by conjugate gradients preconditioned with the
-exact eigendecomposition of the shifted 5-point Laplacian (a DST-I pair of
-transforms), so each solve converges in one or two iterations.
+The iteration runs on the sweep engine of :mod:`eulerlab.oned`: sweeps of
+(-Lap + shift) u_next = f(u) + shift*u between a verified discrete
+subsolution and supersolution.  Each linear system is solved directly by a
+DST-I pair of transforms, which diagonalizes the shifted 5-point Laplacian.
 
 Two flow constructions sit on top:
 
@@ -31,8 +29,7 @@ from .flows import odd_extend_x1
 from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
 
 
-class NonConvergence(RuntimeError):
-    pass
+NonConvergence = oned.NonConvergence
 
 
 class BoxOutsideGrid(GridError):
@@ -166,17 +163,16 @@ def _five_point(values, hx, hy):
 
 
 class _DirichletSolver:
-    """Conjugate gradients for (-Lap_h + shift) w = rhs, zero-ring unknowns.
+    """Direct solve of (-Lap_h + shift) w = rhs with Dirichlet ring data.
 
-    The preconditioner applies the exact inverse through DST-I transforms
-    (the 5-point Dirichlet Laplacian is diagonal in that basis), so CG is a
-    residual-checked direct solve; the iteration cap only guards surprises.
+    The 5-point Dirichlet Laplacian is diagonal in the DST-I basis, so a
+    forward transform, a division by the eigenvalues and an inverse transform
+    solve it exactly; the relative residual is checked after every solve.
     """
 
     def __init__(self, grid: Grid, shift: float):
         if shift < 0:
             raise ValueError("shift must be nonnegative")
-        self.grid = grid
         self.shift = float(shift)
         self.hx, self.hy = grid.hx, grid.hy
         mx, my = grid.nx - 2, grid.ny - 2
@@ -185,54 +181,27 @@ class _DirichletSolver:
         ex = (2.0 - 2.0 * np.cos(kx * np.pi / (mx + 1))) / self.hx ** 2
         ey = (2.0 - 2.0 * np.cos(ky * np.pi / (my + 1))) / self.hy ** 2
         self._eig = ex[:, None] + ey[None, :] + self.shift
-        self.maxiter = 10 * (grid.nx + grid.ny)
 
-    def _apply(self, v):
-        out = (2.0 / self.hx ** 2 + 2.0 / self.hy ** 2 + self.shift) * v
-        out[1:, :] -= v[:-1, :] / self.hx ** 2
-        out[:-1, :] -= v[1:, :] / self.hx ** 2
-        out[:, 1:] -= v[:, :-1] / self.hy ** 2
-        out[:, :-1] -= v[:, 1:] / self.hy ** 2
-        return out
-
-    def _precondition(self, v):
-        return dstn(dstn(v, type=1, norm="ortho") / self._eig,
-                    type=1, norm="ortho")
-
-    def solve_interior(self, rhs, rtol=1e-12):
-        bnorm = float(np.linalg.norm(rhs))
-        if bnorm == 0.0:
-            return np.zeros_like(rhs), 0
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        z = self._precondition(r)
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        for it in range(1, self.maxiter + 1):
-            ap = self._apply(p)
-            alpha = rz / float(np.vdot(p, ap))
-            x += alpha * p
-            r -= alpha * ap
-            if float(np.linalg.norm(r)) <= rtol * bnorm:
-                return x, it
-            z = self._precondition(r)
-            rz_new = float(np.vdot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise NonConvergence("conjugate gradients stalled after %d iterations"
-                             % self.maxiter)
-
-    def solve(self, rhs_interior, dirichlet, rtol=1e-12):
+    def solve(self, rhs_interior, dirichlet):
         """Full-grid solution with the ring folded into the right side."""
         b = np.array(rhs_interior, dtype=float)
         b[0, :] += dirichlet[0, 1:-1] / self.hx ** 2
         b[-1, :] += dirichlet[-1, 1:-1] / self.hx ** 2
         b[:, 0] += dirichlet[1:-1, 0] / self.hy ** 2
         b[:, -1] += dirichlet[1:-1, -1] / self.hy ** 2
-        w, its = self.solve_interior(b, rtol)
+        w = dstn(dstn(b, type=1, norm="ortho") / self._eig,
+                 type=1, norm="ortho")
         full = np.array(dirichlet, dtype=float)
         full[1:-1, 1:-1] = w
-        return full, its
+        # residual of the unfolded system: the stencil sees the ring itself
+        bnorm = float(np.linalg.norm(b))
+        rnorm = float(np.linalg.norm(rhs_interior - self.shift * w
+                                     - _five_point(full, self.hx, self.hy)))
+        if not rnorm <= 1e-12 * bnorm:
+            raise NonConvergence("sine-transform solve left a residual of "
+                                 "%.3e against a right side of %.3e"
+                                 % (rnorm, bnorm))
+        return full
 
 
 def linear_solve(grid: Grid, shift: float, rhs: ScalarField, dirichlet) -> ScalarField:
@@ -246,8 +215,7 @@ def linear_solve(grid: Grid, shift: float, rhs: ScalarField, dirichlet) -> Scala
         rhs = rhs.values
     d = np.broadcast_to(np.asarray(dirichlet, dtype=float), (grid.nx, grid.ny))
     solver = _DirichletSolver(grid, shift)
-    full, _ = solver.solve(np.asarray(rhs)[1:-1, 1:-1], d)
-    return ScalarField(grid, full)
+    return ScalarField(grid, solver.solve(np.asarray(rhs)[1:-1, 1:-1], d))
 
 
 def residual(u: ScalarField, nl: oned.Nonlinearity) -> ScalarField:
@@ -376,37 +344,34 @@ def solve_semilinear(problem: EllipticProblem, start, tol: float = 1e-8,
                          "sweeps would not be monotone")
 
     solver = _DirichletSolver(g, problem.shift)
-    slack = 1e-10 * (1.0 + smax)
-    u = np.array(start.field.values, dtype=float)
-    update = np.inf
-    res = np.inf
-    for it in range(1, max_iter + 1):
+
+    def sweep(u):
         rhs = nl.f(u[1:-1, 1:-1]) + problem.shift * u[1:-1, 1:-1]
-        nxt, _ = solver.solve(rhs, problem.dirichlet)
-        step = nxt - u
-        if ascending:
-            if float(step.min()) < -slack:
-                raise NonConvergence("ascending sweep lost monotonicity "
-                                     "(worst step %.3e)" % float(step.min()))
-        else:
-            if float(step.max()) > slack:
-                raise NonConvergence("descending sweep lost monotonicity "
-                                     "(worst step %.3e)" % float(step.max()))
-        if bound is not None:
-            gap = bound.values - nxt if ascending else nxt - bound.values
-            if float(gap.min()) < -slack:
-                raise NonConvergence("iterate escaped the sub/supersolution "
-                                     "sandwich by %.3e" % -float(gap.min()))
-        u = nxt
-        update = float(np.max(np.abs(step)))
+        return solver.solve(rhs, problem.dirichlet)
+
+    res = np.inf
+
+    def done(u, update):
+        # the defect costs a stencil pass and an f evaluation, so it is
+        # measured only once the update has passed
+        nonlocal res
+        if update >= tol:
+            return False
         res = float(np.max(np.abs(
             _five_point(u, g.hx, g.hy) - nl.f(u[1:-1, 1:-1]))))
-        if update < tol and res < tol:
-            return (ScalarField(g, u),
-                    SolveReport(it, res, update, 0, True))
-    raise NonConvergence(
-        "no convergence in %d sweeps (update %.3e, residual %.3e)"
-        % (max_iter, update, res))
+        return res < tol
+
+    # the start is one side of the sandwich, the bound (if any) the other
+    if bound is None:
+        far = np.inf if ascending else -np.inf
+    else:
+        far = bound.values
+    lower, upper = ((start.field.values, far) if ascending
+                    else (far, start.field.values))
+    u, sweeps, update = oned._monotone_sweeps(
+        sweep, np.array(start.field.values, dtype=float), lower, upper,
+        ascending, done, max_iter, 1e-10 * (1.0 + smax))
+    return ScalarField(g, u), SolveReport(sweeps, res, update, 0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Each linear sweep solves (-d^2/dx^2 + shift) u_next = f(u) + shift*u by
 tridiagonal elimination.  With the shift at least the Lipschitz bound of f on
 the sandwich range, sweeps started from a subsolution increase pointwise and
 sweeps started from a supersolution decrease, staying inside the sandwich;
-both facts are asserted on every sweep rather than trusted.
+both facts are asserted on every sweep rather than trusted.  One engine,
+:func:`_monotone_sweeps`, runs these sweeps for the float64 phase, the
+extended-precision polish and the 2D solver of :mod:`eulerlab.elliptic2d`.
 """
 
 from __future__ import annotations
@@ -175,66 +177,79 @@ def boundary_slope(p: Profile, end: str) -> float:
 # monotone iteration core
 
 
-def _monotone_sweeps(nl, h, start, lower, upper, bc, shift, tol, max_iter,
-                     ascending):
+def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
+                     slack):
+    """The sub/supersolution sweep engine behind the 1D and 2D solvers.
+
+    Before each sweep ``done(u, update)`` decides whether to stop (``update``
+    is the max-norm of the last step, inf before the first); otherwise
+    ``u = sweep(u)``.  Every step must go one way (up when ``ascending``)
+    and keep lower <= u <= upper, both within ``slack``: a failure means the
+    shift did not linearize f on the range, which is a solver defect and not
+    something to iterate past.  Returns (u, sweeps, update).
+    """
+    update = np.inf
+    sweeps = 0
+    while not done(u, update):
+        if sweeps >= max_iter:
+            raise NonConvergence("no convergence in %d sweeps (last update "
+                                 "%.3e)" % (max_iter, update))
+        nxt = sweep(u)
+        step = nxt - u
+        worst = float(step.min()) if ascending else float(step.max())
+        if (worst < -slack) if ascending else (worst > slack):
+            raise NonConvergence("%s sweep lost monotonicity (worst step %.3e)"
+                                 % ("ascending" if ascending else "descending",
+                                    worst))
+        escape = max(float(np.max(lower - nxt)), float(np.max(nxt - upper)))
+        if escape > slack:
+            raise NonConvergence("iterate escaped the sub/supersolution "
+                                 "sandwich by %.3e" % escape)
+        u = nxt
+        update = float(np.max(np.abs(step)))
+        sweeps += 1
+    return u, sweeps, update
+
+
+def _picard_1d(nl, h, start, lower, upper, bc, shift, tol, max_iter,
+               ascending):
     """Shifted Picard iteration between verified bounds, in two phases.
 
-    Phase one runs in float64 until the sweep update drops below tol,
-    asserting pointwise monotonicity and the sandwich on every sweep; either
-    failing means the shift did not linearize f on the range, which is a
-    solver defect and not something to iterate past.  Phase two re-runs the
-    same sweeps in extended precision until the measured defect of
-    -u'' - f(u) is below tol as well: a float64 iterate cannot certify a
-    defect much below eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since rounding
-    the exact solution to doubles already costs that much.
+    Phase one runs in float64 with banded solves until the sweep update
+    drops below tol.  Phase two re-runs the same sweeps in extended
+    precision until the measured defect of -u'' - f(u) is below tol as
+    well: a float64 iterate cannot certify a defect much below
+    eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since rounding the exact
+    solution to doubles already costs that much.  Its tridiagonal solves use
+    the Thomas algorithm (the matrix is constant, SPD and diagonally
+    dominant, so factoring once is safe).  Nonlinearity callables built from
+    numpy ufuncs preserve the dtype, which is what makes the
+    higher-precision f evaluations meaningful.
     """
     n = len(start)
     slack = 1e-10 * (1.0 + float(np.max(np.abs(upper))))
     ab = np.zeros((2, n - 2))
     ab[0, 1:] = -1.0 / h ** 2
     ab[1, :] = 2.0 / h ** 2 + shift
-
-    u = np.array(start, dtype=float)
-    u[0], u[-1] = bc
     f = nl.f
-    update = np.inf
-    for it in range(1, max_iter + 1):
+
+    def banded_sweep(u):
         rhs = f(u[1:-1]) + shift * u[1:-1]
         rhs[0] += bc[0] / h ** 2
         rhs[-1] += bc[1] / h ** 2
         nxt = np.empty(n)
         nxt[0], nxt[-1] = bc
         nxt[1:-1] = solveh_banded(ab, rhs)
+        return nxt
 
-        step = nxt - u
-        if ascending:
-            if float(step.min()) < -slack:
-                raise NonConvergence("ascending sweep lost monotonicity")
-        else:
-            if float(step.max()) > slack:
-                raise NonConvergence("descending sweep lost monotonicity")
-        if float(np.max(lower - nxt)) > slack or float(np.max(nxt - upper)) > slack:
-            raise NonConvergence("iterate escaped the sub/supersolution sandwich")
+    u = np.array(start, dtype=float)
+    u[0], u[-1] = bc
+    u, it1, _ = _monotone_sweeps(banded_sweep, u, lower, upper, ascending,
+                                 lambda u, update: update < tol, max_iter,
+                                 slack)
 
-        u = nxt
-        update = float(np.max(np.abs(step)))
-        if update < tol:
-            break
-    else:
-        raise NonConvergence("no convergence in %d sweeps (last update %.3e)"
-                             % (max_iter, update))
-    return _polish_sweeps(nl, h, u, lower, upper, bc, shift, tol, slack, it)
-
-
-def _polish_sweeps(nl, h, u, lower, upper, bc, shift, tol, slack, it1):
-    """Continue the Picard sweeps in extended precision until the defect
-    passes tol.  The tridiagonal solves use the Thomas algorithm (the matrix
-    is constant, SPD and diagonally dominant, so factoring once is safe).
-    Nonlinearity callables built from numpy ufuncs preserve the dtype, which
-    is what makes the higher-precision f evaluations meaningful."""
     ld = np.longdouble
     hl = ld(h)
-    n = len(u)
     diag = ld(2.0) / hl ** 2 + ld(shift)
     off = ld(-1.0) / hl ** 2
     denom = np.empty(n - 2, dtype=ld)
@@ -245,32 +260,25 @@ def _polish_sweeps(nl, h, u, lower, upper, bc, shift, tol, slack, it1):
         denom[i] = diag - off * cp[i - 1]
         cp[i] = off / denom[i]
 
-    lo = np.asarray(lower, dtype=ld)
-    hi = np.asarray(upper, dtype=ld)
-    ul = u.astype(ld)
-    f = nl.f
-    it2 = 0
-    res = _residual_1d(ul, hl, nl)
-    while res >= tol:
-        if it2 >= 1000:
-            raise NonConvergence(
-                "defect stalled at %.3e (tol %.3e) after %d polish sweeps"
-                % (res, tol, it2))
-        rhs = f(ul[1:-1]) + ld(shift) * ul[1:-1]
-        rhs[0] += ld(bc[0]) / hl ** 2
-        rhs[-1] += ld(bc[1]) / hl ** 2
-        d = rhs.astype(ld, copy=True)
+    def thomas_sweep(ul):
+        # ld(shift) * ul keeps the right side in extended precision even
+        # where f returns float64
+        d = f(ul[1:-1]) + ld(shift) * ul[1:-1]
+        d[0] += ld(bc[0]) / hl ** 2
+        d[-1] += ld(bc[1]) / hl ** 2
         d[0] = d[0] / denom[0]
         for i in range(1, n - 2):
             d[i] = (d[i] - off * d[i - 1]) / denom[i]
         for i in range(n - 4, -1, -1):
             d[i] = d[i] - cp[i] * d[i + 1]
-        ul[1:-1] = d
-        it2 += 1
-        if float(np.max(lo - ul)) > slack or float(np.max(ul - hi)) > slack:
-            raise NonConvergence("iterate escaped the sub/supersolution sandwich")
-        res = _residual_1d(ul, hl, nl)
-    return np.asarray(ul, dtype=float), res, it1 + it2
+        nxt = ul.copy()
+        nxt[1:-1] = d
+        return nxt
+
+    ul, it2, _ = _monotone_sweeps(
+        thomas_sweep, u.astype(ld), lower, upper, ascending,
+        lambda ul, update: _residual_1d(ul, hl, nl) < tol, 1000, slack)
+    return np.asarray(ul, dtype=float), _residual_1d(ul, hl, nl), it1 + it2
 
 
 def _residual_1d(u, h, nl) -> float:
@@ -346,8 +354,8 @@ def solve_strip_profile(nl: Nonlinearity, n: int, tol: float = 1e-10,
         u0, ascending = sup, False
     else:
         raise ValueError("start must be 'sub' or 'super'")
-    u, res, its = _monotone_sweeps(nl, h, u0, sub, sup, (0.0, 0.0), shift,
-                                   tol, max_iter, ascending)
+    u, res, its = _picard_1d(nl, h, u0, sub, sup, (0.0, 0.0), shift, tol,
+                             max_iter, ascending)
     return Profile((-1.0, 1.0), u, (0.0, 0.0), res, its)
 
 
@@ -373,8 +381,8 @@ def solve_heteroclinic(nl: Nonlinearity, L: float = 20.0, n: int = 4001,
     sub = np.zeros(n)
     sup = np.ones(n)
     shift = picard_shift(nl, 1.0)
-    u, res, its = _monotone_sweeps(nl, h, sub, sub, sup, (0.0, 1.0), shift,
-                                   tol, max_iter, ascending=True)
+    u, res, its = _picard_1d(nl, h, sub, sub, sup, (0.0, 1.0), shift, tol,
+                             max_iter, ascending=True)
     p = Profile((0.0, L), u, (0.0, 1.0), res, its)
     gap = abs(float(p.sample(L) - p.sample(L - 1.0)))
     if gap > 1e-6:

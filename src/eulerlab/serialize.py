@@ -85,8 +85,9 @@ def write_json(obj, path) -> None:
 
 
 def read_json(path):
+    # fmt17 writes -0.0 as "-0", which json would read as the integer 0
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=lambda t: -0.0 if t == "-0" else int(t))
 
 
 def write_csv(path, header, columns) -> None:

@@ -365,6 +365,8 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["solve", "strip", "--nx", "16"],
     ["solve", "halfplane", "--n", "5"],
     ["analyze", "--catalog", "couette", "--bins", "0"],
+    ["analyze", "--solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+     "--bins", "4"],
     ["analyze", "--catalog", "couette", "--kappa-bins", "8"],
     ["analyze", "--catalog", "couette", "--R", "nan"],
     ["trace", "--catalog", "couette", "--seed", "0,0.5", "--step", "0"],

@@ -485,6 +485,15 @@ def test_kappa_bin_floor():
         dg.kappa_distribution(shear("Couette"), n_bins=8)
 
 
+def test_direction_bin_floor():
+    # below 16 bins an empty half-circle can shrink to one pinhole bin,
+    # which classify fills (the strip flow read FullCircle at 4 bins)
+    for n_bins in (1, 2, 4, 15):
+        with pytest.raises(ValueError, match="at least 16 bins"):
+            dg.angle_set(shear("Couette"), n_bins=n_bins)
+    assert dg.angle_set(shear("Couette"), n_bins=16).n_bins == 16
+
+
 # ---------------------------------------------------------------------------
 # report assembly and serialization
 

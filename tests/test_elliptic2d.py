@@ -50,16 +50,24 @@ def test_linear_solve_with_shift():
 
 
 def test_linear_solve_inner_residual():
-    # the preconditioner is the exact inverse, so conjugate gradients reach
-    # the 1e-12 relative-residual target in one step
+    # the sine transforms diagonalize the stencil, so one forward/inverse
+    # pair meets the 1e-12 relative-residual target
     g = unit_square(65)
     X, Y = g.mesh()
     rhs = np.sin(np.pi * X) * np.sin(np.pi * Y) * 2.0 * np.pi ** 2
     solver = e2._DirichletSolver(g, 1.0)
-    w, its = solver.solve_interior(rhs[1:-1, 1:-1])
-    assert its <= 2
-    resid = rhs[1:-1, 1:-1] - solver._apply(w)
+    full = solver.solve(rhs[1:-1, 1:-1], np.zeros((65, 65)))
+    resid = (rhs[1:-1, 1:-1] - e2._five_point(full, g.hx, g.hy)
+             - 1.0 * full[1:-1, 1:-1])
     assert float(np.linalg.norm(resid)) <= 1e-11 * float(np.linalg.norm(rhs))
+
+
+def test_linear_solve_residual_check_fires():
+    g = unit_square(33)
+    solver = e2._DirichletSolver(g, 1.0)
+    solver._eig = solver._eig * 1.001
+    with pytest.raises(e2.NonConvergence, match="residual"):
+        solver.solve(np.ones((31, 31)), np.zeros((33, 33)))
 
 
 def test_linear_solve_honors_dirichlet_ring():
@@ -190,6 +198,16 @@ def test_two_sided_iteration_unique_limit():
     down, _ = e2.solve_semilinear(problem, e2.FromSuper(supersol), tol=1e-8,
                                   bound=zero)
     assert float(np.max(np.abs(up.values - down.values))) < 1e-7
+
+
+def test_sweep_budget_exhausted():
+    problem, supersol, _ = strip_problem()
+    g = problem.grid
+    zero = ScalarField(g, np.zeros((g.nx, g.ny)))
+    assert e2.NonConvergence is oned.NonConvergence
+    with pytest.raises(oned.NonConvergence, match="in 2 sweeps"):
+        e2.solve_semilinear(problem, e2.FromSuper(supersol), tol=1e-8,
+                            max_iter=2, bound=zero)
 
 
 def test_start_fields_are_verified():

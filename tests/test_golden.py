@@ -19,9 +19,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "cae6aa0d4403815850dbe1ba5091b4d95eaa5d9c7b5fb9853a84feb7cc729d4b",
-            "flow.json": "70ce62bd94d6b8e8986a4d02b59c7d87dde80a019e5c2ebad31ac79d605ae6b8",
-            "report.json": "d096e9e599f525f77a9fd7b6e6f59bd4225cd24379f773ab859676dde2601c02",
+            "flow.csv": "f21c37be86c10ab38fb92597aefbcdc11117761aff322ad4fdebd0a1abe4d456",
+            "flow.json": "9f33ef7f73afb8be09c49afdf66a81c6372b8b38f0f14391bf446039a318ccd8",
+            "report.json": "613b54e0d77898a71c9dc726bfa8e8412db0fd084330c2e0006a50c89f786453",
         },
     ),
     "analyze": (

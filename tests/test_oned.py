@@ -8,6 +8,7 @@ has the closed form tanh(x/sqrt 2), so no numerical oracle is needed there.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerlab import oned, serialize
 
@@ -57,6 +58,53 @@ def test_two_sided_iteration_agrees():
     up = oned.solve_strip_profile(nl, 2001, start="sub")
     down = oned.solve_strip_profile(nl, 2001, start="super")
     assert float(np.max(np.abs(up.values - down.values))) <= 1e-8
+
+
+@settings(max_examples=20)
+@given(lam=st.floats(2.6, 12.0), n=st.integers(17, 257))
+def test_both_starts_reach_one_profile(lam, n):
+    nl = oned.arctan_family(lam)
+    up = oned.solve_strip_profile(nl, n, start="sub")
+    down = oned.solve_strip_profile(nl, n, start="super")
+    assert up.residual < 1e-10 and down.residual < 1e-10
+    assert float(np.max(np.abs(up.values - down.values))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the sweep engine's certificate: each failure raises NonConvergence
+
+
+def _sweeps(sweep, lower=-np.inf, upper=np.inf, ascending=True, max_iter=50):
+    return oned._monotone_sweeps(sweep, np.zeros(5), lower, upper, ascending,
+                                 lambda u, update: update < 1e-12, max_iter,
+                                 1e-10)
+
+
+def test_engine_rejects_a_step_the_wrong_way():
+    with pytest.raises(oned.NonConvergence, match="ascending sweep lost"):
+        _sweeps(lambda u: u - 1e-3)
+    with pytest.raises(oned.NonConvergence, match="descending sweep lost"):
+        _sweeps(lambda u: u + 1e-3, ascending=False)
+
+
+def test_engine_rejects_leaving_the_sandwich():
+    with pytest.raises(oned.NonConvergence, match="sandwich"):
+        _sweeps(lambda u: u + 0.3, upper=np.ones(5))
+    with pytest.raises(oned.NonConvergence, match="sandwich"):
+        _sweeps(lambda u: u - 0.3, lower=-np.ones(5), ascending=False)
+
+
+def test_engine_rejects_an_exhausted_budget():
+    with pytest.raises(oned.NonConvergence, match="in 7 sweeps"):
+        _sweeps(lambda u: u + 1e-3, max_iter=7)
+
+
+def test_engine_counts_sweeps_to_the_fixed_point():
+    # u -> (u + 1)/2 ascends from 0 toward 1; sweep k moves by 2^-k, and
+    # 2^-40 is the first update below 1e-12
+    u, sweeps, update = _sweeps(lambda u: 0.5 * (u + 1.0), upper=np.ones(5))
+    assert sweeps == 40 and update == 2.0 ** -40
+    assert np.all(u <= 1.0)
 
 
 def test_heteroclinic_matches_tanh():
