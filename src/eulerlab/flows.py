@@ -14,6 +14,8 @@ fields so tests can separate discretization error from modeling error.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import grid as _g
@@ -266,15 +268,21 @@ def odd_extend_x1(f: ScalarField, parity: str) -> ScalarField:
 # serialization
 
 
+def _node_table(grid: Grid):
+    xx, yy = grid.mesh()
+    # rows scan the bottom node row first, left to right
+    return xx.T.ravel(), yy.T.ravel()
+
+
 def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
     """One CSV row per node (x, y, vx, vy, P, omega) plus a JSON envelope.
 
-    Flows without pressure write zeros in the P column and say so in the
-    metadata.  The JSON carries the full arrays, so :func:`load_flow`
-    reconstructs the flow from it alone.
+    The CSV is the only copy of the node fields; the envelope names it under
+    ``"csv"``, relative to the JSON's directory.  Flows without pressure
+    write zeros in the P column and say so in the envelope.
     """
     g = flow.grid
-    xv, yv = _g._node_table(g)
+    xv, yv = _node_table(g)
     has_p = flow.pressure is not None
     pvals = flow.pressure.values if has_p else np.zeros(g.shape)
     _ser.write_csv(csv_path, ["x", "y", "vx", "vy", "P", "omega"],
@@ -299,20 +307,23 @@ def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
         "boundary_rows": flow.boundary_rows,
         "has_pressure": has_p,
         "residual_norms": norms,
-        "vx": flow.velocity.vx,
-        "vy": flow.velocity.vy,
-        "omega": flow.vorticity.values,
+        "csv": os.path.relpath(csv_path,
+                               os.path.dirname(os.path.abspath(json_path))),
     }
-    if has_p:
-        env["P"] = pvals
     if extra:
         env.update(extra)
     _ser.write_json(env, json_path)
 
 
 def load_flow(json_path) -> Flow:
+    """Read a bundle written by :func:`save_flow`; a schema-1 envelope, with
+    no ``"csv"`` entry, carries the node fields itself as (nx, ny) arrays."""
     d = _ser.read_json(json_path)
     g = Grid.from_dict(d["grid"])
+    if "csv" in d:
+        header, cols = _ser.read_csv(
+            os.path.join(os.path.dirname(json_path), d["csv"]))
+        d.update((k, c.reshape(g.ny, g.nx).T) for k, c in zip(header, cols))
     velocity = VectorField(g, np.asarray(d["vx"]), np.asarray(d["vy"]))
     vorticity = ScalarField(g, np.asarray(d["omega"]))
     pressure = ScalarField(g, np.asarray(d["P"])) if d.get("has_pressure") else None

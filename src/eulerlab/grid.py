@@ -281,31 +281,3 @@ def integrate(f, mask=None) -> float:
             raise GridError("mask shape %r does not match grid" % (mask.shape,))
         w = np.where(mask, w, 0.0)
     return float(np.sum(v * w))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-from . import serialize as _ser  # noqa: E402
-
-
-def _node_table(grid: Grid):
-    xx, yy = grid.mesh()
-    # rows scan the bottom node row first, left to right
-    return xx.T.ravel(), yy.T.ravel()
-
-
-def save_scalar_field(f: ScalarField, csv_path, json_path=None, extra=None) -> None:
-    xv, yv = _node_table(f.grid)
-    _ser.write_csv(csv_path, ["x", "y", "value"], [xv, yv, f.values.T.ravel()])
-    if json_path is not None:
-        env = {"schema_version": _ser.SCHEMA_VERSION, "grid": f.grid.to_dict(),
-               "values": f.values}
-        if extra:
-            env.update(extra)
-        _ser.write_json(env, json_path)
-
-
-def load_scalar_field(json_path) -> ScalarField:
-    d = _ser.read_json(json_path)
-    return ScalarField(Grid.from_dict(d["grid"]), np.asarray(d["values"]))

@@ -1,9 +1,9 @@
 """Deterministic CSV/JSON emission shared by every artifact writer.
 
-All numeric output goes through :func:`fmt17`, which renders floats with 17
-significant digits (enough to round-trip IEEE doubles exactly).  The JSON
-writer walks the object tree itself so float formatting, key order, and
-indentation are fully pinned: identical inputs produce byte-identical files.
+Numbers go through :func:`fmt17` (17 significant digits, enough to round-trip
+IEEE doubles).  JSON is emitted by walking the object tree, so float format,
+key order and indentation are pinned and identical inputs give identical
+bytes.  CSV tables are formatted a column at a time and parsed in one pass.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fmt17(x) -> str:
@@ -72,16 +72,12 @@ def _emit(obj, indent: int, pieces: list) -> None:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps_json(obj) -> str:
+def write_json(obj, path) -> None:
     pieces: list = []
     _emit(obj, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def read_json(path):
@@ -93,37 +89,28 @@ def read_json(path):
 def write_csv(path, header, columns) -> None:
     """Write named columns of numbers as CSV with 17-digit floats.
 
-    ``columns`` are equal-length 1d sequences; integer columns are detected
-    per cell so trace/bin indices stay unpadded.
+    ``columns`` are equal-length 1d sequences, each formatted whole: as
+    plain integers if its dtype is integer, else through :func:`fmt17`.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0]) if cols else 0
     for c in cols:
         if len(c) != n:
             raise ValueError("CSV columns must share a length")
-    lines = [",".join(header)]
-    for row in range(n):
-        cells = []
-        for c in cols:
-            v = c[row]
-            if np.issubdtype(c.dtype, np.integer):
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt17(v))
-        lines.append(",".join(cells))
+    cells = [map(str if np.issubdtype(c.dtype, np.integer) else fmt17,
+                 c.tolist()) for c in cols]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_csv(path):
     """Read a CSV written by :func:`write_csv` back into float columns."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = [[] for _ in header]
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            for slot, cell in zip(data, line.split(",")):
-                slot.append(float(cell))
-    return header, [np.asarray(c) for c in data]
+        body = fh.tell()
+        if not fh.readline().strip():  # header only; np.loadtxt would warn
+            return header, [np.empty(0) for _ in header]
+        fh.seek(body)
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return header, list(table.T.copy())

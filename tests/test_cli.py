@@ -114,7 +114,7 @@ def test_solve1d_writes_profile_and_report(tmp_path, capsys):
     assert code == 0
     assert (out / "profile.csv").exists()
     rep = read_json(out / "report.json")
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == ser.SCHEMA_VERSION
     assert rep["error"] is None
     assert rep["residual"] < 1e-10
     assert rep["config"]["command"] == "solve1d"
@@ -372,18 +372,71 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["trace", "--catalog", "couette", "--seed", "0,0.5", "--step", "0"],
     ["trace", "--catalog", "couette", "--seed", "0,0.5", "--max-steps", "0"],
     ["trace", "--catalog", "couette", "--seed", "inf,0.5"],
+    ["analyze", "--file", "{bundle:no-csv}"],
+    ["analyze", "--file", "{bundle:short-csv}"],
+    ["analyze", "--file", "{bundle:no-fields}"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
     plain.write_text("")
     argv = [a.replace("{file}", str(plain)) for a in argv]
+    expected = ""
+    for damage, (spoil, message) in BUNDLE_DAMAGE.items():
+        tag = "{bundle:%s}" % damage
+        if tag in argv:
+            argv[argv.index(tag)] = str(_damaged_bundle(tmp_path, spoil))
+            expected = message
+    capsys.readouterr()
     if "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "run")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ")
+    assert err.startswith("config error: " + expected)
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _drop_last_row(bundle):
+    rows = (bundle / "flow.csv").read_text().splitlines(keepends=True)
+    (bundle / "flow.csv").write_text("".join(rows[:-1]))
+
+
+def _drop_csv_entry(bundle):
+    env = ser.read_json(bundle / "flow.json")
+    del env["csv"]
+    ser.write_json(env, bundle / "flow.json")
+
+
+# a flow bundle with one defect, and the start of the message it must give
+BUNDLE_DAMAGE = {
+    "no-csv": (lambda b: (b / "flow.csv").unlink(),
+               "cannot read flow bundle"),
+    "short-csv": (_drop_last_row, "not a flow bundle"),
+    "no-fields": (_drop_csv_entry, "not a flow bundle"),
+}
+
+
+def _damaged_bundle(tmp_path, spoil):
+    bundle = tmp_path / "bundle"
+    assert cli.main(["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+                     "--out", str(bundle)]) == 0
+    spoil(bundle)
+    return bundle / "flow.json"
+
+
+def test_file_bundle_reads_from_another_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+                     "--out", "bundle"]) == 0
+    assert cli.main(["analyze", "--file", "bundle/flow.json",
+                     "--out", "here"]) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert cli.main(["analyze", "--file", "../bundle/flow.json",
+                     "--out", "../there"]) == 0
+    for name in ("angle_set.csv", "curvature_profile.csv"):
+        assert ((tmp_path / "there" / name).read_bytes()
+                == (tmp_path / "here" / name).read_bytes())
 
 
 def test_negative_seed_needs_no_equals_sign(tmp_path):

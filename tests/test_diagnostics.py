@@ -13,9 +13,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eulerlab import diagnostics as dg
-from eulerlab import elliptic2d, flows, oned
+from eulerlab import elliptic2d, flows, oned, serialize
 from eulerlab import grid as g
 from eulerlab.grid import ScalarField, VectorField
 
@@ -358,6 +359,27 @@ def test_scaling_multiplies_curvature_by_c_squared(strip_flow):
     assert v0 == v1
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-16, 16),
+       st.integers(16, 720))
+def test_power_of_two_scaling_is_exact_on_angle_sets(seed, k, n_bins):
+    # 2**k scales every speed, partial and floor exactly (the floor stays
+    # above its 1e-10 clamp for these k), so nothing may round differently
+    rng = np.random.default_rng(seed)
+    gr = g.Grid(g.PLANE, 16, 12, (-1.0, 1.0), (0.0, 1.0))
+    vx, vy = rng.standard_normal((2,) + gr.shape)
+    slow = rng.random(gr.shape) < 0.2  # below the stagnation floor
+    vx, vy = np.where(slow, 1e-6 * vx, vx), np.where(slow, 1e-6 * vy, vy)
+    c = 2.0 ** k
+    still = ScalarField(gr, np.zeros(gr.shape))
+    a0, a1 = (dg.angle_set(flows.Flow(gr, VectorField(gr, s * vx, s * vy),
+                                      still), n_bins=n_bins)
+              for s in (1.0, c))
+    assert a1.stagnation_threshold == c * a0.stagnation_threshold
+    assert a0.occupied.any()
+    assert np.array_equal(a1.occupied, a0.occupied)
+    assert np.array_equal(a1.mass, c * a0.mass)
+
+
 # ---------------------------------------------------------------------------
 # classification decision table
 
@@ -407,6 +429,85 @@ def test_classify_guards():
         dg.classify(occupancy(360, [3]), 1.0, occupancy_rule="loose")
     with pytest.raises(ValueError):
         dg.Classification("Spiral")
+
+
+def arc_bins(n, start, length, holes):
+    """Occupancy of the circular run of bins start .. start + length - 1,
+    emptied at the given interior offsets."""
+    occ = np.zeros(n, dtype=bool)
+    occ[(start + np.arange(length)) % n] = True
+    occ[(start + np.asarray(holes, dtype=int)) % n] = False
+    return occ
+
+
+@st.composite
+def bin_runs(draw, n, lengths):
+    """One occupied run of bins with a length from ``lengths``, pierced by
+    single-bin pinholes at odd offsets (both neighbours stay occupied, so
+    classify fills every one of them)."""
+    length = draw(st.sampled_from(lengths))
+    holes = draw(st.sets(st.integers(0, max(length - 3, 0) // 2)))
+    holes = [2 * h + 1 for h in holes if 2 * h + 1 <= length - 2]
+    return draw(st.integers(0, n - 1)), length, holes
+
+
+@st.composite
+def occupancies(draw):
+    """Bins of every verdict but Shear: a closed semicircle, maybe without
+    its endpoint bins, one occupied run of any length, or any occupancy."""
+    n = 2 * draw(st.integers(8, 90))
+    shape = draw(st.sampled_from(["semicircle", "arc", "any"]))
+    if shape == "any":
+        return np.array(draw(st.lists(st.booleans(), min_size=n,
+                                      max_size=n)))
+    if shape == "arc":
+        return arc_bins(n, *draw(bin_runs(n, range(1, n + 1))))
+    # the closed lower semicircle is bins 0 .. n/2, the upper n/2 .. n
+    start = draw(st.sampled_from([0, n // 2]))
+    skip_first, skip_last = draw(st.booleans()), draw(st.booleans())
+    _, length, holes = draw(bin_runs(n, [n // 2 + 1]))
+    return arc_bins(n, start + skip_first,
+                    length - skip_first - skip_last,
+                    [h - skip_first for h in holes])
+
+
+def rolled(occ, k):
+    return dg.AngleSet(len(occ), np.roll(occ, k),
+                       np.roll(occ, k).astype(float), 1e-10)
+
+
+def angle_gap(a, b):
+    """|a - b| measured around the circle."""
+    return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+HALF_TURN = {"TypeIIIUpper": "TypeIIILower", "TypeIIILower": "TypeIIIUpper"}
+
+
+@given(occupancies())
+def test_half_turn_of_the_bins_swaps_the_semicircles(occ):
+    n = len(occ)
+    before = dg.classify(rolled(occ, 0), 1.0)
+    after = dg.classify(rolled(occ, n // 2), 1.0)
+    assert after.kind == HALF_TURN.get(before.kind, before.kind)
+    if before.kind == "Arc":
+        assert after.beta == before.beta
+        assert angle_gap(after.theta0, before.theta0 + np.pi) < 1e-12
+
+
+@given(st.integers(8, 90).flatmap(
+    lambda m: st.tuples(st.just(2 * m), bin_runs(
+        2 * m, [k for k in range(1, 2 * m - 1) if abs(k - m) > 1]))),
+    st.integers(-1000, 1000))
+def test_rolling_the_bins_turns_an_arc(arc, k):
+    # runs of n/2 - 1 .. n/2 + 1 bins would be semicircles at some rolls
+    n, (start, length, holes) = arc
+    occ = arc_bins(n, start, length, holes)
+    before = dg.classify(rolled(occ, 0), 1.0)
+    after = dg.classify(rolled(occ, k), 1.0)
+    assert before.kind == after.kind == "Arc"
+    assert after.beta == before.beta
+    assert angle_gap(after.theta0, before.theta0 + k * 2.0 * np.pi / n) < 1e-12
 
 
 def test_classification_value_semantics():
@@ -520,7 +621,7 @@ def test_report_serialization(tmp_path, strip_flow):
     path = tmp_path / "report.json"
     dg.save_report(rep, path)
     back = json.loads(path.read_text())
-    assert back["schema_version"] == 1
+    assert back["schema_version"] == serialize.SCHEMA_VERSION
     assert back["verdict"]["kind"] == "TypeIIIUpper"
     assert back["total_curvature"] == pytest.approx(rep.total_curvature)
     assert len(back["J_inf_trace"]) == 3

@@ -311,6 +311,25 @@ def test_saddle_flow_stagnates_at_origin_only(saddle_flow):
     assert saddle_flow.velocity.vy[mid, 1:].min() > 0.04
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_fields(back, flow):
+    # bit for bit, so -0.0 must come back as -0.0
+    assert back.grid == flow.grid
+    assert np.array_equal(bits(back.velocity.vx), bits(flow.velocity.vx))
+    assert np.array_equal(bits(back.velocity.vy), bits(flow.velocity.vy))
+    assert np.array_equal(bits(back.vorticity.values),
+                          bits(flow.vorticity.values))
+    if flow.pressure is None:
+        assert back.pressure is None
+    else:
+        assert np.array_equal(bits(back.pressure.values),
+                              bits(flow.pressure.values))
+    assert back.provenance == flow.provenance
+
+
 def test_save_load_roundtrip(tmp_path):
     tor = g.Grid(g.TORUS, 16, 16, (0.0, 2 * np.pi), (0.0, 2 * np.pi))
     flow = flows.analytic_flow("TaylorGreen", tor)
@@ -319,18 +338,24 @@ def test_save_load_roundtrip(tmp_path):
     flows.save_flow(flow, csv, meta)
     header, cols = serialize.read_csv(csv)
     assert header == ["x", "y", "vx", "vy", "P", "omega"]
-    assert len(cols[0]) == 256
-    assert cols[0][1] - cols[0][0] == tor.hx
+    # one row per node, bottom node row first, x varying fastest
+    assert np.array_equal(cols[0], np.tile(tor.x_nodes(), tor.ny))
+    assert np.array_equal(cols[1], np.repeat(tor.y_nodes(), tor.nx))
+    assert "\n3.1415926535897931,0," in csv.read_text()  # x = 8 hx = pi
     back = flows.load_flow(meta)
-    assert back.grid == tor
-    assert np.array_equal(back.velocity.vx, flow.velocity.vx)
-    assert np.array_equal(back.velocity.vy, flow.velocity.vy)
-    assert np.array_equal(back.pressure.values, flow.pressure.values)
-    assert np.array_equal(back.vorticity.values, flow.vorticity.values)
-    assert back.provenance == flow.provenance
+    assert np.signbit(flow.velocity.vx).any()
+    assert_same_fields(back, flow)
     env = serialize.read_json(meta)
+    assert env["schema_version"] == serialize.SCHEMA_VERSION
+    assert env["csv"] == "tg.csv"
+    assert not {"vx", "vy", "P", "omega"} & set(env)
     assert env["has_pressure"] is True
     assert set(env["residual_norms"]) == {"divergence_max", "momentum_max"}
+    # a second save writes the same bytes
+    flows.save_flow(flow, tmp_path / "again.csv", tmp_path / "again.json")
+    assert (tmp_path / "again.csv").read_bytes() == csv.read_bytes()
+    assert ((tmp_path / "again.json").read_text()
+            == meta.read_text().replace('"tg.csv"', '"again.csv"'))
 
     # no pressure: the CSV keeps its column layout, the metadata says so
     gr = g.Grid(g.STRIP, 9, 9, (0.0, 1.0), (-1.0, 1.0))
@@ -343,6 +368,44 @@ def test_save_load_roundtrip(tmp_path):
     assert env["has_pressure"] is False
     assert set(env["residual_norms"]) == {"divergence_max"}
     assert env["boundary_rows"] == [0, 8]
+
+
+def test_csv_path_is_relative_to_the_envelope(tmp_path, monkeypatch):
+    tor = g.Grid(g.TORUS, 16, 16, (0.0, 2 * np.pi), (0.0, 2 * np.pi))
+    flow = flows.analytic_flow("TaylorGreen", tor)
+    (tmp_path / "tables").mkdir()
+    (tmp_path / "meta").mkdir()
+    monkeypatch.chdir(tmp_path)
+    flows.save_flow(flow, "tables/tg.csv", "meta/tg.json")
+    assert serialize.read_json("meta/tg.json")["csv"] == "../tables/tg.csv"
+    monkeypatch.chdir(tmp_path / "tables")
+    assert_same_fields(flows.load_flow(tmp_path / "meta" / "tg.json"), flow)
+    assert_same_fields(flows.load_flow("../meta/tg.json"), flow)
+
+
+def schema1_envelope(flow):
+    # the bundle layout before the node table moved out of the JSON
+    env = {"schema_version": 1, "grid": flow.grid.to_dict(),
+           "provenance": flow.provenance,
+           "boundary_rows": flow.boundary_rows,
+           "has_pressure": flow.pressure is not None,
+           "residual_norms": {}, "vx": flow.velocity.vx,
+           "vy": flow.velocity.vy, "omega": flow.vorticity.values}
+    if flow.pressure is not None:
+        env["P"] = flow.pressure.values
+    return env
+
+
+def test_schema1_bundles_still_load(tmp_path):
+    tor = g.Grid(g.TORUS, 16, 16, (0.0, 2 * np.pi), (0.0, 2 * np.pi))
+    gr = g.Grid(g.STRIP, 9, 9, (0.0, 1.0), (-1.0, 1.0))
+    X, Y = gr.mesh()
+    plain = flows.velocity_from_stream(g.ScalarField(gr, Y + (1.0 - Y * Y) * X * X),
+                                       tag="plain")
+    for flow in (flows.analytic_flow("TaylorGreen", tor), plain):
+        path = tmp_path / "old.json"
+        serialize.write_json(schema1_envelope(flow), path)
+        assert_same_fields(flows.load_flow(path), flow)
 
 
 def test_flow_grid_mismatch_raises():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from eulerlab import grid as g
-from eulerlab import serialize as ser
 
 
 def torus(n):
@@ -189,43 +188,3 @@ def test_masked_nodes_contribute_zero():
     # weights are untouched by masking, so the cut column at x = 0.5 keeps
     # its full interior weight h while everything right of it contributes 0
     assert got == pytest.approx(0.5 + gr.hx / 2.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_scalar_roundtrip_and_determinism(tmp_path):
-    gr = plane(16)
-    f = g.ScalarField.from_function(gr, lambda x, y: np.sin(3 * x) + y / 3.0)
-    c1, j1 = tmp_path / "a.csv", tmp_path / "a.json"
-    c2, j2 = tmp_path / "b.csv", tmp_path / "b.json"
-    g.save_scalar_field(f, c1, j1)
-    g.save_scalar_field(f, c2, j2)
-    assert c1.read_bytes() == c2.read_bytes()
-    assert j1.read_bytes() == j2.read_bytes()
-    back = g.load_scalar_field(j1)
-    assert back.grid == gr
-    assert np.array_equal(back.values, f.values)
-    header, cols = ser.read_csv(c1)
-    assert header == ["x", "y", "value"]
-    assert np.allclose(np.sort(cols[2]), np.sort(f.values.ravel()), atol=0)
-
-
-def test_csv_rows_scan_bottom_row_first(tmp_path):
-    gr = g.Grid(g.PLANE, 8, 8, (0.0, 7.0), (0.0, 7.0))
-    f = g.ScalarField.from_function(gr, lambda x, y: 10.0 * y + x)
-    path = tmp_path / "f.csv"
-    g.save_scalar_field(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[1].startswith("0,0,")
-    assert lines[2].startswith("1,0,")  # x varies fastest
-    assert lines[9].startswith("0,1,")
-
-
-def test_seventeen_digit_floats(tmp_path):
-    gr = plane(16)
-    f = g.ScalarField.from_function(gr, lambda x, y: np.full_like(x, np.pi))
-    path = tmp_path / "pi.csv"
-    g.save_scalar_field(f, path)
-    assert "3.1415926535897931" in path.read_text()

@@ -6,6 +6,7 @@ bit pattern, so -0.0 and subnormals count; non-finite values have no
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,3 +52,16 @@ def test_negative_zero_survives_a_json_read(tmp_path):
     assert path.read_text().count("-0") == 2
     assert list(np.signbit(serialize.read_json(path)["v"])) == [True, False,
                                                                 True]
+
+
+def test_header_only_csv_reads_as_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    serialize.write_csv(path, ["trace_id", "x"],
+                        [np.empty(0, dtype=int), np.empty(0)])
+    assert path.read_text() == "trace_id,x\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header, cols = serialize.read_csv(path)
+    assert header == ["trace_id", "x"]
+    assert [c.dtype for c in cols] == [np.float64, np.float64]
+    assert [c.shape for c in cols] == [(0,), (0,)]

@@ -10,6 +10,7 @@ refinement.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eulerlab import elliptic2d, flows, oned, serialize
 from eulerlab import grid as g
@@ -109,6 +110,35 @@ def test_bilinear_reproduces_bilinear_functions():
     want = 2.0 + 3.0 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1]
     got = sl.bilinear_sample(u, pts)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+# an axis as (start, length), and a point as fractions of the two lengths
+span = st.tuples(st.floats(-10.0, 10.0), st.floats(0.5, 20.0))
+fraction = st.floats(0.0, 1.0)
+
+
+@given(st.integers(8, 40), st.integers(8, 40), span, span,
+       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+       st.lists(st.tuples(fraction, fraction), min_size=1, max_size=20))
+def test_bilinear_sample_is_exact_on_bilinear_fields(nx, ny, xs, ys, coef,
+                                                     where):
+    gr = g.Grid(g.PLANE, nx, ny, (xs[0], xs[0] + xs[1]),
+                (ys[0], ys[0] + ys[1]))
+    X, Y = gr.mesh()
+    pts = np.array([(xs[0] + u * xs[1], ys[0] + v * ys[1]) for u, v in where])
+    px, py = pts[:, 0], pts[:, 1]
+
+    def bilinear(a, b, c, d, x, y):
+        return a + b * x + c * y + d * x * y
+
+    f1, f2 = bilinear(*coef[:4], X, Y), bilinear(*coef[4:], X, Y)
+    want = np.column_stack([bilinear(*coef[:4], px, py),
+                            bilinear(*coef[4:], px, py)])
+    got = sl.bilinear_sample(VectorField(gr, f1, f2), pts)
+    scale = max(np.abs(f1).max(), np.abs(f2).max())
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    got1 = sl.bilinear_sample(ScalarField(gr, f1), pts)
+    assert np.all(np.abs(got1 - want[:, 0]) <= 1e-12 * scale)
 
 
 def test_bilinear_vector_and_shapes():
