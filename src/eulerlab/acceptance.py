@@ -64,14 +64,14 @@ class _FlowCache:
     def strip(self, nx=769, ny=129):
         def build():
             nl = oned.arctan_family(4.0)
-            field = elliptic2d.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)
+            field, _ = elliptic2d.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)
             return field, flows.velocity_from_stream(field, nl)
         return self._get(("strip", nx, ny), build)
 
     def saddle(self):
         def build():
             nl = oned.allen_cahn()
-            field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
+            field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
             return field, flows.velocity_from_stream(field, nl)
         return self._get(("saddle",), build)
 

@@ -492,12 +492,11 @@ def _solve_flow(which, r):
         nl = oned.arctan_family(r["lam"])
         field, srep = elliptic2d.solve_type3_strip(
             nl, L=r["L"], nx=r["nx"], ny=r["ny"], tol=r["tol"],
-            far_field=r["far_field"], start=r["start"], with_report=True)
+            far_field=r["far_field"], start=r["start"])
     else:
         nl = oned.allen_cahn()
         field, srep = elliptic2d.solve_saddle_quadrant(
-            nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"],
-            with_report=True)
+            nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"])
     return field, srep, nl
 
 
@@ -692,8 +691,8 @@ def cmd_reproduce(r) -> int:
         # half-plane saddle: separatrix pair (the zero level set: wall plus
         # vertical axis, crossing at the origin) and a hyperbolic trace fan
         nl = oned.allen_cahn()
-        _reproduce_figure(out, cfg, "figure1",
-                          elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321),
+        field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
+        _reproduce_figure(out, cfg, "figure1", field,
                           nl, [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
                                (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)])
     if r["figure"] in ("figure2", "all"):
@@ -701,8 +700,8 @@ def cmd_reproduce(r) -> int:
         # central separatrix, hinging on the two wall stagnation points
         # (0, -1), (0, 1)
         nl = oned.arctan_family(4.0)
-        _reproduce_figure(out, cfg, "figure2",
-                          elliptic2d.solve_type3_strip(nl), nl,
+        field, _ = elliptic2d.solve_type3_strip(nl)
+        _reproduce_figure(out, cfg, "figure2", field, nl,
                           [(-8.0, -0.25), (-8.0, -0.5), (-8.0, -0.75),
                            (8.0, 0.25), (8.0, 0.5), (8.0, 0.75)])
     print("wrote %s" % out)

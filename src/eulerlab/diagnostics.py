@@ -153,7 +153,10 @@ def _bundle(flow) -> _Bundle:
     merely slow there, not folded) and carry no correction; their true mass
     is O(h^2).  Every ingredient -- speeds, gradient norms, the neighbor
     dot -- is invariant under a constant rotation of the velocity vectors
-    and scales cleanly under v -> c v, so the exceptional set is too.
+    and homogeneous under v -> c v, but only in exact arithmetic: with
+    |d_x v| = |d_y v| exactly (Taylor-Green nodes, the strip's x1 = 0
+    column) rounding would pick the steepest axis, so x2 is taken unless
+    |d_x v|^2 beats |d_y v|^2 by 1e-9 of the grid's largest |grad v|^2.
 
     Censored nodes keep their genuine directions (angle sets are built on
     the plain stagnation floor); they just cannot carry naive cell weight.
@@ -168,7 +171,7 @@ def _bundle(flow) -> _Bundle:
     speed = np.sqrt(speed2)
     gx2 = v1x ** 2 + v2x ** 2
     gy2 = v1y ** 2 + v2y ** 2
-    across_y = gy2 >= gx2
+    across_y = gy2 >= gx2 - 1e-9 * float(np.max(gx2 + gy2))
     hn = np.where(across_y, g.hy, g.hx)
     moving = speed > floor
     censored = moving & (speed <= hn * np.sqrt(gx2 + gy2))

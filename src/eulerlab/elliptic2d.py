@@ -1,9 +1,10 @@
 """Monotone solver for -Lap(u) = f(u) on rectangles with Dirichlet data.
 
-The iteration runs on the sweep engine of :mod:`eulerlab.oned`: sweeps of
-(-Lap + shift) u_next = f(u) + shift*u between a verified discrete
-subsolution and supersolution.  Each linear system is solved directly by a
-DST-I pair of transforms, which diagonalizes the shifted 5-point Laplacian.
+The iteration runs on the sweep engine and the linear solve of
+:mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u
+between a verified discrete subsolution and supersolution, each linear
+system solved directly by a DST-I pair of transforms, which diagonalizes the
+shifted 5-point Laplacian.
 
 Two flow constructions sit on top:
 
@@ -22,8 +23,8 @@ supersolutions rather than approximate ones.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dstn
 
+from . import grid as _g
 from . import oned
 from .flows import odd_extend_x1
 from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
@@ -155,55 +156,6 @@ def dirichlet_ring(grid: Grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
 # linear core
 
 
-def _five_point(values, hx, hy):
-    """-Lap_h on the interior nodes of a full-grid array."""
-    v = values
-    return ((2.0 * v[1:-1, 1:-1] - v[2:, 1:-1] - v[:-2, 1:-1]) / hx ** 2
-            + (2.0 * v[1:-1, 1:-1] - v[1:-1, 2:] - v[1:-1, :-2]) / hy ** 2)
-
-
-class _DirichletSolver:
-    """Direct solve of (-Lap_h + shift) w = rhs with Dirichlet ring data.
-
-    The 5-point Dirichlet Laplacian is diagonal in the DST-I basis, so a
-    forward transform, a division by the eigenvalues and an inverse transform
-    solve it exactly; the relative residual is checked after every solve.
-    """
-
-    def __init__(self, grid: Grid, shift: float):
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
-        self.shift = float(shift)
-        self.hx, self.hy = grid.hx, grid.hy
-        mx, my = grid.nx - 2, grid.ny - 2
-        kx = np.arange(1, mx + 1)
-        ky = np.arange(1, my + 1)
-        ex = (2.0 - 2.0 * np.cos(kx * np.pi / (mx + 1))) / self.hx ** 2
-        ey = (2.0 - 2.0 * np.cos(ky * np.pi / (my + 1))) / self.hy ** 2
-        self._eig = ex[:, None] + ey[None, :] + self.shift
-
-    def solve(self, rhs_interior, dirichlet):
-        """Full-grid solution with the ring folded into the right side."""
-        b = np.array(rhs_interior, dtype=float)
-        b[0, :] += dirichlet[0, 1:-1] / self.hx ** 2
-        b[-1, :] += dirichlet[-1, 1:-1] / self.hx ** 2
-        b[:, 0] += dirichlet[1:-1, 0] / self.hy ** 2
-        b[:, -1] += dirichlet[1:-1, -1] / self.hy ** 2
-        w = dstn(dstn(b, type=1, norm="ortho") / self._eig,
-                 type=1, norm="ortho")
-        full = np.array(dirichlet, dtype=float)
-        full[1:-1, 1:-1] = w
-        # residual of the unfolded system: the stencil sees the ring itself
-        bnorm = float(np.linalg.norm(b))
-        rnorm = float(np.linalg.norm(rhs_interior - self.shift * w
-                                     - _five_point(full, self.hx, self.hy)))
-        if not rnorm <= 1e-12 * bnorm:
-            raise NonConvergence("sine-transform solve left a residual of "
-                                 "%.3e against a right side of %.3e"
-                                 % (rnorm, bnorm))
-        return full
-
-
 def linear_solve(grid: Grid, shift: float, rhs: ScalarField, dirichlet) -> ScalarField:
     """Solve (-Lap_h + shift) w = rhs with Dirichlet ring data.
 
@@ -214,7 +166,7 @@ def linear_solve(grid: Grid, shift: float, rhs: ScalarField, dirichlet) -> Scala
             raise GridError("rhs lives on a different grid")
         rhs = rhs.values
     d = np.broadcast_to(np.asarray(dirichlet, dtype=float), (grid.nx, grid.ny))
-    solver = _DirichletSolver(grid, shift)
+    solver = oned._DirichletSolver(grid.shape, (grid.hx, grid.hy), shift)
     return ScalarField(grid, solver.solve(np.asarray(rhs)[1:-1, 1:-1], d))
 
 
@@ -226,12 +178,9 @@ def residual(u: ScalarField, nl: oned.Nonlinearity) -> ScalarField:
     """
     g = u.grid
     if g.periodic_x or g.periodic_y:
-        v = u.values
-        lap = ((np.roll(v, 1, 0) + np.roll(v, -1, 0) - 2.0 * v) / g.hx ** 2
-               + (np.roll(v, 1, 1) + np.roll(v, -1, 1) - 2.0 * v) / g.hy ** 2)
-        return ScalarField(g, -lap - np.where(g.interior_mask(), nl.f(v), 0.0))
+        return ScalarField(g, -_g.laplacian(u).values - nl.f(u.values))
     out = np.zeros((g.nx, g.ny))
-    out[1:-1, 1:-1] = _five_point(u.values, g.hx, g.hy) - nl.f(u.values[1:-1, 1:-1])
+    out[1:-1, 1:-1] = oned._defect(u.values, (g.hx, g.hy), nl.f)
     return ScalarField(g, out)
 
 
@@ -278,7 +227,7 @@ def _check_one_sided(problem, field, kind):
     v = field.values
     scale = float(np.max(np.abs(v)))
     slack = _stencil_slack(g, problem.shift, scale) + 1e-10 * (1.0 + scale)
-    defect = _five_point(v, g.hx, g.hy) - problem.nl.f(v[1:-1, 1:-1])
+    defect = oned._defect(v, (g.hx, g.hy), problem.nl.f)
     ring_gap = v - problem.dirichlet
     if kind == "sub":
         worst = float(defect.max())
@@ -343,7 +292,8 @@ def solve_semilinear(problem: EllipticProblem, start, tol: float = 1e-8,
         raise ValueError("shift is below max f' on the sandwich range; "
                          "sweeps would not be monotone")
 
-    solver = _DirichletSolver(g, problem.shift)
+    spacings = (g.hx, g.hy)
+    solver = oned._DirichletSolver(g.shape, spacings, problem.shift)
 
     def sweep(u):
         rhs = nl.f(u[1:-1, 1:-1]) + problem.shift * u[1:-1, 1:-1]
@@ -357,8 +307,7 @@ def solve_semilinear(problem: EllipticProblem, start, tol: float = 1e-8,
         nonlocal res
         if update >= tol:
             return False
-        res = float(np.max(np.abs(
-            _five_point(u, g.hx, g.hy) - nl.f(u[1:-1, 1:-1]))))
+        res = float(np.max(np.abs(oned._defect(u, spacings, nl.f))))
         return res < tol
 
     # the start is one side of the sandwich, the bound (if any) the other
@@ -394,16 +343,15 @@ def _halve_under(sub_builder, eps, super_values):
 
 def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
                       ny: int = 129, tol: float = 1e-8,
-                      far_field: str = "profile", start: str = "sub",
-                      with_report: bool = False):
+                      far_field: str = "profile", start: str = "sub"):
     """Stream function of the transversally pinned strip flow on (-L, L) x (-1, 1).
 
     Solves on the half strip (0, L) x (-1, 1) with zero data on x1 = 0 and the
     walls, far-field data at x1 = L from the 1D transverse profile (or zero
     with far_field="zero", the exhaustion variant), then odd-extends through
     x1 = 0.  The transverse profile is solved on the same ny-node grid, so its
-    constant extension is an exact discrete supersolution; the report
-    returned with with_report=True carries it as ``profile``.
+    constant extension is an exact discrete supersolution.  Returns
+    (field, SolveReport); the report carries the profile as ``profile``.
 
     nx must be odd so that x1 = 0 is a node column.
     """
@@ -454,24 +402,20 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
         u_half, report = solve_semilinear(problem, FromSuper(supersol), tol,
                                           bound=zero)
 
-    field = odd_extend_x1(u_half, "odd")
-    if with_report:
-        report.profile = profile
-        return field, report
-    return field
+    report.profile = profile
+    return odd_extend_x1(u_half, "odd"), report
 
 
 def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
-                          tol: float = 1e-8, start: str = "super",
-                          with_report: bool = False):
+                          tol: float = 1e-8, start: str = "super"):
     """Stream function of the half-plane saddle on (-L, L) x (0, L).
 
     Solves on the quadrant (0, L)^2 with zero data on both axes and
     heteroclinic traces g on the far sides, descending from the exact
     discrete supersolution min(g(x1), g(x2)) (or ascending from a product
     sine bump with start="sub"), then odd-extends in x1.  The heteroclinic
-    is solved on the same n-node axis grid; the report returned with
-    with_report=True carries it as ``profile``.
+    is solved on the same n-node axis grid.  Returns (field, SolveReport);
+    the report carries the heteroclinic as ``profile``.
     """
     if nl.family != "AllenCahn":
         raise ValueError("the saddle construction needs the double-well term")
@@ -510,8 +454,5 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
         u_quad, report = solve_semilinear(problem, FromSub(sub), tol,
                                           bound=supersol)
 
-    field = odd_extend_x1(u_quad, "odd")
-    if with_report:
-        report.profile = g
-        return field, report
-    return field
+    report.profile = g
+    return odd_extend_x1(u_quad, "odd"), report

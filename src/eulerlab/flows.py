@@ -317,13 +317,18 @@ def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
 
 def load_flow(json_path) -> Flow:
     """Read a bundle written by :func:`save_flow`; a schema-1 envelope, with
-    no ``"csv"`` entry, carries the node fields itself as (nx, ny) arrays."""
+    no ``"csv"`` entry, carries the node fields itself as (nx, ny) arrays.
+    The CSV's x/y columns must equal the envelope grid's node table."""
     d = _ser.read_json(json_path)
     g = Grid.from_dict(d["grid"])
     if "csv" in d:
         header, cols = _ser.read_csv(
             os.path.join(os.path.dirname(json_path), d["csv"]))
-        d.update((k, c.reshape(g.ny, g.nx).T) for k, c in zip(header, cols))
+        table = dict(zip(header, cols))
+        if not all(map(np.array_equal, (table["x"], table["y"]),
+                       _node_table(g))):
+            raise ValueError("CSV nodes are not those of grid %r" % (g,))
+        d.update((k, c.reshape(g.ny, g.nx).T) for k, c in table.items())
     velocity = VectorField(g, np.asarray(d["vx"]), np.asarray(d["vy"]))
     vorticity = ScalarField(g, np.asarray(d["omega"]))
     pressure = ScalarField(g, np.asarray(d["P"])) if d.get("has_pressure") else None

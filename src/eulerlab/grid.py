@@ -202,6 +202,20 @@ def _diff2(v: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     return out
 
 
+def _neg_lap(v: np.ndarray, spacings) -> np.ndarray:
+    """-Lap_h on the interior nodes of an array of any rank: the
+    (2, -1, -1)/h^2 stencil summed over the axes, one spacing per axis.
+    Spacings in the dtype of ``v`` keep its precision."""
+    inner = (slice(1, -1),) * v.ndim
+    out = None
+    for axis, h in enumerate(spacings):
+        hi, lo = list(inner), list(inner)
+        hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+        term = (2.0 * v[inner] - v[tuple(hi)] - v[tuple(lo)]) / h ** 2
+        out = term if out is None else out + term
+    return out
+
+
 def ddx(f: ScalarField) -> np.ndarray:
     return _diff1(f.values, f.grid.hx, 0, f.grid.periodic_x)
 

@@ -10,19 +10,20 @@ iteration:
 * the increasing connection on (0, L) from 0 to the far-field state 1 of a
   balanced double-well nonlinearity (tanh(x/sqrt 2) for f(s) = s - s^3).
 
-Each linear sweep solves (-d^2/dx^2 + shift) u_next = f(u) + shift*u by
-tridiagonal elimination.  With the shift at least the Lipschitz bound of f on
-the sandwich range, sweeps started from a subsolution increase pointwise and
-sweeps started from a supersolution decrease, staying inside the sandwich;
-both facts are asserted on every sweep rather than trusted.  One engine,
-:func:`_monotone_sweeps`, runs these sweeps for the float64 phase, the
+Each linear sweep solves (-d^2/dx^2 + shift) u_next = f(u) + shift*u with
+a DST-I pair of sine transforms.  With the shift at least the Lipschitz bound
+of f on the sandwich range, sweeps started from a subsolution increase
+pointwise and sweeps started from a supersolution decrease, staying inside
+the sandwich; both facts are asserted on every sweep rather than trusted.
+One engine, :func:`_monotone_sweeps`, and one linear solve,
+:class:`_DirichletSolver`, run these sweeps for the float64 phase, the
 extended-precision polish and the 2D solver of :mod:`eulerlab.elliptic2d`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.fft import dstn
 
 from . import grid as _g
 from . import serialize as _ser
@@ -211,80 +212,105 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     return u, sweeps, update
 
 
+def _defect(u, spacings, f):
+    """Interior defect -Lap_h(u) - f(u), any rank, in the dtype of u."""
+    return _g._neg_lap(u, spacings) - f(u[(slice(1, -1),) * u.ndim])
+
+
+class _DirichletSolver:
+    """Direct solve of (-Lap_h + shift) w = b on a box with Dirichlet data.
+
+    The (2, -1, -1) Dirichlet stencil is diagonal in the DST-I basis along
+    every axis (Buzbee, Golub & Nielson 1970), so a forward transform, a
+    division by the eigenvalues and an inverse transform solve the system in
+    any rank.  The solve runs in the float dtype of the right side it is
+    given, with eigenvalues and spacings built in that dtype, and checks the
+    normwise backward error of every solution: with A symmetric,
+    ||A||_2 <= ||A||_inf = sum 4/h^2 + shift, so the check
+    ||r|| <= 8 eps (||b|| + ||A||_inf ||w||) holds for any backward-stable
+    solve at any spacing, where a bound on ||r|| / ||b|| alone does not (at
+    h = 1e-3 such a solve leaves 8e-11 ||b||).  ``shape`` counts the nodes
+    of the full box, boundary included.
+    """
+
+    def __init__(self, shape, spacings, shift):
+        if shift < 0:
+            raise ValueError("shift must be nonnegative")
+        self.shape = tuple(int(n) for n in shape)
+        self.spacings = tuple(float(h) for h in spacings)
+        self.shift = float(shift)
+        self._eig = {}
+
+    def solve(self, rhs_interior, dirichlet):
+        """Full-box solution with the ring of ``dirichlet`` folded into the
+        right side, in the float dtype of ``rhs_interior``."""
+        b = np.array(rhs_interior, dtype=np.result_type(rhs_interior, 1.0))
+        dt = b.dtype
+        hs = [dt.type(h) for h in self.spacings]
+        for axis, h in enumerate(hs):
+            for end in (0, -1):
+                side = [slice(None)] * b.ndim
+                ring = [slice(1, -1)] * b.ndim
+                side[axis] = ring[axis] = end
+                b[tuple(side)] += dirichlet[tuple(ring)] / h ** 2
+        eig = self._eig.get(dt)
+        if eig is None:  # first solve in this dtype
+            pi = 4 * np.arctan(dt.type(1))
+            axes = [(2.0 - 2.0 * np.cos(np.arange(1, n - 1, dtype=dt) * pi
+                                        / (n - 1))) / h ** 2
+                    for n, h in zip(self.shape, hs)]
+            eig = self._eig[dt] = sum(np.ix_(*axes)) + dt.type(self.shift)
+        w = dstn(dstn(b, type=1, norm="ortho") / eig, type=1, norm="ortho")
+        full = np.array(dirichlet, dtype=dt)
+        full[(slice(1, -1),) * b.ndim] = w
+        # residual of the unfolded system: the stencil sees the ring itself
+        rnorm, bnorm, wnorm = (float(np.linalg.norm(a)) for a in (
+            rhs_interior - self.shift * w - _g._neg_lap(full, hs), b, w))
+        anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift
+        if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):
+            raise NonConvergence("sine-transform solve left a residual of "
+                                 "%.3e against a right side of %.3e"
+                                 % (rnorm, bnorm))
+        return full
+
+
 def _picard_1d(nl, h, start, lower, upper, bc, shift, tol, max_iter,
                ascending):
     """Shifted Picard iteration between verified bounds, in two phases.
 
-    Phase one runs in float64 with banded solves until the sweep update
-    drops below tol.  Phase two re-runs the same sweeps in extended
-    precision until the measured defect of -u'' - f(u) is below tol as
-    well: a float64 iterate cannot certify a defect much below
-    eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since rounding the exact
-    solution to doubles already costs that much.  Its tridiagonal solves use
-    the Thomas algorithm (the matrix is constant, SPD and diagonally
-    dominant, so factoring once is safe).  Nonlinearity callables built from
-    numpy ufuncs preserve the dtype, which is what makes the
-    higher-precision f evaluations meaningful.
+    Phase one runs in float64 until the sweep update drops below tol.  Phase
+    two re-runs the same sweeps in extended precision until the measured
+    defect of -u'' - f(u) is below tol as well: a float64 iterate cannot
+    certify a defect much below eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since
+    rounding the exact solution to doubles already costs that much.  Both
+    phases solve with the same sine transform, in the dtype of the iterate.
+    Nonlinearity callables built from numpy ufuncs preserve the dtype, which
+    is what makes the higher-precision f evaluations meaningful.
     """
     n = len(start)
     slack = 1e-10 * (1.0 + float(np.max(np.abs(upper))))
-    ab = np.zeros((2, n - 2))
-    ab[0, 1:] = -1.0 / h ** 2
-    ab[1, :] = 2.0 / h ** 2 + shift
+    solver = _DirichletSolver((n,), (h,), shift)
+    ring = np.r_[bc[0], np.zeros(n - 2), bc[1]]
     f = nl.f
 
-    def banded_sweep(u):
-        rhs = f(u[1:-1]) + shift * u[1:-1]
-        rhs[0] += bc[0] / h ** 2
-        rhs[-1] += bc[1] / h ** 2
-        nxt = np.empty(n)
-        nxt[0], nxt[-1] = bc
-        nxt[1:-1] = solveh_banded(ab, rhs)
-        return nxt
+    def sweep(u):
+        # shift in the iterate's dtype keeps the right side in extended
+        # precision even where f returns float64
+        inner = u[1:-1]
+        return solver.solve(f(inner) + u.dtype.type(shift) * inner, ring)
+
+    def defect(u):
+        return float(np.max(np.abs(_defect(u, (u.dtype.type(h),), f))))
 
     u = np.array(start, dtype=float)
     u[0], u[-1] = bc
-    u, it1, _ = _monotone_sweeps(banded_sweep, u, lower, upper, ascending,
+    u, it1, _ = _monotone_sweeps(sweep, u, lower, upper, ascending,
                                  lambda u, update: update < tol, max_iter,
                                  slack)
-
-    ld = np.longdouble
-    hl = ld(h)
-    diag = ld(2.0) / hl ** 2 + ld(shift)
-    off = ld(-1.0) / hl ** 2
-    denom = np.empty(n - 2, dtype=ld)
-    cp = np.empty(n - 2, dtype=ld)
-    denom[0] = diag
-    cp[0] = off / diag
-    for i in range(1, n - 2):
-        denom[i] = diag - off * cp[i - 1]
-        cp[i] = off / denom[i]
-
-    def thomas_sweep(ul):
-        # ld(shift) * ul keeps the right side in extended precision even
-        # where f returns float64
-        d = f(ul[1:-1]) + ld(shift) * ul[1:-1]
-        d[0] += ld(bc[0]) / hl ** 2
-        d[-1] += ld(bc[1]) / hl ** 2
-        d[0] = d[0] / denom[0]
-        for i in range(1, n - 2):
-            d[i] = (d[i] - off * d[i - 1]) / denom[i]
-        for i in range(n - 4, -1, -1):
-            d[i] = d[i] - cp[i] * d[i + 1]
-        nxt = ul.copy()
-        nxt[1:-1] = d
-        return nxt
-
     ul, it2, _ = _monotone_sweeps(
-        thomas_sweep, u.astype(ld), lower, upper, ascending,
-        lambda ul, update: _residual_1d(ul, hl, nl) < tol, 1000, slack)
-    return np.asarray(ul, dtype=float), _residual_1d(ul, hl, nl), it1 + it2
-
-
-def _residual_1d(u, h, nl) -> float:
-    """Max interior defect of -u'' = f(u), measured in the dtype of u."""
-    inner = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2 - nl.f(u[1:-1])
-    return float(np.max(np.abs(inner)))
+        sweep, u.astype(np.longdouble), lower, upper, ascending,
+        lambda ul, update: defect(ul) < tol, 1000, slack)
+    return np.asarray(ul, dtype=float), defect(ul), it1 + it2
 
 
 def select_subsolution_amplitude(nl: Nonlinearity, rate: float) -> float:

@@ -89,16 +89,26 @@ def read_json(path):
 def write_csv(path, header, columns) -> None:
     """Write named columns of numbers as CSV with 17-digit floats.
 
-    ``columns`` are equal-length 1d sequences, each formatted whole: as
-    plain integers if its dtype is integer, else through :func:`fmt17`.
+    ``columns`` are equal-length 1d sequences, each checked and formatted
+    whole before any row is written: plain integers if its dtype is integer,
+    else the :func:`fmt17` text of each value.  A bool column raises
+    TypeError and a non-finite value ValueError, as :func:`fmt17` does.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0]) if cols else 0
+    cells = []
     for c in cols:
         if len(c) != n:
             raise ValueError("CSV columns must share a length")
-    cells = [map(str if np.issubdtype(c.dtype, np.integer) else fmt17,
-                 c.tolist()) for c in cols]
+        if c.dtype == bool:
+            raise TypeError("CSV columns must be numbers, got a bool column")
+        if np.issubdtype(c.dtype, np.integer):
+            cells.append(map(str, c.tolist()))
+            continue
+        c = np.asarray(c, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("non-finite value in numeric output")
+        cells.append(map("{:.17g}".format, c.tolist()))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -11,12 +11,16 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eulerlab
 from eulerlab import cli, flows
 from eulerlab import serialize as ser
+from eulerlab.grid import Grid, STRIP
 
 
 def read_json(path):
@@ -375,6 +379,7 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["analyze", "--file", "{bundle:no-csv}"],
     ["analyze", "--file", "{bundle:short-csv}"],
     ["analyze", "--file", "{bundle:no-fields}"],
+    ["analyze", "--file", "{bundle:foreign-csv}"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -407,12 +412,25 @@ def _drop_csv_entry(bundle):
     ser.write_json(env, bundle / "flow.json")
 
 
+def _name_a_foreign_csv(bundle):
+    # a 32x24 envelope naming the CSV of a 48x16 strip: same node count,
+    # other nodes
+    for nx, ny, name in ((32, 24, "flow"), (48, 16, "other")):
+        grid = Grid(STRIP, nx, ny, (-4.0, 4.0), (-1.0, 1.0))
+        flows.save_flow(flows.analytic_flow("Poiseuille", grid),
+                        bundle / (name + ".csv"), bundle / (name + ".json"))
+    env = ser.read_json(bundle / "flow.json")
+    env["csv"] = "other.csv"
+    ser.write_json(env, bundle / "flow.json")
+
+
 # a flow bundle with one defect, and the start of the message it must give
 BUNDLE_DAMAGE = {
     "no-csv": (lambda b: (b / "flow.csv").unlink(),
                "cannot read flow bundle"),
     "short-csv": (_drop_last_row, "not a flow bundle"),
     "no-fields": (_drop_csv_entry, "not a flow bundle"),
+    "foreign-csv": (_name_a_foreign_csv, "not a flow bundle"),
 }
 
 
@@ -422,6 +440,18 @@ def _damaged_bundle(tmp_path, spoil):
                      "--out", str(bundle)]) == 0
     spoil(bundle)
     return bundle / "flow.json"
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # every linear solve is a sine transform; scipy.linalg costs ~50 ms of
+    # start-up for nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulerlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, eulerlab.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_file_bundle_reads_from_another_directory(tmp_path, monkeypatch):

@@ -31,14 +31,14 @@ HETEROCLINIC_SLOPE = 1.0 / np.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def strip_flow():
-    field = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
+    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
     return flows.velocity_from_stream(field, ARCTAN)
 
 
 @pytest.fixture(scope="module")
 def saddle_flow():
     nl = oned.allen_cahn()
-    field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
+    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
     return flows.velocity_from_stream(field, nl)
 
 
@@ -307,7 +307,7 @@ def test_identity_residual_refines_second_order_torus():
 
 def test_identity_residual_refines_on_solved_strip(strip_flow):
     coarse = flows.velocity_from_stream(
-        elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=385, ny=65), ARCTAN)
+        elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=385, ny=65)[0], ARCTAN)
     r_coarse = float(np.max(dg.curvature_identity_residual(
         coarse, speed_fraction=0.1).values))
     r_fine = float(np.max(dg.curvature_identity_residual(
@@ -357,6 +357,38 @@ def test_scaling_multiplies_curvature_by_c_squared(strip_flow):
     v0 = dg.classify(a0, tc)
     v1 = dg.classify(a1, dg.total_curvature(scaled))
     assert v0 == v1
+
+
+@pytest.fixture(scope="module")
+def small_flows():
+    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=6.0, nx=97, ny=33)
+    return {"strip": flows.velocity_from_stream(field, ARCTAN),
+            "torus": taylor_green(64)}
+
+
+def _steepest_axis_sets(flow, c, alpha):
+    # the velocity samples scaled by c and turned by alpha
+    v = flow.velocity
+    ca, sa = c * np.cos(alpha), c * np.sin(alpha)
+    moved = flows.Flow(flow.grid,
+                       VectorField(flow.grid, ca * v.vx - sa * v.vy,
+                                   sa * v.vx + ca * v.vy), flow.vorticity)
+    b = dg._bundle(moved)
+    return b.live, b.across_y, b.ridge_mass > 0.0
+
+
+@given(which=st.sampled_from(["strip", "torus"]),
+       log_c=st.floats(-3.0, 3.0), alpha=st.floats(-np.pi, np.pi))
+def test_steepest_axis_sets_survive_scaling_and_rotation(small_flows, which,
+                                                         log_c, alpha):
+    # |d_x v| = |d_y v| holds exactly at every Taylor-Green node and on the
+    # strip's x1 = 0 column, so the steepest-axis choice must not be left
+    # to rounding there
+    flow = small_flows[which]
+    base = _steepest_axis_sets(flow, 1.0, 0.0)
+    for c, a in ((10.0 ** log_c, 0.0), (1.0, alpha), (10.0 ** log_c, alpha)):
+        for got, want in zip(_steepest_axis_sets(flow, c, a), base):
+            assert np.array_equal(got, want)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(-16, 16),

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from eulerlab import elliptic2d as e2
+from eulerlab import grid as _g
 from eulerlab import oned
 from eulerlab.grid import Grid, GridError, ScalarField, QUADRANT, STRIP
 
@@ -49,25 +50,50 @@ def test_linear_solve_with_shift():
     assert manufactured_error(65, 1.0) < 2.5e-4
 
 
-def test_linear_solve_inner_residual():
+# the one sine-transform solve serves 1D and 2D sweeps, in float64 and in
+# the extended precision of the 1D polish
+SOLVER_CASES = pytest.mark.parametrize(
+    "rank, dtype", [(1, np.float64), (1, np.longdouble),
+                    (2, np.float64), (2, np.longdouble)],
+    ids=["1d-float64", "1d-longdouble", "2d-float64", "2d-longdouble"])
+
+
+@SOLVER_CASES
+def test_linear_solve_inner_residual(rank, dtype):
     # the sine transforms diagonalize the stencil, so one forward/inverse
-    # pair meets the 1e-12 relative-residual target
-    g = unit_square(65)
-    X, Y = g.mesh()
-    rhs = np.sin(np.pi * X) * np.sin(np.pi * Y) * 2.0 * np.pi ** 2
-    solver = e2._DirichletSolver(g, 1.0)
-    full = solver.solve(rhs[1:-1, 1:-1], np.zeros((65, 65)))
-    resid = (rhs[1:-1, 1:-1] - e2._five_point(full, g.hx, g.hy)
-             - 1.0 * full[1:-1, 1:-1])
-    assert float(np.linalg.norm(resid)) <= 1e-11 * float(np.linalg.norm(rhs))
+    # pair solves the system to rounding in the dtype of the right side
+    n, shift = 65, 1.0
+    h = dtype(1.0) / (n - 1)
+    pi = 4 * np.arctan(dtype(1))
+    x = np.arange(n, dtype=dtype) * h
+    mode = np.prod(np.meshgrid(*[np.sin(pi * x)] * rank, indexing="ij"),
+                   axis=0)
+    rhs = mode * rank * pi ** 2
+    solver = oned._DirichletSolver((n,) * rank, (h,) * rank, shift)
+    inner = (slice(1, -1),) * rank
+    full = solver.solve(rhs[inner], np.zeros((n,) * rank))
+    assert full.dtype == dtype
+    eps = np.finfo(dtype).eps
+    resid = rhs[inner] - _g._neg_lap(full, (h,) * rank) - shift * full[inner]
+    assert float(np.linalg.norm(resid)) <= 5e4 * eps * float(
+        np.linalg.norm(rhs))
+    # a grid sine is an exact eigenvector of the stencil, with eigenvalue
+    # (2 - 2 cos(pi h)) / h^2 per axis, built here in the working dtype
+    eig = rank * (2.0 - 2.0 * np.cos(pi * h)) / h ** 2
+    exact = rhs / (eig + shift)
+    assert float(np.max(np.abs(full - exact))) <= 64 * eps
 
 
-def test_linear_solve_residual_check_fires():
-    g = unit_square(33)
-    solver = e2._DirichletSolver(g, 1.0)
-    solver._eig = solver._eig * 1.001
+@SOLVER_CASES
+def test_linear_solve_residual_check_fires(rank, dtype):
+    n = 33
+    solver = oned._DirichletSolver((n,) * rank, (1.0 / (n - 1),) * rank, 1.0)
+    rhs = np.ones((n - 2,) * rank, dtype=dtype)
+    ring = np.zeros((n,) * rank)
+    solver.solve(rhs, ring)
+    solver._eig[np.dtype(dtype)] *= 1.001
     with pytest.raises(e2.NonConvergence, match="residual"):
-        solver.solve(np.ones((31, 31)), np.zeros((33, 33)))
+        solver.solve(rhs, ring)
 
 
 def test_linear_solve_honors_dirichlet_ring():
@@ -113,7 +139,7 @@ def test_bump_is_discrete_subsolution():
     eps = oned.select_subsolution_amplitude(nl, rate)
     g = Grid(STRIP, 281, 65, (0.0, 70.0), (-1.0, 1.0))
     s = e2.subsolution_strip(g, eps, delta, g.hx)
-    defect = e2._five_point(s.values, g.hx, g.hy) - nl.f(s.values[1:-1, 1:-1])
+    defect = oned._defect(s.values, (g.hx, g.hy), nl.f)
     assert float(defect.max()) <= 1e-10
 
 
@@ -179,8 +205,7 @@ def test_strip_solution_and_newton_cross_check():
     ty = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], (my, my)) / g.hy ** 2
     lap = sp.kron(tx, sp.identity(my)) + sp.kron(sp.identity(mx), ty)
     inner = u.values[1:-1, 1:-1]
-    r = (e2._five_point(u.values, g.hx, g.hy)
-         - problem.nl.f(inner)).ravel()
+    r = oned._defect(u.values, (g.hx, g.hy), problem.nl.f).ravel()
     jac = (lap - sp.diags(problem.nl.f_prime(inner).ravel())).tocsc()
     step = spsolve(jac, -r)
     assert float(np.max(np.abs(step))) < 1e-7
@@ -279,7 +304,7 @@ def test_residual_zero_field():
 
 @pytest.fixture(scope="module")
 def type3_full():
-    return e2.solve_type3_strip(oned.arctan_family(4.0), with_report=True)
+    return e2.solve_type3_strip(oned.arctan_family(4.0))
 
 
 def test_type3_symmetries(type3_full):
@@ -323,7 +348,7 @@ def test_type3_residual_full_grid(type3_full):
 def test_type3_refinement_order():
     nl = oned.arctan_family(4.0)
     levels = [(97, 17), (193, 33), (385, 65)]
-    fields = [e2.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny).values
+    fields = [e2.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)[0].values
               for nx, ny in levels]
     d1 = float(np.max(np.abs(fields[0] - fields[1][::2, ::2])))
     d2 = float(np.max(np.abs(fields[1] - fields[2][::2, ::2])))
@@ -332,10 +357,12 @@ def test_type3_refinement_order():
 
 def test_type3_zero_far_field_mode():
     nl = oned.arctan_family(4.0)
-    za = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="zero")
-    pa = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="profile")
-    zb = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="zero")
-    pb = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="profile")
+    za, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="zero")
+    pa, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33,
+                                 far_field="profile")
+    zb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="zero")
+    pb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33,
+                                 far_field="profile")
 
     def window(f, lim=4.0):
         keep = np.abs(f.grid.x_nodes()) <= lim + 1e-9
@@ -362,7 +389,7 @@ def test_type3_input_checks():
 
 @pytest.fixture(scope="module")
 def saddle_full():
-    return e2.solve_saddle_quadrant(oned.allen_cahn(), with_report=True)
+    return e2.solve_saddle_quadrant(oned.allen_cahn())
 
 
 def test_saddle_range_and_symmetry(saddle_full):
@@ -397,10 +424,10 @@ def test_saddle_far_edges_match_heteroclinic(saddle_full):
 
 
 def test_saddle_two_sided_limit():
-    down = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
-                                    start="super")
-    up = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
-                                  start="sub")
+    down, _ = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
+                                       start="super")
+    up, _ = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
+                                     start="sub")
     assert float(np.max(np.abs(down.values - up.values))) < 1e-7
 
 

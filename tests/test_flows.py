@@ -20,7 +20,7 @@ STRIP_LEVELS = ((97, 17), (193, 33), (385, 65))
 def strip_flows():
     out = []
     for nx, ny in STRIP_LEVELS:
-        field = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=nx, ny=ny)
+        field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=nx, ny=ny)
         out.append(flows.velocity_from_stream(field, ARCTAN))
     return out
 
@@ -28,7 +28,7 @@ def strip_flows():
 @pytest.fixture(scope="module")
 def saddle_flow():
     nl = oned.allen_cahn()
-    field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=161)
+    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=161)
     return flows.velocity_from_stream(field, nl)
 
 

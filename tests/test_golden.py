@@ -19,9 +19,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "f21c37be86c10ab38fb92597aefbcdc11117761aff322ad4fdebd0a1abe4d456",
-            "flow.json": "ab4bdc4d14e78e71b27c45a04664f4fc317f36a1e08685c71d25fa38dde8dbab",
-            "report.json": "0b12e1f00b2434dda3d71d61cda4b6932702ff6a8de930e94a51cd17c1be4f02",
+            "flow.csv": "30a20783c82ab8b686f35a7fa554c5319d207e6536f56689cd0f60d39ed87ca4",
+            "flow.json": "52c8d0b45768d1cdea04b6af3f6a05e4ee1f3c0850f983c8f8c75124b4466fb4",
+            "report.json": "7fdc54091b2db56885a9d749b39cfe8ec27d21be6ba312797389f0e39199e670",
         },
     ),
     "analyze": (
@@ -29,8 +29,8 @@ GOLDEN = {
          "--out", "golden_analyze"],
         {
             "angle_set.csv": "43b7377a91551fb2a06c460a25f0e4488f204e0e4ce5234984922b214ff8e320",
-            "curvature_profile.csv": "49f27cee9fde7473cdceaf7f457ba86f8e8a00ed6c1a3462075b63be2756c20e",
-            "report.json": "3f055d387ddb7f464efbd9eacc2bf6bd6b8a8d32d4e86b48ba77a21f5deea1b1",
+            "curvature_profile.csv": "44f33dc3d8a33da7c7d3f8323574cad8c6c6e861f62af8fa40588629beda2338",
+            "report.json": "2b65fb40913d1c2c4ab90f5b4d424090e2dcfec5b221827f33d7002f6624dd0c",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -38,9 +38,9 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "fa7b69e0e63d56d6e3511c5ab2c49192e6e010d4ecd4452d6a548d942747fe67",
-            "curvature_profile.csv": "707b2abffa92832d2f0e3043f8c28a116d63c436ccb0bd7a5ddcc116aa128b25",
-            "report.json": "a8fcfb6b8a2eb1a343ac7a4706c405151be781971447da4c9bd859d9123eda10",
+            "angle_set.csv": "3dc17dda795832a1c5d9c3077c369bf2cd36fdba994ce536a21e00b80134a9f2",
+            "curvature_profile.csv": "fc2d7ea0e6a742b22c8a71a134a94f7ee9f1daa988e37be37ce9063421a9879f",
+            "report.json": "33f4cb4c4c32e5cbb30089ea4c6f1131439249245a2f2ec0e7d398488d3cf18a",
         },
     ),
 }

@@ -6,6 +6,8 @@ rtol 1e-12 and bisect the center value until u(1) = 0.  The heteroclinic
 has the closed form tanh(x/sqrt 2), so no numerical oracle is needed there.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,57 @@ def test_both_starts_reach_one_profile(lam, n):
     down = oned.solve_strip_profile(nl, n, start="super")
     assert up.residual < 1e-10 and down.residual < 1e-10
     assert float(np.max(np.abs(up.values - down.values))) <= 1e-8
+
+
+def _recorded_sweeps(run):
+    """Run ``run()`` with every iterate of the sweep engine recorded (the
+    start of each phase included), cast to float64."""
+    seen, engine = [], oned._monotone_sweeps
+
+    def spy(sweep, u, *rest):
+        seen.append(np.asarray(u, dtype=float))
+
+        def recorded(v):
+            nxt = sweep(v)
+            seen.append(np.asarray(nxt, dtype=float))
+            return nxt
+        return engine(recorded, u, *rest)
+    with mock.patch.object(oned, "_monotone_sweeps", spy):
+        result = run()
+    return result, np.array(seen)
+
+
+@settings(max_examples=20)
+@given(lam=st.floats(2.6, 12.0), n=st.integers(17, 129),
+       side=st.sampled_from(["sub", "super"]), c=st.floats(0.0, 1.0))
+def test_random_admissible_starts_stay_sandwiched(lam, n, side, c):
+    # f(s)/s decreases, so c * (cosine bump) is a subsolution for c <= 1,
+    # and |f| <= M makes (M / a) (1 - x^2)/2 a supersolution for a <= 1
+    nl = oned.arctan_family(lam)
+    x = np.linspace(-1.0, 1.0, n)
+    h = 2.0 / (n - 1)
+    sup = 0.5 * nl.bound_M * (1.0 - x ** 2)
+    eps = oned.select_subsolution_amplitude(nl, np.pi ** 2 / 4.0 + 0.05 ** 2)
+    while np.any(eps * np.cos(0.5 * np.pi * x) > sup + 1e-15):
+        eps *= 0.5
+    sub = eps * np.cos(0.5 * np.pi * x)
+    sub[0] = sub[-1] = 0.0
+    scale = 0.05 + 0.95 * c
+    if side == "sub":
+        start, lower, upper = scale * sub, scale * sub, sup
+    else:
+        start, lower, upper = sup / scale, sub, sup / scale
+    shift = oned.picard_shift(nl, float(np.max(upper)))
+    (u, _, _), seen = _recorded_sweeps(lambda: oned._picard_1d(
+        nl, h, start, lower, upper, (0.0, 0.0), shift, 1e-10, 200000,
+        side == "sub"))
+    assert len(seen) > 2
+    steps = np.diff(seen, axis=0) * (1.0 if side == "sub" else -1.0)
+    assert float(steps.min()) >= -1e-12
+    assert float(np.min(seen - lower)) >= -1e-12
+    assert float(np.max(seen - upper)) <= 1e-12
+    default = oned.solve_strip_profile(nl, n)
+    assert float(np.max(np.abs(u - default.values))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,25 @@ def test_header_only_csv_reads_as_empty_columns(tmp_path):
     assert header == ["trace_id", "x"]
     assert [c.dtype for c in cols] == [np.float64, np.float64]
     assert [c.shape for c in cols] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("column, error", [
+    (np.array([True, False]), TypeError),
+    (np.array([1.0, math.nan]), ValueError),
+    (np.array([1.0, -math.inf]), ValueError),
+])
+def test_csv_columns_are_checked_before_any_row(tmp_path, column, error):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        serialize.write_csv(path, ["x", "bad"], [np.arange(2.0), column])
+    assert not path.exists()
+
+
+def test_csv_cells_are_fmt17_text(tmp_path):
+    values = [np.pi, -0.0, 5e-324, 1e300, 2.0 ** -1074, 0.1, 3.0]
+    path = tmp_path / "cells.csv"
+    serialize.write_csv(path, ["v", "n"],
+                        [np.asarray(values), np.arange(len(values))])
+    rows = path.read_text().splitlines()[1:]
+    assert rows == ["%s,%d" % (serialize.fmt17(v), i)
+                    for i, v in enumerate(values)]

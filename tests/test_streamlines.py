@@ -22,14 +22,14 @@ ARCTAN = oned.arctan_family(4.0)
 
 @pytest.fixture(scope="module")
 def strip_pair():
-    field = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
+    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
     return field, flows.velocity_from_stream(field, ARCTAN)
 
 
 @pytest.fixture(scope="module")
 def saddle_pair():
     nl = oned.allen_cahn()
-    field = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
+    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
     return field, flows.velocity_from_stream(field, nl)
 
 
