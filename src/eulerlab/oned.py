@@ -23,7 +23,6 @@ extended-precision polish and the 2D solver of :mod:`eulerlab.elliptic2d`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dstn
 
 from . import grid as _g
 from . import serialize as _ser
@@ -244,6 +243,9 @@ class _DirichletSolver:
     def solve(self, rhs_interior, dirichlet):
         """Full-box solution with the ring of ``dirichlet`` folded into the
         right side, in the float dtype of ``rhs_interior``."""
+        # scipy loads on the first solve, so commands that never solve
+        # (analyze and trace of a saved or catalog flow) skip its import
+        from scipy.fft import dstn
         b = np.array(rhs_interior, dtype=np.result_type(rhs_interior, 1.0))
         dt = b.dtype
         hs = [dt.type(h) for h in self.spacings]

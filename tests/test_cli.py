@@ -376,6 +376,7 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["trace", "--catalog", "couette", "--seed", "0,0.5", "--step", "0"],
     ["trace", "--catalog", "couette", "--seed", "0,0.5", "--max-steps", "0"],
     ["trace", "--catalog", "couette", "--seed", "inf,0.5"],
+    ["trace", "--catalog", "taylor-green", "--seed", "1e308,0.5"],
     ["analyze", "--file", "{bundle:no-csv}"],
     ["analyze", "--file", "{bundle:short-csv}"],
     ["analyze", "--file", "{bundle:no-fields}"],
@@ -442,13 +443,13 @@ def _damaged_bundle(tmp_path, spoil):
     return bundle / "flow.json"
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # every linear solve is a sine transform; scipy.linalg costs ~50 ms of
-    # start-up for nothing
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the sine transforms of a solve and loads on the
+    # first one; importing it up front cost every command ~0.3 s of start-up
     src = os.path.dirname(os.path.dirname(os.path.abspath(eulerlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, eulerlab.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith('scipy.linalg')))")
+            " if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of three small pinned runs.
+"""Golden bytes: the sha256 of every artifact of five small pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -43,10 +43,32 @@ GOLDEN = {
             "report.json": "33f4cb4c4c32e5cbb30089ea4c6f1131439249245a2f2ec0e7d398488d3cf18a",
         },
     ),
+    # streamlines on the saved bundle: one seed runs out of steps, one
+    # leaves the strip, one stalls at the wall stagnation point
+    "trace_file": (
+        ["trace", "--file", "golden_solve/flow.json", "--seed=-5,-0.5",
+         "--seed", "5,0.5", "--seed=0,-0.9", "--max-steps", "100",
+         "--out", "golden_trace_file"],
+        {
+            "traces.csv": "544c27a14803f426cf728daeac71d595ae1d60d4c8b81794f37342097bf2138f",
+            "traces.json": "1e1f8bed8db0d0d6fdc8c04c2060fedaa98a9c0bc6c9c2194e939ad742693bd3",
+        },
+    ),
+    # closed orbits on the torus, from seeds a period or more outside the
+    # base cell, so interpolation wraps on both axes
+    "trace_torus": (
+        ["trace", "--catalog", "taylor-green", "--grid", "torus:64",
+         "--seed", "1,1", "--seed=-2,0.5", "--seed=40,-20",
+         "--out", "golden_trace_torus"],
+        {
+            "traces.csv": "fefcc8c9450c5b65b53760adc7c71195a1f7eae2626a8303a8508ff0819cff30",
+            "traces.json": "1b3b0a6c3059275bce0d220cdd39bb968fccacd5d53af259f7f2271233bb2f4a",
+        },
+    ),
 }
 
 # runs whose output a golden run reads
-INPUTS = {"analyze_file": ["solve"]}
+INPUTS = {"analyze_file": ["solve"], "trace_file": ["solve"]}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

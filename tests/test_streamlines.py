@@ -10,7 +10,7 @@ refinement.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eulerlab import elliptic2d, flows, oned, serialize
 from eulerlab import grid as g
@@ -189,6 +189,11 @@ def test_trace_rejects_bad_input():
         sl.trace(f, (0.0, 1.5))
     with pytest.raises(sl.SeedOutsideDomain):
         sl.trace(f, (-9.0, 0.0))
+    for seed in ((np.nan, 0.5), (np.inf, 0.5), (0.0, -1e308)):
+        with pytest.raises(sl.SeedOutsideDomain):
+            sl.trace(f, seed)
+        with pytest.raises(sl.SeedOutsideDomain):
+            sl.trace(taylor_green(64), seed)
     with pytest.raises(ValueError):
         sl.trace(f, (0.0, 0.5), step=0.0)
     with pytest.raises(ValueError):
@@ -258,6 +263,169 @@ def test_trace_strip_enters_turns_and_leaves(strip_pair):
     assert spacing(p).max() <= step * (1.0 + 1e-12)
     u = sl.bilinear_sample(field, p.points)
     assert np.max(np.abs(u - u[0])) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the scalar trace kernel against the array code, bit for bit
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def reference_trace(flow, seed, step=None, max_steps=10000):
+    """RK4 on numpy pairs, one bilinear_sample call per stage: the array
+    formulation the scalar kernel of sl.trace must reproduce exactly."""
+    grid = flow.grid
+    p = np.array([float(seed[0]), float(seed[1])])
+    if step is None:
+        step = 0.5 * min(grid.hx, grid.hy)
+    floor = sl.stagnation_floor(flow)
+
+    def direction(q):
+        w = sl.bilinear_sample(flow.velocity, q)
+        m = float(np.hypot(w[0], w[1]))
+        return None if m <= floor else w / m
+
+    pts = [p.copy()]
+    termination = "MaxSteps"
+    for n in range(1, max_steps + 1):
+        k1 = direction(p)
+        k2 = None if k1 is None else direction(p + 0.5 * step * k1)
+        k3 = None if k2 is None else direction(p + 0.5 * step * k2)
+        k4 = None if k3 is None else direction(p + step * k3)
+        if k4 is None:
+            termination = "Stagnated"
+            break
+        q = p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not sl._inside(grid, q):
+            termination = "LeftDomain"
+            break
+        pts.append(q.copy())
+        p = q
+        if n >= 10 and float(np.hypot(q[0] - seed[0], q[1] - seed[1])) <= step:
+            termination = "Closed"
+            break
+    return np.array(pts), termination
+
+
+def assert_same_trace(flow, seed, **kw):
+    got = sl.trace(flow, seed, **kw)
+    want, termination = reference_trace(flow, seed, **kw)
+    assert got.termination == termination
+    assert got.closed == (termination == "Closed")
+    assert bits(got.points) == bits(want)
+    return got
+
+
+GRID_KINDS = (g.STRIP, g.HALF_PLANE, g.QUADRANT, g.PLANE, g.TORUS)
+
+
+def random_flow(kind, nx, ny, x0, y0, lx, ly, seed):
+    """Random velocity on a grid of the given kind; the kind's fixed edges
+    (strip walls at y = -1, 1, half-plane wall at y = 0, quadrant corner at
+    the origin) override the drawn ones."""
+    if kind == g.STRIP:
+        y0, ly = -1.0, 2.0
+    if kind in (g.HALF_PLANE, g.QUADRANT):
+        y0 = 0.0
+    if kind == g.QUADRANT:
+        x0 = 0.0
+    gr = g.Grid(kind, nx, ny, (x0, x0 + lx), (y0, y0 + ly))
+    rng = np.random.default_rng(seed)
+    vx, vy = rng.standard_normal((2, nx, ny))
+    return flows.Flow(gr, VectorField(gr, vx, vy),
+                      ScalarField(gr, np.zeros((nx, ny))))
+
+
+# a coordinate as a whole number of domain lengths plus a fraction of one;
+# the extremes reach far past bounded edges and many periods round a torus
+offset = st.tuples(st.integers(-1000, 1000),
+                   st.one_of(st.floats(-1.0, 2.0), st.sampled_from(
+                       [0.0, -0.0, 1.0, 0.5, -1e-17, 1.0 - 1e-16])))
+
+
+@given(st.sampled_from(GRID_KINDS), st.integers(8, 24), st.integers(8, 24),
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       st.floats(0.5, 20.0), st.floats(0.5, 20.0), st.integers(0, 2 ** 32),
+       st.lists(st.tuples(offset, offset), min_size=1, max_size=12))
+def test_sampler_matches_bilinear_sample_bit_for_bit(kind, nx, ny, x0, y0,
+                                                     lx, ly, seed, where):
+    f = random_flow(kind, nx, ny, x0, y0, lx, ly, seed)
+    (x0, x1), (y0, y1) = f.grid.x_range, f.grid.y_range
+    lx, ly = x1 - x0, y1 - y0
+    sampler = sl._Sampler(f)
+    for (kx, ux), (ky, uy) in where:
+        x = x0 + (kx + ux) * lx
+        y = y0 + (ky + uy) * ly
+        for p in ((x, y), (-0.0, y), (x, -0.0)):
+            want = sl.bilinear_sample(f.velocity, np.array(p))
+            got = sampler.sample(*p)
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(8, 4096))
+def test_float_remainder_is_np_mod(t, n):
+    # the sampler wraps periodic axes with %, the array code with np.mod
+    assert (t % n).hex() == float(np.mod(np.float64(t), n)).hex()
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(GRID_KINDS), st.integers(8, 16), st.integers(8, 16),
+       st.integers(0, 2 ** 32), fraction, fraction,
+       st.sampled_from([None, 0.05, 0.3]))
+def test_trace_matches_reference_rk4_on_random_fields(kind, nx, ny, seed, u, v,
+                                                      step):
+    f = random_flow(kind, nx, ny, -1.0, 0.5, 3.0, 2.0, seed)
+    (x0, x1), (y0, y1) = f.grid.x_range, f.grid.y_range
+    assert_same_trace(f, (x0 + (x1 - x0) * u, y0 + (y1 - y0) * v),
+                      step=step, max_steps=60)
+
+
+@pytest.mark.parametrize("seed, termination", [
+    ((0.0, 0.5), "LeftDomain"),
+    ((0.0, 0.0), "Stagnated"),
+    ((-3.0, -0.5), "LeftDomain"),
+])
+def test_trace_matches_reference_rk4_on_couette(seed, termination):
+    assert assert_same_trace(couette(), seed).termination == termination
+
+
+@pytest.mark.parametrize("seed", [(np.pi / 2 + 0.3, np.pi / 2), (1.0, 1.0),
+                                  (-2.0, 0.5), (40.0, -20.0)])
+def test_trace_matches_reference_rk4_on_torus_orbits(seed):
+    assert assert_same_trace(taylor_green(64), seed).termination == "Closed"
+    p = assert_same_trace(taylor_green(64, offset=-1.0), seed, max_steps=30)
+    assert p.termination == "MaxSteps"
+
+
+def test_trace_matches_reference_rk4_on_solved_flows(strip_pair, saddle_pair):
+    _, strip = strip_pair
+    _, saddle = saddle_pair
+    assert_same_trace(strip, (-8.0, -0.5), max_steps=400)
+    assert assert_same_trace(strip, (0.0, -0.99)).termination == "Stagnated"
+    assert_same_trace(saddle, (-4.0, 0.5), max_steps=400)
+
+
+def test_traces_of_one_flow_share_one_sampler(monkeypatch):
+    calls = []
+    floor = sl.stagnation_floor
+
+    def counted(flow):
+        calls.append(flow)
+        return floor(flow)
+
+    monkeypatch.setattr(sl, "stagnation_floor", counted)
+    f = couette()
+    first = sl.trace(f, (0.0, 0.5))
+    sl.trace(f, (-3.0, -0.5))
+    assert len(calls) == 1
+    # a new velocity object is a new flow to trace: the sampler is rebuilt
+    f.velocity = VectorField(f.grid, 2.0 * f.velocity.vx, f.velocity.vy)
+    again = sl.trace(f, (0.0, 0.5))
+    assert len(calls) == 2
+    assert bits(again.points) == bits(first.points)
 
 
 # ---------------------------------------------------------------------------
