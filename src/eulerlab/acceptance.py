@@ -360,8 +360,9 @@ def check_invariance(cache):
     # 0.7 rad is 40.107 bin widths, so the rolled occupancy can only be
     # matched to the rounded roll with one bin of slack each way; samples
     # sitting a fraction of a width from a bin edge legitimately cross it
-    occ0 = dg.angle_set(fl).occupied
-    occ1 = dg.angle_set(rot).occupied
+    a_fl = dg.angle_set(fl)
+    a_rot = dg.angle_set(rot)
+    occ0, occ1 = a_fl.occupied, a_rot.occupied
     rolled = np.roll(occ0, int(round(0.7 * occ0.size / (2.0 * np.pi))))
 
     def dilated(occ):
@@ -372,30 +373,29 @@ def check_invariance(cache):
     out.append(CheckResult("invariance_rotation_bin_shift[cellular]",
                            strays == 0, strays, 0,
                            "rolled occupancy matches within one bin"))
+    kind_rot = dg.classify(a_rot, tc_rot).kind
     out.append(CheckResult("invariance_rotation_verdict",
-                           dg.classify(dg.angle_set(rot), tc_rot).kind
-                           == "FullCircle",
-                           dg.classify(dg.angle_set(rot), tc_rot).kind,
+                           kind_rot == "FullCircle", kind_rot,
                            "FullCircle", "exact"))
     # a quarter turn is an exact bin multiple: the strip's half-occupied
     # set must roll by exactly a quarter of the bins, no slack
     _, st = cache.strip()
-    a0 = dg.angle_set(st)
+    a_st = dg.angle_set(st)
     a1 = dg.angle_set(_value_rotated(st, np.pi / 2.0))
     mismatches = int(np.sum(a1.occupied
-                            != np.roll(a0.occupied, a0.n_bins // 4)))
+                            != np.roll(a_st.occupied, a_st.n_bins // 4)))
     out.append(CheckResult("invariance_rotation_bin_shift[strip]",
                            mismatches == 0, mismatches, 0,
                            "exact roll by n/4 bins"))
-    for label, base in (("cellular", fl), ("strip", st)):
-        tc0 = dg.total_curvature(base)
+    for label, base, tc0, a0 in (("cellular", fl, tc, a_fl),
+                                 ("strip", st, dg.total_curvature(st), a_st)):
         scaled = _value_mapped(base, lambda vx, vy: (3.0 * vx, 3.0 * vy))
         tc_scaled = dg.total_curvature(scaled)
         out.append(CheckResult(
             "invariance_scaling_curvature[%s]" % label,
             abs(tc_scaled - 9.0 * tc0) <= 1e-8 * 9.0 * tc0, tc_scaled,
             9.0 * tc0, "rel <= 1e-8"))
-        k0 = dg.classify(dg.angle_set(base), tc0).kind
+        k0 = dg.classify(a0, tc0).kind
         k1 = dg.classify(dg.angle_set(scaled), tc_scaled).kind
         out.append(CheckResult("invariance_scaling_verdict[%s]" % label,
                                k0 == k1, k1, k0, "exact"))

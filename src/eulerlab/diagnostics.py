@@ -6,14 +6,16 @@ within half a width of b*(2pi/n) - pi, so the cardinal directions sit at bin
 centers instead of edges and finite-difference jitter around an exact
 direction cannot flip occupancy.  Bin 0 straddles the seam at +-pi.
 
-Every curvature quantity shares one stagnation floor,
-max(1e-10, 1e-3 * h * max|grad v|): angles are only defined where the
-velocity is visibly nonzero, and the curvature integrand is set to zero on
-the floored set (it vanishes almost everywhere on stagnation sets in the
-continuum, so this discards nothing).  The velocity partials, that floor and
-the curvature quadrature split form one per-flow bundle: run_diagnostics
-builds it once and derives every report quantity from it, while a public
-diagnostic called on its own builds its own.
+Every curvature quantity shares one stagnation floor, max(1e-10, 1e-3 s)
+with s = max(hx, hy) * max |grad v|_F, |grad v|_F the Frobenius norm, which
+is exactly invariant under a constant rotation of the velocity vectors:
+angles are only defined where the velocity is visibly nonzero, and the
+curvature integrand is set to zero on the floored set (it vanishes almost
+everywhere on stagnation sets in the continuum, so this discards nothing).
+The velocity partials, that floor and the curvature quadrature split form
+one per-flow bundle: run_diagnostics builds it once and derives every
+report quantity from it, while a public diagnostic called on its own builds
+its own.
 
 The wall functional is computed by two routes that share no code: an
 interior integral of the signed curvature density, and a cutoff-weighted
@@ -87,16 +89,28 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (2.0 * np.pi / n_bins) - np.pi
 
 
-def _floor(grid, v1x, v1y, v2x, v2y) -> float:
-    gmax = max(np.abs(v1x).max(), np.abs(v1y).max(),
-               np.abs(v2x).max(), np.abs(v2y).max())
-    h = max(grid.hx, grid.hy)
-    return max(1e-10, 1e-3 * h * float(gmax))
+def _cell_speed(grid, g2max: float) -> float:
+    return max(grid.hx, grid.hy) * float(np.sqrt(g2max))
+
+
+def cell_speed_variation(flow) -> float:
+    """One grid cell of speed variation, s = max(hx, hy) * max |grad v|_F.
+
+    The Frobenius norm |grad v|_F is exactly invariant under a constant
+    rotation of the velocity vectors, so every floor built on s is too.
+    """
+    v1x, v1y, v2x, v2y = _g.vector_gradient(flow.velocity)
+    return _cell_speed(flow.grid, float(np.max((v1x ** 2 + v2x ** 2)
+                                               + (v1y ** 2 + v2y ** 2))))
+
+
+def _diagnostics_floor(s: float) -> float:
+    return max(1e-10, 1e-3 * s)
 
 
 def stagnation_floor(flow) -> float:
-    """Speed below which a node counts as stagnant."""
-    return _floor(flow.grid, *_g.vector_gradient(flow.velocity))
+    """Speed below which a node counts as stagnant: max(1e-10, 1e-3 s)."""
+    return _diagnostics_floor(cell_speed_variation(flow))
 
 
 def _neighbor_dot(vx, vy, axis, periodic):
@@ -118,6 +132,9 @@ _Bundle = namedtuple("_Bundle", "v1x v1y v2x v2y floor dens live ridge_mass "
 def _bundle(flow) -> _Bundle:
     """Velocity partials, stagnation floor, and the curvature quadrature
     split into resolved and sub-cell parts.
+
+    The floor takes s from the squared Frobenius norms |d_x v|^2 + |d_y v|^2
+    that also pick the steepest axis, so it costs no extra array pass.
 
     ``across_y`` marks nodes whose steepest velocity variation runs along
     x2.  ``dens`` is the pointwise density
@@ -151,10 +168,10 @@ def _bundle(flow) -> _Bundle:
     signature of a direction sweep through the cell.  Nodes censored next
     to an isolated stagnation point fail this test (the direction field is
     merely slow there, not folded) and carry no correction; their true mass
-    is O(h^2).  Every ingredient -- speeds, gradient norms, the neighbor
-    dot -- is invariant under a constant rotation of the velocity vectors
-    and homogeneous under v -> c v, but only in exact arithmetic: with
-    |d_x v| = |d_y v| exactly (Taylor-Green nodes, the strip's x1 = 0
+    is O(h^2).  Every ingredient -- speeds, gradient norms, the floor, the
+    neighbor dot -- is invariant under a constant rotation of the velocity
+    vectors and homogeneous under v -> c v, but only in exact arithmetic:
+    with |d_x v| = |d_y v| exactly (Taylor-Green nodes, the strip's x1 = 0
     column) rounding would pick the steepest axis, so x2 is taken unless
     |d_x v|^2 beats |d_y v|^2 by 1e-9 of the grid's largest |grad v|^2.
 
@@ -164,17 +181,19 @@ def _bundle(flow) -> _Bundle:
     g = flow.grid
     v = flow.velocity
     v1x, v1y, v2x, v2y = _g.vector_gradient(v)
-    floor = _floor(g, v1x, v1y, v2x, v2y)
     cx = v.vx * v2x - v.vy * v1x
     cy = v.vx * v2y - v.vy * v1y
     speed2 = v.vx ** 2 + v.vy ** 2
     speed = np.sqrt(speed2)
     gx2 = v1x ** 2 + v2x ** 2
     gy2 = v1y ** 2 + v2y ** 2
-    across_y = gy2 >= gx2 - 1e-9 * float(np.max(gx2 + gy2))
+    g2 = gx2 + gy2
+    g2max = float(np.max(g2))
+    floor = _diagnostics_floor(_cell_speed(g, g2max))
+    across_y = gy2 >= gx2 - 1e-9 * g2max
     hn = np.where(across_y, g.hy, g.hx)
     moving = speed > floor
-    censored = moving & (speed <= hn * np.sqrt(gx2 + gy2))
+    censored = moving & (speed <= hn * np.sqrt(g2))
     live = moving & ~censored
     dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
     sweep = np.where(across_y,

@@ -163,9 +163,6 @@ class VectorField:
         self.vx = _check_values(grid, vx)
         self.vy = _check_values(grid, vy)
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
-
 
 def same_grid(a, b) -> Grid:
     if a.grid != b.grid:

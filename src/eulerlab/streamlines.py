@@ -37,9 +37,8 @@ import math
 
 import numpy as np
 
-from . import grid as _g
 from . import serialize as _ser
-from .diagnostics import stagnation_floor
+from .diagnostics import cell_speed_variation, stagnation_floor
 from .grid import Grid, ScalarField, VectorField, QUADRANT
 
 
@@ -487,27 +486,6 @@ def level_contours(u: ScalarField, levels):
 # stagnation points
 
 
-def _speed_floor(flow) -> float:
-    # one grid cell of speed variation: coarse enough to catch a zero that
-    # falls between nodes, where the nearest node still reads |v| ~ h|grad v|
-    v1x, v1y, v2x, v2y = _g.vector_gradient(flow.velocity)
-    gmax = float(np.sqrt(v1x ** 2 + v1y ** 2 + v2x ** 2 + v2y ** 2).max())
-    return max(flow.grid.hx, flow.grid.hy) * gmax
-
-
-def stagnation_mask(flow, floor: float | None = None) -> np.ndarray:
-    """Boolean node array flagging everywhere the speed is at or below floor.
-
-    This is the raw stagnation set.  Degenerate sets (the zero line of a
-    shear) show up here as full rows or bands and are deliberately not
-    reported by :func:`stagnation_points`, which only returns isolated
-    zeros.
-    """
-    if floor is None:
-        floor = _speed_floor(flow)
-    return flow.velocity.magnitude() <= float(floor)
-
-
 def _padded_speed2(flow) -> np.ndarray:
     """speed^2 with a one-node apron encoding each boundary's character.
 
@@ -552,9 +530,10 @@ _FIT_PINV = np.linalg.pinv(np.array(
 def stagnation_points(flow, floor: float | None = None):
     """Isolated stagnation points as (x, y, speed) triples, sorted by x, y.
 
-    A node qualifies when its speed is at or below the floor (default: one
-    grid cell of speed variation, max(hx, hy) * max |grad v|) and it is a
-    strict local minimum of speed over its 3x3 neighborhood.  The
+    A node qualifies when its speed is at or below the floor and it is a
+    strict local minimum of speed over its 3x3 neighborhood.  The default
+    floor is one cell of speed variation, s = max(hx, hy) * max |grad v|_F
+    (Frobenius norm, exactly invariant under rotating the velocity).  The
     least-squares quadratic fit of speed^2 over that neighborhood then
     refines the location to the fit's vertex; the point is kept only when
     the fit is positive definite and the vertex stays within one cell of
@@ -562,16 +541,15 @@ def stagnation_points(flow, floor: float | None = None):
     floor: a degenerate valley has an indefinite fit, and a decaying far
     field puts the vertex far outside the cell.  The reported speed is the
     interpolated |v| at the refined location (the fit decides where, the
-    field says how slow).  Degenerate stagnation sets contain no strict
-    minima at all and report no points; see :func:`stagnation_mask` for
-    the full flagged set.
+    field says how slow).  Degenerate stagnation sets (the zero line of a
+    shear) contain no strict minima at all and report no points.
 
     Wall nodes participate through the even reflection of speed^2 across
     the wall; nodes on open truncation edges never qualify.
     """
     g = flow.grid
     if floor is None:
-        floor = _speed_floor(flow)
+        floor = cell_speed_variation(flow)
     floor = float(floor)
     P = _padded_speed2(flow)
     c = P[1:-1, 1:-1]

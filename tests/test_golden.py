@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of five small pinned runs.
+"""Golden bytes: the sha256 of every artifact of six small pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -31,6 +31,17 @@ GOLDEN = {
             "angle_set.csv": "43b7377a91551fb2a06c460a25f0e4488f204e0e4ce5234984922b214ff8e320",
             "curvature_profile.csv": "44f33dc3d8a33da7c7d3f8323574cad8c6c6e861f62af8fa40588629beda2338",
             "report.json": "2b65fb40913d1c2c4ab90f5b4d424090e2dcfec5b221827f33d7002f6624dd0c",
+        },
+    ),
+    # the half-plane saddle solve and its diagnostics, which no other run
+    # covers
+    "saddle": (
+        ["analyze", "--solve", "halfplane", "--n", "81",
+         "--out", "golden_saddle"],
+        {
+            "angle_set.csv": "d80961d8abd639d2a1b501d0f18ac03d7cc8eb31c768df8931edd141d31221b4",
+            "curvature_profile.csv": "f7ea890a769524a72067bdf8bfcfdfd695eed5fa50fda031f9d9aa0b7e2135cf",
+            "report.json": "651fe95c185ace7ce87451e93f466bc9e6fcf68691582d176a0fc1909d2fc56c",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
