@@ -266,7 +266,7 @@ def _default(r, key, value):
 # floats that must be positive, and integers with their least admissible
 # value (the smallest grids and bin counts the library accepts); every
 # numeric option must also be finite
-_POSITIVE = ("lam", "L", "tol", "step")
+_POSITIVE = ("lam", "L", "tol", "step", "shear_tol")
 _AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": 16, "kappa_bins": 16,
              "max_steps": 1}
 
@@ -629,7 +629,7 @@ def cmd_analyze(r) -> int:
         rep = dg.run_diagnostics(flow, R_list=r["R"], n_bins=r["bins"],
                                  kappa_bins=r["kappa_bins"],
                                  shear_tol=r["shear_tol"])
-    except (dg.RTooLarge, dg.NotAStripGrid) as e:
+    except (dg.RTooLarge, dg.RTooSmall, dg.NotAStripGrid) as e:
         raise ConfigError(str(e))
     dg.save_angle_set(rep.angle_set, os.path.join(out, "angle_set.csv"))
     dg.save_curvature_profile(rep.kappa_profile,

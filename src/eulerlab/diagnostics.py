@@ -43,6 +43,10 @@ class RTooLarge(ValueError):
     """Cutoff plateau radius exceeds the truncated domain."""
 
 
+class RTooSmall(ValueError):
+    """Logarithmic (half-plane) cutoff radius is at most 1."""
+
+
 class NotAStripGrid(GridError):
     pass
 
@@ -396,7 +400,7 @@ def boundary_trace_Jinf(flow, R_list):
             phi = np.clip(2.0 - np.abs(x) / R, 0.0, 1.0)
         else:
             if R <= 1.0:
-                raise ValueError("log cutoff needs R > 1")
+                raise RTooSmall("log cutoff needs R > 1, got %g" % R)
             with np.errstate(divide="ignore"):
                 decay = 2.0 - np.log(np.abs(x)) / np.log(R)
             decay[np.abs(x) <= R] = 1.0

@@ -1,9 +1,12 @@
 """Monotone solver for -Lap(u) = f(u) on rectangles with Dirichlet data.
 
-The iteration runs on the sweep engine and the linear solve of
-:mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u
-between a verified discrete subsolution and supersolution, each linear
-system solved directly by a DST-I pair of transforms, which diagonalizes the
+``solve_semilinear(nl, dirichlet, shift, sub, sup)`` is the one entry
+point, on plain arguments: the reaction term, the Dirichlet ring, the
+shift, and the sandwich sub <= sup as two fields whose grid is the problem's
+grid.  It runs the sweep engine and the linear solve of
+:mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u from
+one verified side of the sandwich towards the other, each linear system
+solved directly by a DST-I pair of transforms, which diagonalizes the
 shifted 5-point Laplacian.
 
 Two flow constructions sit on top:
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import grid as _g
 from . import oned
 from .flows import odd_extend_x1
 from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
@@ -45,84 +47,13 @@ class NotASupersolution(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# problem description
-
-
-class ZeroFarField:
-    """Truncation closed with zero Dirichlet data (the exhaustion choice)."""
-
-    def __repr__(self):
-        return "ZeroFarField()"
-
-
-class ProfileFarField:
-    """Truncation closed with Dirichlet data sampled from a 1D profile."""
-
-    def __init__(self, profile: oned.Profile):
-        self.profile = profile
-
-    def __repr__(self):
-        return "ProfileFarField(%r)" % (self.profile,)
-
-
-class FromSub:
-    """Start the iteration ascending from a discrete subsolution."""
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-
-
-class FromSuper:
-    """Start the iteration descending from a discrete supersolution."""
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-
-
-class EllipticProblem:
-    """-Lap(u) = f(u) on a rectangle grid with Dirichlet ring data.
-
-    ``dirichlet`` is an (nx, ny) array whose boundary ring carries the data;
-    interior entries are ignored.  ``truncation_bc`` records how the far side
-    was closed and is validated against the grid when it carries a profile.
-    """
-
-    def __init__(self, grid: Grid, nl: oned.Nonlinearity, dirichlet,
-                 truncation_bc, shift: float):
-        if grid.periodic_x or grid.periodic_y:
-            raise GridError("Dirichlet problems need a non-periodic grid")
-        d = np.asarray(dirichlet, dtype=float)
-        if d.shape != (grid.nx, grid.ny):
-            raise ValueError("dirichlet array must cover the full grid ring")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("dirichlet data must be finite")
-        if isinstance(truncation_bc, ProfileFarField):
-            lo, hi = truncation_bc.profile.interval
-            if not (np.isclose(lo, grid.y_range[0]) and np.isclose(hi, grid.y_range[1])):
-                raise ValueError(
-                    "far-field profile lives on [%g, %g], grid transverse "
-                    "range is [%g, %g]" % (lo, hi, *grid.y_range))
-        elif not isinstance(truncation_bc, ZeroFarField):
-            raise TypeError("truncation_bc must be ZeroFarField or ProfileFarField")
-        shift = float(shift)
-        if not (np.isfinite(shift) and shift >= 0.0):
-            raise ValueError("shift must be finite and nonnegative")
-        self.grid = grid
-        self.nl = nl
-        self.dirichlet = d
-        self.truncation_bc = truncation_bc
-        self.shift = shift
-
-
 class SolveReport:
-    def __init__(self, iterations, final_residual, final_update,
-                 sandwich_violations=0, monotone=True):
+    """What a solve measured: sweep count, final defect and final update."""
+
+    def __init__(self, iterations, final_residual, final_update):
         self.iterations = int(iterations)
         self.final_residual = float(final_residual)
         self.final_update = float(final_update)
-        self.sandwich_violations = int(sandwich_violations)
-        self.monotone = bool(monotone)
         # the 1D profile or heteroclinic a flow construction solved for its
         # far-field data, kept for the attachment check; not serialized
         self.profile = None
@@ -132,8 +63,6 @@ class SolveReport:
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "final_update": self.final_update,
-            "sandwich_violations": self.sandwich_violations,
-            "monotone": self.monotone,
         }
 
 
@@ -150,38 +79,6 @@ def dirichlet_ring(grid: Grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
     d[0, :] = left
     d[-1, :] = right
     return d
-
-
-# ---------------------------------------------------------------------------
-# linear core
-
-
-def linear_solve(grid: Grid, shift: float, rhs: ScalarField, dirichlet) -> ScalarField:
-    """Solve (-Lap_h + shift) w = rhs with Dirichlet ring data.
-
-    ``dirichlet`` is a scalar or an (nx, ny) array whose ring is used.
-    """
-    if isinstance(rhs, ScalarField):
-        if rhs.grid != grid:
-            raise GridError("rhs lives on a different grid")
-        rhs = rhs.values
-    d = np.broadcast_to(np.asarray(dirichlet, dtype=float), (grid.nx, grid.ny))
-    solver = oned._DirichletSolver(grid.shape, (grid.hx, grid.hy), shift)
-    return ScalarField(grid, solver.solve(np.asarray(rhs)[1:-1, 1:-1], d))
-
-
-def residual(u: ScalarField, nl: oned.Nonlinearity) -> ScalarField:
-    """Defect -Lap_h(u) - f(u) at interior nodes; the ring is set to zero.
-
-    Boundary nodes are flagged by ``~u.grid.interior_mask()``; their zeros are
-    placeholders, not small defects.
-    """
-    g = u.grid
-    if g.periodic_x or g.periodic_y:
-        return ScalarField(g, -_g.laplacian(u).values - nl.f(u.values))
-    out = np.zeros((g.nx, g.ny))
-    out[1:-1, 1:-1] = oned._defect(u.values, (g.hx, g.hy), nl.f)
-    return ScalarField(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +119,13 @@ def _stencil_slack(grid: Grid, shift: float, scale: float) -> float:
     return 64.0 * np.finfo(float).eps * weight * max(scale, 1.0)
 
 
-def _check_one_sided(problem, field, kind):
-    g = problem.grid
+def _check_one_sided(nl, dirichlet, shift, field, kind):
+    g = field.grid
     v = field.values
     scale = float(np.max(np.abs(v)))
-    slack = _stencil_slack(g, problem.shift, scale) + 1e-10 * (1.0 + scale)
-    defect = oned._defect(v, (g.hx, g.hy), problem.nl.f)
-    ring_gap = v - problem.dirichlet
+    slack = _stencil_slack(g, shift, scale) + 1e-10 * (1.0 + scale)
+    defect = oned._defect(v, (g.hx, g.hy), nl.f)
+    ring_gap = v - dirichlet
     if kind == "sub":
         worst = float(defect.max())
         if worst > slack:
@@ -255,49 +152,55 @@ def _check_one_sided(problem, field, kind):
 # monotone iteration
 
 
-def solve_semilinear(problem: EllipticProblem, start, tol: float = 1e-8,
-                     max_iter: int = 10000, bound: ScalarField | None = None):
-    """Monotone fixed point of u -> linear_solve(f(u) + shift*u).
+def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
+                     sub: ScalarField, sup: ScalarField, start: str = "sub",
+                     tol: float = 1e-8, max_iter: int = 10000):
+    """Monotone fixed point of (-Lap_h + shift) u_next = f(u) + shift*u.
 
-    ``start`` is FromSub or FromSuper wrapping a field that is verified
-    against the discrete stencil before any sweep runs.  ``bound``, when
-    given, is the opposite side of the sandwich, verified the same way and
-    enforced on every iterate.  Returns (solution, SolveReport).
+    The grid is read off ``sub``, which must be a non-periodic rectangle;
+    ``dirichlet`` is an (nx, ny) array whose boundary ring carries the data
+    (interior entries are ignored).  ``sub <= sup`` is the sandwich: both
+    sides are verified against the discrete stencil and the ring before any
+    sweep runs, the ``start`` side ("sub" ascends, "super" descends) first,
+    and every iterate must stay between them.  Returns (solution,
+    SolveReport).
     """
-    if isinstance(start, FromSub):
-        ascending = True
-    elif isinstance(start, FromSuper):
-        ascending = False
-    else:
-        raise TypeError("start must be FromSub(...) or FromSuper(...)")
-    g = problem.grid
-    nl = problem.nl
-    if start.field.grid != g:
-        raise GridError("start field lives on a different grid")
-    _check_one_sided(problem, start.field, "sub" if ascending else "super")
-    if bound is not None:
-        if bound.grid != g:
-            raise GridError("bound field lives on a different grid")
-        _check_one_sided(problem, bound, "super" if ascending else "sub")
-        order = bound.values - start.field.values if ascending \
-            else start.field.values - bound.values
-        if float(order.min()) < -1e-12:
-            raise ValueError("sandwich ordering sub <= super fails pointwise")
+    if start not in ("sub", "super"):
+        raise ValueError("start must be 'sub' or 'super'")
+    ascending = start == "sub"
+    g = sub.grid
+    if g.periodic_x or g.periodic_y:
+        raise GridError("Dirichlet problems need a non-periodic grid")
+    if sup.grid != g:
+        raise GridError("sub and super fields live on different grids")
+    dirichlet = np.asarray(dirichlet, dtype=float)
+    if dirichlet.shape != (g.nx, g.ny):
+        raise ValueError("dirichlet array must cover the full grid ring")
+    if not np.all(np.isfinite(dirichlet)):
+        raise ValueError("dirichlet data must be finite")
+    shift = float(shift)
+    if not (np.isfinite(shift) and shift >= 0.0):
+        raise ValueError("shift must be finite and nonnegative")
+    first, second = (sub, sup) if ascending else (sup, sub)
+    _check_one_sided(nl, dirichlet, shift, first, start)
+    _check_one_sided(nl, dirichlet, shift, second,
+                     "super" if ascending else "sub")
+    if float((sup.values - sub.values).min()) < -1e-12:
+        raise ValueError("sandwich ordering sub <= super fails pointwise")
 
-    smax = float(np.max(np.abs(start.field.values)))
-    if bound is not None:
-        smax = max(smax, float(np.max(np.abs(bound.values))))
+    smax = max(float(np.max(np.abs(sub.values))),
+               float(np.max(np.abs(sup.values))))
     probe = np.linspace(0.0, max(smax, 1e-12), 4096)
-    if problem.shift < float(np.max(nl.f_prime(probe))) - 1e-12:
+    if shift < float(np.max(nl.f_prime(probe))) - 1e-12:
         raise ValueError("shift is below max f' on the sandwich range; "
                          "sweeps would not be monotone")
 
     spacings = (g.hx, g.hy)
-    solver = oned._DirichletSolver(g.shape, spacings, problem.shift)
+    solver = oned._DirichletSolver(g.shape, spacings, shift)
 
     def sweep(u):
-        rhs = nl.f(u[1:-1, 1:-1]) + problem.shift * u[1:-1, 1:-1]
-        return solver.solve(rhs, problem.dirichlet)
+        rhs = nl.f(u[1:-1, 1:-1]) + shift * u[1:-1, 1:-1]
+        return solver.solve(rhs, dirichlet)
 
     res = np.inf
 
@@ -310,24 +213,17 @@ def solve_semilinear(problem: EllipticProblem, start, tol: float = 1e-8,
         res = float(np.max(np.abs(oned._defect(u, spacings, nl.f))))
         return res < tol
 
-    # the start is one side of the sandwich, the bound (if any) the other
-    if bound is None:
-        far = np.inf if ascending else -np.inf
-    else:
-        far = bound.values
-    lower, upper = ((start.field.values, far) if ascending
-                    else (far, start.field.values))
     u, sweeps, update = oned._monotone_sweeps(
-        sweep, np.array(start.field.values, dtype=float), lower, upper,
+        sweep, np.array(first.values, dtype=float), sub.values, sup.values,
         ascending, done, max_iter, 1e-10 * (1.0 + smax))
-    return ScalarField(g, u), SolveReport(sweeps, res, update, 0, True)
+    return ScalarField(g, u), SolveReport(sweeps, res, update)
 
 
 # ---------------------------------------------------------------------------
 # flow constructions
 
 
-def _halve_under(sub_builder, eps, super_values):
+def _halve_under(sub_builder, eps, super_values) -> ScalarField:
     """Shrink the bump amplitude until it sits under the supersolution.
 
     Subsolutions here scale linearly in eps and the reaction inequality only
@@ -336,7 +232,7 @@ def _halve_under(sub_builder, eps, super_values):
     for _ in range(60):
         s = sub_builder(eps)
         if float(np.max(s.values - super_values)) <= 0.0:
-            return s, eps
+            return s
         eps *= 0.5
     raise oned.NoSubsolution("bump cannot be placed under the supersolution")
 
@@ -375,16 +271,10 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
     super_vals = np.tile(profile.values, (mx, 1))
     supersol = ScalarField(half, super_vals)
 
-    if far_field == "profile":
-        ring = dirichlet_ring(half, left=0.0, right=profile.values,
-                              bottom=0.0, top=0.0)
-        bc = ProfileFarField(profile)
-    else:
-        ring = dirichlet_ring(half)
-        bc = ZeroFarField()
+    ring = dirichlet_ring(
+        half, right=profile.values if far_field == "profile" else 0.0)
 
     shift = oned.picard_shift(nl, float(super_vals.max()))
-    problem = EllipticProblem(half, nl, ring, bc, shift)
     if far_field == "zero" and start == "sub":
         # the bump pokes above zero far-field data where the box is cut by
         # the x1 = L edge, so the exhaustion variant descends instead
@@ -393,14 +283,13 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
         delta = 0.05
         rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)
         eps = oned.select_subsolution_amplitude(nl, rate)
-        sub, eps = _halve_under(
+        sub = _halve_under(
             lambda e: subsolution_strip(half, e, delta, half.hx), eps, super_vals)
-        u_half, report = solve_semilinear(problem, FromSub(sub), tol,
-                                          bound=supersol)
     else:
-        zero = ScalarField(half, np.zeros((mx, ny)))
-        u_half, report = solve_semilinear(problem, FromSuper(supersol), tol,
-                                          bound=zero)
+        # descending, the zero field is the lower side of the sandwich
+        sub = ScalarField(half, np.zeros((mx, ny)))
+    u_half, report = solve_semilinear(nl, ring, shift, sub, supersol, start,
+                                      tol=tol)
 
     report.profile = profile
     return odd_extend_x1(u_half, "odd"), report
@@ -443,16 +332,10 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
         vals = e * np.sin(delta * (X - h0)) * np.sin(delta * (Y - h0))
         return ScalarField(quad, np.where(inside, vals, 0.0))
 
-    sub, eps = _halve_under(bump, eps, super_vals)
-
+    sub = _halve_under(bump, eps, super_vals)
     shift = oned.picard_shift(nl, 1.0)
-    problem = EllipticProblem(quad, nl, ring, ProfileFarField(g), shift)
-    if start == "super":
-        u_quad, report = solve_semilinear(problem, FromSuper(supersol), tol,
-                                          bound=sub)
-    else:
-        u_quad, report = solve_semilinear(problem, FromSub(sub), tol,
-                                          bound=supersol)
+    u_quad, report = solve_semilinear(nl, ring, shift, sub, supersol, start,
+                                      tol=tol)
 
     report.profile = g
     return odd_extend_x1(u_quad, "odd"), report

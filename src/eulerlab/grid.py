@@ -71,15 +71,24 @@ class Grid:
             raise GridError("a half-plane grid has its wall at y = 0")
         if kind == QUADRANT and (x0 != 0.0 or y0 != 0.0):
             raise GridError("a quadrant grid has its corner at the origin")
+        periodic = kind == TORUS
+        hx = (x1 - x0) / (nx if periodic else nx - 1)
+        hy = (y1 - y0) / (ny if periodic else ny - 1)
+        # an infinite extent, or one whose width overflows, has no spacing
+        if not (np.all(np.isfinite((x0, x1, y0, y1, hx, hy)))
+                and hx > 0.0 and hy > 0.0):
+            raise GridError("coordinate ranges and spacings must be finite "
+                            "and the spacings positive, got x=%r, y=%r"
+                            % ((x0, x1), (y0, y1)))
         self.kind = kind
         self.nx = nx
         self.ny = ny
         self.x_range = (x0, x1)
         self.y_range = (y0, y1)
-        self.periodic_x = kind == TORUS
-        self.periodic_y = kind == TORUS
-        self.hx = (x1 - x0) / (nx if self.periodic_x else nx - 1)
-        self.hy = (y1 - y0) / (ny if self.periodic_y else ny - 1)
+        self.periodic_x = periodic
+        self.periodic_y = periodic
+        self.hx = hx
+        self.hy = hy
 
     @property
     def shape(self):
@@ -162,12 +171,6 @@ class VectorField:
         self.grid = grid
         self.vx = _check_values(grid, vx)
         self.vy = _check_values(grid, vy)
-
-
-def same_grid(a, b) -> Grid:
-    if a.grid != b.grid:
-        raise IncompatibleGrid("fields live on different grids")
-    return a.grid
 
 
 # ---------------------------------------------------------------------------

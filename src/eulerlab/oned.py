@@ -166,13 +166,6 @@ class Profile:
         return np.interp(x, self.nodes(), self.values)
 
 
-def boundary_slope(p: Profile, end: str) -> float:
-    """One-sided second-order derivative of a profile at an endpoint."""
-    if end not in ("lower", "upper"):
-        raise ValueError("end must be 'lower' or 'upper', got %r" % (end,))
-    return p.boundary_derivatives[0 if end == "lower" else 1]
-
-
 # ---------------------------------------------------------------------------
 # monotone iteration core
 

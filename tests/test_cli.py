@@ -381,6 +381,11 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["analyze", "--file", "{bundle:short-csv}"],
     ["analyze", "--file", "{bundle:no-fields}"],
     ["analyze", "--file", "{bundle:foreign-csv}"],
+    ["analyze", "--catalog", "couette", "--grid", "strip:inf:257:65"],
+    ["analyze", "--catalog", "couette", "--grid", "strip:1e308:257:65"],
+    ["analyze", "--solve", "halfplane", "--n", "41", "--R", "0.5"],
+    ["analyze", "--solve", "halfplane", "--n", "41", "--R", "1,5"],
+    ["analyze", "--catalog", "couette", "--shear-tol", "-1"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"

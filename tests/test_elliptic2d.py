@@ -14,11 +14,17 @@ from scipy.sparse.linalg import spsolve
 from eulerlab import elliptic2d as e2
 from eulerlab import grid as _g
 from eulerlab import oned
-from eulerlab.grid import Grid, GridError, ScalarField, QUADRANT, STRIP
+from eulerlab.grid import Grid, GridError, ScalarField, QUADRANT, STRIP, TORUS
 
 
 def unit_square(n):
     return Grid(QUADRANT, n, n, (0.0, 1.0), (0.0, 1.0))
+
+
+def dirichlet_solve(g, shift, rhs, ring):
+    # (-Lap_h + shift) w = rhs inside, w = ring on the boundary
+    solver = oned._DirichletSolver(g.shape, (g.hx, g.hy), shift)
+    return solver.solve(rhs[1:-1, 1:-1], np.broadcast_to(ring, g.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +33,8 @@ def unit_square(n):
 
 def test_linear_solve_zero_rhs():
     g = unit_square(33)
-    w = e2.linear_solve(g, 2.0, ScalarField(g, np.zeros((33, 33))), 0.0)
-    assert float(np.max(np.abs(w.values))) == 0.0
+    w = dirichlet_solve(g, 2.0, np.zeros((33, 33)), 0.0)
+    assert float(np.max(np.abs(w))) == 0.0
 
 
 def manufactured_error(n, shift):
@@ -36,8 +42,8 @@ def manufactured_error(n, shift):
     X, Y = g.mesh()
     exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
     rhs = (shift + 2.0 * np.pi ** 2) * exact
-    w = e2.linear_solve(g, shift, ScalarField(g, rhs), 0.0)
-    return float(np.max(np.abs(w.values - exact)))
+    w = dirichlet_solve(g, shift, rhs, 0.0)
+    return float(np.max(np.abs(w - exact)))
 
 
 def test_linear_solve_second_order():
@@ -100,18 +106,10 @@ def test_linear_solve_honors_dirichlet_ring():
     g = unit_square(33)
     d = np.zeros((33, 33))
     d[-1, :] = 1.0
-    w = e2.linear_solve(g, 0.0, ScalarField(g, np.zeros((33, 33))), d)
-    assert np.array_equal(w.values[-1, :], d[-1, :])
+    w = dirichlet_solve(g, 0.0, np.zeros((33, 33)), d)
+    assert np.array_equal(w[-1, :], d[-1, :])
     # harmonic interpolant stays inside the data range
-    assert w.values.min() >= -1e-12 and w.values.max() <= 1.0 + 1e-12
-
-
-def test_linear_solve_rejects_mismatched_grid():
-    g = unit_square(33)
-    other = unit_square(65)
-    rhs = ScalarField(other, np.zeros((65, 65)))
-    with pytest.raises(GridError):
-        e2.linear_solve(g, 0.0, rhs, 0.0)
+    assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +162,46 @@ def zero_reaction():
                        bound_M=0.0)
 
 
+def zeros_on(g):
+    return ScalarField(g, np.zeros(g.shape))
+
+
 def test_zero_reaction_converges_immediately():
     g = Grid(STRIP, 33, 17, (0.0, 4.0), (-1.0, 1.0))
-    ring = e2.dirichlet_ring(g)
-    problem = e2.EllipticProblem(g, zero_reaction(), ring, e2.ZeroFarField(), 1.0)
-    start = e2.FromSub(ScalarField(g, np.zeros((33, 17))))
-    u, report = e2.solve_semilinear(problem, start, tol=1e-8)
+    zero = zeros_on(g)
+    u, report = e2.solve_semilinear(zero_reaction(), e2.dirichlet_ring(g),
+                                    1.0, zero, zero, tol=1e-8)
     assert float(np.max(np.abs(u.values))) == 0.0
     assert report.iterations == 1
-    assert report.monotone and report.sandwich_violations == 0
+    # the report holds measured values only
+    assert sorted(report.to_dict()) == ["final_residual", "final_update",
+                                        "iterations"]
 
 
 def strip_problem(nx=193, ny=65, L=12.0):
+    """(nl, ring, shift, supersolution) of the half-strip solve."""
     nl = oned.arctan_family(4.0)
     g = Grid(STRIP, nx, ny, (0.0, L), (-1.0, 1.0))
     profile = oned.solve_strip_profile(nl, ny)
     super_vals = np.tile(profile.values, (nx, 1))
     ring = e2.dirichlet_ring(g, right=profile.values)
     shift = oned.picard_shift(nl, float(super_vals.max()))
-    problem = e2.EllipticProblem(g, nl, ring, e2.ProfileFarField(profile), shift)
-    return problem, ScalarField(g, super_vals), profile
+    return nl, ring, shift, ScalarField(g, super_vals)
+
+
+def strip_bump(nl, g, eps=None):
+    delta = 0.05
+    if eps is None:
+        eps = oned.select_subsolution_amplitude(
+            nl, delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2))
+    return e2.subsolution_strip(g, eps, delta, g.hx)
 
 
 def test_strip_solution_and_newton_cross_check():
-    problem, supersol, profile = strip_problem()
-    g = problem.grid
-    delta = 0.05
-    rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)
-    eps = oned.select_subsolution_amplitude(problem.nl, rate)
-    sub = e2.subsolution_strip(g, eps, delta, g.hx)
-    u, report = e2.solve_semilinear(problem, e2.FromSub(sub), tol=1e-8,
-                                    bound=supersol)
+    nl, ring, shift, supersol = strip_problem()
+    g = supersol.grid
+    sub = strip_bump(nl, g)
+    u, report = e2.solve_semilinear(nl, ring, shift, sub, supersol, tol=1e-8)
     assert report.final_residual < 1e-8
     assert float(u.values[1:-1, 1:-1].min()) > 0.0
     assert float(np.max(u.values - supersol.values)) <= 1e-10
@@ -205,78 +212,86 @@ def test_strip_solution_and_newton_cross_check():
     ty = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], (my, my)) / g.hy ** 2
     lap = sp.kron(tx, sp.identity(my)) + sp.kron(sp.identity(mx), ty)
     inner = u.values[1:-1, 1:-1]
-    r = oned._defect(u.values, (g.hx, g.hy), problem.nl.f).ravel()
-    jac = (lap - sp.diags(problem.nl.f_prime(inner).ravel())).tocsc()
+    r = oned._defect(u.values, (g.hx, g.hy), nl.f).ravel()
+    jac = (lap - sp.diags(nl.f_prime(inner).ravel())).tocsc()
     step = spsolve(jac, -r)
     assert float(np.max(np.abs(step))) < 1e-7
 
 
 def test_two_sided_iteration_unique_limit():
-    problem, supersol, _ = strip_problem()
-    g = problem.grid
-    eps = oned.select_subsolution_amplitude(
-        problem.nl, 0.05 ** 2 + np.pi ** 2 / (4.0 * 0.95 ** 2))
-    sub = e2.subsolution_strip(g, eps, 0.05, g.hx)
-    up, _ = e2.solve_semilinear(problem, e2.FromSub(sub), tol=1e-8,
-                                bound=supersol)
-    zero = ScalarField(g, np.zeros((g.nx, g.ny)))
-    down, _ = e2.solve_semilinear(problem, e2.FromSuper(supersol), tol=1e-8,
-                                  bound=zero)
+    nl, ring, shift, supersol = strip_problem()
+    g = supersol.grid
+    up, _ = e2.solve_semilinear(nl, ring, shift, strip_bump(nl, g), supersol,
+                                start="sub", tol=1e-8)
+    down, _ = e2.solve_semilinear(nl, ring, shift, zeros_on(g), supersol,
+                                  start="super", tol=1e-8)
     assert float(np.max(np.abs(up.values - down.values))) < 1e-7
 
 
 def test_sweep_budget_exhausted():
-    problem, supersol, _ = strip_problem()
-    g = problem.grid
-    zero = ScalarField(g, np.zeros((g.nx, g.ny)))
+    nl, ring, shift, supersol = strip_problem()
     assert e2.NonConvergence is oned.NonConvergence
     with pytest.raises(oned.NonConvergence, match="in 2 sweeps"):
-        e2.solve_semilinear(problem, e2.FromSuper(supersol), tol=1e-8,
-                            max_iter=2, bound=zero)
+        e2.solve_semilinear(nl, ring, shift, zeros_on(supersol.grid),
+                            supersol, start="super", tol=1e-8, max_iter=2)
 
 
 def test_start_fields_are_verified():
-    problem, supersol, _ = strip_problem(nx=97, ny=33)
-    g = problem.grid
+    nl, ring, shift, supersol = strip_problem(nx=97, ny=33)
+    g = supersol.grid
     # quadrupled amplitude breaks the reaction inequality on the grid, where
     # the truncated bump still reaches values past the f(s)/s = rate crossing
-    fat = e2.subsolution_strip(g, 4.0, 0.05, g.hx)
+    fat = strip_bump(nl, g, eps=4.0)
     with pytest.raises(e2.NotASubsolution):
-        e2.solve_semilinear(problem, e2.FromSub(fat), tol=1e-8)
+        e2.solve_semilinear(nl, ring, shift, fat, supersol, tol=1e-8)
     # a small admissible bump is nowhere near a supersolution
-    thin = e2.subsolution_strip(g, 0.1, 0.05, g.hx)
+    thin = strip_bump(nl, g, eps=0.1)
     with pytest.raises(e2.NotASupersolution):
-        e2.solve_semilinear(problem, e2.FromSuper(thin), tol=1e-8)
+        e2.solve_semilinear(nl, ring, shift, zeros_on(g), thin,
+                            start="super", tol=1e-8)
+    # with both sides bad, the start side is the one reported
+    with pytest.raises(e2.NotASubsolution):
+        e2.solve_semilinear(nl, ring, shift, fat, thin, start="sub")
+    with pytest.raises(e2.NotASupersolution):
+        e2.solve_semilinear(nl, ring, shift, fat, thin, start="super")
     other = Grid(STRIP, 97, 17, (0.0, 12.0), (-1.0, 1.0))
     with pytest.raises(GridError):
-        e2.solve_semilinear(problem,
-                            e2.FromSub(ScalarField(other, np.zeros((97, 17)))),
+        e2.solve_semilinear(nl, ring, shift, zeros_on(other), supersol,
                             tol=1e-8)
+
+
+def test_periodic_grid_is_refused():
+    g = Grid(TORUS, 16, 16, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
+    zero = zeros_on(g)
+    with pytest.raises(GridError, match="non-periodic"):
+        e2.solve_semilinear(zero_reaction(), np.zeros(g.shape), 1.0, zero,
+                            zero)
 
 
 def test_problem_validation():
     g = Grid(STRIP, 33, 17, (0.0, 4.0), (-1.0, 1.0))
     nl = oned.arctan_family(4.0)
     ring = e2.dirichlet_ring(g)
+    zero = zeros_on(g)
+    sup = ScalarField(g, np.tile(oned.solve_strip_profile(nl, 17).values,
+                                 (33, 1)))
     bad = np.zeros((33, 17))
     bad[0, 3] = np.nan
-    with pytest.raises(ValueError):
-        e2.EllipticProblem(g, nl, bad, e2.ZeroFarField(), 4.1)
-    with pytest.raises(ValueError):
-        e2.EllipticProblem(g, nl, ring, e2.ZeroFarField(), -1.0)
-    skew = oned.solve_strip_profile(nl, 17)
-    shrunk = oned.Profile((0.0, 1.0), skew.values, (0.0, 0.0), 0.0, 1)
-    with pytest.raises(ValueError):
-        e2.EllipticProblem(g, nl, ring, e2.ProfileFarField(shrunk), 4.1)
-    # shift below max f' on the sandwich range is refused at solve time
-    problem = e2.EllipticProblem(g, nl, ring, e2.ZeroFarField(), 0.5)
-    sup = ScalarField(g, np.tile(skew.values, (33, 1)))
-    with pytest.raises(ValueError):
-        e2.solve_semilinear(problem, e2.FromSuper(sup), tol=1e-8)
+    with pytest.raises(ValueError, match="finite"):
+        e2.solve_semilinear(nl, bad, 4.1, zero, sup, start="super")
+    with pytest.raises(ValueError, match="nonnegative"):
+        e2.solve_semilinear(nl, ring, -1.0, zero, sup, start="super")
+    with pytest.raises(ValueError, match="full grid ring"):
+        e2.solve_semilinear(nl, ring[:, 1:], 4.1, zero, sup, start="super")
+    with pytest.raises(ValueError, match="start"):
+        e2.solve_semilinear(nl, ring, 4.1, zero, sup, start="middle")
+    # shift below max f' on the sandwich range would break monotonicity
+    with pytest.raises(ValueError, match="below max f'"):
+        e2.solve_semilinear(nl, ring, 0.5, zero, sup, start="super")
 
 
 # ---------------------------------------------------------------------------
-# residual operator
+# defect operator
 
 
 def test_residual_kinked_quadratic():
@@ -284,18 +299,19 @@ def test_residual_kinked_quadratic():
     # cancelling f(u) = -sgn(u) in the -Lap(u) = f(u) arrangement
     g = Grid(STRIP, 33, 65, (0.0, 4.0), (-1.0, 1.0))
     X, Y = g.mesh()
-    u = ScalarField(g, 0.5 * Y * np.abs(Y))
-    r = e2.residual(u, oned.sign_equation())
-    away = np.abs(Y) >= 2.0 * g.hy - 1e-12
-    away[0, :] = away[-1, :] = away[:, 0] = away[:, -1] = False
-    assert float(np.max(np.abs(r.values[away]))) == 0.0
+    r = oned._defect(0.5 * Y * np.abs(Y), (g.hx, g.hy),
+                     oned.sign_equation().f)
+    away = (np.abs(Y) >= 2.0 * g.hy - 1e-12)[1:-1, 1:-1]
+    assert float(np.max(np.abs(r[away]))) == 0.0
 
 
 def test_residual_zero_field():
+    # the defect lives on interior nodes only: the ring carries data
     g = Grid(STRIP, 33, 17, (0.0, 4.0), (-1.0, 1.0))
-    r = e2.residual(ScalarField(g, np.zeros((33, 17))), oned.arctan_family(4.0))
-    assert float(np.max(np.abs(r.values))) == 0.0
-    assert not bool(g.interior_mask()[0, 0])
+    r = oned._defect(np.zeros(g.shape), (g.hx, g.hy),
+                     oned.arctan_family(4.0).f)
+    assert r.shape == (31, 15)
+    assert float(np.max(np.abs(r))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +357,9 @@ def test_type3_monotone_in_x1(type3_full):
 
 def test_type3_residual_full_grid(type3_full):
     u, _ = type3_full
-    r = e2.residual(u, oned.arctan_family(4.0))
-    assert float(np.max(np.abs(r.values))) < 1e-8
+    g = u.grid
+    r = oned._defect(u.values, (g.hx, g.hy), oned.arctan_family(4.0).f)
+    assert float(np.max(np.abs(r))) < 1e-8
 
 
 def test_type3_refinement_order():

@@ -21,7 +21,7 @@ GOLDEN = {
         {
             "flow.csv": "30a20783c82ab8b686f35a7fa554c5319d207e6536f56689cd0f60d39ed87ca4",
             "flow.json": "52c8d0b45768d1cdea04b6af3f6a05e4ee1f3c0850f983c8f8c75124b4466fb4",
-            "report.json": "7fdc54091b2db56885a9d749b39cfe8ec27d21be6ba312797389f0e39199e670",
+            "report.json": "f0e004d11cab4acce3311563909952dabda733479de0bd219b3b14f8894770a9",
         },
     ),
     "analyze": (

@@ -50,6 +50,14 @@ def test_half_plane_wall_at_zero():
         g.Grid(g.HALF_PLANE, 16, 16, (-1.0, 1.0), (-0.5, 1.0))
 
 
+@pytest.mark.parametrize("x_range", [
+    (-np.inf, np.inf), (0.0, np.inf), (-1e308, 1e308), (0.0, 5e-324)],
+    ids=["infinite", "half-infinite", "width-overflows", "spacing-underflows"])
+def test_extents_and_spacings_must_be_finite(x_range):
+    with pytest.raises(g.GridError, match="finite"):
+        g.Grid(g.STRIP, 257, 65, x_range, (-1.0, 1.0))
+
+
 def test_spacing_conventions():
     t = torus(64)
     assert t.hx == pytest.approx(2.0 * np.pi / 64)
@@ -57,13 +65,6 @@ def test_spacing_conventions():
     p = plane(65, 0.0, 1.0)
     assert p.hx == pytest.approx(1.0 / 64)
     assert p.x_nodes()[-1] == pytest.approx(1.0)
-
-
-def test_incompatible_grids_rejected():
-    a = g.ScalarField.from_function(plane(16), lambda x, y: x)
-    b = g.ScalarField.from_function(plane(17), lambda x, y: y)
-    with pytest.raises(g.IncompatibleGrid):
-        g.same_grid(a, b)
 
 
 def test_fields_are_frozen():

@@ -223,10 +223,9 @@ def test_picard_shift_covers_derivative_range():
 def test_boundary_slope_exact_on_quadratics():
     x = np.linspace(-1.0, 1.0, 21)
     p = oned.Profile((-1.0, 1.0), 1.0 - x ** 2, (0.0, 0.0), 0.0, 1)
-    assert abs(oned.boundary_slope(p, "lower") - 2.0) < 1e-12
-    assert abs(oned.boundary_slope(p, "upper") + 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        oned.boundary_slope(p, "middle")
+    lower, upper = p.boundary_derivatives
+    assert abs(lower - 2.0) < 1e-12
+    assert abs(upper + 2.0) < 1e-12
 
 
 def test_nonlinearity_oddness_check():
