@@ -317,12 +317,9 @@ def _axis_profile(fn, ny=65):
 def check_stability_margins(cache):
     parabola = _axis_profile(lambda y: y * y)
     linear = _axis_profile(lambda y: y)
-    m_poi = dg.stability_margin(cache.shear("Poiseuille"), parabola,
-                                "VorticityGradient")
-    m_cou = dg.stability_margin(cache.shear("Couette"), linear,
-                                "VorticityGradient")
-    m_kol = dg.stability_margin(cache.shear("Kolmogorov"), parabola,
-                                "VorticityGradient")
+    m_poi = dg.stability_margin(cache.shear("Poiseuille"), parabola)
+    m_cou = dg.stability_margin(cache.shear("Couette"), linear)
+    m_kol = dg.stability_margin(cache.shear("Kolmogorov"), parabola)
     return [
         CheckResult("margin_parabolic_reference",
                     abs(m_poi - 2.0) <= 1e-10, m_poi, 2.0, "abs <= 1e-10"),

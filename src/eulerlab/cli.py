@@ -88,8 +88,8 @@ def _common_options():
     ]
 
 
-def _solver_options(far_field):
-    opts = [
+def _solver_options():
+    return [
         _Opt("--lambda", "lam", float,
              help="slope parameter of the arctan nonlinearity"),
         _Opt("--L", "L", float, help="domain half-width / height"),
@@ -99,12 +99,9 @@ def _solver_options(far_field):
         _Opt("--tol", "tol", float, help="iteration stopping tolerance"),
         _Opt("--start", "start", str, choices=("sub", "super"),
              help="monotone iteration starting side"),
+        _Opt("--far-field", "far_field", str, choices=("profile", "zero"),
+             help="strip data at x1 = +-L"),
     ]
-    if far_field:
-        opts.append(_Opt("--far-field", "far_field", str,
-                         choices=("profile", "zero"),
-                         help="strip data at x1 = +-L"))
-    return opts
 
 
 def _source_options():
@@ -137,12 +134,12 @@ _COMMANDS = {
     "solve": {
         "help": "solve the strip or half-plane stream function",
         "positionals": [("which", ("strip", "halfplane"))],
-        "options": _solver_options(far_field=True),
+        "options": _solver_options(),
     },
     "analyze": {
         "help": "run the full diagnostics on one flow",
         "positionals": [],
-        "options": _source_options() + _solver_options(far_field=True) + [
+        "options": _source_options() + _solver_options() + [
             _Opt("--bins", "bins", int, help="direction bins (default 360)"),
             _Opt("--kappa-bins", "kappa_bins", int,
                  help="curvature profile bins (default 64)"),
@@ -155,7 +152,7 @@ _COMMANDS = {
     "trace": {
         "help": "march streamlines from seed points",
         "positionals": [],
-        "options": _source_options() + _solver_options(far_field=True) + [
+        "options": _source_options() + _solver_options() + [
             _Opt("--seed", "seed", str, action="append",
                  help="seed point x,y (repeatable)"),
             _Opt("--step", "step", float,
@@ -569,21 +566,20 @@ def cmd_solve1d(r) -> int:
 ATTACHMENT_WARN = 1e-2
 
 
-def attachment_gap(field: ScalarField, limit: oned.Profile,
-                   which: str) -> float:
+def attachment_gap(field: ScalarField, limit: oned.Profile) -> float:
     """Relative gap between the solved stream and its 1D far-field limit,
     sampled at 0.9 of the truncation length.
 
     ``limit`` is the transverse profile (strip) or heteroclinic (half plane)
-    the solve itself used, as carried on its report.  The strip is compared
-    column-against-transverse-profile, the half plane
+    the solve itself used, as carried on its report.  By the field's grid,
+    a strip is compared column-against-transverse-profile, a half plane
     row-against-odd-heteroclinic.  Well-attached truncations sit orders of
     magnitude below ATTACHMENT_WARN; too-short ones land well above it.
     """
     g = field.grid
     u = field.values
     scale = np.max(np.abs(limit.values))
-    if which == "strip":
+    if g.kind == STRIP:
         col = int(np.argmin(np.abs(g.x_nodes() - 0.9 * g.x_range[1])))
         return float(np.max(np.abs(u[col, :] - limit.values)) / scale)
     row = int(np.argmin(np.abs(g.y_nodes() - 0.9 * g.y_range[1])))
@@ -603,7 +599,7 @@ def cmd_solve(r) -> int:
     flow = flows.velocity_from_stream(field, nl)
     flows.save_flow(flow, os.path.join(out, "flow.csv"),
                     os.path.join(out, "flow.json"), extra={"config": cfg})
-    gap = attachment_gap(field, srep.profile, r["which"])
+    gap = attachment_gap(field, srep.profile)
     warn = gap > ATTACHMENT_WARN
     _ser.write_json({"schema_version": _ser.SCHEMA_VERSION,
                      "config": cfg,
@@ -749,7 +745,8 @@ def main(argv=None) -> int:
             raise ConfigError("a command is required: %s"
                               % ", ".join(_COMMANDS))
         return _DISPATCH[ns.command](_resolve(ns.command, ns))
-    except ConfigError as e:
+    except (ConfigError, GridError) as e:
+        # grids the options built that no solver can take (h^2 out of range)
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except _SOLVER_ERRORS as e:

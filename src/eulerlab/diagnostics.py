@@ -35,10 +35,6 @@ from .grid import (Grid, GridError, ScalarField, VectorField,
                    STRIP, HALF_PLANE, TORUS, PLANE)
 
 
-class NonUnitReference(ValueError):
-    pass
-
-
 class RTooLarge(ValueError):
     """Cutoff plateau radius exceeds the truncated domain."""
 
@@ -59,25 +55,20 @@ VERDICTS = ("Shear", "FullCircle", "TypeIIIUpper", "TypeIIILower",
 # angles
 
 
-def angle_from(e, u):
-    """Angle from reference direction e to vector u, in (-pi, pi].
+def angle_from(u):
+    """Angle of vector u measured from e1 = (1, 0), in (-pi, pi].
 
-    sgn(u . e_perp) * arccos(u . e / |u|), with the zero vector mapped to 0
-    and the antipodal boundary case (u . e_perp = 0, u . e < 0) to +pi.
-    Accepts single vectors or arrays with components along the last axis.
+    sgn(u2) * arccos(u1 / |u|), with the zero vector mapped to 0 and the
+    antipodal boundary case (u2 = 0, u1 < 0) to +pi.  Accepts single vectors
+    or arrays with components along the last axis.
     """
-    e = np.asarray(e, dtype=float)
-    if e.shape != (2,) or abs(float(np.hypot(e[0], e[1])) - 1.0) > 1e-12:
-        raise NonUnitReference("reference direction must be a unit 2-vector")
     u = np.asarray(u, dtype=float)
     scalar = u.shape == (2,)
     u1, u2 = u[..., 0], u[..., 1]
-    dot = u1 * e[0] + u2 * e[1]
-    perp = u2 * e[0] - u1 * e[1]
     mag = np.hypot(u1, u2)
     safe = np.where(mag > 0.0, mag, 1.0)
-    core = np.arccos(np.clip(dot / safe, -1.0, 1.0))
-    sign = np.where(perp > 0.0, 1.0, np.where(perp < 0.0, -1.0, 1.0))
+    core = np.arccos(np.clip(u1 / safe, -1.0, 1.0))
+    sign = np.where(u2 < 0.0, -1.0, 1.0)
     out = np.where(mag > 0.0, sign * core, 0.0)
     return float(out) if scalar else out
 
@@ -223,7 +214,7 @@ class AngleSet:
 
 
 def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleSet:
-    """Bin the directions angle_from((1,0), v) of all non-stagnant nodes."""
+    """Bin the directions angle_from(v) of all non-stagnant nodes."""
     # with fewer bins classify fills an empty half-circle as a pinhole
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
@@ -234,8 +225,7 @@ def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleS
     v = flow.velocity
     speed = np.hypot(v.vx, v.vy)
     live = speed > threshold
-    theta = angle_from(np.array([1.0, 0.0]),
-                       np.stack([v.vx[live], v.vy[live]], axis=-1))
+    theta = angle_from(np.stack([v.vx[live], v.vy[live]], axis=-1))
     idx = _bin_index(theta, n_bins)
     mass = np.bincount(idx, weights=speed[live], minlength=n_bins)
     return AngleSet(n_bins, mass > 0.0, mass, threshold)
@@ -245,16 +235,14 @@ def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleS
 # curvature integrals
 
 
-def total_curvature(flow, region_mask=None) -> float:
-    return _total_curvature(flow, _bundle(flow), region_mask)
+def total_curvature(flow) -> float:
+    """Curvature density integrated over the grid, sub-cell bands included."""
+    return _total_curvature(flow, _bundle(flow))
 
 
-def _total_curvature(flow, b, region_mask=None):
-    ridge_mass = b.ridge_mass
-    if region_mask is not None:
-        ridge_mass = np.where(np.asarray(region_mask, dtype=bool), ridge_mass, 0.0)
-    return (_g.integrate(ScalarField(flow.grid, b.dens), mask=region_mask)
-            + float(ridge_mass.sum()))
+def _total_curvature(flow, b):
+    return (_g.integrate(ScalarField(flow.grid, b.dens))
+            + float(b.ridge_mass.sum()))
 
 
 def signed_curvature_integral(flow) -> float:
@@ -452,8 +440,7 @@ def _kappa_distribution(flow, b, n_bins):
     v = flow.velocity
     width = 2.0 * np.pi / n_bins
 
-    e1 = np.array([1.0, 0.0])
-    theta = angle_from(e1, np.stack([v.vx, v.vy], axis=-1))
+    theta = angle_from(np.stack([v.vx, v.vy], axis=-1))
 
     def wrap(a):
         return (a + np.pi) % (2.0 * np.pi) - np.pi
@@ -560,17 +547,15 @@ class Classification:
 
 
 def classify(angle_set: AngleSet, total_curvature: float,
-             tol_curv: float = 1e-8,
-             occupancy_rule: str = "endpoint-slack") -> Classification:
+             tol_curv: float = 1e-8) -> Classification:
     """Verdict from angle occupancy, checked in order of specificity.
 
     Shear wins on vanishing curvature; FullCircle on total occupancy; the
     two semicircle verdicts next; a contiguous occupied arc is reported with
     its gap half-width beta and arc center theta0; anything else is
-    Indeterminate.  occupancy_rule "endpoint-slack" (default) lets each of
-    the two semicircle endpoint bins be empty, since the axial directions
-    are realized exactly on walls and stagnation rims where the floor may
-    mute them; "exact" requires the full closed semicircle.
+    Indeterminate.  A semicircle verdict lets each of the two endpoint bins
+    be empty, since the axial directions are realized exactly on walls and
+    stagnation rims where the floor may mute them.
 
     A single empty bin flanked by occupied neighbors is filled before any
     occupancy decision.  Node sampling cannot certify a gap narrower than
@@ -580,8 +565,6 @@ def classify(angle_set: AngleSet, total_curvature: float,
     pinholes as genuine gaps would misreport an occupancy that every finer
     grid refills.  Gaps of two or more bins are always respected.
     """
-    if occupancy_rule not in ("endpoint-slack", "exact"):
-        raise ValueError("occupancy_rule must be 'endpoint-slack' or 'exact'")
     if total_curvature < tol_curv:
         return Classification("Shear")
     filled = angle_set.occupied | (np.roll(angle_set.occupied, 1)
@@ -590,10 +573,9 @@ def classify(angle_set: AngleSet, total_curvature: float,
         return Classification("FullCircle")
     occ = set(np.flatnonzero(filled))
     upper, lower, ends = semicircle_bins(angle_set.n_bins)
-    slack = ends if occupancy_rule == "endpoint-slack" else set()
-    if (upper - slack) <= occ <= upper:
+    if (upper - ends) <= occ <= upper:
         return Classification("TypeIIIUpper")
-    if (lower - slack) <= occ <= lower:
+    if (lower - ends) <= occ <= lower:
         return Classification("TypeIIILower")
     if occ:
         runs = _empty_runs(filled)
@@ -638,18 +620,18 @@ def _empty_runs(occupied):
 # wall limits and stability
 
 
-def wall_limits(flow, fraction: float = 0.1):
+def wall_limits(flow):
     """Far-field wall speeds, averaged over the outer columns of each wall.
 
     Returns {"bottom": (left, right), "top": (left, right)} means of v1 over
-    the first and last ceil(fraction*nx) columns; "top" only on strips.
+    the first and last ceil(0.1*nx) columns; "top" only on strips.
     Tail-averaging is justified by the uniform far-field convergence of the
     solved flows.
     """
     g = flow.grid
     if g.kind not in (STRIP, HALF_PLANE):
         raise GridError("wall limits need a strip or half-plane grid")
-    m = max(1, int(np.ceil(fraction * g.nx)))
+    m = max(1, int(np.ceil(0.1 * g.nx)))
     out = {}
     for j in g.wall_rows():
         row = flow.velocity.vx[:, j]
@@ -658,13 +640,12 @@ def wall_limits(flow, fraction: float = 0.1):
     return out
 
 
-def stability_margin(flow, profile, mode: str = "VorticityGradient") -> float:
-    """Distance of a strip flow from a given shear profile s.
+def stability_margin(flow, profile) -> float:
+    """Vorticity-gradient margin of a strip flow against a shear profile s.
 
-    VorticityGradient returns min s'' - max |d/dx2 (omega - omega_s)| with
-    omega_s = -s'; a positive value certifies the rigidity hypothesis that
-    forces the flow to be that shear.  W2inf returns the plain W^{2,inf}
-    distance max over |v1 - s| and its first and second differences.
+    Returns min s'' - max |d/dx2 (omega - omega_s)| with omega_s = -s'; a
+    positive value certifies the rigidity hypothesis that forces the flow to
+    be that shear.
     """
     g = flow.grid
     if g.kind != STRIP:
@@ -672,22 +653,10 @@ def stability_margin(flow, profile, mode: str = "VorticityGradient") -> float:
     if profile.n != g.ny or not np.allclose(profile.interval, g.y_range):
         raise ValueError("profile is sampled on a different transverse axis")
     s = profile.values
-    if mode == "VorticityGradient":
-        omega_s = -_g._diff1(s, g.hy, 0, False)
-        diff = flow.vorticity.values - omega_s[None, :]
-        dd = _g.ddy(ScalarField(g, diff))
-        return float(_g._diff2(s, g.hy, 0, False).min() - np.abs(dd).max())
-    if mode == "W2inf":
-        e = ScalarField(g, flow.velocity.vx - s[None, :])
-        worst = float(np.abs(e.values).max())
-        ex, ey = _g.ddx(e), _g.ddy(e)
-        for arr in (ex, ey):
-            worst = max(worst, float(np.abs(arr).max()))
-        for arr in (_g.ddx(ScalarField(g, ex)), _g.ddy(ScalarField(g, ex)),
-                    _g.ddy(ScalarField(g, ey))):
-            worst = max(worst, float(np.abs(arr).max()))
-        return worst
-    raise ValueError("mode must be 'VorticityGradient' or 'W2inf'")
+    omega_s = -_g._diff1(s, g.hy, 0, False)
+    diff = flow.vorticity.values - omega_s[None, :]
+    dd = _g.ddy(ScalarField(g, diff))
+    return float(_g._diff2(s, g.hy, 0, False).min() - np.abs(dd).max())
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,12 @@ class SolveReport:
         }
 
 
-def dirichlet_ring(grid: Grid, left=0.0, right=0.0, bottom=0.0, top=0.0):
-    """Assemble the (nx, ny) Dirichlet array from per-edge data.
-
-    Each edge accepts a scalar or a 1D array along that edge.  Corners are
-    written by the x1 edges last, so left/right win where edges meet; the
-    constructions here only use data that agrees at corners anyway.
-    """
+def dirichlet_ring(grid: Grid, right=0.0, top=0.0):
+    """The (nx, ny) Dirichlet array: zero on the left (x1 = 0) and bottom
+    edges, ``right`` and ``top`` (scalars or 1D arrays along the edge) on
+    the other two, the right edge winning at the corner they share."""
     d = np.zeros((grid.nx, grid.ny))
-    d[:, 0] = bottom
     d[:, -1] = top
-    d[0, :] = left
     d[-1, :] = right
     return d
 
@@ -159,11 +154,11 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
 
     The grid is read off ``sub``, which must be a non-periodic rectangle;
     ``dirichlet`` is an (nx, ny) array whose boundary ring carries the data
-    (interior entries are ignored).  ``sub <= sup`` is the sandwich: both
-    sides are verified against the discrete stencil and the ring before any
-    sweep runs, the ``start`` side ("sub" ascends, "super" descends) first,
-    and every iterate must stay between them.  Returns (solution,
-    SolveReport).
+    (interior entries are ignored; h^2 and 4/h^2 must be positive and
+    finite, else GridError).  ``sub <= sup`` is the sandwich: both sides are
+    verified against the stencil and the ring before any sweep runs, the
+    ``start`` side ("sub" ascends, "super" descends) first, and every
+    iterate must stay between them.  Returns (solution, SolveReport).
     """
     if start not in ("sub", "super"):
         raise ValueError("start must be 'sub' or 'super'")
@@ -181,6 +176,9 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
     shift = float(shift)
     if not (np.isfinite(shift) and shift >= 0.0):
         raise ValueError("shift must be finite and nonnegative")
+    # before the one-sided checks, whose stencil slack also divides by h^2
+    spacings = (g.hx, g.hy)
+    solver = oned._DirichletSolver(g.shape, spacings, shift)
     first, second = (sub, sup) if ascending else (sup, sub)
     _check_one_sided(nl, dirichlet, shift, first, start)
     _check_one_sided(nl, dirichlet, shift, second,
@@ -194,9 +192,6 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
     if shift < float(np.max(nl.f_prime(probe))) - 1e-12:
         raise ValueError("shift is below max f' on the sandwich range; "
                          "sweeps would not be monotone")
-
-    spacings = (g.hx, g.hy)
-    solver = oned._DirichletSolver(g.shape, spacings, shift)
 
     def sweep(u):
         rhs = nl.f(u[1:-1, 1:-1]) + shift * u[1:-1, 1:-1]
@@ -292,7 +287,7 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
                                       tol=tol)
 
     report.profile = profile
-    return odd_extend_x1(u_half, "odd"), report
+    return odd_extend_x1(u_half), report
 
 
 def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
@@ -317,8 +312,7 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
 
     super_vals = np.minimum(g.values[:, None], g.values[None, :])
     supersol = ScalarField(quad, super_vals)
-    ring = dirichlet_ring(quad, left=0.0, right=g.values, bottom=0.0,
-                          top=g.values)
+    ring = dirichlet_ring(quad, right=g.values, top=g.values)
 
     delta = 2.0 * np.pi / L
     rate = 2.0 * delta ** 2
@@ -338,4 +332,4 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
                                       tol=tol)
 
     report.profile = g
-    return odd_extend_x1(u_quad, "odd"), report
+    return odd_extend_x1(u_quad), report

@@ -66,13 +66,13 @@ class Flow:
         self.boundary_rows = list(grid.wall_rows())
 
 
-def velocity_from_stream(u: ScalarField, nl=None, tag: str | None = None) -> Flow:
+def velocity_from_stream(u: ScalarField, nl=None) -> Flow:
     """Flow carried by a stream function: velocity (-du/dx2, du/dx1).
 
     Walls must be streamlines: the trace of u along each wall row may vary by
     at most 1e-10, and the resulting wall-tangential stream derivative (the
     normal velocity) must vanish to 1e-12.  Passing the nonlinearity attaches
-    the pressure via :func:`pressure_from_stream`.
+    the pressure and tags the provenance with its family (else "unknown").
     """
     g = u.grid
     for j in g.wall_rows():
@@ -89,8 +89,7 @@ def velocity_from_stream(u: ScalarField, nl=None, tag: str | None = None) -> Flo
                 "wall-normal velocity reaches %.3e on wall row %d" % (worst, j))
     vorticity = _g.laplacian(u)
     pressure = pressure_from_stream(u, nl) if nl is not None else None
-    if tag is None:
-        tag = nl.family if nl is not None else "unknown"
+    tag = nl.family if nl is not None else "unknown"
     return Flow(g, velocity, vorticity, pressure,
                 provenance={"kind": "FromStream", "tag": tag})
 
@@ -232,12 +231,11 @@ def analytic_flow(name: str, grid: Grid) -> Flow:
                 closed_form=cf)
 
 
-def odd_extend_x1(f: ScalarField, parity: str) -> ScalarField:
-    """Reflect a field on a half grid x1 >= 0 through the x2 axis.
+def odd_extend_x1(f: ScalarField) -> ScalarField:
+    """Reflect a field on a half grid x1 >= 0 oddly through the x2 axis.
 
-    Odd parity negates values (and requires the x1 = 0 trace to vanish);
-    even parity copies them.  Mirror values are exact.  A quadrant becomes a
-    half plane when reflected; other kinds keep theirs.
+    Mirror values are the exact negatives, and the x1 = 0 trace must vanish.
+    A quadrant becomes a half plane when reflected; other kinds keep theirs.
     """
     g = f.grid
     if g.periodic_x:
@@ -245,22 +243,17 @@ def odd_extend_x1(f: ScalarField, parity: str) -> ScalarField:
     if g.x_range[0] != 0.0:
         raise GridError("half grid must start at x1 = 0, got x1 >= %g"
                         % g.x_range[0])
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    if parity == "odd":
-        worst = float(np.max(np.abs(f.values[0, :])))
-        if worst > 1e-12:
-            raise ParityViolation(
-                "odd extension needs a zero trace on x1 = 0; found %.3e" % worst)
+    worst = float(np.max(np.abs(f.values[0, :])))
+    if worst > 1e-12:
+        raise ParityViolation(
+            "odd extension needs a zero trace on x1 = 0; found %.3e" % worst)
     kind = HALF_PLANE if g.kind == _g.QUADRANT else g.kind
     L = g.x_range[1]
     full = Grid(kind, 2 * g.nx - 1, g.ny, (-L, L), g.y_range)
-    sign = -1.0 if parity == "odd" else 1.0
     vals = np.empty((full.nx, full.ny))
     vals[g.nx - 1:, :] = f.values
-    vals[:g.nx - 1, :] = sign * f.values[:0:-1, :]
-    if parity == "odd":
-        vals[g.nx - 1, :] = 0.0
+    vals[:g.nx - 1, :] = -f.values[:0:-1, :]
+    vals[g.nx - 1, :] = 0.0
     return ScalarField(full, vals)
 
 
@@ -274,7 +267,7 @@ def _node_table(grid: Grid):
     return xx.T.ravel(), yy.T.ravel()
 
 
-def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
+def save_flow(flow: Flow, csv_path, json_path, extra=None) -> None:
     """One CSV row per node (x, y, vx, vy, P, omega) plus a JSON envelope.
 
     The CSV is the only copy of the node fields; the envelope names it under
@@ -289,8 +282,6 @@ def save_flow(flow: Flow, csv_path, json_path=None, extra=None) -> None:
                    [xv, yv, flow.velocity.vx.T.ravel(),
                     flow.velocity.vy.T.ravel(), pvals.T.ravel(),
                     flow.vorticity.values.T.ravel()])
-    if json_path is None:
-        return
     interior = g.interior_mask()
     if has_p:
         mom, div = euler_residual(flow)

@@ -278,20 +278,10 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
                     axis_weights(grid.ny, grid.hy, grid.periodic_y))
 
 
-def integrate(f, mask=None) -> float:
-    """Trapezoid-rule integral of a scalar field.
-
-    ``mask`` is an optional boolean node array; masked-out nodes contribute
-    zero.
-    """
+def integrate(f) -> float:
+    """Trapezoid-rule integral of a scalar field over its whole grid."""
     if isinstance(f, ScalarField):
         grid, v = f.grid, f.values
     else:
         raise TypeError("integrate expects a ScalarField; got %r" % type(f))
-    w = quadrature_weights(grid)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.shape:
-            raise GridError("mask shape %r does not match grid" % (mask.shape,))
-        w = np.where(mask, w, 0.0)
-    return float(np.sum(v * w))
+    return float(np.sum(v * quadrature_weights(grid)))

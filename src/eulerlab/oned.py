@@ -65,10 +65,6 @@ class Nonlinearity:
     def __repr__(self):
         return "Nonlinearity(%s, %r)" % (self.family, self.params)
 
-    def check_odd(self, samples) -> float:
-        s = np.asarray(samples, dtype=float)
-        return float(np.max(np.abs(self.f(s) + self.f(-s))))
-
 
 def arctan_family(lam: float) -> Nonlinearity:
     """f(s) = lam*arctan(s): odd, bounded by lam*pi/2, f(s)/s decreasing.
@@ -179,11 +175,15 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     ``u = sweep(u)``.  Every step must go one way (up when ``ascending``)
     and keep lower <= u <= upper, both within ``slack``: a failure means the
     shift did not linearize f on the range, which is a solver defect and not
-    something to iterate past.  Returns (u, sweeps, update).
+    something to iterate past.  Nor is a zero update while ``done`` is false:
+    every later sweep would repeat it.  Returns (u, sweeps, update).
     """
     update = np.inf
     sweeps = 0
     while not done(u, update):
+        if update == 0.0:
+            raise NonConvergence("iteration stalled at sweep %d: the sweep "
+                                 "returned its input unchanged" % sweeps)
         if sweeps >= max_iter:
             raise NonConvergence("no convergence in %d sweeps (last update "
                                  "%.3e)" % (max_iter, update))
@@ -222,7 +222,8 @@ class _DirichletSolver:
     ||r|| <= 8 eps (||b|| + ||A||_inf ||w||) holds for any backward-stable
     solve at any spacing, where a bound on ||r|| / ||b|| alone does not (at
     h = 1e-3 such a solve leaves 8e-11 ||b||).  ``shape`` counts the nodes
-    of the full box, boundary included.
+    of the full box, boundary included.  A spacing whose h*h or 4/(h*h) is
+    not positive and finite raises :class:`grid.GridError`.
     """
 
     def __init__(self, shape, spacings, shift):
@@ -230,6 +231,10 @@ class _DirichletSolver:
             raise ValueError("shift must be nonnegative")
         self.shape = tuple(int(n) for n in shape)
         self.spacings = tuple(float(h) for h in spacings)
+        for h in self.spacings:  # h * h: h ** 2 raises OverflowError
+            if not (0.0 < h * h < np.inf and 4.0 / (h * h) < np.inf):
+                raise _g.GridError("grid spacing %g is out of range: h^2 and "
+                                   "4/h^2 must be positive and finite" % h)
         self.shift = float(shift)
         self._eig = {}
 
@@ -417,18 +422,18 @@ def solve_heteroclinic(nl: Nonlinearity, L: float = 20.0, n: int = 4001,
 # serialization
 
 
-def save_profile(p: Profile, csv_path, json_path=None, extra=None) -> None:
+def save_profile(p: Profile, csv_path, json_path, extra=None) -> None:
+    """Nodes and values as CSV; interval, boundary data and solve as JSON."""
     _ser.write_csv(csv_path, ["x", "value"], [p.nodes(), p.values])
-    if json_path is not None:
-        env = {
-            "schema_version": _ser.SCHEMA_VERSION,
-            "interval": list(p.interval),
-            "n": p.n,
-            "dirichlet": list(p.dirichlet),
-            "boundary_slopes": list(p.boundary_derivatives),
-            "residual": p.residual,
-            "iterations": p.iterations,
-        }
-        if extra:
-            env.update(extra)
-        _ser.write_json(env, json_path)
+    env = {
+        "schema_version": _ser.SCHEMA_VERSION,
+        "interval": list(p.interval),
+        "n": p.n,
+        "dirichlet": list(p.dirichlet),
+        "boundary_slopes": list(p.boundary_derivatives),
+        "residual": p.residual,
+        "iterations": p.iterations,
+    }
+    if extra:
+        env.update(extra)
+    _ser.write_json(env, json_path)

@@ -52,20 +52,20 @@ TERMINATIONS = ("MaxSteps", "LeftDomain", "Stagnated", "Closed")
 class Polyline:
     """An ordered point path with its seed and the reason marching stopped.
 
-    ``points`` is an (n, 2) float array.  ``closed`` marks loops; the first
-    and last points of a closed polyline coincide up to one step.  Contour
-    polylines reuse the same container with the seed set to their first
-    point.
+    ``points`` is an (n, 2) float array.  ``closed``, read off a "Closed"
+    termination, marks loops, whose first and last points coincide up to one
+    step.  Contour polylines reuse the same container with the seed set to
+    their first point.
     """
 
-    def __init__(self, points, closed: bool, seed, termination: str):
+    def __init__(self, points, seed, termination: str):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("a polyline needs an (n, 2) point array")
         if termination not in TERMINATIONS:
             raise ValueError("unknown termination %r" % (termination,))
         self.points = pts
-        self.closed = bool(closed)
+        self.closed = termination == "Closed"
         self.seed = (float(seed[0]), float(seed[1]))
         self.termination = termination
 
@@ -269,7 +269,6 @@ def trace(flow, seed, step: float | None = None,
     sixth = step / 6.0
     x, y = sx, sy
     pts = [(x, y)]
-    closed = False
     termination = "MaxSteps"
     for n in range(1, max_steps + 1):
         k1 = unit(x, y)
@@ -296,10 +295,9 @@ def trace(flow, seed, step: float | None = None,
         pts.append((qx, qy))
         x, y = qx, qy
         if n >= 10 and float(np.hypot(qx - sx, qy - sy)) <= step:
-            closed = True
             termination = "Closed"
             break
-    return Polyline(np.array(pts), closed, seed, termination)
+    return Polyline(np.array(pts), seed, termination)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +475,7 @@ def level_contours(u: ScalarField, levels):
         else:
             chains = _extract_level(grid, vals, lv)
         for pts, cyc in chains:
-            out.append(Polyline(np.asarray(pts), cyc, pts[0],
+            out.append(Polyline(np.asarray(pts), pts[0],
                                 "Closed" if cyc else "LeftDomain"))
     return out
 
@@ -585,8 +583,8 @@ def stagnation_points(flow, floor: float | None = None):
 # emission
 
 
-def save_polylines(polylines, csv_path, json_path=None, extra=None) -> None:
-    """Write polylines as one flat CSV plus an optional JSON manifest.
+def save_polylines(polylines, csv_path, json_path, extra=None) -> None:
+    """Write polylines as one flat CSV plus a JSON manifest.
 
     CSV columns are (trace_id, order, x, y); the manifest carries per-trace
     metadata (seed, closure, termination, point count) under the same ids.
@@ -605,8 +603,7 @@ def save_polylines(polylines, csv_path, json_path=None, extra=None) -> None:
     _ser.write_csv(csv_path, ["trace_id", "order", "x", "y"],
                    [np.asarray(ids, dtype=int), np.asarray(order, dtype=int),
                     np.asarray(xc, dtype=float), np.asarray(yc, dtype=float)])
-    if json_path is not None:
-        env = {"schema_version": _ser.SCHEMA_VERSION, "traces": manifest}
-        if extra:
-            env.update(extra)
-        _ser.write_json(env, json_path)
+    env = {"schema_version": _ser.SCHEMA_VERSION, "traces": manifest}
+    if extra:
+        env.update(extra)
+    _ser.write_json(env, json_path)

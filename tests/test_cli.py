@@ -386,6 +386,11 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["analyze", "--solve", "halfplane", "--n", "41", "--R", "0.5"],
     ["analyze", "--solve", "halfplane", "--n", "41", "--R", "1,5"],
     ["analyze", "--catalog", "couette", "--shear-tol", "-1"],
+    # spacings whose h^2 overflows or underflows
+    ["solve1d", "--family", "allen-cahn", "--L", "1e300"],
+    ["solve", "halfplane", "--L", "1e300", "--n", "41"],
+    ["solve", "strip", "--L", "1e300", "--nx", "97", "--ny", "33"],
+    ["solve", "strip", "--L", "1e-300", "--nx", "97", "--ny", "33"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -405,6 +410,22 @@ def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     assert err.startswith("config error: " + expected)
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the 1D profile's extended-precision polish stalls below rounding
+    ["analyze", "--solve", "strip", "--nx", "97", "--ny", "33", "--L", "6",
+     "--tol", "1e-300"],
+    # the 2D sweeps stall on a strip too thin for the defect to pass
+    ["solve", "strip", "--L", "1e-150", "--nx", "97", "--ny", "33"],
+])
+def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("solver error: ")]
+    assert len(lines) == 1
+    assert "stalled at sweep" in lines[0]
 
 
 def _drop_last_row(bundle):

@@ -276,28 +276,24 @@ def test_euler_residual_requires_pressure():
 def test_odd_extension_examples():
     half = g.Grid(g.PLANE, 9, 9, (0.0, 2.0), (0.0, 1.0))
     X, _ = half.mesh()
-    ext = flows.odd_extend_x1(g.ScalarField(half, X.copy()), "odd")
+    ext = flows.odd_extend_x1(g.ScalarField(half, X.copy()))
     assert ext.grid == g.Grid(g.PLANE, 17, 9, (-2.0, 2.0), (0.0, 1.0))
     assert np.array_equal(ext.values, ext.grid.mesh()[0])
-    even = flows.odd_extend_x1(g.ScalarField(half, X ** 2), "even")
-    assert np.array_equal(even.values, even.grid.mesh()[0] ** 2)
 
     rng = np.random.default_rng(3)
     vals = rng.normal(size=half.shape)
     vals[0, :] = 0.0
-    ext = flows.odd_extend_x1(g.ScalarField(half, vals), "odd")
+    ext = flows.odd_extend_x1(g.ScalarField(half, vals))
     assert np.array_equal(ext.values, -ext.values[::-1, :])
 
     with pytest.raises(flows.ParityViolation):
-        flows.odd_extend_x1(g.ScalarField(half, X + 0.3), "odd")
-    with pytest.raises(ValueError, match="parity"):
-        flows.odd_extend_x1(g.ScalarField(half, X.copy()), "both")
+        flows.odd_extend_x1(g.ScalarField(half, X + 0.3))
     shifted = g.Grid(g.PLANE, 9, 9, (1.0, 2.0), (0.0, 1.0))
     with pytest.raises(g.GridError):
-        flows.odd_extend_x1(g.ScalarField(shifted, np.zeros(shifted.shape)), "odd")
+        flows.odd_extend_x1(g.ScalarField(shifted, np.zeros(shifted.shape)))
     tor = g.Grid(g.TORUS, 8, 8, (0.0, 1.0), (0.0, 1.0))
     with pytest.raises(g.GridError):
-        flows.odd_extend_x1(g.ScalarField(tor, np.zeros(tor.shape)), "odd")
+        flows.odd_extend_x1(g.ScalarField(tor, np.zeros(tor.shape)))
 
 
 def test_saddle_flow_stagnates_at_origin_only(saddle_flow):
@@ -400,8 +396,7 @@ def test_schema1_bundles_still_load(tmp_path):
     tor = g.Grid(g.TORUS, 16, 16, (0.0, 2 * np.pi), (0.0, 2 * np.pi))
     gr = g.Grid(g.STRIP, 9, 9, (0.0, 1.0), (-1.0, 1.0))
     X, Y = gr.mesh()
-    plain = flows.velocity_from_stream(g.ScalarField(gr, Y + (1.0 - Y * Y) * X * X),
-                                       tag="plain")
+    plain = flows.velocity_from_stream(g.ScalarField(gr, Y + (1.0 - Y * Y) * X * X))
     for flow in (flows.analytic_flow("TaylorGreen", tor), plain):
         path = tmp_path / "old.json"
         serialize.write_json(schema1_envelope(flow), path)

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of six small pinned runs.
+"""Golden bytes: the sha256 of every artifact of eight small pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -74,6 +74,22 @@ GOLDEN = {
         {
             "traces.csv": "fefcc8c9450c5b65b53760adc7c71195a1f7eae2626a8303a8508ff0819cff30",
             "traces.json": "1b3b0a6c3059275bce0d220cdd39bb968fccacd5d53af259f7f2271233bb2f4a",
+        },
+    ),
+    # the 1D profile writer, which no 2D run covers
+    "solve1d": (
+        ["solve1d", "--family", "arctan", "--lambda", "4", "--n", "129",
+         "--out", "golden_solve1d"],
+        {
+            "profile.csv": "2ceddb3f3422fe308b978812215d6e1ee4807acdbc45ddd5ae85fcc1c55c4a3e",
+            "report.json": "def6121f8a77458c59eb65dfa94e1b1009dbb654afd94d5a18e0fe2c184b496e",
+        },
+    ),
+    # shear verdicts, curvature and stability margins of the catalog shears
+    "verify_shears": (
+        ["verify", "--suite", "shears", "--out", "golden_verify_shears"],
+        {
+            "verify.json": "e4ca9c5e60c74d912ba0f29010c3b623cedb582a16317779db6f5973455c8b22",
         },
     ),
 }

@@ -178,14 +178,3 @@ def test_trapezoid_exact_on_bilinear():
     f = g.ScalarField.from_function(gr, lambda x, y: 1.0 + x + y + x * y)
     # integral over [0,2]^2 of 1 + x + y + xy = 4 + 4 + 4 + 4
     assert g.integrate(f) == pytest.approx(16.0, rel=1e-13)
-
-
-def test_masked_nodes_contribute_zero():
-    gr = plane(21, 0.0, 1.0)
-    f = g.ScalarField.from_function(gr, lambda x, y: np.ones_like(x))
-    mask = np.zeros(gr.shape, dtype=bool)
-    mask[:11, :] = True  # left half, x <= 0.5
-    got = g.integrate(f, mask=mask)
-    # weights are untouched by masking, so the cut column at x = 0.5 keeps
-    # its full interior weight h while everything right of it contributes 0
-    assert got == pytest.approx(0.5 + gr.hx / 2.0, rel=1e-12)

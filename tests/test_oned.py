@@ -152,6 +152,21 @@ def test_engine_rejects_an_exhausted_budget():
         _sweeps(lambda u: u + 1e-3, max_iter=7)
 
 
+def test_engine_stops_at_a_stall():
+    # a sweep that returns its input is a fixed point every later sweep
+    # repeats, so the engine raises after that one sweep, not at the budget
+    calls = []
+
+    def sweep(u):
+        calls.append(1)
+        return u.copy()
+
+    with pytest.raises(oned.NonConvergence, match="stalled at sweep 1:"):
+        oned._monotone_sweeps(sweep, np.zeros(5), -np.inf, np.inf, True,
+                              lambda u, update: False, 50, 1e-10)
+    assert len(calls) == 1
+
+
 def test_engine_counts_sweeps_to_the_fixed_point():
     # u -> (u + 1)/2 ascends from 0 toward 1; sweep k moves by 2^-k, and
     # 2^-40 is the first update below 1e-12
@@ -226,17 +241,6 @@ def test_boundary_slope_exact_on_quadratics():
     lower, upper = p.boundary_derivatives
     assert abs(lower - 2.0) < 1e-12
     assert abs(upper + 2.0) < 1e-12
-
-
-def test_nonlinearity_oddness_check():
-    rng = np.random.default_rng(7)
-    s = rng.uniform(-3.0, 3.0, 64)
-    assert oned.arctan_family(4.0).check_odd(s) < 1e-14
-    lopsided = oned.custom(f=lambda t: t + 0.1 * t ** 2,
-                           f_prime=lambda t: 1.0 + 0.2 * t,
-                           F=lambda t: 0.5 * t ** 2 + 0.1 * t ** 3 / 3.0,
-                           bound_M=10.0)
-    assert lopsided.check_odd(s) > 1e-3
 
 
 def test_sign_equation_fields():

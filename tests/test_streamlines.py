@@ -79,21 +79,25 @@ def nearest_tg_zero(x, y):
 
 def test_polyline_guards():
     with pytest.raises(ValueError):
-        sl.Polyline(np.zeros((3, 2)), False, (0.0, 0.0), "Wandered")
+        sl.Polyline(np.zeros((3, 2)), (0.0, 0.0), "Wandered")
     with pytest.raises(ValueError):
-        sl.Polyline(np.zeros((2, 3)), False, (0.0, 0.0), "MaxSteps")
+        sl.Polyline(np.zeros((2, 3)), (0.0, 0.0), "MaxSteps")
     with pytest.raises(ValueError):
-        sl.Polyline(np.zeros((0, 2)), False, (0.0, 0.0), "MaxSteps")
+        sl.Polyline(np.zeros((0, 2)), (0.0, 0.0), "MaxSteps")
 
 
 def test_polyline_manifest_entry():
-    p = sl.Polyline([[0.0, 1.0], [0.5, 1.0]], False, (0.0, 1.0), "LeftDomain")
+    p = sl.Polyline([[0.0, 1.0], [0.5, 1.0]], (0.0, 1.0), "LeftDomain")
     assert len(p) == 2
     d = p.to_dict()
     assert d["seed"] == [0.0, 1.0]
     assert d["closed"] is False
     assert d["termination"] == "LeftDomain"
     assert d["n_points"] == 2
+    # closure is read off the termination
+    loop = sl.Polyline([[0.0, 1.0], [0.5, 1.0], [0.0, 1.0]], (0.0, 1.0),
+                       "Closed")
+    assert loop.closed is True and loop.to_dict()["closed"] is True
 
 
 # ---------------------------------------------------------------------------
