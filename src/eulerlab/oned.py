@@ -22,6 +22,8 @@ extended-precision polish and the 2D solver of :mod:`eulerlab.elliptic2d`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import grid as _g
@@ -209,6 +211,21 @@ def _defect(u, spacings, f):
     return _g._neg_lap(u, spacings) - f(u[(slice(1, -1),) * u.ndim])
 
 
+def _norm(a) -> float:
+    """2-norm of ``a``, finite whenever the exact norm is.
+
+    The sum of squares overflows for entries beyond ~1e154, as the folded
+    ring of a spacing near 1e-150 gives; only then is the norm taken again
+    on ``a`` scaled by its largest magnitude, so other solves pay nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(np.linalg.norm(a))
+        if not math.isfinite(n):
+            m = float(np.max(np.abs(a)))
+            n = m * float(np.linalg.norm(a / m))
+    return n
+
+
 class _DirichletSolver:
     """Direct solve of (-Lap_h + shift) w = b on a box with Dirichlet data.
 
@@ -264,7 +281,7 @@ class _DirichletSolver:
         full = np.array(dirichlet, dtype=dt)
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself
-        rnorm, bnorm, wnorm = (float(np.linalg.norm(a)) for a in (
+        rnorm, bnorm, wnorm = (_norm(a) for a in (
             rhs_interior - self.shift * w - _g._neg_lap(full, hs), b, w))
         anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift
         if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):

@@ -102,6 +102,20 @@ def test_linear_solve_residual_check_fires(rank, dtype):
         solver.solve(rhs, ring)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_solve_residual_check_survives_norm_overflow():
+    # entries of 1e300 overflow the sum of squares of every norm; the check
+    # must still compare the residual with a finite bound
+    n = 33
+    solver = oned._DirichletSolver((n, n), (1.0 / (n - 1),) * 2, 1.0)
+    rhs = np.full((n - 2, n - 2), 1e300)
+    ring = np.zeros((n, n))
+    assert np.isfinite(solver.solve(rhs, ring)).all()
+    solver._eig[np.dtype(np.float64)] *= 1.001
+    with pytest.raises(e2.NonConvergence, match="residual"):
+        solver.solve(rhs, ring)
+
+
 def test_linear_solve_honors_dirichlet_ring():
     g = unit_square(33)
     d = np.zeros((33, 33))

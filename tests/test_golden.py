@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of eight small pinned runs.
+"""Golden bytes: the sha256 of every artifact of nine small pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -74,6 +74,16 @@ GOLDEN = {
         {
             "traces.csv": "fefcc8c9450c5b65b53760adc7c71195a1f7eae2626a8303a8508ff0819cff30",
             "traces.json": "1b3b0a6c3059275bce0d220cdd39bb968fccacd5d53af259f7f2271233bb2f4a",
+        },
+    ),
+    # a node table of 51,681 rows, which spans many blocks of the CSV
+    # writer; the other tables fit in one
+    "solve_halfplane": (
+        ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
+        {
+            "flow.csv": "6107b1fc8ae6f2cdf668b0b04e415424fee9047160ee5ab96a91e94678c9ea1f",
+            "flow.json": "99ba4b377fbdf8631231d7708bc159f6ff4cf4a68942363f2e60d76325558125",
+            "report.json": "d7671f07182cf92f1ca4af74d4f54cac3908283cd03cd5995e33a6ce0fc1980e",
         },
     ),
     # the 1D profile writer, which no 2D run covers

@@ -7,10 +7,11 @@ bit pattern, so -0.0 and subnormals count; non-finite values have no
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eulerlab import serialize
 
@@ -71,11 +72,14 @@ def test_header_only_csv_reads_as_empty_columns(tmp_path):
     (np.array([True, False]), TypeError),
     (np.array([1.0, math.nan]), ValueError),
     (np.array([1.0, -math.inf]), ValueError),
+    # the only bad value sits in the last block of rows
+    (np.r_[np.ones(2 * serialize.CSV_BLOCK), math.nan], ValueError),
 ])
 def test_csv_columns_are_checked_before_any_row(tmp_path, column, error):
     path = tmp_path / "bad.csv"
     with pytest.raises(error):
-        serialize.write_csv(path, ["x", "bad"], [np.arange(2.0), column])
+        serialize.write_csv(path, ["x", "bad"],
+                            [np.arange(float(len(column))), column])
     assert not path.exists()
 
 
@@ -87,3 +91,58 @@ def test_csv_cells_are_fmt17_text(tmp_path):
     rows = path.read_text().splitlines()[1:]
     assert rows == ["%s,%d" % (serialize.fmt17(v), i)
                     for i, v in enumerate(values)]
+
+
+def reference_csv(header, columns):
+    """CSV text as written by formatting every cell on its own, row by row."""
+    cells = []
+    for c in map(np.asarray, columns):
+        if np.issubdtype(c.dtype, np.integer):
+            cells.append(map(str, c.tolist()))
+        else:
+            cells.append(map("{:.17g}".format,
+                             np.asarray(c, dtype=float).tolist()))
+    return (",".join(header) + "\n"
+            + "".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+# zero, the smallest and largest subnormals, the smallest normal and the
+# extreme exponents; the test gives each value both signs
+EDGE_VALUES = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1e-300, 0.1, 1.0 / 3.0, 1e300, 1.7976931348623157e308]
+INT_DTYPES = [np.int64, np.int32, np.uint64]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([1, 2, 5, serialize.CSV_BLOCK]),
+       blocks_and_rows=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0),
+                                        (1, 1), (2, 1)]),
+       pool=st.lists(st.one_of(st.sampled_from(EDGE_VALUES), finite),
+                     min_size=1, max_size=6),
+       n_float=st.integers(1, 3),
+       int_dtypes=st.lists(st.sampled_from(INT_DTYPES), max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_csv_bytes_match_per_cell_formatting(tmp_path_factory, block,
+                                             blocks_and_rows, pool, n_float,
+                                             int_dtypes, seed):
+    # lengths 0, 1, block - 1, block, block + 1 and 2 block + 1; a small
+    # pool of magnitudes and their neighbours one ulp down, with random
+    # signs, repeats values within a block and across block boundaries
+    n = max(0, blocks_and_rows[0] * block + blocks_and_rows[1])
+    rng = np.random.default_rng(seed)
+    pool = np.r_[pool, np.nextafter(pool, 0.0)]
+    columns = []
+    for _ in range(n_float):
+        mags = pool[rng.integers(len(pool), size=n)]
+        columns.append(np.where(rng.random(n) < 0.5, -mags, mags))
+    for dt in int_dtypes:
+        info = np.iinfo(dt)
+        columns.append(rng.integers(info.min, info.max, size=n, dtype=dt,
+                                    endpoint=True))
+    order = rng.permutation(len(columns))
+    columns = [columns[k] for k in order]
+    header = ["c%d" % k for k in order]
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    with mock.patch.object(serialize, "CSV_BLOCK", block):
+        serialize.write_csv(path, header, columns)
+    assert path.read_text() == reference_csv(header, columns)
