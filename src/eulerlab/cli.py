@@ -302,12 +302,24 @@ def _resolve(cmd, ns):
     return r
 
 
+def _check_arctan_lambda(lam):
+    # the sandwich is built from lam*pi/2 and the sweeps from the Picard
+    # shift; past float range either one fills the solve with inf and nan
+    nl = oned.arctan_family(lam)
+    if not (math.isfinite(nl.bound_M)
+            and math.isfinite(oned.picard_shift(nl, nl.bound_M))):
+        raise ConfigError("--lambda %r is too large: lambda*pi/2 and the "
+                          "Picard shift must be finite" % lam)
+
+
 def _finish_solve1d(r):
     if not r["family"]:
         raise ConfigError("missing required option: --family")
-    if r["family"] == "arctan" and r["lam"] is None:
-        raise ConfigError(
-            "missing required option: --lambda (the arctan family needs it)")
+    if r["family"] == "arctan":
+        if r["lam"] is None:
+            raise ConfigError("missing required option: --lambda (the "
+                              "arctan family needs it)")
+        _check_arctan_lambda(r["lam"])
     _default(r, "n", 2001 if r["family"] == "arctan" else 4001)
     _default(r, "L", 20.0)
     _default(r, "tol", 1e-10)
@@ -326,6 +338,8 @@ def _solver_defaults(r, which):
     if which == "strip" and r["nx"] % 2 == 0:
         raise ConfigError("--nx must be odd so that x1 = 0 is a node "
                           "column, got %d" % r["nx"])
+    if which == "strip":
+        _check_arctan_lambda(r["lam"])
 
 
 def _finish_solve(r):

@@ -110,14 +110,16 @@ def stagnation_floor(flow) -> float:
 
 def _neighbor_dot(vx, vy, axis, periodic):
     # v(node+h) . v(node-h) along one axis; +inf where a neighbor is off-grid
-    dot = (np.roll(vx, -1, axis) * np.roll(vx, 1, axis)
-           + np.roll(vy, -1, axis) * np.roll(vy, 1, axis))
-    if not periodic:
-        edge = [slice(None), slice(None)]
-        for j in (0, -1):
-            edge[axis] = j
-            dot[tuple(edge)] = np.inf
-    return dot
+    vx, vy = np.moveaxis(vx, axis, 0), np.moveaxis(vy, axis, 0)
+    dot = np.empty(vx.shape)
+    dot[1:-1] = vx[2:] * vx[:-2] + vy[2:] * vy[:-2]
+    if periodic:  # the wrapped neighbors of the two end nodes
+        n = len(vx)
+        up, down = [1 % n, 0], [n - 1, (n - 2) % n]
+        dot[[0, -1]] = vx[up] * vx[down] + vy[up] * vy[down]
+    else:
+        dot[[0, -1]] = np.inf
+    return np.moveaxis(dot, 0, axis)
 
 
 _Bundle = namedtuple("_Bundle", "v1x v1y v2x v2y floor dens live ridge_mass "

@@ -7,7 +7,12 @@ grid.  It runs the sweep engine and the linear solve of
 :mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u from
 one verified side of the sandwich towards the other, each linear system
 solved directly by a DST-I pair of transforms, which diagonalizes the
-shifted 5-point Laplacian.
+shifted 5-point Laplacian.  The sweeps converge linearly, so the engine
+extrapolates along the last step once the step ratio settles, and keeps
+the jump only where the same one-sided stencil and ring check that
+certified the start certifies it as a new start (Sattinger's monotone
+iteration restarted from a better subsolution, or supersolution when
+descending); ``SolveReport.iterations`` still counts plain sweeps.
 
 Two flow constructions sit on top:
 
@@ -48,12 +53,20 @@ class NotASupersolution(ValueError):
 
 
 class SolveReport:
-    """What a solve measured: sweep count, final defect and final update."""
+    """What a solve measured: plain sweeps (each one DST pair), final defect
+    and final update, the accepted and rejected rate extrapolations, and the
+    last settled update ratio (None if it never settled)."""
 
-    def __init__(self, iterations, final_residual, final_update):
+    def __init__(self, iterations, final_residual, final_update,
+                 extrapolations_accepted, extrapolations_rejected,
+                 settled_rate):
         self.iterations = int(iterations)
         self.final_residual = float(final_residual)
         self.final_update = float(final_update)
+        self.extrapolations_accepted = int(extrapolations_accepted)
+        self.extrapolations_rejected = int(extrapolations_rejected)
+        self.settled_rate = (None if settled_rate is None
+                             else float(settled_rate))
         # the 1D profile or heteroclinic a flow construction solved for its
         # far-field data, kept for the attachment check; not serialized
         self.profile = None
@@ -63,6 +76,9 @@ class SolveReport:
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "final_update": self.final_update,
+            "extrapolations_accepted": self.extrapolations_accepted,
+            "extrapolations_rejected": self.extrapolations_rejected,
+            "settled_rate": self.settled_rate,
         }
 
 
@@ -114,9 +130,10 @@ def _stencil_slack(grid: Grid, shift: float, scale: float) -> float:
     return 64.0 * np.finfo(float).eps * weight * max(scale, 1.0)
 
 
-def _check_one_sided(nl, dirichlet, shift, field, kind):
-    g = field.grid
-    v = field.values
+def _check_one_sided(nl, dirichlet, shift, g, v, kind):
+    """Raise NotASubsolution (kind "sub") or NotASupersolution unless the
+    values ``v`` on grid ``g`` satisfy the stencil inequality inside and
+    the Dirichlet inequality on the ring, up to roundoff slack."""
     scale = float(np.max(np.abs(v)))
     slack = _stencil_slack(g, shift, scale) + 1e-10 * (1.0 + scale)
     defect = oned._defect(v, (g.hx, g.hy), nl.f)
@@ -180,8 +197,8 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
     spacings = (g.hx, g.hy)
     solver = oned._DirichletSolver(g.shape, spacings, shift)
     first, second = (sub, sup) if ascending else (sup, sub)
-    _check_one_sided(nl, dirichlet, shift, first, start)
-    _check_one_sided(nl, dirichlet, shift, second,
+    _check_one_sided(nl, dirichlet, shift, g, first.values, start)
+    _check_one_sided(nl, dirichlet, shift, g, second.values,
                      "super" if ascending else "sub")
     if float((sup.values - sub.values).min()) < -1e-12:
         raise ValueError("sandwich ordering sub <= super fails pointwise")
@@ -208,10 +225,19 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
         res = float(np.max(np.abs(oned._defect(u, spacings, nl.f))))
         return res < tol
 
-    u, sweeps, update = oned._monotone_sweeps(
+    def certify(v):
+        # an extrapolated iterate must be a start of the same iteration
+        try:
+            _check_one_sided(nl, dirichlet, shift, g, v, start)
+        except (NotASubsolution, NotASupersolution):
+            return False
+        return True
+
+    run = oned._monotone_sweeps(
         sweep, np.array(first.values, dtype=float), sub.values, sup.values,
-        ascending, done, max_iter, 1e-10 * (1.0 + smax))
-    return ScalarField(g, u), SolveReport(sweeps, res, update)
+        ascending, done, max_iter, 1e-10 * (1.0 + smax), certify=certify)
+    return ScalarField(g, run.u), SolveReport(
+        run.sweeps, res, run.update, run.accepted, run.rejected, run.rate)
 
 
 # ---------------------------------------------------------------------------

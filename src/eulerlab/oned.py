@@ -18,11 +18,20 @@ the sandwich; both facts are asserted on every sweep rather than trusted.
 One engine, :func:`_monotone_sweeps`, and one linear solve,
 :class:`_DirichletSolver`, run these sweeps for the float64 phase, the
 extended-precision polish and the 2D solver of :mod:`eulerlab.elliptic2d`.
+
+The engine watches the ratio of successive step norms.  A caller that
+passes a certificate (the 2D solver does; the 1D solves, which cost little,
+do not) gets a damped Aitken jump along the last step once that rate has
+settled, kept only if the certificate accepts it as a new start of the same
+monotone iteration.  A caller that passes its update target (the float64
+phase here) gets an early NonConvergence when the settled rate shows the
+target cannot be reached within the sweep budget.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -78,9 +87,15 @@ def arctan_family(lam: float) -> Nonlinearity:
     lam = float(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
+
+    def f_prime(s):
+        # s^2 overflows to inf past ~1e154, giving the exact limit 0
+        with np.errstate(over="ignore"):
+            return lam / (1.0 + np.square(s))
+
     return Nonlinearity(
         f=lambda s: lam * np.arctan(s),
-        f_prime=lambda s: lam / (1.0 + np.square(s)),
+        f_prime=f_prime,
         F=lambda s: lam * (s * np.arctan(s) - 0.5 * np.log1p(np.square(s))),
         bound_M=lam * np.pi / 2.0,
         family="ArctanFamily",
@@ -168,20 +183,51 @@ class Profile:
 # monotone iteration core
 
 
+# damping of the rate extrapolation in _monotone_sweeps: the jump covers
+# this share of the geometric tail that the settled rate predicts
+THETA = 0.8
+
+# two consecutive step ratios this close (relative) settle the rate
+RATE_AGREEMENT = 0.01
+
+SweepRun = namedtuple("SweepRun", "u sweeps update accepted rejected rate")
+
+
 def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
-                     slack):
+                     slack, certify=None, target=None):
     """The sub/supersolution sweep engine behind the 1D and 2D solvers.
 
     Before each sweep ``done(u, update)`` decides whether to stop (``update``
-    is the max-norm of the last step, inf before the first); otherwise
+    is the max-norm of the last move, inf before the first); otherwise
     ``u = sweep(u)``.  Every step must go one way (up when ``ascending``)
     and keep lower <= u <= upper, both within ``slack``: a failure means the
     shift did not linearize f on the range, which is a solver defect and not
     something to iterate past.  Nor is a zero update while ``done`` is false:
-    every later sweep would repeat it.  Returns (u, sweeps, update).
+    every later sweep would repeat it.
+
+    The ratio of the last two step max-norms is the observed rate, settled
+    once two consecutive ratios agree within RATE_AGREEMENT.  Given a
+    ``certify`` callback and a settled rate r < 1, the engine tries the
+    damped geometric-tail jump (Aitken 1926) nxt + THETA*r/(1-r)*step from
+    the plain sweep's result nxt.  It keeps the jump only if it stays on the
+    near side of the far bound (<= upper ascending, >= lower descending) and
+    ``certify`` accepts it as a start of the same iteration: a subsolution
+    when ascending, a supersolution when descending.  From such a start the
+    next plain step again goes one way and stays in the sandwich (Sattinger
+    1972), so every check above keeps its meaning; the rate history starts
+    over.  The update after a jump is the whole move from the previous
+    iterate, so a jump never ends a run early.
+
+    Given an update ``target``, a settled rate also predicts the sweeps left
+    until the update passes it; see :func:`_refuse_hopeless`.
+
+    Returns a :class:`SweepRun`: the iterate, the plain sweeps run, the last
+    update, the accepted and rejected jumps, and the last settled rate (None
+    if the rate never settled).
     """
     update = np.inf
-    sweeps = 0
+    sweeps = accepted = rejected = 0
+    last = ratio = rate = None
     while not done(u, update):
         if update == 0.0:
             raise NonConvergence("iteration stalled at sweep %d: the sweep "
@@ -200,10 +246,74 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
         if escape > slack:
             raise NonConvergence("iterate escaped the sub/supersolution "
                                  "sandwich by %.3e" % escape)
-        u = nxt
-        update = float(np.max(np.abs(step)))
         sweeps += 1
-    return u, sweeps, update
+        norm = float(np.max(np.abs(step)))
+        before, ratio = ratio, (norm / last if last else None)
+        last = norm
+        if (before is not None and ratio is not None
+                and abs(ratio - before) <= RATE_AGREEMENT * ratio):
+            rate = ratio
+            if target is not None:
+                _refuse_hopeless(rate, before, norm, target,
+                                 max_iter - sweeps, nxt,
+                                 upper if ascending else lower)
+            if certify is not None and rate < 1.0 and THETA > 0.0:
+                cand = nxt + (THETA * rate / (1.0 - rate)) * step
+                if (np.all(cand <= upper) if ascending
+                        else np.all(cand >= lower)) and certify(cand):
+                    accepted += 1
+                    update = float(np.max(np.abs(cand - u)))
+                    u = cand
+                    last = ratio = None
+                    continue
+                rejected += 1
+        u, update = nxt, norm
+    return SweepRun(u, sweeps, update, accepted, rejected, rate)
+
+
+def _refuse_hopeless(rate, before, norm, target, left, u, far):
+    """Raise NonConvergence when the settled ``rate`` says an update of
+    ``norm`` cannot fall below ``target`` in the ``left`` sweeps of budget.
+
+    A rate r < 1 needs log(target/norm) / log(r) more sweeps; r >= 1 never
+    gets there.  The verdict asks three things more.  The prediction must
+    hold still: made one sweep earlier from the ratio ``before``, it named
+    the same last sweep to within one, which a rate still drifting towards
+    its limit fails long before it fails the RATE_AGREEMENT test.  The step
+    must carry at least half the digits of the iterate u: below
+    sqrt(eps)*max|u| the step norms are a few ulps of u, and their ratios
+    hover near 1 whatever the true rate.  And the sandwich must have room
+    for the steps norm*r^j, j = 1..left, that the rate predicts: when their
+    sum exceeds the distance from u to the ``far`` side, the steps must
+    change course before the budget is out, as they do on the moving front
+    of the double-well connection and in the growth phase of a solve just
+    above the eigenvalue threshold.
+    """
+    if rate < 1.0:
+        if before >= 1.0:
+            return
+        ahead = math.log(target / norm)
+        need = ahead / math.log(rate)
+        if need <= left:
+            return
+        if abs((ahead + math.log(rate)) / math.log(before) - 1.0 - need) > 1.0:
+            return
+        predicted = "%d more sweeps" % math.ceil(need)
+    elif before < 1.0:
+        return
+    else:
+        predicted = "no end"
+    if norm < math.sqrt(np.finfo(u.dtype).eps) * float(np.max(np.abs(u))):
+        return
+    if rate == 1.0:
+        moved = norm * left
+    else:  # past e^700 the sum is beyond any float sandwich anyway
+        growth = math.expm1(min(left * math.log(rate), 700.0))
+        moved = norm * rate * growth / (rate - 1.0)
+    if moved <= float(np.max(np.abs(far - u))):
+        raise NonConvergence(
+            "settled update ratio %.9f predicts %s, with %d sweeps left in "
+            "the budget (last update %.3e)" % (rate, predicted, left, norm))
 
 
 def _defect(u, spacings, f):
@@ -321,13 +431,15 @@ def _picard_1d(nl, h, start, lower, upper, bc, shift, tol, max_iter,
 
     u = np.array(start, dtype=float)
     u[0], u[-1] = bc
-    u, it1, _ = _monotone_sweeps(sweep, u, lower, upper, ascending,
-                                 lambda u, update: update < tol, max_iter,
-                                 slack)
-    ul, it2, _ = _monotone_sweeps(
-        sweep, u.astype(np.longdouble), lower, upper, ascending,
+    first = _monotone_sweeps(sweep, u, lower, upper, ascending,
+                             lambda u, update: update < tol, max_iter, slack,
+                             target=tol)
+    polish = _monotone_sweeps(
+        sweep, first.u.astype(np.longdouble), lower, upper, ascending,
         lambda ul, update: defect(ul) < tol, 1000, slack)
-    return np.asarray(ul, dtype=float), defect(ul), it1 + it2
+    ul = polish.u
+    return (np.asarray(ul, dtype=float), defect(ul),
+            first.sweeps + polish.sweeps)
 
 
 def select_subsolution_amplitude(nl: Nonlinearity, rate: float) -> float:

@@ -431,6 +431,31 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
     assert "stalled at sweep" in lines[0]
 
 
+# runs that cannot finish end at once with one line, and nothing on the way
+# warns: lambda*pi/2 past float range is refused up front, and the arctan
+# f' overflows quietly to its limit 0 on the huge sandwich
+@pytest.mark.parametrize("argv, code, head, says", [
+    (["solve1d", "--family", "arctan", "--lambda", "1e6"], 2,
+     "solver error: NonConvergence: ", "predicts no end"),
+    (["solve1d", "--family", "arctan", "--lambda", "1e200"], 2,
+     "solver error: NonConvergence: ", "predicts no end"),
+    (["solve1d", "--family", "arctan", "--lambda", "1e300"], 2,
+     "solver error: NonConvergence: ", "predicts no end"),
+    (["solve1d", "--family", "arctan", "--lambda", "1e308"], 1,
+     "config error: ", "--lambda 1e+308 is too large"),
+    (["solve", "strip", "--lambda", "1e308"], 1,
+     "config error: ", "--lambda 1e+308 is too large"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
+                                        capsys):
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(head) and says in err
+
+
 def _drop_last_row(bundle):
     rows = (bundle / "flow.csv").read_text().splitlines(keepends=True)
     (bundle / "flow.csv").write_text("".join(rows[:-1]))

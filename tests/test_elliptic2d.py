@@ -6,9 +6,12 @@ so the fixed point is certified by a solver that shares no code with the
 sweep machinery.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from eulerlab import elliptic2d as e2
@@ -188,8 +191,10 @@ def test_zero_reaction_converges_immediately():
     assert float(np.max(np.abs(u.values))) == 0.0
     assert report.iterations == 1
     # the report holds measured values only
-    assert sorted(report.to_dict()) == ["final_residual", "final_update",
-                                        "iterations"]
+    assert sorted(report.to_dict()) == [
+        "extrapolations_accepted", "extrapolations_rejected",
+        "final_residual", "final_update", "iterations", "settled_rate"]
+    assert report.settled_rate is None
 
 
 def strip_problem(nx=193, ny=65, L=12.0):
@@ -412,6 +417,112 @@ def test_type3_input_checks():
         e2.solve_type3_strip(oned.arctan_family(4.0), nx=768)
     with pytest.raises(ValueError):
         e2.solve_type3_strip(oned.arctan_family(4.0), far_field="dirichlet")
+
+
+# ---------------------------------------------------------------------------
+# rate extrapolation: same limit, same sandwich, fewer sweeps
+
+
+def _plain(solve):
+    """``solve()`` run by the engine without extrapolation (THETA = 0)."""
+    with mock.patch.object(oned, "THETA", 0.0):
+        return solve()
+
+
+@pytest.mark.parametrize("case", ["strip769", "strip385", "saddle321",
+                                  "strip_descending"])
+def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
+    arctan = oned.arctan_family(4.0)
+    solve, accelerated = {
+        "strip769": (lambda: e2.solve_type3_strip(arctan), type3_full),
+        "strip385": (lambda: e2.solve_type3_strip(arctan, nx=385, ny=65),
+                     None),
+        "saddle321": (lambda: e2.solve_saddle_quadrant(oned.allen_cahn()),
+                      saddle_full),
+        # zero far-field data descends from the profile supersolution
+        "strip_descending": (lambda: e2.solve_type3_strip(
+            arctan, L=8.0, nx=257, ny=33, far_field="zero"), None),
+    }[case]
+    u, report = accelerated or solve()
+    w, plain = _plain(solve)
+    assert plain.extrapolations_accepted == plain.extrapolations_rejected == 0
+    assert report.extrapolations_accepted > 0
+    assert report.iterations < plain.iterations
+    assert report.final_residual < 1e-8
+    assert float(np.max(np.abs(u.values - w.values))) <= 1e-8
+
+
+def test_failing_certificate_is_the_plain_engine():
+    nl, ring, shift, supersol = strip_problem(nx=97, ny=33)
+    sub = strip_bump(nl, supersol.grid)
+    engine = oned._monotone_sweeps
+
+    def refusing(*args, certify, **options):
+        return engine(*args, certify=lambda v: False, **options)
+
+    def solve():
+        return e2.solve_semilinear(nl, ring, shift, sub, supersol, tol=1e-8)
+
+    with mock.patch.object(oned, "_monotone_sweeps", refusing):
+        u, refused = solve()
+    w, plain = _plain(solve)
+    assert refused.extrapolations_rejected > 0
+    assert refused.extrapolations_accepted == 0
+    assert u.values.tobytes() == w.values.tobytes()
+    assert (refused.iterations, refused.final_update, refused.final_residual,
+            refused.settled_rate) == (plain.iterations, plain.final_update,
+                                      plain.final_residual, plain.settled_rate)
+
+
+def _watched_iterates(solve):
+    """Run ``solve()`` and keep (lower, upper, ascending, iterates) of each
+    2D engine run, the iterates being all that ``done`` saw: the start,
+    every plain sweep kept and every accepted jump."""
+    runs, engine = [], oned._monotone_sweeps
+
+    def spy(sweep, u, lower, upper, ascending, done, *rest, **options):
+        if "certify" not in options:  # a 1D far-field solve
+            return engine(sweep, u, lower, upper, ascending, done, *rest,
+                          **options)
+        seen = []
+        runs.append((lower, upper, ascending, seen))
+
+        def watched(v, update):
+            seen.append(np.array(v))
+            return done(v, update)
+        return engine(sweep, u, lower, upper, ascending, watched, *rest,
+                      **options)
+    with mock.patch.object(oned, "_monotone_sweeps", spy):
+        result = solve()
+    return result, runs
+
+
+@settings(max_examples=20)
+@given(lam=st.floats(3.0, 8.0), half=st.integers(7, 40),
+       ny=st.integers(9, 33), far_field=st.sampled_from(["profile", "zero"]))
+def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
+    # two correct runs stop up to rate/(1 - rate) * tol from the fixed
+    # point, about 2 * tol apart at lam = 3 on a 17 x 9 grid, so both stop
+    # at 1e-10 here and must agree within the default tol of 1e-8
+    nl = oned.arctan_family(lam)
+
+    def solve():
+        return e2.solve_type3_strip(nl, L=6.0, nx=2 * half + 1, ny=ny,
+                                    tol=1e-10, far_field=far_field)
+
+    (u, report), runs = _watched_iterates(solve)
+    [(lower, upper, ascending, seen)] = runs
+    seen = np.array(seen)
+    assert len(seen) == report.iterations + 1
+    assert float(np.min(seen - lower)) >= -1e-12
+    assert float(np.max(seen - upper)) <= 1e-12
+    # a jump is certified up to the stencil check's slack, so the sweep
+    # after it may step back by ~1e-11, inside the engine's one-way slack
+    slack = 1e-10 * (1.0 + float(np.max(np.abs(upper))))
+    steps = np.diff(seen, axis=0) * (1.0 if ascending else -1.0)
+    assert float(steps.min()) >= -slack
+    w, _ = _plain(solve)
+    assert float(np.max(np.abs(u.values - w.values))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

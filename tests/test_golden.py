@@ -19,9 +19,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "30a20783c82ab8b686f35a7fa554c5319d207e6536f56689cd0f60d39ed87ca4",
-            "flow.json": "52c8d0b45768d1cdea04b6af3f6a05e4ee1f3c0850f983c8f8c75124b4466fb4",
-            "report.json": "f0e004d11cab4acce3311563909952dabda733479de0bd219b3b14f8894770a9",
+            "flow.csv": "29c960ab4071cb44ffdcdc4683ee1270bdbd1d7d08c571fbf9a60ad7ab16ed43",
+            "flow.json": "883625be4ab44f9327b6aff8428d71b6dbedbbdcf84a921d308b22573fc2ad22",
+            "report.json": "73c10bce277e074fdeaf3e888d8967b0d8b0a394714598da76275f7d5abe654a",
         },
     ),
     "analyze": (
@@ -39,9 +39,9 @@ GOLDEN = {
         ["analyze", "--solve", "halfplane", "--n", "81",
          "--out", "golden_saddle"],
         {
-            "angle_set.csv": "d80961d8abd639d2a1b501d0f18ac03d7cc8eb31c768df8931edd141d31221b4",
-            "curvature_profile.csv": "f7ea890a769524a72067bdf8bfcfdfd695eed5fa50fda031f9d9aa0b7e2135cf",
-            "report.json": "651fe95c185ace7ce87451e93f466bc9e6fcf68691582d176a0fc1909d2fc56c",
+            "angle_set.csv": "f5ac7543610951de4cc3f8f65a1ec4cacd377bad2913aceb917cebeed8ef33da",
+            "curvature_profile.csv": "a649518edd8bfea77b1083e5464c3914940fe3bcf10a8328668927859a1b70d1",
+            "report.json": "fc714fcbb83e8ec166248e760c738813211f2a942bbfa2d94c4274abbb74aa67",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -49,9 +49,9 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "3dc17dda795832a1c5d9c3077c369bf2cd36fdba994ce536a21e00b80134a9f2",
-            "curvature_profile.csv": "fc2d7ea0e6a742b22c8a71a134a94f7ee9f1daa988e37be37ce9063421a9879f",
-            "report.json": "33f4cb4c4c32e5cbb30089ea4c6f1131439249245a2f2ec0e7d398488d3cf18a",
+            "angle_set.csv": "50cc18a31599f8e89ee33eb930f454c626c0a9deb1292234799627178de27476",
+            "curvature_profile.csv": "e818f865ada424720826bd2a69369fa3cf3e66122233430a7a399552cf2a06f9",
+            "report.json": "198b2be56150d3e70373b2e671b1d538230ca91d35df084d533df63057c48191",
         },
     ),
     # streamlines on the saved bundle: one seed runs out of steps, one
@@ -61,7 +61,7 @@ GOLDEN = {
          "--seed", "5,0.5", "--seed=0,-0.9", "--max-steps", "100",
          "--out", "golden_trace_file"],
         {
-            "traces.csv": "544c27a14803f426cf728daeac71d595ae1d60d4c8b81794f37342097bf2138f",
+            "traces.csv": "5c3812bad83bdaf8b3fd7b8729fe0c80d59e1af77a1e6a1701738e07d07f85c4",
             "traces.json": "1e1f8bed8db0d0d6fdc8c04c2060fedaa98a9c0bc6c9c2194e939ad742693bd3",
         },
     ),
@@ -81,9 +81,9 @@ GOLDEN = {
     "solve_halfplane": (
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
-            "flow.csv": "6107b1fc8ae6f2cdf668b0b04e415424fee9047160ee5ab96a91e94678c9ea1f",
-            "flow.json": "99ba4b377fbdf8631231d7708bc159f6ff4cf4a68942363f2e60d76325558125",
-            "report.json": "d7671f07182cf92f1ca4af74d4f54cac3908283cd03cd5995e33a6ce0fc1980e",
+            "flow.csv": "6165010d59bf1e95d6af6bed1f477368221c26789f21d4dc8864990043f62c28",
+            "flow.json": "643e81feeab39cca80e262f43ffb26a005ce5de4ca989ccc7edb56fdcc1b174a",
+            "report.json": "d1f12f7776a01e50d01fd893b07b03d920cc08e091faa5e1263fbf01acc90832",
         },
     ),
     # the 1D profile writer, which no 2D run covers

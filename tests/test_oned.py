@@ -77,14 +77,14 @@ def _recorded_sweeps(run):
     start of each phase included), cast to float64."""
     seen, engine = [], oned._monotone_sweeps
 
-    def spy(sweep, u, *rest):
+    def spy(sweep, u, *rest, **options):
         seen.append(np.asarray(u, dtype=float))
 
         def recorded(v):
             nxt = sweep(v)
             seen.append(np.asarray(nxt, dtype=float))
             return nxt
-        return engine(recorded, u, *rest)
+        return engine(recorded, u, *rest, **options)
     with mock.patch.object(oned, "_monotone_sweeps", spy):
         result = run()
     return result, np.array(seen)
@@ -170,9 +170,62 @@ def test_engine_stops_at_a_stall():
 def test_engine_counts_sweeps_to_the_fixed_point():
     # u -> (u + 1)/2 ascends from 0 toward 1; sweep k moves by 2^-k, and
     # 2^-40 is the first update below 1e-12
-    u, sweeps, update = _sweeps(lambda u: 0.5 * (u + 1.0), upper=np.ones(5))
-    assert sweeps == 40 and update == 2.0 ** -40
-    assert np.all(u <= 1.0)
+    run = _sweeps(lambda u: 0.5 * (u + 1.0), upper=np.ones(5))
+    assert run.sweeps == 40 and run.update == 2.0 ** -40
+    assert np.all(run.u <= 1.0)
+    # the rate settles at 1/2, but without a certificate nothing jumps
+    assert run.rate == 0.5 and run.accepted == run.rejected == 0
+
+
+def test_engine_keeps_a_jump_only_under_the_far_bound():
+    # u -> (u + 1)/2 settles at rate 1/2 below the bound 1: THETA = 0.8
+    # jumps nine tenths of the way there, THETA = 3 would jump past it
+    def run():
+        return oned._monotone_sweeps(
+            lambda u: 0.5 * (u + 1.0), np.zeros(5), -np.inf, np.ones(5),
+            True, lambda u, update: update < 1e-12, 50, 1e-10,
+            certify=lambda v: True)
+
+    kept = run()
+    assert kept.accepted > 0 and kept.sweeps < 40
+    assert np.all(kept.u <= 1.0)
+    with mock.patch.object(oned, "THETA", 3.0):
+        over = run()
+    assert over.accepted == 0 and over.rejected > 0 and over.sweeps == 40
+
+
+def _scripted(steps, start=0.0, upper=np.inf):
+    """Engine run with an update target whose k-th sweep adds steps[k]."""
+    script = iter(steps)
+    return oned._monotone_sweeps(
+        lambda u: u + next(script), np.full(5, start), -np.inf, upper, True,
+        lambda u, update: update < 1e-12, 50, 1e-10, target=1e-12)
+
+
+@pytest.mark.parametrize("steps, start, upper, verdict", [
+    # steps that hold their size never pass the target
+    ([1.0] * 50, 0.0, np.inf, "ratio 1.000000000 predicts no end, with 47"),
+    # a geometric tail at 0.999 needs ~27,600 more sweeps
+    ([0.999 ** k for k in range(50)], 0.0, np.inf, "predicts 27"),
+    # a rate still drifting (0.990, 0.9901, ...) predicts a moving end
+    (np.cumprod([0.99 + 1e-4 * k for k in range(50)]), 0.0, np.inf, None),
+    # steps of 8 ulps of the iterate carry no rate
+    ([2.0 ** -30] * 50, 1e6, np.inf, None),
+])
+def test_engine_refuses_a_run_its_rate_cannot_finish(steps, start, upper,
+                                                      verdict):
+    with pytest.raises(oned.NonConvergence) as err:
+        _scripted(steps, start, upper)
+    assert str(err.value).startswith("settled update ratio" if verdict
+                                     else "no convergence in 50 sweeps")
+    assert verdict is None or verdict in str(err.value)
+
+
+def test_engine_spares_steps_the_sandwich_will_stop():
+    # steps of 1 for ten sweeps under a bound 20 away: the sandwich has no
+    # room for the 47 more the settled rate 1 predicts, and the run ends
+    run = _scripted([1.0] * 10 + [1e-13] * 40, upper=20.0)
+    assert run.sweeps == 11 and run.rate == 1.0
 
 
 def test_heteroclinic_matches_tanh():
