@@ -171,8 +171,6 @@ _COMMANDS = {
         "positionals": [],
         "options": [
             _Opt("--suite", "suite", str, help="check suite (default all)"),
-            _Opt("--fast", "fast", bool, action="flag",
-                 help="shrink the cellular grid for quicker runs"),
         ],
     },
 }
@@ -191,9 +189,7 @@ def _build_parser() -> _Parser:
             sp.add_argument(name, choices=choices)
         for o in spec["options"]:
             kwargs = {"dest": o.dest, "default": None, "help": o.help}
-            if o.action == "flag":
-                kwargs["action"] = "store_true"
-            elif o.action == "append":
+            if o.action == "append":
                 kwargs["action"] = "append"
             else:
                 if o.choices:
@@ -209,10 +205,6 @@ def _build_parser() -> _Parser:
 
 
 def _coerce_config(opt: _Opt, key, val):
-    if opt.action == "flag":
-        if not isinstance(val, bool):
-            raise ConfigError("config key %r must be true or false" % key)
-        return val
     if opt.action == "append":
         return list(val) if isinstance(val, (list, tuple)) else [val]
     if opt.dest == "R":
@@ -374,7 +366,6 @@ def _finish_trace(r):
 
 def _finish_verify(r):
     _default(r, "suite", "all")
-    _default(r, "fast", False)
     suites = acceptance._SUITES
     if r["suite"] not in suites:
         raise ConfigError("unknown suite %r; known suites: %s"
@@ -721,7 +712,7 @@ def cmd_reproduce(r) -> int:
 def cmd_verify(r) -> int:
     out = _outdir(r)
     cfg = _echo_config(r, "verify")
-    cache = acceptance._FlowCache(fast=r["fast"])
+    cache = acceptance._FlowCache()
     results = []
     for name in acceptance._SUITES[r["suite"]]:
         results.extend(acceptance._CHECK_MAP[name](cache))

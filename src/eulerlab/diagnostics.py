@@ -203,12 +203,13 @@ def _bundle(flow) -> _Bundle:
 
 
 class AngleSet:
-    """Occupancy and |v|-weighted mass of flow directions over angle bins."""
+    """|v|-weighted mass of flow directions over angle bins; a bin with mass
+    is occupied."""
 
-    def __init__(self, n_bins, occupied, mass, stagnation_threshold):
-        self.n_bins = int(n_bins)
-        self.occupied = np.asarray(occupied, dtype=bool)
+    def __init__(self, mass, stagnation_threshold):
         self.mass = np.asarray(mass, dtype=float)
+        self.n_bins = len(self.mass)
+        self.occupied = self.mass > 0.0
         self.stagnation_threshold = float(stagnation_threshold)
 
     def occupied_indices(self):
@@ -230,7 +231,7 @@ def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleS
     theta = angle_from(np.stack([v.vx[live], v.vy[live]], axis=-1))
     idx = _bin_index(theta, n_bins)
     mass = np.bincount(idx, weights=speed[live], minlength=n_bins)
-    return AngleSet(n_bins, mass > 0.0, mass, threshold)
+    return AngleSet(mass, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +407,9 @@ def boundary_trace_Jinf(flow, R_list):
 class CurvatureProfile:
     """Curvature mass accumulated into equal-width angle bins."""
 
-    def __init__(self, n_bins, bin_mass):
-        self.n_bins = int(n_bins)
+    def __init__(self, bin_mass):
         self.bin_mass = np.asarray(bin_mass, dtype=float)
+        self.n_bins = len(self.bin_mass)
         self.total = float(self.bin_mass.sum())
 
 
@@ -486,7 +487,7 @@ def _kappa_distribution(flow, b, n_bins):
                    + np.clip(np.minimum(d + width - 2.0 * np.pi, s), 0.0, width))
         share = overlap / overlap.sum(axis=1, keepdims=True)
         mass = mass + amounts @ share
-    return CurvatureProfile(n_bins, mass)
+    return CurvatureProfile(mass)
 
 
 def semicircle_bins(n_bins: int):

@@ -1,18 +1,20 @@
 """Monotone solver for -Lap(u) = f(u) on rectangles with Dirichlet data.
 
-``solve_semilinear(nl, dirichlet, shift, sub, sup)`` is the one entry
-point, on plain arguments: the reaction term, the Dirichlet ring, the
-shift, and the sandwich sub <= sup as two fields whose grid is the problem's
-grid.  It runs the sweep engine and the linear solve of
-:mod:`eulerlab.oned`: sweeps of (-Lap + shift) u_next = f(u) + shift*u from
-one verified side of the sandwich towards the other, each linear system
-solved directly by a DST-I pair of transforms, which diagonalizes the
-shifted 5-point Laplacian.  The sweeps converge linearly, so the engine
-extrapolates along the last step once the step ratio settles, and keeps
-the jump only where the same one-sided stencil and ring check that
-certified the start certifies it as a new start (Sattinger's monotone
-iteration restarted from a better subsolution, or supersolution when
-descending); ``SolveReport.iterations`` still counts plain sweeps.
+``solve_semilinear(nl, dirichlet, sub, sup)`` is the one entry point, on
+plain arguments: the reaction term, the Dirichlet ring, and the sandwich
+sub <= sup as two fields whose grid is the problem's grid.  The shift is
+derived from them: the Lipschitz bound of f on the sandwich range, which
+makes the iteration monotone (Sattinger 1972).  It runs the sweep engine
+and the linear solve of :mod:`eulerlab.oned`: sweeps of
+(-Lap + shift) u_next = f(u) + shift*u from one verified side of the
+sandwich towards the other, each linear system solved directly by a DST-I
+pair of transforms, which diagonalizes the shifted 5-point Laplacian.  The
+sweeps converge linearly, so the engine extrapolates along the last step
+once the step ratio settles, and keeps the jump only where the same
+one-sided stencil and ring check that certified the start certifies it as
+a new start (Sattinger's monotone iteration restarted from a better
+subsolution, or supersolution when descending); ``SolveReport.iterations``
+still counts plain sweeps.
 
 Two flow constructions sit on top:
 
@@ -164,9 +166,8 @@ def _check_one_sided(nl, dirichlet, shift, g, v, kind):
 # monotone iteration
 
 
-def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
-                     sub: ScalarField, sup: ScalarField, start: str = "sub",
-                     tol: float = 1e-8, max_iter: int = 10000):
+def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
+                     sup: ScalarField, start: str = "sub", tol: float = 1e-8):
     """Monotone fixed point of (-Lap_h + shift) u_next = f(u) + shift*u.
 
     The grid is read off ``sub``, which must be a non-periodic rectangle;
@@ -175,7 +176,8 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
     finite, else GridError).  ``sub <= sup`` is the sandwich: both sides are
     verified against the stencil and the ring before any sweep runs, the
     ``start`` side ("sub" ascends, "super" descends) first, and every
-    iterate must stay between them.  Returns (solution, SolveReport).
+    iterate must stay between them, for at most ``oned.SWEEPS_2D`` sweeps.
+    Returns (solution, SolveReport).
     """
     if start not in ("sub", "super"):
         raise ValueError("start must be 'sub' or 'super'")
@@ -190,9 +192,9 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
         raise ValueError("dirichlet array must cover the full grid ring")
     if not np.all(np.isfinite(dirichlet)):
         raise ValueError("dirichlet data must be finite")
-    shift = float(shift)
-    if not (np.isfinite(shift) and shift >= 0.0):
-        raise ValueError("shift must be finite and nonnegative")
+    smax = max(float(np.max(np.abs(sub.values))),
+               float(np.max(np.abs(sup.values))))
+    shift = oned.picard_shift(nl, smax)
     # before the one-sided checks, whose stencil slack also divides by h^2
     spacings = (g.hx, g.hy)
     solver = oned._DirichletSolver(g.shape, spacings, shift)
@@ -202,13 +204,6 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
                      "super" if ascending else "sub")
     if float((sup.values - sub.values).min()) < -1e-12:
         raise ValueError("sandwich ordering sub <= super fails pointwise")
-
-    smax = max(float(np.max(np.abs(sub.values))),
-               float(np.max(np.abs(sup.values))))
-    probe = np.linspace(0.0, max(smax, 1e-12), 4096)
-    if shift < float(np.max(nl.f_prime(probe))) - 1e-12:
-        raise ValueError("shift is below max f' on the sandwich range; "
-                         "sweeps would not be monotone")
 
     def sweep(u):
         rhs = nl.f(u[1:-1, 1:-1]) + shift * u[1:-1, 1:-1]
@@ -235,7 +230,8 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, shift: float,
 
     run = oned._monotone_sweeps(
         sweep, np.array(first.values, dtype=float), sub.values, sup.values,
-        ascending, done, max_iter, 1e-10 * (1.0 + smax), certify=certify)
+        ascending, done, oned.SWEEPS_2D, 1e-10 * (1.0 + smax),
+        certify=certify)
     return ScalarField(g, run.u), SolveReport(
         run.sweeps, res, run.update, run.accepted, run.rejected, run.rate)
 
@@ -295,7 +291,6 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
     ring = dirichlet_ring(
         half, right=profile.values if far_field == "profile" else 0.0)
 
-    shift = oned.picard_shift(nl, float(super_vals.max()))
     if far_field == "zero" and start == "sub":
         # the bump pokes above zero far-field data where the box is cut by
         # the x1 = L edge, so the exhaustion variant descends instead
@@ -309,8 +304,7 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
     else:
         # descending, the zero field is the lower side of the sandwich
         sub = ScalarField(half, np.zeros((mx, ny)))
-    u_half, report = solve_semilinear(nl, ring, shift, sub, supersol, start,
-                                      tol=tol)
+    u_half, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
 
     report.profile = profile
     return odd_extend_x1(u_half), report
@@ -353,9 +347,7 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
         return ScalarField(quad, np.where(inside, vals, 0.0))
 
     sub = _halve_under(bump, eps, super_vals)
-    shift = oned.picard_shift(nl, 1.0)
-    u_quad, report = solve_semilinear(nl, ring, shift, sub, supersol, start,
-                                      tol=tol)
+    u_quad, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
 
     report.profile = g
     return odd_extend_x1(u_quad), report

@@ -23,9 +23,9 @@ The engine watches the ratio of successive step norms.  A caller that
 passes a certificate (the 2D solver does; the 1D solves, which cost little,
 do not) gets a damped Aitken jump along the last step once that rate has
 settled, kept only if the certificate accepts it as a new start of the same
-monotone iteration.  A caller that passes its update target (the float64
-phase here) gets an early NonConvergence when the settled rate shows the
-target cannot be reached within the sweep budget.
+monotone iteration.  A caller that passes a judge (the float64 phase here)
+sees each settled rate and ends the run early when the rate shows that it
+cannot finish.
 """
 
 from __future__ import annotations
@@ -65,16 +65,12 @@ class Nonlinearity:
     SignFunction, or Custom.
     """
 
-    def __init__(self, f, f_prime, F, bound_M, family, params=None):
+    def __init__(self, f, f_prime, F, bound_M, family):
         self.f = f
         self.f_prime = f_prime
         self.F = F
         self.bound_M = float(bound_M)
         self.family = family
-        self.params = dict(params or {})
-
-    def __repr__(self):
-        return "Nonlinearity(%s, %r)" % (self.family, self.params)
 
 
 def arctan_family(lam: float) -> Nonlinearity:
@@ -99,7 +95,6 @@ def arctan_family(lam: float) -> Nonlinearity:
         F=lambda s: lam * (s * np.arctan(s) - 0.5 * np.log1p(np.square(s))),
         bound_M=lam * np.pi / 2.0,
         family="ArctanFamily",
-        params={"lambda": lam},
     )
 
 
@@ -146,14 +141,15 @@ def picard_shift(nl: Nonlinearity, smax: float) -> float:
 
 
 class Profile:
-    """Converged profile on a uniform grid.
+    """Converged profile on a uniform grid; its end values are its
+    Dirichlet pair.
 
     ``residual`` is the defect max-norm achieved by the solver in its working
     precision; re-evaluating the stencil on the float64 ``values`` gives a
     larger number dominated by representation rounding (eps*|u|/h^2).
     """
 
-    def __init__(self, interval, values, dirichlet, residual, iterations):
+    def __init__(self, interval, values, residual, iterations):
         self.interval = (float(interval[0]), float(interval[1]))
         v = np.ascontiguousarray(values, dtype=float)
         if not np.all(np.isfinite(v)):
@@ -161,7 +157,7 @@ class Profile:
         v.flags.writeable = False
         self.values = v
         self.n = len(v)
-        self.dirichlet = (float(dirichlet[0]), float(dirichlet[1]))
+        self.dirichlet = (float(v[0]), float(v[-1]))
         self.residual = float(residual)
         self.iterations = int(iterations)
         # the grid's one-sided second-order edge closures
@@ -190,11 +186,16 @@ THETA = 0.8
 # two consecutive step ratios this close (relative) settle the rate
 RATE_AGREEMENT = 0.01
 
+# sweep budgets: the 1D float64 phase, its long-double polish, a 2D solve
+SWEEPS_1D = 200000
+SWEEPS_POLISH = 1000
+SWEEPS_2D = 10000
+
 SweepRun = namedtuple("SweepRun", "u sweeps update accepted rejected rate")
 
 
 def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
-                     slack, certify=None, target=None):
+                     slack, certify=None, judge=None):
     """The sub/supersolution sweep engine behind the 1D and 2D solvers.
 
     Before each sweep ``done(u, update)`` decides whether to stop (``update``
@@ -218,8 +219,10 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     over.  The update after a jump is the whole move from the previous
     iterate, so a jump never ends a run early.
 
-    Given an update ``target``, a settled rate also predicts the sweeps left
-    until the update passes it; see :func:`_refuse_hopeless`.
+    Each settled rate also goes to ``judge(rate, before, norm, left, nxt)``
+    if given, with the ratio before it, the last step norm and the sweeps
+    left; the judge raises NonConvergence for a run that cannot finish (see
+    :func:`_refuse_hopeless`).
 
     Returns a :class:`SweepRun`: the iterate, the plain sweeps run, the last
     update, the accepted and rejected jumps, and the last settled rate (None
@@ -253,10 +256,8 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
         if (before is not None and ratio is not None
                 and abs(ratio - before) <= RATE_AGREEMENT * ratio):
             rate = ratio
-            if target is not None:
-                _refuse_hopeless(rate, before, norm, target,
-                                 max_iter - sweeps, nxt,
-                                 upper if ascending else lower)
+            if judge is not None:
+                judge(rate, before, norm, max_iter - sweeps, nxt)
             if certify is not None and rate < 1.0 and THETA > 0.0:
                 cand = nxt + (THETA * rate / (1.0 - rate)) * step
                 if (np.all(cand <= upper) if ascending
@@ -350,12 +351,13 @@ class _DirichletSolver:
     solve at any spacing, where a bound on ||r|| / ||b|| alone does not (at
     h = 1e-3 such a solve leaves 8e-11 ||b||).  ``shape`` counts the nodes
     of the full box, boundary included.  A spacing whose h*h or 4/(h*h) is
-    not positive and finite raises :class:`grid.GridError`.
+    not positive and finite raises :class:`grid.GridError`; a right side
+    that is not finite raises NonConvergence before the transforms.
     """
 
     def __init__(self, shape, spacings, shift):
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
+        if not 0.0 <= shift < np.inf:  # a custom f' can overflow the shift
+            raise ValueError("shift must be finite and nonnegative")
         self.shape = tuple(int(n) for n in shape)
         self.spacings = tuple(float(h) for h in spacings)
         for h in self.spacings:  # h * h: h ** 2 raises OverflowError
@@ -380,6 +382,10 @@ class _DirichletSolver:
                 ring = [slice(1, -1)] * b.ndim
                 side[axis] = ring[axis] = end
                 b[tuple(side)] += dirichlet[tuple(ring)] / h ** 2
+        bnorm = _norm(b)
+        if not math.isfinite(bnorm):
+            raise NonConvergence("the right side of the sine-transform solve "
+                                 "is not finite: f(u) + shift*u overflowed")
         eig = self._eig.get(dt)
         if eig is None:  # first solve in this dtype
             pi = 4 * np.arctan(dt.type(1))
@@ -391,8 +397,8 @@ class _DirichletSolver:
         full = np.array(dirichlet, dtype=dt)
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself
-        rnorm, bnorm, wnorm = (_norm(a) for a in (
-            rhs_interior - self.shift * w - _g._neg_lap(full, hs), b, w))
+        rnorm, wnorm = (_norm(a) for a in (
+            rhs_interior - self.shift * w - _g._neg_lap(full, hs), w))
         anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift
         if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):
             raise NonConvergence("sine-transform solve left a residual of "
@@ -401,24 +407,28 @@ class _DirichletSolver:
         return full
 
 
-def _picard_1d(nl, h, start, lower, upper, bc, shift, tol, max_iter,
-               ascending):
+def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
     """Shifted Picard iteration between verified bounds, in two phases.
 
-    Phase one runs in float64 until the sweep update drops below tol.  Phase
-    two re-runs the same sweeps in extended precision until the measured
-    defect of -u'' - f(u) is below tol as well: a float64 iterate cannot
-    certify a defect much below eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since
-    rounding the exact solution to doubles already costs that much.  Both
-    phases solve with the same sine transform, in the dtype of the iterate.
+    The shift is :func:`picard_shift` over [0, max|upper|].  Phase one runs
+    in float64 until the sweep update drops below tol.  Phase two re-runs
+    the same sweeps in extended precision until the measured defect of
+    -u'' - f(u) is below tol as well: a float64 iterate cannot certify a
+    defect much below eps*|u|/h^2 (a few 1e-10 at h = 1e-3), since rounding
+    the exact solution to doubles already costs that much.  Both phases
+    solve with the same sine transform, in the dtype of the iterate.
     Nonlinearity callables built from numpy ufuncs preserve the dtype, which
     is what makes the higher-precision f evaluations meaningful.
     """
     n = len(start)
-    slack = 1e-10 * (1.0 + float(np.max(np.abs(upper))))
+    smax = float(np.max(np.abs(upper)))
+    shift = picard_shift(nl, smax)
+    slack = 1e-10 * (1.0 + smax)
     solver = _DirichletSolver((n,), (h,), shift)
     ring = np.r_[bc[0], np.zeros(n - 2), bc[1]]
     f = nl.f
+    eps = float(np.finfo(np.longdouble).eps)
+    floor = 2.0 * eps * smax / (h * h)
 
     def sweep(u):
         # shift in the iterate's dtype keeps the right side in extended
@@ -429,14 +439,30 @@ def _picard_1d(nl, h, start, lower, upper, bc, shift, tol, max_iter,
     def defect(u):
         return float(np.max(np.abs(_defect(u, (u.dtype.type(h),), f))))
 
+    def judge(rate, before, norm, left, u):
+        _refuse_hopeless(rate, before, norm, tol, left, u,
+                         upper if ascending else lower)
+        # rounding to long double moves each stencil value by up to
+        # eps*|u|/2, so the polish cannot pass a tol below this floor: it
+        # stalls once its updates, from about tol and falling by about the
+        # settled ratio, pass below eps*max|u|.  Where that takes most of its
+        # budget, a phase one that would finish stops here instead
+        if (tol < floor and rate < 1.0
+                and tol * rate ** SWEEPS_POLISH > eps * smax
+                and math.log(tol / norm) / math.log(rate) <= left):
+            raise NonConvergence(
+                "tol %.3e is below the rounding floor 2*eps*max|u|/h^2 = "
+                "%.3e of the long-double defect, so the polish cannot pass "
+                "it (settled update ratio %.6f)" % (tol, floor, rate))
+
     u = np.array(start, dtype=float)
     u[0], u[-1] = bc
     first = _monotone_sweeps(sweep, u, lower, upper, ascending,
-                             lambda u, update: update < tol, max_iter, slack,
-                             target=tol)
+                             lambda u, update: update < tol, SWEEPS_1D, slack,
+                             judge=judge)
     polish = _monotone_sweeps(
         sweep, first.u.astype(np.longdouble), lower, upper, ascending,
-        lambda ul, update: defect(ul) < tol, 1000, slack)
+        lambda ul, update: defect(ul) < tol, SWEEPS_POLISH, slack)
     ul = polish.u
     return (np.asarray(ul, dtype=float), defect(ul),
             first.sweeps + polish.sweeps)
@@ -472,7 +498,7 @@ def select_subsolution_amplitude(nl: Nonlinearity, rate: float) -> float:
 
 
 def solve_strip_profile(nl: Nonlinearity, n: int, tol: float = 1e-10,
-                        start: str = "sub", max_iter: int = 200000) -> Profile:
+                        start: str = "sub") -> Profile:
     """Positive transverse profile on (-1, 1) with -u'' = f(u), u(+-1) = 0.
 
     The iteration ascends from the cosine subsolution eps*cos(pi x/2) (eps by
@@ -502,20 +528,18 @@ def solve_strip_profile(nl: Nonlinearity, n: int, tol: float = 1e-10,
         raise NoSubsolution("subsolution cannot be placed under supersolution")
     sub[0] = sub[-1] = 0.0
 
-    shift = picard_shift(nl, float(np.max(sup)))
     if start == "sub":
         u0, ascending = sub, True
     elif start == "super":
         u0, ascending = sup, False
     else:
         raise ValueError("start must be 'sub' or 'super'")
-    u, res, its = _picard_1d(nl, h, u0, sub, sup, (0.0, 0.0), shift, tol,
-                             max_iter, ascending)
-    return Profile((-1.0, 1.0), u, (0.0, 0.0), res, its)
+    u, res, its = _picard_1d(nl, h, u0, sub, sup, (0.0, 0.0), tol, ascending)
+    return Profile((-1.0, 1.0), u, res, its)
 
 
 def solve_heteroclinic(nl: Nonlinearity, L: float = 20.0, n: int = 4001,
-                       tol: float = 1e-10, max_iter: int = 200000) -> Profile:
+                       tol: float = 1e-10) -> Profile:
     """Increasing connection on [0, L] with -g'' = f(g), g(0)=0, g(L)=1.
 
     Requires a balanced double well (f(1) = 0 makes the constant 1 a
@@ -535,10 +559,9 @@ def solve_heteroclinic(nl: Nonlinearity, L: float = 20.0, n: int = 4001,
     h = L / (n - 1)
     sub = np.zeros(n)
     sup = np.ones(n)
-    shift = picard_shift(nl, 1.0)
-    u, res, its = _picard_1d(nl, h, sub, sub, sup, (0.0, 1.0), shift, tol,
-                             max_iter, ascending=True)
-    p = Profile((0.0, L), u, (0.0, 1.0), res, its)
+    u, res, its = _picard_1d(nl, h, sub, sub, sup, (0.0, 1.0), tol,
+                             ascending=True)
+    p = Profile((0.0, L), u, res, its)
     gap = abs(float(p.sample(L) - p.sample(L - 1.0)))
     if gap > 1e-6:
         raise BadTruncation(

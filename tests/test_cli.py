@@ -391,6 +391,8 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["solve", "halfplane", "--L", "1e300", "--n", "41"],
     ["solve", "strip", "--L", "1e300", "--nx", "97", "--ny", "33"],
     ["solve", "strip", "--L", "1e-300", "--nx", "97", "--ny", "33"],
+    # the acceptance suite has one resolution
+    ["verify", "--fast"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -432,8 +434,9 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
 
 
 # runs that cannot finish end at once with one line, and nothing on the way
-# warns: lambda*pi/2 past float range is refused up front, and the arctan
-# f' overflows quietly to its limit 0 on the huge sandwich
+# warns: lambda*pi/2 past float range is refused up front, the arctan f'
+# overflows quietly to its limit 0 on the huge sandwich, and a right side
+# that overflows is refused before its transform
 @pytest.mark.parametrize("argv, code, head, says", [
     (["solve1d", "--family", "arctan", "--lambda", "1e6"], 2,
      "solver error: NonConvergence: ", "predicts no end"),
@@ -445,6 +448,14 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
      "config error: ", "--lambda 1e+308 is too large"),
     (["solve", "strip", "--lambda", "1e308"], 1,
      "config error: ", "--lambda 1e+308 is too large"),
+    # f(u) + shift*u overflows in the sweep's right side
+    (["solve1d", "--family", "arctan", "--lambda", "5e307"], 2,
+     "solver error: NonConvergence: ", "right side of the sine-transform "
+     "solve is not finite"),
+    # at |u| ~ 800 and h = 1e-3 the default tol 1e-10 sits below the
+    # long-double defect's rounding floor
+    (["solve1d", "--family", "arctan", "--lambda", "1e3"], 2,
+     "solver error: NonConvergence: ", "below the rounding floor"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,

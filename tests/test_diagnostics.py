@@ -411,7 +411,14 @@ def test_power_of_two_scaling_is_exact_on_angle_sets(seed, k, n_bins):
 def occupancy(n, true_bins):
     occ = np.zeros(n, dtype=bool)
     occ[list(true_bins)] = True
-    return dg.AngleSet(n, occ, occ.astype(float), 1e-10)
+    return dg.AngleSet(occ.astype(float), 1e-10)
+
+
+def test_bin_counts_and_occupancy_are_read_off_the_mass():
+    aset = dg.AngleSet(np.array([0.0, 2.0, 0.0, 1.0]), 1e-10)
+    assert aset.n_bins == 4
+    assert list(aset.occupied_indices()) == [1, 3]
+    assert dg.CurvatureProfile(np.ones(16)).n_bins == 16
 
 
 def test_classify_full_circle():
@@ -491,8 +498,7 @@ def occupancies(draw):
 
 
 def rolled(occ, k):
-    return dg.AngleSet(len(occ), np.roll(occ, k),
-                       np.roll(occ, k).astype(float), 1e-10)
+    return dg.AngleSet(np.roll(occ, k).astype(float), 1e-10)
 
 
 def angle_gap(a, b):
@@ -544,7 +550,7 @@ def test_classification_value_semantics():
 def axis_profile(values_fn, ny=65):
     y = np.linspace(-1.0, 1.0, ny)
     vals = values_fn(y)
-    return oned.Profile((-1.0, 1.0), vals, (vals[0], vals[-1]), 0.0, 0)
+    return oned.Profile((-1.0, 1.0), vals, 0.0, 0)
 
 
 def test_margin_poiseuille_against_parabola():

@@ -187,7 +187,7 @@ def test_zero_reaction_converges_immediately():
     g = Grid(STRIP, 33, 17, (0.0, 4.0), (-1.0, 1.0))
     zero = zeros_on(g)
     u, report = e2.solve_semilinear(zero_reaction(), e2.dirichlet_ring(g),
-                                    1.0, zero, zero, tol=1e-8)
+                                    zero, zero, tol=1e-8)
     assert float(np.max(np.abs(u.values))) == 0.0
     assert report.iterations == 1
     # the report holds measured values only
@@ -198,14 +198,13 @@ def test_zero_reaction_converges_immediately():
 
 
 def strip_problem(nx=193, ny=65, L=12.0):
-    """(nl, ring, shift, supersolution) of the half-strip solve."""
+    """(nl, ring, supersolution) of the half-strip solve."""
     nl = oned.arctan_family(4.0)
     g = Grid(STRIP, nx, ny, (0.0, L), (-1.0, 1.0))
     profile = oned.solve_strip_profile(nl, ny)
     super_vals = np.tile(profile.values, (nx, 1))
     ring = e2.dirichlet_ring(g, right=profile.values)
-    shift = oned.picard_shift(nl, float(super_vals.max()))
-    return nl, ring, shift, ScalarField(g, super_vals)
+    return nl, ring, ScalarField(g, super_vals)
 
 
 def strip_bump(nl, g, eps=None):
@@ -217,10 +216,10 @@ def strip_bump(nl, g, eps=None):
 
 
 def test_strip_solution_and_newton_cross_check():
-    nl, ring, shift, supersol = strip_problem()
+    nl, ring, supersol = strip_problem()
     g = supersol.grid
     sub = strip_bump(nl, g)
-    u, report = e2.solve_semilinear(nl, ring, shift, sub, supersol, tol=1e-8)
+    u, report = e2.solve_semilinear(nl, ring, sub, supersol, tol=1e-8)
     assert report.final_residual < 1e-8
     assert float(u.values[1:-1, 1:-1].min()) > 0.0
     assert float(np.max(u.values - supersol.values)) <= 1e-10
@@ -238,53 +237,69 @@ def test_strip_solution_and_newton_cross_check():
 
 
 def test_two_sided_iteration_unique_limit():
-    nl, ring, shift, supersol = strip_problem()
+    nl, ring, supersol = strip_problem()
     g = supersol.grid
-    up, _ = e2.solve_semilinear(nl, ring, shift, strip_bump(nl, g), supersol,
+    up, _ = e2.solve_semilinear(nl, ring, strip_bump(nl, g), supersol,
                                 start="sub", tol=1e-8)
-    down, _ = e2.solve_semilinear(nl, ring, shift, zeros_on(g), supersol,
+    down, _ = e2.solve_semilinear(nl, ring, zeros_on(g), supersol,
                                   start="super", tol=1e-8)
     assert float(np.max(np.abs(up.values - down.values))) < 1e-7
 
 
-def test_sweep_budget_exhausted():
-    nl, ring, shift, supersol = strip_problem()
+def test_sweep_budget_exhausted(monkeypatch):
+    nl, ring, supersol = strip_problem()
     assert e2.NonConvergence is oned.NonConvergence
+    monkeypatch.setattr(oned, "SWEEPS_2D", 2)
     with pytest.raises(oned.NonConvergence, match="in 2 sweeps"):
-        e2.solve_semilinear(nl, ring, shift, zeros_on(supersol.grid),
-                            supersol, start="super", tol=1e-8, max_iter=2)
+        e2.solve_semilinear(nl, ring, zeros_on(supersol.grid),
+                            supersol, start="super", tol=1e-8)
 
 
 def test_start_fields_are_verified():
-    nl, ring, shift, supersol = strip_problem(nx=97, ny=33)
+    nl, ring, supersol = strip_problem(nx=97, ny=33)
     g = supersol.grid
     # quadrupled amplitude breaks the reaction inequality on the grid, where
     # the truncated bump still reaches values past the f(s)/s = rate crossing
     fat = strip_bump(nl, g, eps=4.0)
     with pytest.raises(e2.NotASubsolution):
-        e2.solve_semilinear(nl, ring, shift, fat, supersol, tol=1e-8)
+        e2.solve_semilinear(nl, ring, fat, supersol, tol=1e-8)
     # a small admissible bump is nowhere near a supersolution
     thin = strip_bump(nl, g, eps=0.1)
     with pytest.raises(e2.NotASupersolution):
-        e2.solve_semilinear(nl, ring, shift, zeros_on(g), thin,
+        e2.solve_semilinear(nl, ring, zeros_on(g), thin,
                             start="super", tol=1e-8)
     # with both sides bad, the start side is the one reported
     with pytest.raises(e2.NotASubsolution):
-        e2.solve_semilinear(nl, ring, shift, fat, thin, start="sub")
+        e2.solve_semilinear(nl, ring, fat, thin, start="sub")
     with pytest.raises(e2.NotASupersolution):
-        e2.solve_semilinear(nl, ring, shift, fat, thin, start="super")
+        e2.solve_semilinear(nl, ring, fat, thin, start="super")
     other = Grid(STRIP, 97, 17, (0.0, 12.0), (-1.0, 1.0))
     with pytest.raises(GridError):
-        e2.solve_semilinear(nl, ring, shift, zeros_on(other), supersol,
+        e2.solve_semilinear(nl, ring, zeros_on(other), supersol,
                             tol=1e-8)
+
+
+def test_shift_is_derived_from_the_sandwich(monkeypatch):
+    nl, ring, supersol = strip_problem(nx=97, ny=33)
+    shifts = []
+    solver = oned._DirichletSolver
+
+    def recording(shape, spacings, shift):
+        shifts.append(shift)
+        return solver(shape, spacings, shift)
+
+    monkeypatch.setattr(oned, "_DirichletSolver", recording)
+    e2.solve_semilinear(nl, ring, zeros_on(supersol.grid), supersol,
+                        start="super")
+    # the profile is nonnegative, so max |super| is its maximum
+    assert shifts == [oned.picard_shift(nl, float(supersol.values.max()))]
 
 
 def test_periodic_grid_is_refused():
     g = Grid(TORUS, 16, 16, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
     zero = zeros_on(g)
     with pytest.raises(GridError, match="non-periodic"):
-        e2.solve_semilinear(zero_reaction(), np.zeros(g.shape), 1.0, zero,
-                            zero)
+        e2.solve_semilinear(zero_reaction(), np.zeros(g.shape), zero, zero)
 
 
 def test_problem_validation():
@@ -297,16 +312,11 @@ def test_problem_validation():
     bad = np.zeros((33, 17))
     bad[0, 3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        e2.solve_semilinear(nl, bad, 4.1, zero, sup, start="super")
-    with pytest.raises(ValueError, match="nonnegative"):
-        e2.solve_semilinear(nl, ring, -1.0, zero, sup, start="super")
+        e2.solve_semilinear(nl, bad, zero, sup, start="super")
     with pytest.raises(ValueError, match="full grid ring"):
-        e2.solve_semilinear(nl, ring[:, 1:], 4.1, zero, sup, start="super")
+        e2.solve_semilinear(nl, ring[:, 1:], zero, sup, start="super")
     with pytest.raises(ValueError, match="start"):
-        e2.solve_semilinear(nl, ring, 4.1, zero, sup, start="middle")
-    # shift below max f' on the sandwich range would break monotonicity
-    with pytest.raises(ValueError, match="below max f'"):
-        e2.solve_semilinear(nl, ring, 0.5, zero, sup, start="super")
+        e2.solve_semilinear(nl, ring, zero, sup, start="middle")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +463,7 @@ def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
 
 
 def test_failing_certificate_is_the_plain_engine():
-    nl, ring, shift, supersol = strip_problem(nx=97, ny=33)
+    nl, ring, supersol = strip_problem(nx=97, ny=33)
     sub = strip_bump(nl, supersol.grid)
     engine = oned._monotone_sweeps
 
@@ -461,7 +471,7 @@ def test_failing_certificate_is_the_plain_engine():
         return engine(*args, certify=lambda v: False, **options)
 
     def solve():
-        return e2.solve_semilinear(nl, ring, shift, sub, supersol, tol=1e-8)
+        return e2.solve_semilinear(nl, ring, sub, supersol, tol=1e-8)
 
     with mock.patch.object(oned, "_monotone_sweeps", refusing):
         u, refused = solve()

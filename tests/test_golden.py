@@ -99,7 +99,7 @@ GOLDEN = {
     "verify_shears": (
         ["verify", "--suite", "shears", "--out", "golden_verify_shears"],
         {
-            "verify.json": "e4ca9c5e60c74d912ba0f29010c3b623cedb582a16317779db6f5973455c8b22",
+            "verify.json": "c94d3ae004a3566f23cee4b6cc958307f04d722450d41613bd387378a4aa0a2a",
         },
     ),
 }

@@ -110,10 +110,8 @@ def test_random_admissible_starts_stay_sandwiched(lam, n, side, c):
         start, lower, upper = scale * sub, scale * sub, sup
     else:
         start, lower, upper = sup / scale, sub, sup / scale
-    shift = oned.picard_shift(nl, float(np.max(upper)))
     (u, _, _), seen = _recorded_sweeps(lambda: oned._picard_1d(
-        nl, h, start, lower, upper, (0.0, 0.0), shift, 1e-10, 200000,
-        side == "sub"))
+        nl, h, start, lower, upper, (0.0, 0.0), 1e-10, side == "sub"))
     assert len(seen) > 2
     steps = np.diff(seen, axis=0) * (1.0 if side == "sub" else -1.0)
     assert float(steps.min()) >= -1e-12
@@ -195,11 +193,16 @@ def test_engine_keeps_a_jump_only_under_the_far_bound():
 
 
 def _scripted(steps, start=0.0, upper=np.inf):
-    """Engine run with an update target whose k-th sweep adds steps[k]."""
+    """Engine run, judged against the update target 1e-12, whose k-th sweep
+    adds steps[k]."""
     script = iter(steps)
+
+    def judge(rate, before, norm, left, u):
+        oned._refuse_hopeless(rate, before, norm, 1e-12, left, u, upper)
+
     return oned._monotone_sweeps(
         lambda u: u + next(script), np.full(5, start), -np.inf, upper, True,
-        lambda u, update: update < 1e-12, 50, 1e-10, target=1e-12)
+        lambda u, update: update < 1e-12, 50, 1e-10, judge=judge)
 
 
 @pytest.mark.parametrize("steps, start, upper, verdict", [
@@ -290,7 +293,7 @@ def test_picard_shift_covers_derivative_range():
 
 def test_boundary_slope_exact_on_quadratics():
     x = np.linspace(-1.0, 1.0, 21)
-    p = oned.Profile((-1.0, 1.0), 1.0 - x ** 2, (0.0, 0.0), 0.0, 1)
+    p = oned.Profile((-1.0, 1.0), 1.0 - x ** 2, 0.0, 1)
     lower, upper = p.boundary_derivatives
     assert abs(lower - 2.0) < 1e-12
     assert abs(upper + 2.0) < 1e-12
@@ -303,13 +306,28 @@ def test_sign_equation_fields():
     assert nl.bound_M == 1.0
 
 
+def test_profile_reads_its_dirichlet_pair_off_its_ends():
+    p = oned.Profile((0.0, 1.0), [0.5, 0.7, 1.0], 0.0, 1)
+    assert p.dirichlet == (0.5, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_solve_refuses_a_right_side_that_is_not_finite():
+    solver = oned._DirichletSolver((5,), (0.25,), 1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(oned.NonConvergence, match="not finite"):
+            solver.solve(np.array([1.0, bad, 1.0]), np.zeros(5))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        oned._DirichletSolver((5,), (0.25,), np.inf)
+
+
 def test_profile_rejects_bad_input():
     with pytest.raises(ValueError):
         oned.solve_strip_profile(oned.arctan_family(4.0), 4)
     with pytest.raises(ValueError):
         oned.arctan_family(-1.0)
     with pytest.raises(ValueError):
-        oned.Profile((0.0, 1.0), [0.0, np.nan, 1.0], (0.0, 1.0), 0.0, 1)
+        oned.Profile((0.0, 1.0), [0.0, np.nan, 1.0], 0.0, 1)
 
 
 def test_profile_values_frozen():
