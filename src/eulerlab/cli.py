@@ -11,8 +11,10 @@ error, 2 solver failure, 3 verification failure.
 
 Option values resolve as explicit flags over the EULERLAB_OUT environment
 variable (output directory only) over ``--config`` JSON file entries over
-built-in defaults; the fully resolved configuration is echoed into every
-JSON artifact next to the schema version, so outputs are self-describing.
+built-in defaults.  argparse only splits the command line: a value from a
+flag and one from ``--config`` pass the same check and fail with the same
+message.  The fully resolved configuration is echoed into every JSON
+artifact next to the schema version, so outputs are self-describing.
 All numeric output goes through the shared 17-digit formatter, and a fixed
 iteration order everywhere makes identical configurations produce
 byte-identical files.
@@ -170,7 +172,8 @@ _COMMANDS = {
         "help": "run acceptance checks and print PASS/FAIL lines",
         "positionals": [],
         "options": [
-            _Opt("--suite", "suite", str, help="check suite (default all)"),
+            _Opt("--suite", "suite", str, choices=tuple(acceptance._SUITES),
+                 help="check suite (default all)"),
         ],
     },
 }
@@ -188,15 +191,10 @@ def _build_parser() -> _Parser:
         for name, choices in spec["positionals"]:
             sp.add_argument(name, choices=choices)
         for o in spec["options"]:
-            kwargs = {"dest": o.dest, "default": None, "help": o.help}
-            if o.action == "append":
-                kwargs["action"] = "append"
-            else:
-                if o.choices:
-                    kwargs["choices"] = o.choices
-                if o.conv in (float, int):
-                    kwargs["type"] = o.conv
-            sp.add_argument(o.flag, **kwargs)
+            # values stay strings here; _resolve checks them with _coerce
+            sp.add_argument(o.flag, dest=o.dest, action=o.action, help=o.help,
+                            metavar="{%s}" % ",".join(o.choices)
+                            if o.choices else None)
     return top
 
 
@@ -204,7 +202,9 @@ def _build_parser() -> _Parser:
 # config resolution: flags > EULERLAB_OUT > config file > defaults
 
 
-def _coerce_config(opt: _Opt, key, val):
+def _coerce(opt: _Opt, name, val):
+    """``val`` converted and checked for ``opt``; ``name`` says where the
+    value came from (``--nx`` or ``config key 'nx'``)."""
     if opt.action == "append":
         return list(val) if isinstance(val, (list, tuple)) else [val]
     if opt.dest == "R":
@@ -213,17 +213,16 @@ def _coerce_config(opt: _Opt, key, val):
         kind = "a number" if opt.conv is float else "an integer"
         types = (int, float, str) if opt.conv is float else (int, str)
         if isinstance(val, bool) or not isinstance(val, types):
-            raise ConfigError("config key %r must be %s" % (key, kind))
+            raise ConfigError("%s must be %s" % (name, kind))
         try:
             return opt.conv(val)
         except ValueError:
-            raise ConfigError("config key %r must be %s, got %r"
-                              % (key, kind, val))
+            raise ConfigError("%s must be %s, got %r" % (name, kind, val))
     if not isinstance(val, str):
-        raise ConfigError("config key %r must be a string" % key)
+        raise ConfigError("%s must be a string" % name)
     if opt.choices and val not in opt.choices:
-        raise ConfigError("config key %r must be one of %s"
-                          % (key, ", ".join(opt.choices)))
+        raise ConfigError("%s must be one of %s"
+                          % (name, ", ".join(opt.choices)))
     return val
 
 
@@ -243,7 +242,7 @@ def _load_config(path, cmd, opts):
         if dest == "config" or dest not in opts:
             raise ConfigError("unknown config key %r for command %r"
                               % (key, cmd))
-        out[dest] = _coerce_config(opts[dest], key, val)
+        out[dest] = _coerce(opts[dest], "config key %r" % key, val)
     return out
 
 
@@ -279,18 +278,16 @@ def _resolve(cmd, ns):
     opts = {o.dest: o for o in spec["options"]}
     cfg = _load_config(ns.config, cmd, opts) if ns.config else {}
     r = {}
-    for dest in opts:
+    for dest, opt in opts.items():
         val = getattr(ns, dest)
         if val is None and dest == "out":
             val = os.environ.get("EULERLAB_OUT") or None
-        if val is None and dest in cfg:
-            val = cfg[dest]
-        r[dest] = val
+        r[dest] = cfg.get(dest) if val is None else _coerce(opt, opt.flag, val)
     for name, _ in spec["positionals"]:
         r[name] = getattr(ns, name)
     _default(r, "out", "eulerlab_out")
     _check_numbers(r, opts)
-    _FINISH[cmd](r)
+    _DISPATCH[cmd][0](r)
     return r
 
 
@@ -326,16 +323,18 @@ def _solver_defaults(r, which):
     _default(r, "n", 321)
     _default(r, "tol", 1e-8)
     _default(r, "far_field", "profile")
-    _default(r, "start", "sub" if which == "strip" else "super")
-    if which == "strip" and r["nx"] % 2 == 0:
-        raise ConfigError("--nx must be odd so that x1 = 0 is a node "
-                          "column, got %d" % r["nx"])
+    # the saddle and the strip's exhaustion variant (zero far field) descend
+    # from their supersolutions
+    zero = which == "strip" and r["far_field"] == "zero"
+    _default(r, "start", "sub" if which == "strip" and not zero else "super")
+    if zero and r["start"] == "sub":
+        raise ConfigError("--far-field zero descends from the profile: it "
+                          "takes --start super, not sub")
     if which == "strip":
+        if r["nx"] % 2 == 0:
+            raise ConfigError("--nx must be odd so that x1 = 0 is a node "
+                              "column, got %d" % r["nx"])
         _check_arctan_lambda(r["lam"])
-
-
-def _finish_solve(r):
-    _solver_defaults(r, r["which"])
 
 
 def _require_one_source(r):
@@ -362,28 +361,6 @@ def _finish_trace(r):
         raise ConfigError("missing required option: --seed x,y (repeatable)")
     r["seed"] = [_parse_seed(s) for s in r["seed"]]
     _default(r, "max_steps", 10000)
-
-
-def _finish_verify(r):
-    _default(r, "suite", "all")
-    suites = acceptance._SUITES
-    if r["suite"] not in suites:
-        raise ConfigError("unknown suite %r; known suites: %s"
-                          % (r["suite"], ", ".join(sorted(suites))))
-
-
-def _finish_reproduce(r):
-    pass
-
-
-_FINISH = {
-    "solve1d": _finish_solve1d,
-    "solve": _finish_solve,
-    "analyze": _finish_analyze,
-    "trace": _finish_trace,
-    "verify": _finish_verify,
-    "reproduce": _finish_reproduce,
-}
 
 
 def _echo_config(r, cmd):
@@ -522,15 +499,6 @@ def _flow_from_source(r):
     return flows.velocity_from_stream(field, nl)
 
 
-def _outdir(r):
-    d = r["out"]
-    try:
-        os.makedirs(d, exist_ok=True)
-    except OSError as e:
-        raise ConfigError("cannot create output directory %s: %s" % (d, e))
-    return d
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -543,9 +511,7 @@ def _solver_failure(e, cfg, report_path) -> int:
     return EXIT_SOLVER
 
 
-def cmd_solve1d(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "solve1d")
+def cmd_solve1d(r, out, cfg) -> int:
     report_path = os.path.join(out, "report.json")
     try:
         if r["family"] == "arctan":
@@ -593,9 +559,7 @@ def attachment_gap(field: ScalarField, limit: oned.Profile) -> float:
     return float(np.max(np.abs(u[:, row] - ref)) / scale)
 
 
-def cmd_solve(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "solve")
+def cmd_solve(r, out, cfg) -> int:
     report_path = os.path.join(out, "report.json")
     try:
         field, srep, nl = _solve_flow(r["which"], r)
@@ -622,9 +586,7 @@ def cmd_solve(r) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "analyze")
+def cmd_analyze(r, out, cfg) -> int:
     flow = _flow_from_source(r)
     try:
         rep = dg.run_diagnostics(flow, R_list=r["R"], n_bins=r["bins"],
@@ -643,9 +605,7 @@ def cmd_analyze(r) -> int:
     return EXIT_OK
 
 
-def cmd_trace(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "trace")
+def cmd_trace(r, out, cfg) -> int:
     flow = _flow_from_source(r)
     polys = []
     for seed in r["seed"]:
@@ -664,10 +624,9 @@ def cmd_trace(r) -> int:
     return EXIT_OK
 
 
-def _reproduce_figure(out, cfg, tag, field, nl, seeds):
+def _reproduce_figure(out, cfg, tag, field, flow, seeds):
     """Separatrices (the zero level set), a trace fan from ``seeds`` and
-    the stagnation points of one solved stream field."""
-    flow = flows.velocity_from_stream(field, nl)
+    the stagnation points of one solved stream field and its flow."""
     seps = sl.level_contours(field, [0.0])
     sl.save_polylines(seps, os.path.join(out, tag + "_separatrices.csv"),
                       os.path.join(out, tag + "_separatrices.json"),
@@ -685,33 +644,27 @@ def _reproduce_figure(out, cfg, tag, field, nl, seeds):
           % (tag, len(seps), len(traces), len(pts)))
 
 
-def cmd_reproduce(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "reproduce")
+def cmd_reproduce(r, out, cfg) -> int:
+    # the acceptance resolutions: arctan lambda = 4 strip, Allen-Cahn saddle
+    cache = acceptance._FlowCache()
     if r["figure"] in ("figure1", "all"):
         # half-plane saddle: separatrix pair (the zero level set: wall plus
         # vertical axis, crossing at the origin) and a hyperbolic trace fan
-        nl = oned.allen_cahn()
-        field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
-        _reproduce_figure(out, cfg, "figure1", field,
-                          nl, [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
-                               (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)])
+        _reproduce_figure(out, cfg, "figure1", *cache.saddle(),
+                          [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
+                           (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)])
     if r["figure"] in ("figure2", "all"):
         # strip flow: hairpin fan entering from both far ends plus the
         # central separatrix, hinging on the two wall stagnation points
         # (0, -1), (0, 1)
-        nl = oned.arctan_family(4.0)
-        field, _ = elliptic2d.solve_type3_strip(nl)
-        _reproduce_figure(out, cfg, "figure2", field, nl,
+        _reproduce_figure(out, cfg, "figure2", *cache.strip(),
                           [(-8.0, -0.25), (-8.0, -0.5), (-8.0, -0.75),
                            (8.0, 0.25), (8.0, 0.5), (8.0, 0.75)])
     print("wrote %s" % out)
     return EXIT_OK
 
 
-def cmd_verify(r) -> int:
-    out = _outdir(r)
-    cfg = _echo_config(r, "verify")
+def cmd_verify(r, out, cfg) -> int:
     cache = acceptance._FlowCache()
     results = []
     for name in acceptance._SUITES[r["suite"]]:
@@ -733,13 +686,15 @@ def cmd_verify(r) -> int:
 # entry point
 
 
+# command -> (finish, run): finish fills the defaults and cross-checks the
+# resolved options, run executes the command in its output directory
 _DISPATCH = {
-    "solve1d": cmd_solve1d,
-    "solve": cmd_solve,
-    "analyze": cmd_analyze,
-    "trace": cmd_trace,
-    "reproduce": cmd_reproduce,
-    "verify": cmd_verify,
+    "solve1d": (_finish_solve1d, cmd_solve1d),
+    "solve": (lambda r: _solver_defaults(r, r["which"]), cmd_solve),
+    "analyze": (_finish_analyze, cmd_analyze),
+    "trace": (_finish_trace, cmd_trace),
+    "reproduce": (lambda r: None, cmd_reproduce),
+    "verify": (lambda r: _default(r, "suite", "all"), cmd_verify),
 }
 
 
@@ -749,7 +704,14 @@ def main(argv=None) -> int:
         if not getattr(ns, "command", None):
             raise ConfigError("a command is required: %s"
                               % ", ".join(_COMMANDS))
-        return _DISPATCH[ns.command](_resolve(ns.command, ns))
+        r = _resolve(ns.command, ns)
+        try:
+            os.makedirs(r["out"], exist_ok=True)
+        except OSError as e:
+            raise ConfigError("cannot create output directory %s: %s"
+                              % (r["out"], e))
+        cfg = _echo_config(r, ns.command)
+        return _DISPATCH[ns.command][1](r, r["out"], cfg)
     except (ConfigError, GridError) as e:
         # grids the options built that no solver can take (h^2 out of range)
         print("config error: %s" % e, file=sys.stderr)

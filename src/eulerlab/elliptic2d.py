@@ -261,8 +261,8 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
 
     Solves on the half strip (0, L) x (-1, 1) with zero data on x1 = 0 and the
     walls, far-field data at x1 = L from the 1D transverse profile (or zero
-    with far_field="zero", the exhaustion variant), then odd-extends through
-    x1 = 0.  The transverse profile is solved on the same ny-node grid, so its
+    with far_field="zero", the exhaustion variant, which descends and so
+    needs start="super"), then odd-extends through x1 = 0.  The transverse profile is solved on the same ny-node grid, so its
     constant extension is an exact discrete supersolution.  Returns
     (field, SolveReport); the report carries the profile as ``profile``.
 
@@ -294,7 +294,7 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
     if far_field == "zero" and start == "sub":
         # the bump pokes above zero far-field data where the box is cut by
         # the x1 = L edge, so the exhaustion variant descends instead
-        start = "super"
+        raise ValueError("far_field='zero' descends: it needs start='super'")
     if start == "sub":
         delta = 0.05
         rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)

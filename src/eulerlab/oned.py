@@ -397,8 +397,11 @@ class _DirichletSolver:
         full = np.array(dirichlet, dtype=dt)
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself
-        rnorm, wnorm = (_norm(a) for a in (
-            rhs_interior - self.shift * w - _g._neg_lap(full, hs), w))
+        wnorm = _norm(w)
+        if not math.isfinite(wnorm):
+            raise NonConvergence("the sine transform of a right side of "
+                                 "%.3e overflowed" % bnorm)
+        rnorm = _norm(rhs_interior - self.shift * w - _g._neg_lap(full, hs))
         anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift
         if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):
             raise NonConvergence("sine-transform solve left a residual of "

@@ -4,20 +4,13 @@ Each test runs the same check functions the verify command uses and fails
 with the full PASS/FAIL line of every check that missed its tolerance, so
 a red test names the measured value, the expected value, and the budget it
 blew.  Wall-time ceilings are asserted per criterion; the solved flows are
-shared through a module cache, so the first criterion touching a flow pays
-for its solve inside its own (generous) budget.
+shared through the session cache of ``conftest.py``, so the first criterion
+touching a flow pays for its solve inside its own (generous) budget.
 """
 
 import time
 
-import pytest
-
 from eulerlab import acceptance
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return acceptance._FlowCache()
 
 
 def run_checks(name, cache, budget):

@@ -393,6 +393,8 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["solve", "strip", "--L", "1e-300", "--nx", "97", "--ny", "33"],
     # the acceptance suite has one resolution
     ["verify", "--fast"],
+    # zero far-field data cannot be approached from below
+    ["solve", "strip", "--far-field", "zero", "--start", "sub"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -435,8 +437,9 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
 
 # runs that cannot finish end at once with one line, and nothing on the way
 # warns: lambda*pi/2 past float range is refused up front, the arctan f'
-# overflows quietly to its limit 0 on the huge sandwich, and a right side
-# that overflows is refused before its transform
+# overflows quietly to its limit 0 on the huge sandwich, a right side that
+# overflows is refused before its transform, and a transform that overflows
+# before its residual check
 @pytest.mark.parametrize("argv, code, head, says", [
     (["solve1d", "--family", "arctan", "--lambda", "1e6"], 2,
      "solver error: NonConvergence: ", "predicts no end"),
@@ -456,6 +459,13 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
     # long-double defect's rounding floor
     (["solve1d", "--family", "arctan", "--lambda", "1e3"], 2,
      "solver error: NonConvergence: ", "below the rounding floor"),
+    # the right side is finite, but its sine-transform sums overflow
+    (["solve1d", "--family", "arctan", "--lambda", "1e305"], 2,
+     "solver error: NonConvergence: ", "sine transform of a right side of "
+     "5.784e+306 overflowed"),
+    (["solve1d", "--family", "arctan", "--lambda", "1e306"], 2,
+     "solver error: NonConvergence: ", "sine transform of a right side of "
+     "5.784e+307 overflowed"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
@@ -465,6 +475,35 @@ def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(head) and says in err
+
+
+def _checked_options():
+    return [(cmd, opt) for cmd, spec in sorted(cli._COMMANDS.items())
+            for opt in spec["options"]
+            if opt.choices or opt.conv in (float, int)]
+
+
+@pytest.mark.parametrize("cmd, opt", _checked_options(),
+                         ids=lambda v: getattr(v, "flag", v))
+def test_flag_and_config_values_pass_one_check(cmd, opt, tmp_path, capsys):
+    # a bad value fails alike on the command line and in a --config file;
+    # only the name of its source differs
+    spec = cli._COMMANDS[cmd]
+    bad = "nope" if opt.choices else "abc"
+    key = opt.flag[2:]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: bad}))
+    argv = [cmd] + [choices[0] for _, choices in spec["positionals"]]
+    lines = []
+    capsys.readouterr()
+    for extra, name in (([opt.flag, bad], opt.flag),
+                        (["--config", str(cfg)], "config key %r" % key)):
+        assert cli.main(argv + extra + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert name in err
+        lines.append(err.replace(name, "<source>"))
+    assert lines[0] == lines[1]
 
 
 def _drop_last_row(bundle):

@@ -30,16 +30,13 @@ HETEROCLINIC_SLOPE = 1.0 / np.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")
-def strip_flow():
-    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
-    return flows.velocity_from_stream(field, ARCTAN)
+def strip_flow(cache):
+    return cache.strip()[1]
 
 
 @pytest.fixture(scope="module")
-def saddle_flow():
-    nl = oned.allen_cahn()
-    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
-    return flows.velocity_from_stream(field, nl)
+def saddle_flow(cache):
+    return cache.saddle()[1]
 
 
 def taylor_green(n):

@@ -403,10 +403,12 @@ def test_type3_refinement_order():
 
 def test_type3_zero_far_field_mode():
     nl = oned.arctan_family(4.0)
-    za, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="zero")
+    za, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="zero",
+                                 start="super")
     pa, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33,
                                  far_field="profile")
-    zb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="zero")
+    zb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="zero",
+                                 start="super")
     pb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33,
                                  far_field="profile")
 
@@ -451,7 +453,8 @@ def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
                       saddle_full),
         # zero far-field data descends from the profile supersolution
         "strip_descending": (lambda: e2.solve_type3_strip(
-            arctan, L=8.0, nx=257, ny=33, far_field="zero"), None),
+            arctan, L=8.0, nx=257, ny=33, far_field="zero", start="super"),
+            None),
     }[case]
     u, report = accelerated or solve()
     w, plain = _plain(solve)
@@ -518,7 +521,9 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
 
     def solve():
         return e2.solve_type3_strip(nl, L=6.0, nx=2 * half + 1, ny=ny,
-                                    tol=1e-10, far_field=far_field)
+                                    tol=1e-10, far_field=far_field,
+                                    start="super" if far_field == "zero"
+                                    else "sub")
 
     (u, report), runs = _watched_iterates(solve)
     [(lower, upper, ascending, seen)] = runs

@@ -12,25 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import elliptic2d, flows, oned, serialize
+from eulerlab import flows, serialize
 from eulerlab import grid as g
 from eulerlab import streamlines as sl
 from eulerlab.grid import ScalarField, VectorField
 
-ARCTAN = oned.arctan_family(4.0)
+
+@pytest.fixture(scope="module")
+def strip_pair(cache):
+    return cache.strip()
 
 
 @pytest.fixture(scope="module")
-def strip_pair():
-    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=769, ny=129)
-    return field, flows.velocity_from_stream(field, ARCTAN)
-
-
-@pytest.fixture(scope="module")
-def saddle_pair():
-    nl = oned.allen_cahn()
-    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
-    return field, flows.velocity_from_stream(field, nl)
+def saddle_pair(cache):
+    return cache.saddle()
 
 
 def taylor_green(n, offset=0.0):
