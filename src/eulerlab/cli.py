@@ -316,21 +316,30 @@ def _finish_solve1d(r):
 
 
 def _solver_defaults(r, which):
+    strip = which == "strip"
+    # the other geometry's options are refused, and stay unset in the echo
+    other = "halfplane" if strip else "strip"
+    for key in ("n",) if strip else ("nx", "ny", "far_field"):
+        if r[key] is not None:
+            raise ConfigError("--%s belongs to the %s solve, not to %s"
+                              % (key.replace("_", "-"), other, which))
     _default(r, "lam", 4.0)
-    _default(r, "L", 12.0 if which == "strip" else 20.0)
-    _default(r, "nx", 769)
-    _default(r, "ny", 129)
-    _default(r, "n", 321)
+    _default(r, "L", 12.0 if strip else 20.0)
+    if strip:
+        _default(r, "nx", 769)
+        _default(r, "ny", 129)
+        _default(r, "far_field", "profile")
+    else:
+        _default(r, "n", 321)
     _default(r, "tol", 1e-8)
-    _default(r, "far_field", "profile")
     # the saddle and the strip's exhaustion variant (zero far field) descend
     # from their supersolutions
-    zero = which == "strip" and r["far_field"] == "zero"
-    _default(r, "start", "sub" if which == "strip" and not zero else "super")
+    zero = strip and r["far_field"] == "zero"
+    _default(r, "start", "sub" if strip and not zero else "super")
     if zero and r["start"] == "sub":
         raise ConfigError("--far-field zero descends from the profile: it "
                           "takes --start super, not sub")
-    if which == "strip":
+    if strip:
         if r["nx"] % 2 == 0:
             raise ConfigError("--nx must be odd so that x1 = 0 is a node "
                               "column, got %d" % r["nx"])

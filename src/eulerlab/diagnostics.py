@@ -15,7 +15,8 @@ everywhere on stagnation sets in the continuum, so this discards nothing).
 The velocity partials, that floor and the curvature quadrature split form
 one per-flow bundle: run_diagnostics builds it once and derives every
 report quantity from it, while a public diagnostic called on its own builds
-its own.
+its own.  Neighbour tests read the grid's one-node apron (``Grid.pad``):
+the torus wraps, and nothing lies beyond a bounded edge.
 
 The wall functional is computed by two routes that share no code: an
 interior integral of the signed curvature density, and a cutoff-weighted
@@ -108,20 +109,6 @@ def stagnation_floor(flow) -> float:
     return _diagnostics_floor(cell_speed_variation(flow))
 
 
-def _neighbor_dot(vx, vy, axis, periodic):
-    # v(node+h) . v(node-h) along one axis; +inf where a neighbor is off-grid
-    vx, vy = np.moveaxis(vx, axis, 0), np.moveaxis(vy, axis, 0)
-    dot = np.empty(vx.shape)
-    dot[1:-1] = vx[2:] * vx[:-2] + vy[2:] * vy[:-2]
-    if periodic:  # the wrapped neighbors of the two end nodes
-        n = len(vx)
-        up, down = [1 % n, 0], [n - 1, (n - 2) % n]
-        dot[[0, -1]] = vx[up] * vx[down] + vy[up] * vy[down]
-    else:
-        dot[[0, -1]] = np.inf
-    return np.moveaxis(dot, 0, axis)
-
-
 _Bundle = namedtuple("_Bundle", "v1x v1y v2x v2y floor dens live ridge_mass "
                      "across_y")
 
@@ -193,10 +180,12 @@ def _bundle(flow) -> _Bundle:
     censored = moving & (speed <= hn * np.sqrt(g2))
     live = moving & ~censored
     dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
-    sweep = np.where(across_y,
-                     _neighbor_dot(v.vx, v.vy, 1, g.periodic_y),
-                     _neighbor_dot(v.vx, v.vy, 0, g.periodic_x)) < 0.0
-    ridge = censored & sweep
+    # v(node+h) . v(node-h) across the band; the zero apron beyond a bounded
+    # edge gives an end node a dot of 0, which is no sweep
+    px, py = g.pad(v.vx, 0.0), g.pad(v.vy, 0.0)
+    dot_x = px[2:, 1:-1] * px[:-2, 1:-1] + py[2:, 1:-1] * py[:-2, 1:-1]
+    dot_y = px[1:-1, 2:] * px[1:-1, :-2] + py[1:-1, 2:] * py[1:-1, :-2]
+    ridge = censored & (np.where(across_y, dot_y, dot_x) < 0.0)
     wq = _g.quadrature_weights(g)
     ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
     return _Bundle(v1x, v1y, v2x, v2y, floor, dens, live, ridge_mass, across_y)
@@ -347,19 +336,9 @@ def _identity_residual(flow, b, derivatives, speed_fraction):
         for b in range(a + 1, len(exprs)):
             spread = np.maximum(spread, np.abs(exprs[a] - exprs[b]))
 
-    dead = ~live
-    halo = dead.copy()
-    if g.periodic_x:
-        halo |= np.roll(dead, 1, 0) | np.roll(dead, -1, 0)
-    else:
-        halo[1:, :] |= dead[:-1, :]
-        halo[:-1, :] |= dead[1:, :]
-    if g.periodic_y:
-        halo |= np.roll(dead, 1, 1) | np.roll(dead, -1, 1)
-    else:
-        halo[:, 1:] |= dead[:, :-1]
-        halo[:, :-1] |= dead[:, 1:]
-    spread[halo] = 0.0
+    dead = g.pad(~live, False)
+    spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
+           | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0
     return ScalarField(g, spread)
 
 
@@ -448,10 +427,10 @@ def _kappa_distribution(flow, b, n_bins):
     def wrap(a):
         return (a + np.pi) % (2.0 * np.pi) - np.pi
 
-    def voronoi_arc(axis, periodic):
+    def voronoi_arc(axis):
         up = wrap(np.roll(theta, -1, axis) - theta)
         dn = wrap(np.roll(theta, 1, axis) - theta)
-        if not periodic:
+        if not g.periodic:
             edge = [slice(None), slice(None)]
             for j in (0, -1):
                 edge[axis] = j
@@ -461,8 +440,8 @@ def _kappa_distribution(flow, b, n_bins):
         hi = np.maximum(up, dn) / 2.0
         return np.clip(hi - lo, 0.0, np.pi), theta + (hi + lo) / 2.0
 
-    span_y, center_y = voronoi_arc(1, g.periodic_y)
-    span_x, center_x = voronoi_arc(0, g.periodic_x)
+    span_y, center_y = voronoi_arc(1)
+    span_x, center_x = voronoi_arc(0)
     span = np.where(across_y, span_y, span_x)
     center = np.where(across_y, center_y, center_x)
 
@@ -580,43 +559,20 @@ def classify(angle_set: AngleSet, total_curvature: float,
         return Classification("TypeIIIUpper")
     if (lower - ends) <= occ <= lower:
         return Classification("TypeIIILower")
-    if occ:
-        runs = _empty_runs(filled)
-        if len(runs) == 1:
-            start, length = runs[0]
-            n = angle_set.n_bins
-            w = 2.0 * np.pi / n
-            beta = 0.5 * length * w
-            center = (start + length + (n - length - 1) / 2.0) % n
-            theta0 = center * w - np.pi
-            if theta0 <= -np.pi:
-                theta0 += 2.0 * np.pi
-            return Classification("Arc", beta=beta, theta0=theta0)
+    # a gap starts at each empty bin that follows an occupied one
+    empty = ~filled
+    starts = np.flatnonzero(empty & ~np.roll(empty, 1))
+    if len(starts) == 1:
+        n = angle_set.n_bins
+        length = int(empty.sum())
+        w = 2.0 * np.pi / n
+        beta = 0.5 * length * w
+        center = (int(starts[0]) + length + (n - length - 1) / 2.0) % n
+        theta0 = center * w - np.pi
+        if theta0 <= -np.pi:
+            theta0 += 2.0 * np.pi
+        return Classification("Arc", beta=beta, theta0=theta0)
     return Classification("Indeterminate")
-
-
-def _empty_runs(occupied):
-    """Maximal circular runs of empty bins as (start, length) pairs."""
-    n = len(occupied)
-    empty = ~occupied
-    if not empty.any():
-        return []
-    if empty.all():
-        return [(0, n)]
-    # rotate so position 0 is occupied, then find plain runs
-    first = int(np.flatnonzero(occupied)[0])
-    rolled = np.roll(empty, -first)
-    runs = []
-    k = 0
-    while k < n:
-        if rolled[k]:
-            start = k
-            while k < n and rolled[k]:
-                k += 1
-            runs.append(((start + first) % n, k - start))
-        else:
-            k += 1
-    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
         raise ValueError("start must be 'sub' or 'super'")
     ascending = start == "sub"
     g = sub.grid
-    if g.periodic_x or g.periodic_y:
+    if g.periodic:
         raise GridError("Dirichlet problems need a non-periodic grid")
     if sup.grid != g:
         raise GridError("sub and super fields live on different grids")

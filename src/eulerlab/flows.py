@@ -128,8 +128,8 @@ def pressure_from_stream(u: ScalarField, nl) -> ScalarField:
     rim stay second order only because of that.
     """
     g = u.grid
-    gx = _matched_diff1(u.values, g.hx, 0, g.periodic_x)
-    gy = _matched_diff1(u.values, g.hy, 1, g.periodic_y)
+    gx = _matched_diff1(u.values, g.hx, 0, g.periodic)
+    gy = _matched_diff1(u.values, g.hy, 1, g.periodic)
     return ScalarField(g, -nl.F(u.values) - 0.5 * (gx ** 2 + gy ** 2))
 
 
@@ -238,7 +238,7 @@ def odd_extend_x1(f: ScalarField) -> ScalarField:
     A quadrant becomes a half plane when reflected; other kinds keep theirs.
     """
     g = f.grid
-    if g.periodic_x:
+    if g.periodic:
         raise GridError("cannot reflect a periodic direction")
     if g.x_range[0] != 0.0:
         raise GridError("half grid must start at x1 = 0, got x1 >= %g"

@@ -3,11 +3,14 @@
 The domains are rectangles standing in for the five flow geometries: a
 truncated channel strip, a truncated half plane, a quarter plane, a doubly
 periodic square, and a plain rectangle.  Nodes sit at the tensor product of
-uniformly spaced coordinates; values live on nodes.  Derivatives use centered
+uniformly spaced coordinates; values live on nodes.  A grid is periodic on
+both axes (the torus) or bounded on both (every other kind), so one flag,
+``Grid.periodic``, says what lies beyond every edge, and ``Grid.pad`` gives
+the one-node apron that neighbour tests read.  Derivatives use centered
 second-order stencils in the interior, one-sided second-order stencils at
-non-periodic edges, and wrap-around on periodic axes.  Quadrature is the
-trapezoid rule, degenerating to the rectangle rule on periodic axes (where it
-is spectrally accurate).
+bounded edges, and wrap around on the torus.  Quadrature is the trapezoid
+rule, degenerating to the rectangle rule on the torus (where it is
+spectrally accurate).
 
 Field values are stored with shape ``(nx, ny)`` indexed ``[i, j]`` for node
 ``(x_i, y_j)``, and the arrays are frozen: operations always allocate.
@@ -48,7 +51,7 @@ class Grid:
         One of ``KINDS``.  ``Torus`` is periodic in both directions; every
         other kind is a plain rectangle with boundary nodes.
     nx, ny : int
-        Node counts per axis, at least 8 each.  On periodic axes the node at
+        Node counts per axis, at least 8 each.  On the torus the node at
         the right end is omitted (it duplicates the left end).
     x_range, y_range : (float, float)
         Coordinate extents.  A strip must span exactly [-1, 1] transversally;
@@ -85,8 +88,7 @@ class Grid:
         self.ny = ny
         self.x_range = (x0, x1)
         self.y_range = (y0, y1)
-        self.periodic_x = periodic
-        self.periodic_y = periodic
+        self.periodic = periodic
         self.hx = hx
         self.hy = hy
 
@@ -106,11 +108,16 @@ class Grid:
     def interior_mask(self) -> np.ndarray:
         """True at nodes whose 5-point stencil stays on the grid."""
         m = np.ones(self.shape, dtype=bool)
-        if not self.periodic_x:
-            m[0, :] = m[-1, :] = False
-        if not self.periodic_y:
-            m[:, 0] = m[:, -1] = False
+        if not self.periodic:
+            m[[0, -1], :] = m[:, [0, -1]] = False
         return m
+
+    def pad(self, a, fill) -> np.ndarray:
+        """``a`` with a one-node apron: the wrapped nodes on a periodic
+        grid, ``fill`` beyond the edges of a bounded one."""
+        if self.periodic:
+            return np.pad(a, 1, mode="wrap")
+        return np.pad(a, 1, constant_values=fill)
 
     def wall_rows(self):
         """Indices of the slip-wall node rows (j-index) for this geometry."""
@@ -217,11 +224,11 @@ def _neg_lap(v: np.ndarray, spacings) -> np.ndarray:
 
 
 def ddx(f: ScalarField) -> np.ndarray:
-    return _diff1(f.values, f.grid.hx, 0, f.grid.periodic_x)
+    return _diff1(f.values, f.grid.hx, 0, f.grid.periodic)
 
 
 def ddy(f: ScalarField) -> np.ndarray:
-    return _diff1(f.values, f.grid.hy, 1, f.grid.periodic_y)
+    return _diff1(f.values, f.grid.hy, 1, f.grid.periodic)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -239,14 +246,14 @@ def perp_gradient(f: ScalarField) -> VectorField:
 
 def divergence(w: VectorField) -> ScalarField:
     g = w.grid
-    return ScalarField(g, _diff1(w.vx, g.hx, 0, g.periodic_x)
-                       + _diff1(w.vy, g.hy, 1, g.periodic_y))
+    return ScalarField(g, _diff1(w.vx, g.hx, 0, g.periodic)
+                       + _diff1(w.vy, g.hy, 1, g.periodic))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     g = f.grid
-    return ScalarField(g, _diff2(f.values, g.hx, 0, g.periodic_x)
-                       + _diff2(f.values, g.hy, 1, g.periodic_y))
+    return ScalarField(g, _diff2(f.values, g.hx, 0, g.periodic)
+                       + _diff2(f.values, g.hy, 1, g.periodic))
 
 
 def vector_gradient(w: VectorField):
@@ -255,10 +262,10 @@ def vector_gradient(w: VectorField):
     Returns (dvx_dx, dvx_dy, dvy_dx, dvy_dy).
     """
     g = w.grid
-    return (_diff1(w.vx, g.hx, 0, g.periodic_x),
-            _diff1(w.vx, g.hy, 1, g.periodic_y),
-            _diff1(w.vy, g.hx, 0, g.periodic_x),
-            _diff1(w.vy, g.hy, 1, g.periodic_y))
+    return (_diff1(w.vx, g.hx, 0, g.periodic),
+            _diff1(w.vx, g.hy, 1, g.periodic),
+            _diff1(w.vy, g.hx, 0, g.periodic),
+            _diff1(w.vy, g.hy, 1, g.periodic))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +281,8 @@ def axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
 
 
 def quadrature_weights(grid: Grid) -> np.ndarray:
-    return np.outer(axis_weights(grid.nx, grid.hx, grid.periodic_x),
-                    axis_weights(grid.ny, grid.hy, grid.periodic_y))
+    return np.outer(axis_weights(grid.nx, grid.hx, grid.periodic),
+                    axis_weights(grid.ny, grid.hy, grid.periodic))
 
 
 def integrate(f) -> float:

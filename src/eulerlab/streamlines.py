@@ -12,18 +12,20 @@ Three independent views of the same flow geometry:
 
 Traces advance the unit field v/|v| rather than v itself: the polyline then
 samples the path at uniform arclength and step control does not depend on
-the local speed.  On periodic axes a trace lives in the covering plane
+the local speed.  On the torus a trace lives in the covering plane
 (coordinates are not wrapped back); interpolation wraps internally, so the
-path is continuous and never "exits" a periodic direction.
+path is continuous and never "exits".  What lies beyond an edge is read
+off the grid's one periodic flag, and the neighbour tests of contours and
+stagnation points read the one-node apron of ``Grid.pad``.
 
 Tracing runs on scalars.  Each flow gets one sampler, built on its first
 trace and kept on the flow: the velocity rows as Python float lists, the
 grid geometry and the stagnation floor.  A stage sample then costs a few
 float operations instead of a dozen small numpy calls, and it reproduces
 :func:`bilinear_sample` bit for bit because it performs the same IEEE
-operations in the same order: bounded axes clamp exactly as ``np.clip``
-(a point strictly outside moves to the edge), periodic axes wrap with
-float ``%``, which is ``np.mod`` to the bit, and the blend is evaluated
+operations in the same order: a bounded grid clamps exactly as
+``np.clip`` (a point strictly outside moves to the edge), the torus wraps
+with float ``%``, which is ``np.mod`` to the bit, and the blend is evaluated
 left to right as ``v*(1-fx)*(1-fy) + v*fx*(1-fy) + ...``.  Precomputing a
 weight product such as ``(1-fx)*(1-fy)`` regroups the multiplication and
 moves the last bit, so the kernel must not.  The speed is ``np.hypot`` and
@@ -141,9 +143,9 @@ def bilinear_sample(field, points):
     x0, _ = grid.x_range
     y0, _ = grid.y_range
     i0, i1, fx = _axis_locate(pts[..., 0], x0, grid.hx, grid.nx,
-                              grid.periodic_x)
+                              grid.periodic)
     j0, j1, fy = _axis_locate(pts[..., 1], y0, grid.hy, grid.ny,
-                              grid.periodic_y)
+                              grid.periodic)
 
     def blend(v):
         return (v[i0, j0] * (1.0 - fx) * (1.0 - fy)
@@ -163,13 +165,8 @@ def bilinear_sample(field, points):
 
 
 def _inside(grid: Grid, p) -> bool:
-    if not grid.periodic_x:
-        if not (grid.x_range[0] <= p[0] <= grid.x_range[1]):
-            return False
-    if not grid.periodic_y:
-        if not (grid.y_range[0] <= p[1] <= grid.y_range[1]):
-            return False
-    return True
+    return grid.periodic or (grid.x_range[0] <= p[0] <= grid.x_range[1]
+                             and grid.y_range[0] <= p[1] <= grid.y_range[1])
 
 
 class _Sampler:
@@ -177,7 +174,7 @@ class _Sampler:
 
     Everything a stage sample needs is computed once per flow: the velocity
     rows as Python floats, the grid origin, spacings, sizes and periodic
-    flags, and the stagnation floor.  :meth:`sample` then does the
+    flag, and the stagnation floor.  :meth:`sample` then does the
     interpolation of one point in plain float arithmetic, operation for
     operation as the array code does it, so its result is the same to the
     last bit (see the module docstring for the order rules).
@@ -193,12 +190,14 @@ class _Sampler:
         self._x0, self._y0 = g.x_range[0], g.y_range[0]
         self._hx, self._hy = g.hx, g.hy
         self._nx, self._ny = g.nx, g.ny
-        self._px, self._py = g.periodic_x, g.periodic_y
+        self._periodic = g.periodic
 
     def sample(self, x, y):
         """Interpolated velocity (vx, vy) at the point (x, y)."""
-        i0, i1, fx = _locate((x - self._x0) / self._hx, self._nx, self._px)
-        j0, j1, fy = _locate((y - self._y0) / self._hy, self._ny, self._py)
+        i0, i1, fx = _locate((x - self._x0) / self._hx, self._nx,
+                             self._periodic)
+        j0, j1, fy = _locate((y - self._y0) / self._hy, self._ny,
+                             self._periodic)
         a, b = self._vx[i0], self._vx[i1]
         wx = (a[j0] * (1.0 - fx) * (1.0 - fy) + b[j0] * fx * (1.0 - fy)
               + a[j1] * (1.0 - fx) * fy + b[j1] * fx * fy)
@@ -248,7 +247,7 @@ def trace(flow, seed, step: float | None = None,
     """
     grid = flow.grid
     sx, sy = float(seed[0]), float(seed[1])
-    # a periodic axis has no edge to catch a coordinate the grid cannot
+    # the torus has no edge to catch a coordinate the grid cannot
     # locate: non-finite, or so large that (x - x0) / h overflows
     if not (math.isfinite((sx - grid.x_range[0]) / grid.hx)
             and math.isfinite((sy - grid.y_range[0]) / grid.hy)
@@ -313,39 +312,27 @@ def _extract_level(grid: Grid, values: np.ndarray, level: float):
     coordinate rounding involved.
     """
     nx, ny = grid.nx, grid.ny
+    # a torus keeps the high-end node of its apron on each axis, so the
+    # cells across the seam are plain cells; edge keys wrap back to the base
+    # cell below
+    k = int(grid.periodic)
+    values = grid.pad(values, 0.0)[1:nx + 1 + k, 1:ny + 1 + k]
     b = values > level
 
-    def cross(axis):
-        per = grid.periodic_x if axis == 0 else grid.periodic_y
-        if per:
-            lo, hi = values, np.roll(values, -1, axis)
-            blo, bhi = b, np.roll(b, -1, axis)
-        else:
-            cut = (slice(None, -1), slice(None)) if axis == 0 \
-                else (slice(None), slice(None, -1))
-            cut1 = (slice(1, None), slice(None)) if axis == 0 \
-                else (slice(None), slice(1, None))
-            lo, hi = values[cut], values[cut1]
-            blo, bhi = b[cut], b[cut1]
+    def cross(lo, hi, blo, bhi):
         hit = blo != bhi
         t = np.zeros_like(lo)
         np.divide(level - lo, hi - lo, out=t, where=hit)
         return hit, t
 
-    hit_x, t_x = cross(0)   # edge ('x', i, j): node (i, j) to (i+1, j)
-    hit_y, t_y = cross(1)   # edge ('y', i, j): node (i, j) to (i, j+1)
-
-    ncx = nx if grid.periodic_x else nx - 1
-    ncy = ny if grid.periodic_y else ny - 1
+    # edge ('x', i, j): node (i, j) to (i+1, j); ('y', i, j) to (i, j+1)
+    hit_x, t_x = cross(values[:-1], values[1:], b[:-1], b[1:])
+    hit_y, t_y = cross(values[:, :-1], values[:, 1:], b[:, :-1], b[:, 1:])
 
     # cells worth visiting: some corner pair disagrees
-    ip = (np.arange(ncx) + 1) % nx
-    jp = (np.arange(ncy) + 1) % ny
-    ba = b[:ncx, :ncy]
-    bb = b[ip, :ncy]
-    bd = b[:ncx, :][:, jp]
-    bc = b[ip, :][:, jp]
-    active = (ba != bb) | (ba != bc) | (ba != bd)
+    ba = b[:-1, :-1]
+    active = ((ba != b[1:, :-1]) | (ba != b[1:, 1:])
+              | (ba != b[:-1, 1:]))
 
     links = []
     for i, j in np.argwhere(active):
@@ -487,7 +474,7 @@ def level_contours(u: ScalarField, levels):
 def _padded_speed2(flow) -> np.ndarray:
     """speed^2 with a one-node apron encoding each boundary's character.
 
-    Periodic axes wrap.  Slip walls reflect evenly: v tangential is even and
+    The torus wraps.  Slip walls reflect evenly: v tangential is even and
     v normal odd across a wall streamline, so speed^2 extends smoothly and
     wall nodes get a genuine 3x3 neighborhood.  Open truncation edges are
     set to -inf, which disqualifies their nodes from being strict minima: a
@@ -497,19 +484,7 @@ def _padded_speed2(flow) -> np.ndarray:
     g = flow.grid
     v = flow.velocity
     s2 = v.vx ** 2 + v.vy ** 2
-    P = np.full((g.nx + 2, g.ny + 2), -np.inf)
-    P[1:-1, 1:-1] = s2
-    if g.periodic_x:
-        P[0, 1:-1] = s2[-1, :]
-        P[-1, 1:-1] = s2[0, :]
-    if g.periodic_y:
-        P[1:-1, 0] = s2[:, -1]
-        P[1:-1, -1] = s2[:, 0]
-        if g.periodic_x:
-            P[0, 0] = s2[-1, -1]
-            P[0, -1] = s2[-1, 0]
-            P[-1, 0] = s2[0, -1]
-            P[-1, -1] = s2[0, 0]
+    P = g.pad(s2, -np.inf)
     for j in g.wall_rows():
         if j == 0:
             P[1:-1, 0] = s2[:, 1]

@@ -395,11 +395,23 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["verify", "--fast"],
     # zero far-field data cannot be approached from below
     ["solve", "strip", "--far-field", "zero", "--start", "sub"],
+    # options of the other geometry, which its solve would never read
+    ["solve", "halfplane", "--n", "41", "--far-field", "zero"],
+    ["solve", "halfplane", "--n", "41", "--nx", "99"],
+    ["solve", "halfplane", "--n", "41", "--ny", "33"],
+    ["solve", "strip", "--nx", "97", "--ny", "33", "--n", "41"],
+    ["analyze", "--solve", "halfplane", "--n", "41", "--nx", "99"],
+    ["trace", "--solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+     "--n", "41", "--seed", "0,0.5"],
+    ["solve", "halfplane", "--n", "41", "--config", "{zero_config}"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
     plain.write_text("")
-    argv = [a.replace("{file}", str(plain)) for a in argv]
+    zero = tmp_path / "zero_far_field.json"
+    zero.write_text('{"far-field": "zero"}')
+    argv = [a.replace("{file}", str(plain)).replace("{zero_config}", str(zero))
+            for a in argv]
     expected = ""
     for damage, (spoil, message) in BUNDLE_DAMAGE.items():
         tag = "{bundle:%s}" % damage

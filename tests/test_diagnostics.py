@@ -532,6 +532,22 @@ def test_rolling_the_bins_turns_an_arc(arc, k):
     assert angle_gap(after.theta0, before.theta0 + k * 2.0 * np.pi / n) < 1e-12
 
 
+@given(st.integers(8, 90).flatmap(lambda m: st.tuples(
+    st.just(2 * m), st.integers(0, 2 * m - 1),
+    st.sampled_from([k for k in range(2, 2 * m) if abs(k - m) > 1]))))
+def test_one_gap_is_an_arc_centred_opposite_it(gap):
+    # a gap of n/2 - 1 .. n/2 + 1 bins can leave a semicircle occupied
+    n, start, length = gap
+    occ = np.ones(n, dtype=bool)
+    occ[(start + np.arange(length)) % n] = False
+    v = dg.classify(dg.AngleSet(occ.astype(float), 1e-10), 1.0)
+    assert v.kind == "Arc"
+    assert v.beta == pytest.approx(length * np.pi / n, rel=1e-14)
+    # the gap's middle bin sits at angle (start + (length - 1)/2) w - pi
+    w = 2.0 * np.pi / n
+    assert angle_gap(v.theta0, (start + 0.5 * (length - 1)) * w) < 1e-12
+
+
 def test_classification_value_semantics():
     a = dg.Classification("Arc", beta=0.5, theta0=1.0)
     assert a == dg.Classification("Arc", beta=0.5, theta0=1.0)

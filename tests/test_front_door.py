@@ -50,6 +50,9 @@ WORKABLE = {
 }
 # options that every draw carries, so no default grid or suite runs
 FORCED = ("nx", "ny", "n", "grid", "suite")
+# the other geometry's options, which a solve refuses; a draw leaves them out
+# so that its solve runs
+FOREIGN = {"strip": ("n",), "halfplane": ("nx", "ny", "far_field")}
 
 
 def _hostile(opt):
@@ -83,9 +86,10 @@ def invocations(draw):
         # a valid figure would run the full-size reference solves
         pool = HOSTILE if cmd == "reproduce" else list(choices)
         argv.append(draw(st.sampled_from(pool)))
+    which = argv[1] if cmd == "solve" else None
     config = {}
     for opt in spec["options"]:
-        if opt.dest in ("out", "config"):
+        if opt.dest in ("out", "config") + FOREIGN.get(which, ()):
             continue
         if opt.dest not in FORCED and not draw(st.booleans()):
             continue
@@ -93,6 +97,8 @@ def invocations(draw):
         if not pool or draw(st.integers(0, 7)) == 0:
             pool = _hostile(opt)
         value = draw(st.sampled_from(pool))
+        if opt.dest == "solve":
+            which = value
         route = draw(st.sampled_from(["glued", "split", "config"]))
         if route == "glued":
             argv.append(opt.flag + "=" + value)

@@ -1,18 +1,19 @@
-"""Golden bytes: the sha256 of every artifact of nine small pinned runs.
+"""Golden bytes: the sha256 of every artifact of ten pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
 change that moves any number in the last digit, or reorders a key or a
 column, fails here.  Each run writes to a fixed relative ``--out`` inside a
 scratch working directory, because the resolved configuration (output path
-included) is echoed into every JSON artifact.
+included) is echoed into every JSON artifact.  The acceptance-size flows
+come from the session's flow cache, so ``reproduce`` adds no solve.
 """
 
 import hashlib
 
 import pytest
 
-from eulerlab import cli
+from eulerlab import acceptance, cli
 
 GOLDEN = {
     "solve": (
@@ -20,8 +21,8 @@ GOLDEN = {
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
             "flow.csv": "29c960ab4071cb44ffdcdc4683ee1270bdbd1d7d08c571fbf9a60ad7ab16ed43",
-            "flow.json": "883625be4ab44f9327b6aff8428d71b6dbedbbdcf84a921d308b22573fc2ad22",
-            "report.json": "73c10bce277e074fdeaf3e888d8967b0d8b0a394714598da76275f7d5abe654a",
+            "flow.json": "523998fbc7d31423cf63a0ec54c9f8656092b78747723d0130095c199db482b0",
+            "report.json": "0e1a027b58294f7bd3cd2036e5860507db9e9617be866b07cd8aae522a390b52",
         },
     ),
     "analyze": (
@@ -41,7 +42,7 @@ GOLDEN = {
         {
             "angle_set.csv": "f5ac7543610951de4cc3f8f65a1ec4cacd377bad2913aceb917cebeed8ef33da",
             "curvature_profile.csv": "a649518edd8bfea77b1083e5464c3914940fe3bcf10a8328668927859a1b70d1",
-            "report.json": "fc714fcbb83e8ec166248e760c738813211f2a942bbfa2d94c4274abbb74aa67",
+            "report.json": "040b521e786c80ea133347d9f0b624f2cce662ae19517ab523f0f5b65fd94bc5",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -82,8 +83,8 @@ GOLDEN = {
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
             "flow.csv": "6165010d59bf1e95d6af6bed1f477368221c26789f21d4dc8864990043f62c28",
-            "flow.json": "643e81feeab39cca80e262f43ffb26a005ce5de4ca989ccc7edb56fdcc1b174a",
-            "report.json": "d1f12f7776a01e50d01fd893b07b03d920cc08e091faa5e1263fbf01acc90832",
+            "flow.json": "5636be96f53622e9ee38383b0553ae57ab0440a7c2c0cdf260d4015542de688f",
+            "report.json": "d316938d21df24d76a4826cac1386c086cd074eac7f56717f603352455b698cc",
         },
     ),
     # the 1D profile writer, which no 2D run covers
@@ -102,6 +103,23 @@ GOLDEN = {
             "verify.json": "c94d3ae004a3566f23cee4b6cc958307f04d722450d41613bd387378a4aa0a2a",
         },
     ),
+    # separatrices (zero level contours), trace fans and stagnation points
+    # of the two reference flows, which no other run covers
+    "reproduce": (
+        ["reproduce", "all", "--out", "golden_reproduce"],
+        {
+            "figure1_separatrices.csv": "517f948bf8196d6248b9237bc6acbf715e3184bf508a0454efe3bbb21eea8270",
+            "figure1_separatrices.json": "93f8a96048976da3c5058bed26b50ebb142716f34e6f3d110522af40b1c7f578",
+            "figure1_stagnation.csv": "ec7c3e34361b4b4a789087c7513a14ca0b78118cc8af3cb4d785002dbf3b44c5",
+            "figure1_traces.csv": "adaaac83e7307b1c297a18777c10243b53d45939ac226d58cae6b689effbe2ef",
+            "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
+            "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
+            "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",
+            "figure2_stagnation.csv": "5ae49f44f2675165511cd8c529818428c2fb21ac4e45810dd5fcbee80a88682b",
+            "figure2_traces.csv": "92d7df2c3e93833101eeb46a0f2f098cd70024ce5e87a5b20dc1d24cf9c63fe9",
+            "figure2_traces.json": "5cd764f61ccbe0c63d70227a2e8c9183cdc3d826597fcd50905b6138c06dfd79",
+        },
+    ),
 }
 
 # runs whose output a golden run reads
@@ -109,10 +127,11 @@ INPUTS = {"analyze_file": ["solve"], "trace_file": ["solve"]}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch):
+def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch, cache):
     argv, expected = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("EULERLAB_OUT", raising=False)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: cache)
     for before in INPUTS.get(name, []):
         assert cli.main(GOLDEN[before][0]) == 0
     assert cli.main(argv) == 0
