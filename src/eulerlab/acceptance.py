@@ -60,19 +60,14 @@ class _FlowCache:
             self._memo[key] = build()
         return self._memo[key]
 
-    def strip(self, nx=769, ny=129):
-        def build():
-            nl = oned.arctan_family(4.0)
-            field, _ = elliptic2d.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)
-            return field, flows.velocity_from_stream(field, nl)
-        return self._get(("strip", nx, ny), build)
+    def strip(self, **sizes):
+        # (field, flow) of the reference strip, or of a coarser one
+        return self._get(("strip",) + tuple(sorted(sizes.items())),
+                         lambda: elliptic2d.solve_type3_strip(**sizes)[:2])
 
     def saddle(self):
-        def build():
-            nl = oned.allen_cahn()
-            field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=321)
-            return field, flows.velocity_from_stream(field, nl)
-        return self._get(("saddle",), build)
+        return self._get(("saddle",),
+                         lambda: elliptic2d.solve_saddle_quadrant()[:2])
 
     def taylor_green(self, n):
         box = (0.0, 2.0 * np.pi)
@@ -283,7 +278,7 @@ def check_identity_chain(cache):
                     4.0, ">= 2.8"),
     ]
     _, fine = cache.strip()
-    _, coarse = cache.strip(385, 65)
+    _, coarse = cache.strip(nx=385, ny=65)
     r_coarse = float(np.max(dg.curvature_identity_residual(
         coarse, speed_fraction=0.1).values))
     r_fine = float(np.max(dg.curvature_identity_residual(

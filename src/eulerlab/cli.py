@@ -23,6 +23,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -180,6 +181,9 @@ _COMMANDS = {
 
 for _spec in _COMMANDS.values():
     _spec["options"] = _spec["options"] + _common_options()
+# every dest has one flag, whichever command takes it
+_FLAGS = {o.dest: o.flag for _spec in _COMMANDS.values()
+          for o in _spec["options"]}
 
 
 def _build_parser() -> _Parser:
@@ -286,8 +290,12 @@ def _resolve(cmd, ns):
     for name, _ in spec["positionals"]:
         r[name] = getattr(ns, name)
     _default(r, "out", "eulerlab_out")
-    _check_numbers(r, opts)
+    # the finish step refuses what the run would not read before any range
+    # check, so an option of another run is named as such whatever its value
     _DISPATCH[cmd][0](r)
+    _check_numbers(r, opts)
+    if r.get("lam") is not None:  # set only where the arctan family reads it
+        _check_arctan_lambda(r["lam"])
     return r
 
 
@@ -301,49 +309,56 @@ def _check_arctan_lambda(lam):
                           "Picard shift must be finite" % lam)
 
 
+def _refuse(r, dests, owner, here):
+    """Refuse each of ``dests`` that is set: ``owner`` reads it, the run
+    ``here`` does not.  Left unset, it shows as null in the echo."""
+    for dest in dests:
+        if r.get(dest) is not None:
+            raise ConfigError("%s belongs to %s, not to %s"
+                              % (_FLAGS[dest], owner, here))
+
+
 def _finish_solve1d(r):
-    if not r["family"]:
+    family = r["family"]
+    if not family:
         raise ConfigError("missing required option: --family")
-    if r["family"] == "arctan":
+    if family == "arctan":
+        _refuse(r, ("L",), "the allen-cahn family", family)
         if r["lam"] is None:
             raise ConfigError("missing required option: --lambda (the "
                               "arctan family needs it)")
-        _check_arctan_lambda(r["lam"])
-    _default(r, "n", 2001 if r["family"] == "arctan" else 4001)
-    _default(r, "L", 20.0)
+        _default(r, "start", "sub")
+    else:
+        _refuse(r, ("lam", "start"), "the arctan family", family)
+        _default(r, "L", 20.0)
+    _default(r, "n", 2001 if family == "arctan" else 4001)
     _default(r, "tol", 1e-10)
-    _default(r, "start", "sub")
+
+
+# the flow construction of each solve geometry; its keyword parameters are
+# the solver options it reads, and their defaults are the CLI's
+_CONSTRUCTIONS = {"strip": elliptic2d.solve_type3_strip,
+                  "halfplane": elliptic2d.solve_saddle_quadrant}
 
 
 def _solver_defaults(r, which):
-    strip = which == "strip"
-    # the other geometry's options are refused, and stay unset in the echo
-    other = "halfplane" if strip else "strip"
-    for key in ("n",) if strip else ("nx", "ny", "far_field"):
-        if r[key] is not None:
-            raise ConfigError("--%s belongs to the %s solve, not to %s"
-                              % (key.replace("_", "-"), other, which))
-    _default(r, "lam", 4.0)
-    _default(r, "L", 12.0 if strip else 20.0)
-    if strip:
-        _default(r, "nx", 769)
-        _default(r, "ny", 129)
-        _default(r, "far_field", "profile")
-    else:
-        _default(r, "n", 321)
-    _default(r, "tol", 1e-8)
-    # the saddle and the strip's exhaustion variant (zero far field) descend
-    # from their supersolutions
-    zero = strip and r["far_field"] == "zero"
-    _default(r, "start", "sub" if strip and not zero else "super")
+    params = inspect.signature(_CONSTRUCTIONS[which]).parameters
+    other = "halfplane" if which == "strip" else "strip"
+    _refuse(r, [o.dest for o in _solver_options() if o.dest not in params],
+            "the %s solve" % other, which)
+    # the strip's exhaustion variant (zero far field) descends from the
+    # profile supersolution, as the saddle does from its own
+    zero = r["far_field"] == "zero"
+    if zero:
+        _default(r, "start", "super")
+    for key, p in params.items():
+        _default(r, key, p.default)
     if zero and r["start"] == "sub":
         raise ConfigError("--far-field zero descends from the profile: it "
                           "takes --start super, not sub")
-    if strip:
-        if r["nx"] % 2 == 0:
-            raise ConfigError("--nx must be odd so that x1 = 0 is a node "
-                              "column, got %d" % r["nx"])
-        _check_arctan_lambda(r["lam"])
+    if r["nx"] is not None and r["nx"] % 2 == 0:
+        raise ConfigError("--nx must be odd so that x1 = 0 is a node "
+                          "column, got %d" % r["nx"])
 
 
 def _require_one_source(r):
@@ -352,8 +367,13 @@ def _require_one_source(r):
         raise ConfigError(
             "exactly one flow source is required: --catalog, --file, "
             "or --solve (got %s)" % (", ".join(given) or "none"))
+    here = "--" + given[0]
+    if not r["catalog"]:
+        _refuse(r, ("grid",), "--catalog", here)
     if r["solve"]:
         _solver_defaults(r, r["solve"])
+    else:
+        _refuse(r, [o.dest for o in _solver_options()], "--solve", here)
 
 
 def _finish_analyze(r):
@@ -475,17 +495,9 @@ _DEFAULT_GRIDS = {
 
 def _solve_flow(which, r):
     """Fresh 2D solve from the resolved options; returns (stream field,
-    solver report, nonlinearity)."""
-    if which == "strip":
-        nl = oned.arctan_family(r["lam"])
-        field, srep = elliptic2d.solve_type3_strip(
-            nl, L=r["L"], nx=r["nx"], ny=r["ny"], tol=r["tol"],
-            far_field=r["far_field"], start=r["start"])
-    else:
-        nl = oned.allen_cahn()
-        field, srep = elliptic2d.solve_saddle_quadrant(
-            nl, L=r["L"], n=r["n"], tol=r["tol"], start=r["start"])
-    return field, srep, nl
+    flow, solver report)."""
+    fn = _CONSTRUCTIONS[which]
+    return fn(**{k: r[k] for k in inspect.signature(fn).parameters})
 
 
 def _flow_from_source(r):
@@ -504,8 +516,7 @@ def _flow_from_source(r):
                               % (r["file"], e))
         except (ValueError, KeyError) as e:
             raise ConfigError("not a flow bundle: %s (%s)" % (r["file"], e))
-    field, _, nl = _solve_flow(r["solve"], r)
-    return flows.velocity_from_stream(field, nl)
+    return _solve_flow(r["solve"], r)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +582,9 @@ def attachment_gap(field: ScalarField, limit: oned.Profile) -> float:
 def cmd_solve(r, out, cfg) -> int:
     report_path = os.path.join(out, "report.json")
     try:
-        field, srep, nl = _solve_flow(r["which"], r)
+        field, flow, srep = _solve_flow(r["which"], r)
     except _SOLVER_ERRORS as e:
         return _solver_failure(e, cfg, report_path)
-    flow = flows.velocity_from_stream(field, nl)
     flows.save_flow(flow, os.path.join(out, "flow.csv"),
                     os.path.join(out, "flow.json"), extra={"config": cfg})
     gap = attachment_gap(field, srep.profile)

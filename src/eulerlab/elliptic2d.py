@@ -16,26 +16,28 @@ a new start (Sattinger's monotone iteration restarted from a better
 subsolution, or supersolution when descending); ``SolveReport.iterations``
 still counts plain sweeps.
 
-Two flow constructions sit on top:
+Two flow constructions sit on top, each the owner of its nonlinearity and
+of its reference parameters (the keyword defaults):
 
-* ``solve_type3_strip`` builds the transversally pinned strip flow: solve on
-  the half strip (0, L) x (-1, 1) with the 1D transverse profile as far-field
-  data, then extend oddly through x1 = 0.
-* ``solve_saddle_quadrant`` builds the half-plane saddle: solve on the
-  quadrant (0, L)^2 with heteroclinic traces on the far sides, then extend
-  oddly in x1.
+* ``solve_type3_strip`` builds the transversally pinned strip flow of the
+  arctan family: solve on the half strip (0, L) x (-1, 1) with the 1D
+  transverse profile as far-field data, then extend oddly through x1 = 0.
+* ``solve_saddle_quadrant`` builds the half-plane saddle of the Allen-Cahn
+  term: solve on the quadrant (0, L)^2 with heteroclinic traces on the far
+  sides, then extend oddly in x1.
 
 Both reuse the 1D solutions on the same node set, which makes the constant
 extension (strip) and min construction (quadrant) exact discrete
-supersolutions rather than approximate ones.
+supersolutions rather than approximate ones.  Both return (field, flow,
+SolveReport): the stream function on the full domain, the flow it carries
+(pressure included), and the report of the 2D solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import oned
-from .flows import odd_extend_x1
+from . import flows, oned
 from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
 
 
@@ -254,24 +256,22 @@ def _halve_under(sub_builder, eps, super_values) -> ScalarField:
     raise oned.NoSubsolution("bump cannot be placed under the supersolution")
 
 
-def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
+def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
                       ny: int = 129, tol: float = 1e-8,
                       far_field: str = "profile", start: str = "sub"):
-    """Stream function of the transversally pinned strip flow on (-L, L) x (-1, 1).
+    """The transversally pinned strip flow of f = lam*arctan on (-L, L) x (-1, 1).
 
     Solves on the half strip (0, L) x (-1, 1) with zero data on x1 = 0 and the
     walls, far-field data at x1 = L from the 1D transverse profile (or zero
     with far_field="zero", the exhaustion variant, which descends and so
-    needs start="super"), then odd-extends through x1 = 0.  The transverse profile is solved on the same ny-node grid, so its
-    constant extension is an exact discrete supersolution.  Returns
-    (field, SolveReport); the report carries the profile as ``profile``.
+    needs start="super"), then odd-extends through x1 = 0.  The transverse
+    profile is solved on the same ny-node grid, so its constant extension
+    is an exact discrete supersolution.  Returns (field, flow, SolveReport);
+    the report carries the profile as ``profile``.
 
     nx must be odd so that x1 = 0 is a node column.
     """
-    if nl.family != "ArctanFamily":
-        raise ValueError("the pinned strip construction needs the arctan family")
-    if abs(float(nl.f(0.0))) > 1e-12:
-        raise ValueError("f(0) must vanish; the odd extension needs an odd f")
+    nl = oned.arctan_family(lam)
     nx = int(nx)
     ny = int(ny)
     if nx % 2 == 0:
@@ -305,24 +305,23 @@ def solve_type3_strip(nl: oned.Nonlinearity, L: float = 12.0, nx: int = 769,
         # descending, the zero field is the lower side of the sandwich
         sub = ScalarField(half, np.zeros((mx, ny)))
     u_half, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
-
     report.profile = profile
-    return odd_extend_x1(u_half), report
+    field = flows.odd_extend_x1(u_half)
+    return field, flows.velocity_from_stream(field, nl), report
 
 
-def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
-                          tol: float = 1e-8, start: str = "super"):
-    """Stream function of the half-plane saddle on (-L, L) x (0, L).
+def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8,
+                          start: str = "super"):
+    """The half-plane saddle of f = s - s^3 on (-L, L) x (0, L).
 
     Solves on the quadrant (0, L)^2 with zero data on both axes and
     heteroclinic traces g on the far sides, descending from the exact
     discrete supersolution min(g(x1), g(x2)) (or ascending from a product
     sine bump with start="sub"), then odd-extends in x1.  The heteroclinic
-    is solved on the same n-node axis grid.  Returns (field, SolveReport);
-    the report carries the heteroclinic as ``profile``.
+    is solved on the same n-node axis grid.  Returns (field, flow,
+    SolveReport); the report carries the heteroclinic as ``profile``.
     """
-    if nl.family != "AllenCahn":
-        raise ValueError("the saddle construction needs the double-well term")
+    nl = oned.allen_cahn()
     if start not in ("sub", "super"):
         raise ValueError("start must be 'sub' or 'super'")
     L = float(L)
@@ -348,6 +347,6 @@ def solve_saddle_quadrant(nl: oned.Nonlinearity, L: float = 20.0, n: int = 321,
 
     sub = _halve_under(bump, eps, super_vals)
     u_quad, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
-
     report.profile = g
-    return odd_extend_x1(u_quad), report
+    field = flows.odd_extend_x1(u_quad)
+    return field, flows.velocity_from_stream(field, nl), report

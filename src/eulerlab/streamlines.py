@@ -334,7 +334,14 @@ def _extract_level(grid: Grid, values: np.ndarray, level: float):
     active = ((ba != b[1:, :-1]) | (ba != b[1:, 1:])
               | (ba != b[:-1, 1:]))
 
-    links = []
+    # every crossing lies on at most two cells, so the links form disjoint
+    # paths and loops
+    adj = {}
+
+    def link(a, c):
+        adj.setdefault(a, []).append(c)
+        adj.setdefault(c, []).append(a)
+
     for i, j in np.argwhere(active):
         i1 = (i + 1) % nx
         j1 = (j + 1) % ny
@@ -346,27 +353,17 @@ def _extract_level(grid: Grid, values: np.ndarray, level: float):
                    (top, hit_x[i, j1]), (left, hit_y[i, j])]
         names = [e for e, c in crossed if c]
         if len(names) == 2:
-            links.append((names[0], names[1]))
+            link(*names)
         elif len(names) == 4:
             # saddle cell: pair the crossings by the sign of the center mean
             center = 0.25 * (values[i, j] + values[i1, j]
                              + values[i1, j1] + values[i, j1])
             if (center > level) == b[i, j]:
-                links.append((bottom, right))
-                links.append((top, left))
+                link(bottom, right)
+                link(top, left)
             else:
-                links.append((bottom, left))
-                links.append((top, right))
-
-    if not links:
-        return []
-
-    adj = {}
-    for a, c in links:
-        adj.setdefault(a, []).append(c)
-        adj.setdefault(c, []).append(a)
-    for nbrs in adj.values():
-        nbrs.sort()
+                link(bottom, left)
+                link(top, right)
 
     def edge_point(eid):
         axis, i, j = eid
@@ -375,43 +372,25 @@ def _extract_level(grid: Grid, values: np.ndarray, level: float):
             return (x0 + (i + t_x[i, j]) * grid.hx, y0 + j * grid.hy)
         return (x0 + i * grid.hx, y0 + (j + t_y[i, j]) * grid.hy)
 
-    used = set()
-    chains = []
+    seen = set()
 
-    def walk(start):
+    def chain(start, closed):
+        # walk on to the unseen neighbour, the lower one at a loop's start
         path = [start]
-        cur = start
         while True:
-            nxt = None
-            for cand in adj[cur]:
-                if frozenset((cur, cand)) not in used:
-                    nxt = cand
-                    break
-            if nxt is None:
-                return path, False
-            used.add(frozenset((cur, nxt)))
-            if nxt == start:
-                return path, True
-            path.append(nxt)
-            cur = nxt
-
-    # open chains first, from their endpoints, then leftover loops
-    for start in sorted(e for e, nbrs in adj.items() if len(nbrs) == 1):
-        if any(frozenset((start, c)) not in used for c in adj[start]):
-            path, cyc = walk(start)
-            chains.append((path, cyc))
-    for start in sorted(adj):
-        while any(frozenset((start, c)) not in used for c in adj[start]):
-            path, cyc = walk(start)
-            chains.append((path, cyc))
-
-    out = []
-    for path, cyc in chains:
+            seen.add(path[-1])
+            nxt = [c for c in adj[path[-1]] if c not in seen]
+            if not nxt:
+                break
+            path.append(min(nxt))
         pts = [edge_point(e) for e in path]
-        if cyc:
-            pts.append(pts[0])
-        out.append((pts, cyc))
-    return out
+        return (pts + pts[:1] if closed else pts), closed
+
+    # open chains first, from their lower endpoint, then the loops, each
+    # from its lowest crossing
+    ends = sorted(e for e, nbrs in adj.items() if len(nbrs) == 1)
+    return ([chain(e, False) for e in ends if e not in seen]
+            + [chain(e, True) for e in sorted(adj) if e not in seen])
 
 
 def _chains_match(a, b, tol):

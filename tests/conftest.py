@@ -17,7 +17,7 @@ settings.load_profile("eulerlab")
 
 @pytest.fixture(scope="session")
 def cache():
-    """The acceptance checks' flow cache: the arctan lambda = 4 strip at
-    L = 12 on 769 x 129 and the Allen-Cahn saddle at L = 20, n = 321, for
-    every module that needs those flows."""
+    """The acceptance checks' flow cache: the reference strip and saddle
+    (the constructions' keyword defaults) and the coarse 385 x 65 strip,
+    for every module that needs those flows."""
     return acceptance._FlowCache()

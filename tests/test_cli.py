@@ -7,6 +7,7 @@ resolutions belong to the acceptance suite.  Exit codes are the contract
 first and the artifacts second.
 """
 
+import inspect
 import json
 import os
 import re
@@ -404,6 +405,7 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["trace", "--solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
      "--n", "41", "--seed", "0,0.5"],
     ["solve", "halfplane", "--n", "41", "--config", "{zero_config}"],
+    ["solve", "halfplane", "--n", "41", "--nx", "3"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -426,6 +428,53 @@ def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     assert err.startswith("config error: " + expected)
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# an option the run would not read is refused by name before its value is
+# range-checked, alike from a flag and from --config
+@pytest.mark.parametrize("argv, key, value, says", [
+    (["solve", "halfplane", "--n", "41"], "nx", "3",
+     "the strip solve, not to halfplane"),
+    (["solve", "halfplane", "--n", "41"], "lambda", "7",
+     "the strip solve, not to halfplane"),
+    (["solve1d", "--family", "allen-cahn", "--n", "401"], "lambda", "9",
+     "the arctan family, not to allen-cahn"),
+    (["solve1d", "--family", "allen-cahn", "--n", "401"], "start", "super",
+     "the arctan family, not to allen-cahn"),
+    (["solve1d", "--family", "arctan", "--lambda", "4", "--n", "129"], "L",
+     "55", "the allen-cahn family, not to arctan"),
+    (["analyze", "--catalog", "taylor-green", "--grid", "torus:16"], "nx",
+     "99", "--solve, not to --catalog"),
+    (["trace", "--catalog", "couette", "--seed", "0,0.5"], "start", "super",
+     "--solve, not to --catalog"),
+    (["trace", "--file", "flow.json", "--seed", "0,0.5"], "tol", "1e-3",
+     "--solve, not to --file"),
+    (["analyze", "--file", "flow.json"], "grid", "torus:16",
+     "--catalog, not to --file"),
+    (["analyze", "--solve", "strip"], "grid", "torus:16",
+     "--catalog, not to --solve"),
+])
+def test_option_the_run_does_not_read_is_refused(argv, key, value, says,
+                                                 tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = "--" + key
+    capsys.readouterr()
+    for extra in ([flag, value], ["--config", str(cfg)]):
+        assert cli.main(argv + extra + ["--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == ("config error: %s belongs to %s\n"
+                                           % (flag, says))
+
+
+def test_construction_parameters_are_solver_options():
+    # the CLI reads each construction's keywords off its signature, so a
+    # renamed library parameter must fail here, not go quietly unset
+    dests = {o.dest for o in cli._solver_options()}
+    for fn in cli._CONSTRUCTIONS.values():
+        params = inspect.signature(fn).parameters
+        assert set(params) <= dests, fn.__name__
+        assert all(p.kind == p.POSITIONAL_OR_KEYWORD
+                   and p.default is not p.empty for p in params.values())
 
 
 @pytest.mark.parametrize("argv", [

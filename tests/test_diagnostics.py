@@ -20,8 +20,6 @@ from eulerlab import elliptic2d, flows, oned, serialize
 from eulerlab import grid as g
 from eulerlab.grid import ScalarField, VectorField
 
-ARCTAN = oned.arctan_family(4.0)
-
 # boundary slope of the transverse profile at lambda = 4, frozen from the
 # 1D solver at n = 16385 (Richardson-stable to 13 digits)
 WALL_SLOPE = 3.342097151308673
@@ -286,9 +284,8 @@ def test_identity_residual_refines_second_order_torus():
     assert vals[1] / vals[2] >= 2.8
 
 
-def test_identity_residual_refines_on_solved_strip(strip_flow):
-    coarse = flows.velocity_from_stream(
-        elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=385, ny=65)[0], ARCTAN)
+def test_identity_residual_refines_on_solved_strip(strip_flow, cache):
+    coarse = cache.strip(nx=385, ny=65)[1]
     r_coarse = float(np.max(dg.curvature_identity_residual(
         coarse, speed_fraction=0.1).values))
     r_fine = float(np.max(dg.curvature_identity_residual(
@@ -342,12 +339,9 @@ def test_scaling_multiplies_curvature_by_c_squared(strip_flow):
 
 @pytest.fixture(scope="module")
 def small_flows():
-    field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=6.0, nx=97, ny=33)
-    nl = oned.allen_cahn()
-    saddle, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=81)
-    return {"strip": flows.velocity_from_stream(field, ARCTAN),
+    return {"strip": elliptic2d.solve_type3_strip(L=6.0, nx=97, ny=33)[1],
             "torus": taylor_green(64),
-            "saddle": flows.velocity_from_stream(saddle, nl)}
+            "saddle": elliptic2d.solve_saddle_quadrant(n=81)[1]}
 
 
 def _steepest_axis_sets(flow, c, alpha):

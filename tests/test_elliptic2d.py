@@ -349,11 +349,11 @@ def test_residual_zero_field():
 
 @pytest.fixture(scope="module")
 def type3_full():
-    return e2.solve_type3_strip(oned.arctan_family(4.0))
+    return e2.solve_type3_strip()
 
 
 def test_type3_symmetries(type3_full):
-    u, report = type3_full
+    u, _, report = type3_full
     v = u.values
     assert report.final_residual < 1e-8
     assert float(np.max(np.abs(v + v[::-1, :]))) == 0.0
@@ -363,7 +363,7 @@ def test_type3_symmetries(type3_full):
 
 
 def test_type3_attachment(type3_full):
-    u, _ = type3_full
+    u = type3_full[0]
     profile = oned.solve_strip_profile(oned.arctan_family(4.0), u.grid.ny)
     x = u.grid.x_nodes()
     col = int(np.argmin(np.abs(x - (u.grid.x_range[1] - 1.0))))
@@ -372,7 +372,7 @@ def test_type3_attachment(type3_full):
 
 
 def test_type3_monotone_in_x1(type3_full):
-    u, _ = type3_full
+    u = type3_full[0]
     v = u.values
     dx = v[2:, 1:-1] - v[:-2, 1:-1]
     assert float(dx.min()) > -1e-8 * 2.0 * u.grid.hx
@@ -385,16 +385,15 @@ def test_type3_monotone_in_x1(type3_full):
 
 
 def test_type3_residual_full_grid(type3_full):
-    u, _ = type3_full
+    u = type3_full[0]
     g = u.grid
     r = oned._defect(u.values, (g.hx, g.hy), oned.arctan_family(4.0).f)
     assert float(np.max(np.abs(r))) < 1e-8
 
 
 def test_type3_refinement_order():
-    nl = oned.arctan_family(4.0)
     levels = [(97, 17), (193, 33), (385, 65)]
-    fields = [e2.solve_type3_strip(nl, L=12.0, nx=nx, ny=ny)[0].values
+    fields = [e2.solve_type3_strip(nx=nx, ny=ny)[0].values
               for nx, ny in levels]
     d1 = float(np.max(np.abs(fields[0] - fields[1][::2, ::2])))
     d2 = float(np.max(np.abs(fields[1] - fields[2][::2, ::2])))
@@ -402,15 +401,12 @@ def test_type3_refinement_order():
 
 
 def test_type3_zero_far_field_mode():
-    nl = oned.arctan_family(4.0)
-    za, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33, far_field="zero",
-                                 start="super")
-    pa, _ = e2.solve_type3_strip(nl, L=8.0, nx=257, ny=33,
-                                 far_field="profile")
-    zb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33, far_field="zero",
-                                 start="super")
-    pb, _ = e2.solve_type3_strip(nl, L=12.0, nx=385, ny=33,
-                                 far_field="profile")
+    za = e2.solve_type3_strip(L=8.0, nx=257, ny=33, far_field="zero",
+                              start="super")[0]
+    pa = e2.solve_type3_strip(L=8.0, nx=257, ny=33, far_field="profile")[0]
+    zb = e2.solve_type3_strip(L=12.0, nx=385, ny=33, far_field="zero",
+                              start="super")[0]
+    pb = e2.solve_type3_strip(L=12.0, nx=385, ny=33, far_field="profile")[0]
 
     def window(f, lim=4.0):
         keep = np.abs(f.grid.x_nodes()) <= lim + 1e-9
@@ -424,11 +420,9 @@ def test_type3_zero_far_field_mode():
 
 def test_type3_input_checks():
     with pytest.raises(ValueError):
-        e2.solve_type3_strip(oned.allen_cahn())
+        e2.solve_type3_strip(nx=768)
     with pytest.raises(ValueError):
-        e2.solve_type3_strip(oned.arctan_family(4.0), nx=768)
-    with pytest.raises(ValueError):
-        e2.solve_type3_strip(oned.arctan_family(4.0), far_field="dirichlet")
+        e2.solve_type3_strip(far_field="dirichlet")
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +438,16 @@ def _plain(solve):
 @pytest.mark.parametrize("case", ["strip769", "strip385", "saddle321",
                                   "strip_descending"])
 def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
-    arctan = oned.arctan_family(4.0)
     solve, accelerated = {
-        "strip769": (lambda: e2.solve_type3_strip(arctan), type3_full),
-        "strip385": (lambda: e2.solve_type3_strip(arctan, nx=385, ny=65),
-                     None),
-        "saddle321": (lambda: e2.solve_saddle_quadrant(oned.allen_cahn()),
-                      saddle_full),
+        "strip769": (e2.solve_type3_strip, type3_full),
+        "strip385": (lambda: e2.solve_type3_strip(nx=385, ny=65), None),
+        "saddle321": (e2.solve_saddle_quadrant, saddle_full),
         # zero far-field data descends from the profile supersolution
         "strip_descending": (lambda: e2.solve_type3_strip(
-            arctan, L=8.0, nx=257, ny=33, far_field="zero", start="super"),
-            None),
+            L=8.0, nx=257, ny=33, far_field="zero", start="super"), None),
     }[case]
-    u, report = accelerated or solve()
-    w, plain = _plain(solve)
+    u, _, report = accelerated or solve()
+    w, _, plain = _plain(solve)
     assert plain.extrapolations_accepted == plain.extrapolations_rejected == 0
     assert report.extrapolations_accepted > 0
     assert report.iterations < plain.iterations
@@ -517,15 +507,13 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
     # two correct runs stop up to rate/(1 - rate) * tol from the fixed
     # point, about 2 * tol apart at lam = 3 on a 17 x 9 grid, so both stop
     # at 1e-10 here and must agree within the default tol of 1e-8
-    nl = oned.arctan_family(lam)
-
     def solve():
-        return e2.solve_type3_strip(nl, L=6.0, nx=2 * half + 1, ny=ny,
+        return e2.solve_type3_strip(lam, L=6.0, nx=2 * half + 1, ny=ny,
                                     tol=1e-10, far_field=far_field,
                                     start="super" if far_field == "zero"
                                     else "sub")
 
-    (u, report), runs = _watched_iterates(solve)
+    (u, _, report), runs = _watched_iterates(solve)
     [(lower, upper, ascending, seen)] = runs
     seen = np.array(seen)
     assert len(seen) == report.iterations + 1
@@ -536,7 +524,7 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
     slack = 1e-10 * (1.0 + float(np.max(np.abs(upper))))
     steps = np.diff(seen, axis=0) * (1.0 if ascending else -1.0)
     assert float(steps.min()) >= -slack
-    w, _ = _plain(solve)
+    w = _plain(solve)[0]
     assert float(np.max(np.abs(u.values - w.values))) <= 1e-8
 
 
@@ -546,11 +534,11 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
 
 @pytest.fixture(scope="module")
 def saddle_full():
-    return e2.solve_saddle_quadrant(oned.allen_cahn())
+    return e2.solve_saddle_quadrant()
 
 
 def test_saddle_range_and_symmetry(saddle_full):
-    u, report = saddle_full
+    u, _, report = saddle_full
     assert report.final_residual < 1e-8
     v = u.values
     assert float(np.max(np.abs(v + v[::-1, :]))) == 0.0
@@ -562,7 +550,7 @@ def test_saddle_range_and_symmetry(saddle_full):
 
 
 def test_saddle_monotone_partials(saddle_full):
-    u, _ = saddle_full
+    u = saddle_full[0]
     mid = (u.grid.nx - 1) // 2
     q = u.values[mid:, :]
     dx = q[1:, 1:-1] - q[:-1, 1:-1]
@@ -572,7 +560,7 @@ def test_saddle_monotone_partials(saddle_full):
 
 
 def test_saddle_far_edges_match_heteroclinic(saddle_full):
-    u, _ = saddle_full
+    u = saddle_full[0]
     mid = (u.grid.nx - 1) // 2
     q = u.values[mid:, :]
     g = oned.solve_heteroclinic(oned.allen_cahn(), L=20.0, n=q.shape[0])
@@ -581,26 +569,19 @@ def test_saddle_far_edges_match_heteroclinic(saddle_full):
 
 
 def test_saddle_two_sided_limit():
-    down, _ = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
-                                       start="super")
-    up, _ = e2.solve_saddle_quadrant(oned.allen_cahn(), L=20.0, n=161,
-                                     start="sub")
+    down = e2.solve_saddle_quadrant(n=161, start="super")[0]
+    up = e2.solve_saddle_quadrant(n=161, start="sub")[0]
     assert float(np.max(np.abs(down.values - up.values))) < 1e-7
-
-
-def test_saddle_rejects_wrong_family():
-    with pytest.raises(ValueError):
-        e2.solve_saddle_quadrant(oned.arctan_family(4.0))
 
 
 def test_reports_carry_the_far_field_solutions(type3_full, saddle_full):
     # the 1D problems the constructions solved ride on their reports, so
     # nothing downstream needs to solve them again
-    u, report = type3_full
+    u, _, report = type3_full
     profile = oned.solve_strip_profile(oned.arctan_family(4.0), u.grid.ny)
     assert np.array_equal(report.profile.values, profile.values)
     assert "profile" not in report.to_dict()
-    w, report = saddle_full
+    w, _, report = saddle_full
     het = oned.solve_heteroclinic(oned.allen_cahn(), L=w.grid.y_range[1],
                                   n=w.grid.ny)
     assert np.array_equal(report.profile.values, het.values)

@@ -11,25 +11,18 @@ import pytest
 from eulerlab import elliptic2d, flows, oned, serialize
 from eulerlab import grid as g
 
-ARCTAN = oned.arctan_family(4.0)
-
 STRIP_LEVELS = ((97, 17), (193, 33), (385, 65))
 
 
 @pytest.fixture(scope="module")
 def strip_flows():
-    out = []
-    for nx, ny in STRIP_LEVELS:
-        field, _ = elliptic2d.solve_type3_strip(ARCTAN, L=12.0, nx=nx, ny=ny)
-        out.append(flows.velocity_from_stream(field, ARCTAN))
-    return out
+    return [elliptic2d.solve_type3_strip(nx=nx, ny=ny)[1]
+            for nx, ny in STRIP_LEVELS]
 
 
 @pytest.fixture(scope="module")
 def saddle_flow():
-    nl = oned.allen_cahn()
-    field, _ = elliptic2d.solve_saddle_quadrant(nl, L=20.0, n=161)
-    return flows.velocity_from_stream(field, nl)
+    return elliptic2d.solve_saddle_quadrant(n=161)[1]
 
 
 def identity_error(flow):

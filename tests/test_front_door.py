@@ -7,7 +7,9 @@ Each drawn option takes a workable value or, one time in eight, a hostile
 one: signed zeros, the ends of the float range, nan and infinities, and
 each ``_AT_LEAST`` bound -1.  Grids stay at 33 x 17 or smaller and lambda
 below 1e3, so every draw runs in milliseconds; ``reproduce`` and ``verify``,
-which take no size option, get only values they must refuse.
+which take no size option, get only values they must refuse.  A run echoes
+``null`` for every option it does not read: such an option is refused when
+given, and never defaulted.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from eulerlab import cli
+from eulerlab import cli, serialize
 
 HOSTILE = ["0", "-0", "1e-300", "1e300", "1e308", "5e-324", "nan", "inf",
            "-inf"]
@@ -50,9 +52,13 @@ WORKABLE = {
 }
 # options that every draw carries, so no default grid or suite runs
 FORCED = ("nx", "ny", "n", "grid", "suite")
-# the other geometry's options, which a solve refuses; a draw leaves them out
-# so that its solve runs
-FOREIGN = {"strip": ("n",), "halfplane": ("nx", "ny", "far_field")}
+SOLVER = tuple(o.dest for o in cli._solver_options())
+# the options a run does not read, by its solve geometry, 1D family or flow
+# source; they are refused when given, so a draw leaves them out
+FOREIGN = {"strip": ("n", "grid"),
+           "halfplane": ("lam", "nx", "ny", "far_field", "grid"),
+           "arctan": ("L",), "allen-cahn": ("lam", "start"),
+           "catalog": SOLVER, "file": SOLVER + ("grid",)}
 
 
 def _hostile(opt):
@@ -75,10 +81,11 @@ def _workable(opt):
 
 
 @st.composite
-def invocations(draw):
-    """(argv, config) for one command: a random subset of its options,
-    each on the command line (as --flag=value or --flag value) or in a
-    --config object."""
+def invocations(draw, hostile=True):
+    """(argv, config, which) for one command: a random subset of its
+    options, each on the command line (as --flag=value or --flag value) or
+    in a --config object, and the FOREIGN key of the run.  Without
+    ``hostile``, an option with workable values takes one of them."""
     cmd = draw(st.sampled_from(sorted(cli._COMMANDS)))
     spec = cli._COMMANDS[cmd]
     argv = [cmd]
@@ -88,17 +95,20 @@ def invocations(draw):
         argv.append(draw(st.sampled_from(pool)))
     which = argv[1] if cmd == "solve" else None
     config = {}
-    for opt in spec["options"]:
+    # the flow source comes before the grid, which only a catalog reads
+    for opt in sorted(spec["options"], key=lambda o: o.dest == "grid"):
         if opt.dest in ("out", "config") + FOREIGN.get(which, ()):
             continue
         if opt.dest not in FORCED and not draw(st.booleans()):
             continue
         pool = _workable(opt)
-        if not pool or draw(st.integers(0, 7)) == 0:
+        if not pool or hostile and draw(st.integers(0, 7)) == 0:
             pool = _hostile(opt)
         value = draw(st.sampled_from(pool))
-        if opt.dest == "solve":
+        if opt.dest in ("solve", "family"):
             which = value
+        elif opt.dest in ("catalog", "file"):
+            which = opt.dest
         route = draw(st.sampled_from(["glued", "split", "config"]))
         if route == "glued":
             argv.append(opt.flag + "=" + value)
@@ -108,7 +118,7 @@ def invocations(draw):
             config[opt.flag[2:]] = [value]
         else:
             config[opt.flag[2:]] = _json_value(opt, value)
-    return argv, config
+    return argv, config, which
 
 
 def _json_value(opt, value):
@@ -130,11 +140,9 @@ def bundle(tmp_path_factory):
     return str(out / "flow.json")
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(invocation=invocations())
-def test_every_command_keeps_the_exit_contract(bundle, invocation):
-    argv, config = invocation
+def _run(bundle, argv, config):
+    """Exit code, stderr, warnings and the echoed configurations of one
+    drawn invocation."""
     argv = [a.replace("{bundle}", bundle) for a in argv]
     config = {k: v.replace("{bundle}", bundle) if isinstance(v, str) else v
               for k, v in config.items()}
@@ -151,10 +159,36 @@ def test_every_command_keeps_the_exit_contract(bundle, invocation):
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = cli.main(argv)
-    text = err.getvalue()
+        run = os.path.join(tmp, "run")
+        echoes = [serialize.read_json(os.path.join(run, name))["config"]
+                  for name in sorted(os.listdir(run)) if name.endswith(".json")
+                  ] if code == 0 else []
+    return code, err.getvalue(), caught, echoes
+
+
+PROPERTY = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(invocation=invocations())
+def test_every_command_keeps_the_exit_contract(bundle, invocation):
+    argv, config, _ = invocation
+    code, text, caught, _ = _run(bundle, argv, config)
     assert code in (0, 1, 2), (argv, config, code)
     assert not caught, (argv, config, [str(w.message) for w in caught])
     assert "Traceback" not in text and "Warning" not in text, (argv, text)
     if code:
         head = "config error: " if code == 1 else "solver error: "
         assert text.startswith(head) and text.count("\n") == 1, (argv, text)
+
+
+@PROPERTY
+@given(invocation=invocations(hostile=False))
+def test_a_run_echoes_null_for_what_it_does_not_read(bundle, invocation):
+    argv, config, which = invocation
+    code, _, _, echoes = _run(bundle, argv, config)
+    assert (code != 0) == (not echoes), (argv, config, code)
+    for echo in echoes:
+        assert [k for k in FOREIGN.get(which, ())
+                if echo.get(k) is not None] == [], (argv, config, echo)

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of ten pinned runs.
+"""Golden bytes: the sha256 of every artifact of twelve pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -42,7 +42,7 @@ GOLDEN = {
         {
             "angle_set.csv": "f5ac7543610951de4cc3f8f65a1ec4cacd377bad2913aceb917cebeed8ef33da",
             "curvature_profile.csv": "a649518edd8bfea77b1083e5464c3914940fe3bcf10a8328668927859a1b70d1",
-            "report.json": "040b521e786c80ea133347d9f0b624f2cce662ae19517ab523f0f5b65fd94bc5",
+            "report.json": "49b356f10f27c2f49de300b29b47d6cc4d9d81ee67ca7b6877df9a9bbd762f5d",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -83,8 +83,28 @@ GOLDEN = {
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
             "flow.csv": "6165010d59bf1e95d6af6bed1f477368221c26789f21d4dc8864990043f62c28",
-            "flow.json": "5636be96f53622e9ee38383b0553ae57ab0440a7c2c0cdf260d4015542de688f",
-            "report.json": "d316938d21df24d76a4826cac1386c086cd074eac7f56717f603352455b698cc",
+            "flow.json": "f55628cf47aa8f0af0c7ce2b8c4389063e1a1be8a3a85429783f183e01b41244",
+            "report.json": "bfdcbe2f8f67362314a4c11569f750178477fe80aec671c0c4bdedc9a72d3a32",
+        },
+    ),
+    # the exhaustion variant: zero far-field data, descending from the
+    # profile, which no other run covers
+    "solve_zero": (
+        ["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+         "--far-field", "zero", "--out", "golden_solve_zero"],
+        {
+            "flow.csv": "58fddae511d59e08e48ff7586f51a6b1615a46519430eb13b252d4dab4ca5109",
+            "flow.json": "c04b6c21cec853bc8c31d0d1919e7310fee7d2d1c5a0024f83d1b6feed3e2684",
+            "report.json": "d6be0b96df89ac73dcd30db91596e3876ce125175fb5f14f7c7d3a723135fd1d",
+        },
+    ),
+    # the heteroclinic writer
+    "solve1d_heteroclinic": (
+        ["solve1d", "--family", "allen-cahn", "--n", "401",
+         "--out", "golden_solve1d_heteroclinic"],
+        {
+            "profile.csv": "40a1e5e1acf64aded93d25ac9dc5725735e4a19624fa8eec1eaddf389ee245a2",
+            "report.json": "bfa5a30babf38b85123ec9ce6670b398758fd182d1b95f25770ee5e480329484",
         },
     ),
     # the 1D profile writer, which no 2D run covers
@@ -93,7 +113,7 @@ GOLDEN = {
          "--out", "golden_solve1d"],
         {
             "profile.csv": "2ceddb3f3422fe308b978812215d6e1ee4807acdbc45ddd5ae85fcc1c55c4a3e",
-            "report.json": "def6121f8a77458c59eb65dfa94e1b1009dbb654afd94d5a18e0fe2c184b496e",
+            "report.json": "95071ced888e0f91a98346bb6d0bf901a3d533b01565029f70a04d6ce79ba2ac",
         },
     ),
     # shear verdicts, curvature and stability margins of the catalog shears

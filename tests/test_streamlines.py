@@ -8,6 +8,8 @@ additionally checked to shrink at second order under joint grid/step
 refinement.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +460,22 @@ def test_contour_taylor_green_loops():
         assert resid.max() < 2e-3
         onlevel = sl.bilinear_sample(u, c.points)
         assert np.max(np.abs(np.abs(onlevel) - 0.5)) < 1e-9
+
+
+def test_contour_chain_order_is_pinned():
+    # open chains run from their lower endpoint and loops from their lowest
+    # crossing towards its lower neighbour, so the bytes of 139 loops and
+    # 28 open chains are fixed; the field is integer arithmetic, so no libm
+    # or random stream enters the hash
+    digest = hashlib.sha256()
+    for kind, span in ((g.TORUS, (0.0, 2.0 * np.pi)), (g.PLANE, (-1.0, 1.0))):
+        gr = g.Grid(kind, 24, 20, span, span)
+        i, j = np.indices(gr.shape)
+        vals = (i * 7919 + j * j * 104729) % 1009 / 1009.0 - 0.5
+        for c in sl.level_contours(ScalarField(gr, vals), [-0.25, 0.125]):
+            digest.update(c.points.tobytes())
+    assert digest.hexdigest() == (
+        "3688ca445a9d34e5ceac32ea624ccc3092423af6ddd57f7760890dc4e9d5930e")
 
 
 def test_contour_saddle_level_zero_covers_both_axes(saddle_pair):
