@@ -279,9 +279,8 @@ def save_flow(flow: Flow, csv_path, json_path, extra=None) -> None:
     has_p = flow.pressure is not None
     pvals = flow.pressure.values if has_p else np.zeros(g.shape)
     _ser.write_csv(csv_path, ["x", "y", "vx", "vy", "P", "omega"],
-                   [xv, yv, flow.velocity.vx.T.ravel(),
-                    flow.velocity.vy.T.ravel(), pvals.T.ravel(),
-                    flow.vorticity.values.T.ravel()])
+                   [xv, yv, flow.velocity.vx.T, flow.velocity.vy.T, pvals.T,
+                    flow.vorticity.values.T])
     interior = g.interior_mask()
     if has_p:
         mom, div = euler_residual(flow)

@@ -413,3 +413,15 @@ def test_euler_divergence_is_the_grid_divergence():
                       g.ScalarField(gr, np.cos(X)))
     _, div = flows.euler_residual(flow)
     assert np.array_equal(div.values, g.divergence(vel).values)
+
+
+def test_save_load_roundtrip_on_an_oblong_grid(tmp_path):
+    # nx != ny: the writer reads the (ny, nx) views of the fields in C order
+    gr = g.Grid(g.STRIP, 13, 9, (-2.0, 2.0), (-1.0, 1.0))
+    X, Y = gr.mesh()
+    flow = flows.velocity_from_stream(
+        g.ScalarField(gr, Y + (1.0 - Y * Y) * np.cos(3.0 * X)))
+    flows.save_flow(flow, tmp_path / "f.csv", tmp_path / "f.json")
+    assert_same_fields(flows.load_flow(tmp_path / "f.json"), flow)
+    _, cols = serialize.read_csv(tmp_path / "f.csv")
+    assert np.array_equal(bits(cols[2]), bits(flow.velocity.vx.T.ravel()))

@@ -146,3 +146,46 @@ def test_csv_bytes_match_per_cell_formatting(tmp_path_factory, block,
     with mock.patch.object(serialize, "CSV_BLOCK", block):
         serialize.write_csv(path, header, columns)
     assert path.read_text() == reference_csv(header, columns)
+
+
+def test_one_magnitude_with_both_signs_blocks_apart(tmp_path):
+    # the column-wide table serves a value and its negation three blocks
+    # apart, and -0.0 next to 0.0
+    n = 3 * serialize.CSV_BLOCK + 5
+    col = np.arange(n) / 7.0
+    col[[0, n - 1]] = [np.pi, -np.pi]
+    col[[1, n - 2]] = [0.0, -0.0]
+    table, index, signed = serialize._text_table(col)
+    assert signed and len(table) == n - 2
+    path = tmp_path / "signs.csv"
+    serialize.write_csv(path, ["v", "k"], [col, np.arange(n)])
+    assert path.read_text() == reference_csv(["v", "k"], [col, np.arange(n)])
+    rows = path.read_text().splitlines()
+    assert rows[1:3] == ["3.1415926535897931,0", "0,1"]
+    assert rows[-2:] == ["-0,%d" % (n - 2), "-3.1415926535897931,%d" % (n - 1)]
+
+
+def test_cell_widths_from_one_to_the_widest(tmp_path):
+    # "0" is the narrowest text and "-2.2250738585072014e-308" the widest,
+    # next to the widest int64 and uint64 texts
+    floats = np.array([0.0, -2.2250738585072014e-308, 1.0, -0.5, 5e-324])
+    i64 = np.array([0, np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 7])
+    u64 = np.array([0, np.iinfo(np.uint64).max, 1, 10, 2 ** 63],
+                   dtype=np.uint64)
+    columns = [i64, floats, u64, floats[::-1].copy()]
+    path = tmp_path / "widths.csv"
+    serialize.write_csv(path, ["a", "b", "c", "d"], columns)
+    assert path.read_text() == reference_csv(["a", "b", "c", "d"], columns)
+    assert path.read_text().splitlines()[2] == (
+        "-9223372036854775808,-2.2250738585072014e-308,"
+        "18446744073709551615,-0.5")
+
+
+def test_a_transposed_view_writes_its_c_order(tmp_path):
+    rng = np.random.default_rng(3)
+    field = np.round(rng.standard_normal((7, 5)), 2)  # (nx, ny)
+    paths = [tmp_path / "view.csv", tmp_path / "copy.csv"]
+    serialize.write_csv(paths[0], ["v", "n"], [field.T, np.arange(35)])
+    serialize.write_csv(paths[1], ["v", "n"], [field.T.ravel(),
+                                               np.arange(35)])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
