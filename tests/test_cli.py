@@ -147,6 +147,18 @@ def test_solve1d_heteroclinic(tmp_path):
     assert rep["residual"] < 1e-8
 
 
+# on long intervals the float64 iterate comes within rounding of the
+# unstable state 0, where the engine's clamp keeps it in the sandwich
+@pytest.mark.parametrize("L", ["100", "200"])
+def test_solve1d_heteroclinic_on_long_intervals(L, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["solve1d", "--family", "allen-cahn", "--L", L,
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rep = read_json(out / "report.json")
+    assert rep["error"] is None and rep["residual"] < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # config file and environment resolution
 

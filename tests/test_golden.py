@@ -40,9 +40,9 @@ GOLDEN = {
         ["analyze", "--solve", "halfplane", "--n", "81",
          "--out", "golden_saddle"],
         {
-            "angle_set.csv": "f5ac7543610951de4cc3f8f65a1ec4cacd377bad2913aceb917cebeed8ef33da",
-            "curvature_profile.csv": "a649518edd8bfea77b1083e5464c3914940fe3bcf10a8328668927859a1b70d1",
-            "report.json": "49b356f10f27c2f49de300b29b47d6cc4d9d81ee67ca7b6877df9a9bbd762f5d",
+            "angle_set.csv": "cddd91778d7e690da2d6a444d02480d2a79761e02286dd4323099811762367f8",
+            "curvature_profile.csv": "a0fbd7e8b27a8d4128e7b10953ac649c1508569bc1724544c9edaca28b8111fa",
+            "report.json": "00fc88ab8ed59860584c7c263caec8021949e37b197235dc39dcbd2bb709fdb8",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -82,9 +82,9 @@ GOLDEN = {
     "solve_halfplane": (
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
-            "flow.csv": "6165010d59bf1e95d6af6bed1f477368221c26789f21d4dc8864990043f62c28",
-            "flow.json": "f55628cf47aa8f0af0c7ce2b8c4389063e1a1be8a3a85429783f183e01b41244",
-            "report.json": "bfdcbe2f8f67362314a4c11569f750178477fe80aec671c0c4bdedc9a72d3a32",
+            "flow.csv": "0bedbd3d2a414c1920298dc9c8efc19a9ea9fb5447f63436c06fcfd29b12d0e5",
+            "flow.json": "0cd2ba1c4912075c73708500e398041ab0fcf07e562f289181c3272b3cb646ff",
+            "report.json": "831c0a3755b18f766bfc6726ee50c2082cae270024661edb5ecb4ef94e1eb662",
         },
     ),
     # the exhaustion variant: zero far-field data, descending from the
@@ -128,10 +128,10 @@ GOLDEN = {
     "reproduce": (
         ["reproduce", "all", "--out", "golden_reproduce"],
         {
-            "figure1_separatrices.csv": "517f948bf8196d6248b9237bc6acbf715e3184bf508a0454efe3bbb21eea8270",
+            "figure1_separatrices.csv": "3bac435b5e8a38b0b15965a804bcee59ce56af169d67a013fbda59acc83ff0c2",
             "figure1_separatrices.json": "93f8a96048976da3c5058bed26b50ebb142716f34e6f3d110522af40b1c7f578",
-            "figure1_stagnation.csv": "ec7c3e34361b4b4a789087c7513a14ca0b78118cc8af3cb4d785002dbf3b44c5",
-            "figure1_traces.csv": "adaaac83e7307b1c297a18777c10243b53d45939ac226d58cae6b689effbe2ef",
+            "figure1_stagnation.csv": "e4541856bd362fccd3ec313b5a70c0943d6d9f2c82d064325bd3baf86360848b",
+            "figure1_traces.csv": "36ca99cbee0258ab349c12b0e8d0fb36b1b8d111438ffa1f93e8357701f2aa2d",
             "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
             "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
             "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",

@@ -145,6 +145,22 @@ def test_engine_rejects_leaving_the_sandwich():
         _sweeps(lambda u: u - 0.3, lower=-np.ones(5), ascending=False)
 
 
+def test_engine_clamps_a_rounding_escape_to_the_sandwich():
+    # a step out of the sandwich by less than the slack passes the check as
+    # rounding, and the iterate comes back clamped to the bound it crossed
+    lower, upper = np.zeros(5), np.ones(5)
+    for ascending, start, out in ((False, upper, -5e-11),
+                                  (True, lower, 1.0 + 5e-11)):
+        nxt = np.r_[0.5, 0.5, out, 0.5, 0.5]
+        run = oned._monotone_sweeps(lambda u: nxt.copy(), start.copy(), lower,
+                                    upper, ascending,
+                                    lambda u, update: update < np.inf, 5,
+                                    1e-10)
+        assert run.sweeps == 1
+        assert np.all((lower <= run.u) & (run.u <= upper))
+        assert run.u.tolist() == [0.5, 0.5, float(ascending), 0.5, 0.5]
+
+
 def test_engine_rejects_an_exhausted_budget():
     with pytest.raises(oned.NonConvergence, match="in 7 sweeps"):
         _sweeps(lambda u: u + 1e-3, max_iter=7)
