@@ -41,7 +41,7 @@ import numpy as np
 
 from . import serialize as _ser
 from .diagnostics import cell_speed_variation, stagnation_floor
-from .grid import Grid, ScalarField, VectorField, QUADRANT
+from .grid import Grid, ScalarField, VectorField
 
 
 class SeedOutsideDomain(ValueError):
@@ -469,8 +469,6 @@ def _padded_speed2(flow) -> np.ndarray:
             P[1:-1, 0] = s2[:, 1]
         else:
             P[1:-1, -1] = s2[:, -2]
-    if g.kind == QUADRANT:
-        P[0, 1:-1] = s2[1, :]
     return P
 
 

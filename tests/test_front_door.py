@@ -23,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from eulerlab import cli, serialize
+from eulerlab import cli, flows, serialize
 
 HOSTILE = ["0", "-0", "1e-300", "1e300", "1e308", "5e-324", "nan", "inf",
            "-inf"]
@@ -54,11 +54,12 @@ WORKABLE = {
 FORCED = ("nx", "ny", "n", "grid", "suite")
 SOLVER = tuple(o.dest for o in cli._solver_options())
 # the options a run does not read, by its solve geometry, 1D family or flow
-# source; they are refused when given, so a draw leaves them out
+# source; they are refused when given, so a draw leaves them out (a file
+# run may still draw --solve, the one draw of two flow sources)
 FOREIGN = {"strip": ("n", "grid"),
            "halfplane": ("lam", "nx", "ny", "far_field", "grid"),
            "arctan": ("L",), "allen-cahn": ("lam", "start"),
-           "catalog": SOLVER, "file": SOLVER + ("grid",)}
+           "catalog": SOLVER + ("file", "solve"), "file": SOLVER + ("grid",)}
 
 
 def _hostile(opt):
@@ -80,6 +81,13 @@ def _workable(opt):
     return WORKABLE.get(opt.dest) or list(opt.choices or ())
 
 
+def _grids_for(catalog):
+    """The workable grid specs of the kind that the catalog table in
+    ``flows`` names for a catalog flow."""
+    kind = flows._CATALOG[cli._catalog_name(catalog)][0]
+    return [v for v in WORKABLE["grid"] if cli._parse_grid(v).kind == kind]
+
+
 @st.composite
 def invocations(draw, hostile=True):
     """(argv, config, which) for one command: a random subset of its
@@ -94,6 +102,7 @@ def invocations(draw, hostile=True):
         pool = HOSTILE if cmd == "reproduce" else list(choices)
         argv.append(draw(st.sampled_from(pool)))
     which = argv[1] if cmd == "solve" else None
+    catalog = None
     config = {}
     # the flow source comes before the grid, which only a catalog reads
     for opt in sorted(spec["options"], key=lambda o: o.dest == "grid"):
@@ -102,6 +111,8 @@ def invocations(draw, hostile=True):
         if opt.dest not in FORCED and not draw(st.booleans()):
             continue
         pool = _workable(opt)
+        if opt.dest == "grid" and catalog in WORKABLE["catalog"]:
+            pool = _grids_for(catalog)
         if not pool or hostile and draw(st.integers(0, 7)) == 0:
             pool = _hostile(opt)
         value = draw(st.sampled_from(pool))
@@ -109,6 +120,7 @@ def invocations(draw, hostile=True):
             which = value
         elif opt.dest in ("catalog", "file"):
             which = opt.dest
+            catalog = value if which == "catalog" else None
         route = draw(st.sampled_from(["glued", "split", "config"]))
         if route == "glued":
             argv.append(opt.flag + "=" + value)
@@ -192,3 +204,17 @@ def test_a_run_echoes_null_for_what_it_does_not_read(bundle, invocation):
     for echo in echoes:
         assert [k for k in FOREIGN.get(which, ())
                 if echo.get(k) is not None] == [], (argv, config, echo)
+
+
+# each catalog flow runs on a grid of its kind; exponential-counterexample
+# takes the plane:<L>:<nx>:<ny> spec that the README documents
+@pytest.mark.parametrize("cmd", ["analyze", "trace"])
+@pytest.mark.parametrize("catalog", WORKABLE["catalog"])
+def test_every_catalog_flow_runs_on_its_grid_kind(bundle, cmd, catalog):
+    for grid in _grids_for(catalog):
+        argv = [cmd, "--catalog", catalog, "--grid", grid]
+        if cmd == "trace":
+            argv += ["--seed=0.5,0.5", "--max-steps", "100"]
+        code, text, caught, echoes = _run(bundle, argv, {})
+        assert (code, text, caught) == (0, "", []), (argv, text)
+        assert [e["grid"] for e in echoes] == [grid]
