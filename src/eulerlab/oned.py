@@ -205,9 +205,10 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     shift did not linearize f on the range, which is a solver defect and not
     something to iterate past.  Nor is a zero update while ``done`` is false:
     every later sweep would repeat it.  The checked step is then clamped to
-    [lower, upper]; in exact arithmetic it lies there already, so the clamp
-    removes only rounding, which near an unstable state would grow sweep by
-    sweep until it passed the slack.
+    [lower, upper] in place (``sweep`` returns a new array); in exact
+    arithmetic it lies there already, so the clamp removes only rounding,
+    which near an unstable state would grow sweep by sweep until it passed
+    the slack.
 
     The ratio of the last two step max-norms is the observed rate, settled
     once two consecutive ratios agree within RATE_AGREEMENT.  Given a
@@ -252,7 +253,7 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
         if escape > slack:
             raise NonConvergence("iterate escaped the sub/supersolution "
                                  "sandwich by %.3e" % escape)
-        nxt = np.minimum(np.maximum(nxt, lower), upper)
+        np.minimum(np.maximum(nxt, lower, out=nxt), upper, out=nxt)
         sweeps += 1
         norm = float(np.max(np.abs(step)))
         before, ratio = ratio, (norm / last if last else None)
