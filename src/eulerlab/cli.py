@@ -10,11 +10,12 @@ Exit codes separate failure classes for CI: 0 success, 1 configuration
 error, 2 solver failure, 3 verification failure.
 
 Option values resolve as explicit flags over the EULERLAB_OUT environment
-variable (output directory only) over ``--config`` JSON file entries over
-built-in defaults.  argparse only splits the command line: a value from a
-flag and one from ``--config`` pass the same check and fail with the same
-message.  The fully resolved configuration is echoed into every JSON
-artifact next to the schema version, so outputs are self-describing.
+variable (output directory only) over ``--config`` entries keyed by the long
+flags over the defaults read off the signature of the library call a command
+makes.  argparse only splits the command line: a value from a flag and one
+from ``--config`` pass the same check and fail with the same message.  The
+fully resolved configuration is echoed into every JSON artifact next to
+the schema version, so outputs are self-describing.
 All numeric output goes through the shared 17-digit formatter, and a fixed
 iteration order everywhere makes identical configurations produce
 byte-identical files.
@@ -143,9 +144,9 @@ _COMMANDS = {
         "help": "run the full diagnostics on one flow",
         "positionals": [],
         "options": _source_options() + _solver_options() + [
-            _Opt("--bins", "bins", int, help="direction bins (default 360)"),
+            _Opt("--bins", "bins", int, help="direction bins"),
             _Opt("--kappa-bins", "kappa_bins", int,
-                 help="curvature profile bins (default 64)"),
+                 help="curvature profile bins"),
             _Opt("--R", "R", str,
                  help="comma list of wall-trace cutoff radii"),
             _Opt("--shear-tol", "shear_tol", float,
@@ -240,10 +241,12 @@ def _load_config(path, cmd, opts):
         raise ConfigError("config file %s is not valid JSON: %s" % (path, e))
     if not isinstance(raw, dict):
         raise ConfigError("config file %s must hold a JSON object" % path)
+    # a key is the long flag of an option, without its dashes
+    dests = {o.flag[2:]: dest for dest, o in opts.items() if dest != "config"}
     out = {}
     for key, val in raw.items():
-        dest = "lam" if key == "lambda" else str(key).replace("-", "_")
-        if dest == "config" or dest not in opts:
+        dest = dests.get(key)
+        if dest is None:
             raise ConfigError("unknown config key %r for command %r"
                               % (key, cmd))
         out[dest] = _coerce(opts[dest], "config key %r" % key, val)
@@ -318,47 +321,60 @@ def _refuse(r, dests, owner, here):
                               % (_FLAGS[dest], owner, here))
 
 
-def _finish_solve1d(r):
-    family = r["family"]
-    if not family:
-        raise ConfigError("missing required option: --family")
-    if family == "arctan":
-        _refuse(r, ("L",), "the allen-cahn family", family)
-        if r["lam"] is None:
-            raise ConfigError("missing required option: --lambda (the "
-                              "arctan family needs it)")
-        _default(r, "start", "sub")
-    else:
-        _refuse(r, ("lam", "start"), "the arctan family", family)
-        _default(r, "L", 20.0)
-    _default(r, "n", 2001 if family == "arctan" else 4001)
-    _default(r, "tol", 1e-10)
-
-
-# the flow construction of each solve geometry; its keyword parameters are
-# the solver options it reads, and their defaults are the CLI's
+# the library call of each solve, by the value that selects it, and the
+# nonlinearity builder of each 1D family: their parameters but ``nl`` are
+# the options a solve reads, required where they have no default.  Each call
+# is a dict value of its own, so the tracer's wrappers see it
 _CONSTRUCTIONS = {"strip": elliptic2d.solve_type3_strip,
-                  "halfplane": elliptic2d.solve_saddle_quadrant}
+                  "halfplane": elliptic2d.solve_saddle_quadrant,
+                  "arctan": oned.solve_strip_profile,
+                  "allen-cahn": oned.solve_heteroclinic}
+_NONLINEARITIES = {"arctan": oned.arctan_family,
+                   "allen-cahn": oned.allen_cahn}
 
 
-def _solver_defaults(r, which):
-    params = inspect.signature(_CONSTRUCTIONS[which]).parameters
-    other = "halfplane" if which == "strip" else "strip"
-    _refuse(r, [o.dest for o in _solver_options() if o.dest not in params],
-            "the %s solve" % other, which)
+def _parameters(which):
+    """The options the solve ``which`` reads, as parameters of its calls."""
+    fns = (_NONLINEARITIES.get(which), _CONSTRUCTIONS[which])
+    return {k: p for fn in fns if fn is not None
+            for k, p in inspect.signature(fn).parameters.items() if k != "nl"}
+
+
+def _read_solve(r, which):
+    """Refuse the options that only a rival of the solve ``which`` reads
+    (one the same option selects), then fill ``r`` off its parameters."""
+    if not which:  # only --family may be left out
+        raise ConfigError("missing required option: --family")
+    family = which in _NONLINEARITIES
+    noun = "family" if family else "solve"
+    params = _parameters(which)
+    for rival in _CONSTRUCTIONS:
+        if rival != which and (rival in _NONLINEARITIES) == family:
+            _refuse(r, [k for k in _parameters(rival) if k not in params],
+                    "the %s %s" % (rival, noun), which)
     # the strip's exhaustion variant (zero far field) descends from the
     # profile supersolution, as the saddle does from its own
-    zero = r["far_field"] == "zero"
+    zero = r.get("far_field") == "zero"
     if zero:
         _default(r, "start", "super")
     for key, p in params.items():
+        if r[key] is None and p.default is p.empty:
+            raise ConfigError("missing required option: %s (the %s %s "
+                              "needs it)" % (_FLAGS[key], which, noun))
         _default(r, key, p.default)
     if zero and r["start"] == "sub":
         raise ConfigError("--far-field zero descends from the profile: it "
                           "takes --start super, not sub")
-    if r["nx"] is not None and r["nx"] % 2 == 0:
+    if r.get("nx") is not None and r["nx"] % 2 == 0:
         raise ConfigError("--nx must be odd so that x1 = 0 is a node "
                           "column, got %d" % r["nx"])
+
+
+def _read_defaults(r, fn):
+    """Give each unset option of ``r`` that ``fn`` takes its default."""
+    for key, p in inspect.signature(fn).parameters.items():
+        if key in r and p.default is not p.empty:
+            _default(r, key, p.default)
 
 
 def _require_one_source(r):
@@ -371,16 +387,14 @@ def _require_one_source(r):
     if not r["catalog"]:
         _refuse(r, ("grid",), "--catalog", here)
     if r["solve"]:
-        _solver_defaults(r, r["solve"])
+        _read_solve(r, r["solve"])
     else:
         _refuse(r, [o.dest for o in _solver_options()], "--solve", here)
 
 
 def _finish_analyze(r):
     _require_one_source(r)
-    _default(r, "bins", 360)
-    _default(r, "kappa_bins", 64)
-    _default(r, "shear_tol", 1e-8)
+    _read_defaults(r, dg.run_diagnostics)
     r["R"] = _parse_radii(r["R"])
 
 
@@ -389,7 +403,7 @@ def _finish_trace(r):
     if not r["seed"]:
         raise ConfigError("missing required option: --seed x,y (repeatable)")
     r["seed"] = [_parse_seed(s) for s in r["seed"]]
-    _default(r, "max_steps", 10000)
+    _read_defaults(r, sl.trace)
 
 
 def _echo_config(r, cmd):
@@ -482,28 +496,31 @@ def _catalog_name(s):
                       % (s, ", ".join(flows.ANALYTIC_NAMES)))
 
 
-# grids used when --catalog is given without --grid
-_DEFAULT_GRIDS = {
-    "Couette": "strip:4:257:65",
-    "Poiseuille": "strip:4:257:65",
-    "Kolmogorov": "strip:4:257:65",
-    "ExampleSignEq": "strip:4:257:65",
-    "TaylorGreen": "torus:256",
-    "ExponentialCounterexample": "plane:1:129:129",
-}
+# the grid of a --catalog run without --grid, by the grid kind that the
+# catalog table names for the flow
+_DEFAULT_GRIDS = {STRIP: "strip:4:257:65", TORUS: "torus:256",
+                  PLANE: "plane:1:129:129"}
 
 
-def _solve_flow(which, r):
-    """Fresh 2D solve from the resolved options; returns (stream field,
-    flow, solver report)."""
-    fn = _CONSTRUCTIONS[which]
-    return fn(**{k: r[k] for k in inspect.signature(fn).parameters})
+def _call(fn, r, **kwargs):
+    """``fn`` called with ``kwargs`` and the resolved options it takes."""
+    params = inspect.signature(fn).parameters
+    return fn(**{k: r[k] for k in params if k in r}, **kwargs)
+
+
+def _construct(which, r):
+    """The solve ``which`` on the resolved options: a 1D family's profile,
+    or a 2D solve's (stream field, flow, report)."""
+    build = _NONLINEARITIES.get(which)
+    nl = {"nl": _call(build, r)} if build else {}
+    return _call(_CONSTRUCTIONS[which], r, **nl)
 
 
 def _flow_from_source(r):
     if r["catalog"]:
         name = _catalog_name(r["catalog"])
-        grid = _parse_grid(r["grid"] or _DEFAULT_GRIDS[name])
+        grid = _parse_grid(r["grid"]
+                           or _DEFAULT_GRIDS[flows._CATALOG[name][0]])
         try:
             return flows.analytic_flow(name, grid)
         except (GridError, ValueError) as e:
@@ -516,7 +533,7 @@ def _flow_from_source(r):
                               % (r["file"], e))
         except (ValueError, KeyError) as e:
             raise ConfigError("not a flow bundle: %s (%s)" % (r["file"], e))
-    return _solve_flow(r["solve"], r)[1]
+    return _construct(r["solve"], r)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +551,7 @@ def _solver_failure(e, cfg, report_path) -> int:
 def cmd_solve1d(r, out, cfg) -> int:
     report_path = os.path.join(out, "report.json")
     try:
-        if r["family"] == "arctan":
-            nl = oned.arctan_family(r["lam"])
-            prof = oned.solve_strip_profile(nl, r["n"], tol=r["tol"],
-                                            start=r["start"])
-        else:
-            nl = oned.allen_cahn()
-            prof = oned.solve_heteroclinic(nl, L=r["L"], n=r["n"],
-                                           tol=r["tol"])
+        prof = _construct(r["family"], r)
     except _SOLVER_ERRORS as e:
         return _solver_failure(e, cfg, report_path)
     oned.save_profile(prof, os.path.join(out, "profile.csv"), report_path,
@@ -582,7 +592,7 @@ def attachment_gap(field: ScalarField, limit: oned.Profile) -> float:
 def cmd_solve(r, out, cfg) -> int:
     report_path = os.path.join(out, "report.json")
     try:
-        field, flow, srep = _solve_flow(r["which"], r)
+        field, flow, srep = _construct(r["which"], r)
     except _SOLVER_ERRORS as e:
         return _solver_failure(e, cfg, report_path)
     flows.save_flow(flow, os.path.join(out, "flow.csv"),
@@ -608,9 +618,7 @@ def cmd_solve(r, out, cfg) -> int:
 def cmd_analyze(r, out, cfg) -> int:
     flow = _flow_from_source(r)
     try:
-        rep = dg.run_diagnostics(flow, R_list=r["R"], n_bins=r["bins"],
-                                 kappa_bins=r["kappa_bins"],
-                                 shear_tol=r["shear_tol"])
+        rep = _call(dg.run_diagnostics, r, flow=flow)
     except (dg.RTooLarge, dg.RTooSmall, dg.NotAStripGrid) as e:
         raise ConfigError(str(e))
     dg.save_angle_set(rep.angle_set, os.path.join(out, "angle_set.csv"))
@@ -708,8 +716,8 @@ def cmd_verify(r, out, cfg) -> int:
 # command -> (finish, run): finish fills the defaults and cross-checks the
 # resolved options, run executes the command in its output directory
 _DISPATCH = {
-    "solve1d": (_finish_solve1d, cmd_solve1d),
-    "solve": (lambda r: _solver_defaults(r, r["which"]), cmd_solve),
+    "solve1d": (lambda r: _read_solve(r, r["family"]), cmd_solve1d),
+    "solve": (lambda r: _read_solve(r, r["which"]), cmd_solve),
     "analyze": (_finish_analyze, cmd_analyze),
     "trace": (_finish_trace, cmd_trace),
     "reproduce": (lambda r: None, cmd_reproduce),

@@ -652,22 +652,22 @@ class DiagnosticsReport:
         }
 
 
-def run_diagnostics(flow, R_list=None, n_bins: int = 360,
-                    kappa_bins: int = 64, shear_tol: float = 1e-8):
+def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
+                    shear_tol: float = 1e-8):
     """Assemble the full report for one flow.
 
-    R_list defaults to quarter points of the domain half-width on wall
+    R defaults to quarter points of the domain half-width on wall
     geometries and stays empty elsewhere (the trace route needs walls).
     """
     b = _bundle(flow)
-    aset = angle_set(flow, threshold=b.floor, n_bins=n_bins)
+    aset = angle_set(flow, threshold=b.floor, n_bins=bins)
     tc = _total_curvature(flow, b)
     j_signed = _signed_curvature_integral(flow, b)
     if flow.grid.kind in (STRIP, HALF_PLANE):
-        if R_list is None:
+        if R is None:
             span = max(abs(flow.grid.x_range[0]), abs(flow.grid.x_range[1]))
-            R_list = [0.25 * span, 0.5 * span, 0.75 * span]
-        trace = boundary_trace_Jinf(flow, R_list)
+            R = [0.25 * span, 0.5 * span, 0.75 * span]
+        trace = boundary_trace_Jinf(flow, R)
     else:
         trace = []
     prof = _kappa_distribution(flow, b, kappa_bins)

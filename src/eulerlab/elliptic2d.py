@@ -242,18 +242,12 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
 # flow constructions
 
 
-def _halve_under(sub_builder, eps, super_values) -> ScalarField:
-    """Shrink the bump amplitude until it sits under the supersolution.
-
-    Subsolutions here scale linearly in eps and the reaction inequality only
-    needs s <= the selected amplitude, so halving preserves it.
-    """
-    for _ in range(60):
-        s = sub_builder(eps)
-        if float(np.max(s.values - super_values)) <= 0.0:
-            return s
-        eps *= 0.5
-    raise oned.NoSubsolution("bump cannot be placed under the supersolution")
+def _check_under(sub: ScalarField, super_values) -> ScalarField:
+    """``sub``, once it is checked to sit under the supersolution."""
+    if float(np.max(sub.values - super_values)) > 0.0:
+        raise oned.NoSubsolution("bump cannot be placed under the "
+                                 "supersolution")
+    return sub
 
 
 def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
@@ -299,8 +293,11 @@ def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
         delta = 0.05
         rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)
         eps = oned.select_subsolution_amplitude(nl, rate)
-        sub = _halve_under(
-            lambda e: subsolution_strip(half, e, delta, half.hx), eps, super_vals)
+        # the bump is at most eps*cos(pi x2/(2(1-delta))) <= eps*cos(pi x2/2),
+        # the profile's subsolution (a larger rate never selects a larger
+        # eps), and the engine's clamp keeps the profile above it bit for bit
+        sub = _check_under(subsolution_strip(half, eps, delta, half.hx),
+                           super_vals)
     else:
         # descending, the zero field is the lower side of the sandwich
         sub = ScalarField(half, np.zeros((mx, ny)))
@@ -337,15 +334,15 @@ def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8,
     rate = 2.0 * delta ** 2
     eps = oned.select_subsolution_amplitude(nl, rate)
 
-    def bump(e):
-        X, Y = quad.mesh()
-        h0 = quad.hx
-        hi = h0 + np.pi / delta
-        inside = (X > h0) & (X < hi) & (Y > h0) & (Y < hi)
-        vals = e * np.sin(delta * (X - h0)) * np.sin(delta * (Y - h0))
-        return ScalarField(quad, np.where(inside, vals, 0.0))
-
-    sub = _halve_under(bump, eps, super_vals)
+    X, Y = quad.mesh()
+    h0 = quad.hx
+    hi = h0 + np.pi / delta
+    inside = (X > h0) & (X < hi) & (Y > h0) & (Y < hi)
+    bump = eps * np.sin(delta * (X - h0)) * np.sin(delta * (Y - h0))
+    # each sine factor lies in [0, 1] inside the box, so the bump sits under
+    # min(g(x1), g(x2)) once eps*sin(delta*(t - h0)) <= g(t) on the axis
+    sub = _check_under(ScalarField(quad, np.where(inside, bump, 0.0)),
+                       super_vals)
     u_quad, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
     report.profile = g
     field = flows.odd_extend_x1(u_quad)

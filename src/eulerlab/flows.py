@@ -37,10 +37,6 @@ class ParityViolation(ValueError):
     pass
 
 
-ANALYTIC_NAMES = ("Couette", "Poiseuille", "Kolmogorov",
-                  "ExponentialCounterexample", "TaylorGreen", "ExampleSignEq")
-
-
 class Flow:
     """A steady velocity field with vorticity and optional pressure.
 
@@ -183,9 +179,6 @@ _CATALOG = {
     "Kolmogorov": (STRIP, _shear(lambda y: np.sin(np.pi * y),
                                  lambda y: np.pi * np.cos(np.pi * y),
                                  lambda y: -np.pi * np.cos(np.pi * y))),
-    "ExampleSignEq": (STRIP, _shear(lambda y: -np.abs(y),
-                                    lambda y: -np.sign(y),
-                                    lambda y: np.sign(y))),
     "ExponentialCounterexample": (PLANE, {
         "v1": lambda X, Y: -np.exp(X), "v2": lambda X, Y: Y * np.exp(X),
         "P": lambda X, Y: -0.5 * np.exp(2.0 * X),
@@ -206,7 +199,12 @@ _CATALOG = {
         "P_x": lambda X, Y: -np.sin(X) * np.cos(X),
         "P_y": lambda X, Y: -np.sin(Y) * np.cos(Y),
     }),
+    "ExampleSignEq": (STRIP, _shear(lambda y: -np.abs(y),
+                                    lambda y: -np.sign(y),
+                                    lambda y: np.sign(y))),
 }
+
+ANALYTIC_NAMES = tuple(_CATALOG)
 
 
 def analytic_flow(name: str, grid: Grid) -> Flow:

@@ -505,7 +505,7 @@ def select_subsolution_amplitude(nl: Nonlinearity, rate: float) -> float:
     return lo
 
 
-def solve_strip_profile(nl: Nonlinearity, n: int, tol: float = 1e-10,
+def solve_strip_profile(nl: Nonlinearity, n: int = 2001, tol: float = 1e-10,
                         start: str = "sub") -> Profile:
     """Positive transverse profile on (-1, 1) with -u'' = f(u), u(+-1) = 0.
 
@@ -525,14 +525,10 @@ def solve_strip_profile(nl: Nonlinearity, n: int, tol: float = 1e-10,
     h = 2.0 / (n - 1)
     sub = eps * np.cos(0.5 * np.pi * x)
     sup = 0.5 * nl.bound_M * (1.0 - x ** 2)
-    # the paper's construction takes eps small enough to slide under the
-    # supersolution; halve until the discrete ordering holds
-    for _ in range(60):
-        if np.all(sub <= sup + 1e-15):
-            break
-        eps *= 0.5
-        sub = eps * np.cos(0.5 * np.pi * x)
-    else:
+    # the selected eps fits: bound_M >= f(eps) >= rate*eps with rate/2 > 1,
+    # so sup >= eps*(1 - x^2) >= eps*cos(pi x/2).  The slack covers the
+    # walls, where cos(+-pi/2) rounds to 6.1e-17, not 0
+    if not np.all(sub <= sup + 1e-15):
         raise NoSubsolution("subsolution cannot be placed under supersolution")
     sub[0] = sub[-1] = 0.0
 

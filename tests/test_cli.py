@@ -20,7 +20,9 @@ import pytest
 
 import eulerlab
 from eulerlab import cli, flows
+from eulerlab import diagnostics as dg
 from eulerlab import serialize as ser
+from eulerlab import streamlines as sl
 from eulerlab.grid import Grid, STRIP
 
 
@@ -183,6 +185,22 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"family": "arctan", "lambada": 3}))
     assert cli.main(["solve1d", "--config", str(cfg)]) == 1
     assert "lambada" in capsys.readouterr().err
+
+
+# a config key is the long flag without its dashes, and nothing else
+@pytest.mark.parametrize("argv, entry", [
+    (["solve1d", "--family", "arctan"], {"lam": 4}),
+    (["solve", "strip"], {"far_field": "zero"}),
+])
+def test_config_key_other_than_the_long_flag_is_rejected(argv, entry,
+                                                         tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    capsys.readouterr()
+    assert cli.main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown config key %r for command %r\n"
+        % (next(iter(entry)), argv[0]))
 
 
 def test_config_file_type_errors(tmp_path, capsys):
@@ -479,14 +497,37 @@ def test_option_the_run_does_not_read_is_refused(argv, key, value, says,
 
 
 def test_construction_parameters_are_solver_options():
-    # the CLI reads each construction's keywords off its signature, so a
-    # renamed library parameter must fail here, not go quietly unset
-    dests = {o.dest for o in cli._solver_options()}
-    for fn in cli._CONSTRUCTIONS.values():
-        params = inspect.signature(fn).parameters
-        assert set(params) <= dests, fn.__name__
+    # the CLI reads each command's options and defaults off the signatures
+    # of the library calls it makes, so a renamed library parameter must
+    # fail here, not go quietly unset
+    solve_dests = {o.dest for o in cli._solver_options()}
+    family_dests = {o.dest for o in cli._COMMANDS["solve1d"]["options"]}
+    for which in cli._CONSTRUCTIONS:
+        params = cli._parameters(which)
+        family = which in cli._NONLINEARITIES
+        assert set(params) <= (family_dests if family else solve_dests), which
         assert all(p.kind == p.POSITIONAL_OR_KEYWORD
-                   and p.default is not p.empty for p in params.values())
+                   for p in params.values())
+        required = {k for k, p in params.items() if p.default is p.empty}
+        assert required == ({"lam"} if which == "arctan" else set()), which
+    for fn, cmd in ((dg.run_diagnostics, "analyze"), (sl.trace, "trace")):
+        dests = {o.dest for o in cli._COMMANDS[cmd]["options"]}
+        # past the flow, every parameter is an option of the command
+        assert set(list(inspect.signature(fn).parameters)[1:]) <= dests, cmd
+
+
+# the one default that no golden run covers: each family's node count
+@pytest.mark.parametrize("argv, echo", [
+    (["--family", "arctan", "--lambda", "4"],
+     {"lam": 4.0, "n": 2001, "tol": 1e-10, "start": "sub", "L": None}),
+    (["--family", "allen-cahn"],
+     {"lam": None, "n": 4001, "tol": 1e-10, "start": None, "L": 20.0}),
+])
+def test_solve1d_echoes_the_defaults_of_its_solver(argv, echo, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["solve1d"] + argv + ["--out", str(out)]) == 0
+    cfg = read_json(out / "report.json")["config"]
+    assert {k: cfg[k] for k in echo} == echo
 
 
 @pytest.mark.parametrize("argv", [

@@ -671,7 +671,7 @@ def test_curvature_profile_csv(tmp_path, strip_flow):
 def test_report_keeps_the_sets_it_was_built_from(strip_flow):
     # one bundle per flow inside run_diagnostics reproduces the standalone
     # public diagnostics bit for bit
-    rep = dg.run_diagnostics(strip_flow, n_bins=180, kappa_bins=32)
+    rep = dg.run_diagnostics(strip_flow, bins=180, kappa_bins=32)
     aset = dg.angle_set(strip_flow, n_bins=180)
     prof = dg.kappa_distribution(strip_flow, 32)
     assert np.array_equal(rep.angle_set.mass, aset.mass)

@@ -425,6 +425,30 @@ def test_type3_input_checks():
         e2.solve_type3_strip(far_field="dirichlet")
 
 
+# each construction places its subsolution once and checks it: an amplitude
+# that cannot fit under the supersolution is NoSubsolution, not a smaller try
+PROFILE_RATE = np.pi ** 2 / 4.0 + 0.05 ** 2
+
+
+@pytest.mark.parametrize("solve, fits_below, says", [
+    (lambda: oned.solve_strip_profile(oned.arctan_family(4.0), 65), 0.0,
+     "subsolution cannot be placed under supersolution"),
+    # the strip's own profile keeps its amplitude; only the bump is too tall
+    (lambda: e2.solve_type3_strip(L=3.0, nx=33, ny=17), PROFILE_RATE + 1e-9,
+     "bump cannot be placed under the supersolution"),
+    (lambda: e2.solve_saddle_quadrant(L=12.0, n=41), 0.0,
+     "bump cannot be placed under the supersolution"),
+], ids=["profile", "strip", "saddle"])
+def test_subsolution_that_cannot_fit_is_refused(solve, fits_below, says,
+                                                monkeypatch):
+    real = oned.select_subsolution_amplitude
+    monkeypatch.setattr(oned, "select_subsolution_amplitude",
+                        lambda nl, rate: real(nl, rate) if rate < fits_below
+                        else 1e3)
+    with pytest.raises(oned.NoSubsolution, match=says):
+        solve()
+
+
 # ---------------------------------------------------------------------------
 # rate extrapolation: same limit, same sandwich, fewer sweeps
 
