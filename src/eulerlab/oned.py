@@ -214,8 +214,12 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     once two consecutive ratios agree within RATE_AGREEMENT.  Given a
     ``certify`` callback and a settled rate r < 1, the engine tries the
     damped geometric-tail jump (Aitken 1926) nxt + THETA*r/(1-r)*step from
-    the plain sweep's result nxt.  It keeps the jump only if it stays on the
-    near side of the far bound (<= upper ascending, >= lower descending) and
+    the plain sweep's result nxt, clamped to the near bound (lower
+    ascending, upper descending).  The clamp keeps a start: the max of two
+    subsolutions, or the min of two supersolutions, is one again, since the
+    off-diagonal weights of the stencil are nonpositive.  It keeps the jump
+    only if it stays on the near side of the far bound (<= upper ascending,
+    >= lower descending) and
     ``certify`` accepts it as a start of the same iteration: a subsolution
     when ascending, a supersolution when descending.  From such a start the
     next plain step again goes one way and stays in the sandwich (Sattinger
@@ -265,6 +269,12 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
                 judge(rate, before, norm, max_iter - sweeps, nxt)
             if certify is not None and rate < 1.0 and THETA > 0.0:
                 cand = nxt + (THETA * rate / (1.0 - rate)) * step
+                # a wrong-way step the slack let through comes out of the
+                # jump about r/(1-r) times larger, past the near bound
+                if ascending:
+                    np.maximum(cand, lower, out=cand)
+                else:
+                    np.minimum(cand, upper, out=cand)
                 if (np.all(cand <= upper) if ascending
                         else np.all(cand >= lower)) and certify(cand):
                     accepted += 1

@@ -40,9 +40,9 @@ GOLDEN = {
         ["analyze", "--solve", "halfplane", "--n", "81",
          "--out", "golden_saddle"],
         {
-            "angle_set.csv": "cddd91778d7e690da2d6a444d02480d2a79761e02286dd4323099811762367f8",
-            "curvature_profile.csv": "a0fbd7e8b27a8d4128e7b10953ac649c1508569bc1724544c9edaca28b8111fa",
-            "report.json": "00fc88ab8ed59860584c7c263caec8021949e37b197235dc39dcbd2bb709fdb8",
+            "angle_set.csv": "397284ea83c4b26a4a11f5245e5116234f2103b3b0804285cb43e74294fb9b44",
+            "curvature_profile.csv": "a56030f49c6d3976c8a2ca80cbf4bed915b54226d6ad0a0d62439b826f6f62f2",
+            "report.json": "daa9fc42e0a897044483030b7519685855800bc92cd9e9adc0005d5ffe9df343",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -82,9 +82,9 @@ GOLDEN = {
     "solve_halfplane": (
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
-            "flow.csv": "0bedbd3d2a414c1920298dc9c8efc19a9ea9fb5447f63436c06fcfd29b12d0e5",
-            "flow.json": "0cd2ba1c4912075c73708500e398041ab0fcf07e562f289181c3272b3cb646ff",
-            "report.json": "831c0a3755b18f766bfc6726ee50c2082cae270024661edb5ecb4ef94e1eb662",
+            "flow.csv": "ebe7f2f5866b9d2643774def88808d563919bffdce7e248da1b7bbe0e538d646",
+            "flow.json": "997535431067ee369a3538922a28a6979b259764bb4304d632603fc4620df4a0",
+            "report.json": "d1466fbe708b34b284aec6322350862ec0422814a1a12b7ec2998f5bdfe5de2e",
         },
     ),
     # the exhaustion variant: zero far-field data, descending from the
@@ -128,10 +128,10 @@ GOLDEN = {
     "reproduce": (
         ["reproduce", "all", "--out", "golden_reproduce"],
         {
-            "figure1_separatrices.csv": "3bac435b5e8a38b0b15965a804bcee59ce56af169d67a013fbda59acc83ff0c2",
+            "figure1_separatrices.csv": "3789c420be38ea950f49e54b7888b6417058323adb4180136389189ab03db008",
             "figure1_separatrices.json": "93f8a96048976da3c5058bed26b50ebb142716f34e6f3d110522af40b1c7f578",
-            "figure1_stagnation.csv": "e4541856bd362fccd3ec313b5a70c0943d6d9f2c82d064325bd3baf86360848b",
-            "figure1_traces.csv": "36ca99cbee0258ab349c12b0e8d0fb36b1b8d111438ffa1f93e8357701f2aa2d",
+            "figure1_stagnation.csv": "3b85fc86564113845a61e42737798d2d62274248d42651efba1493c78519a9e9",
+            "figure1_traces.csv": "6e2cb5ff19a7e60e67507adec57b2f018e8e9b18566b57fb9246aee12fba0953",
             "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
             "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
             "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",

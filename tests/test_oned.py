@@ -208,6 +208,23 @@ def test_engine_keeps_a_jump_only_under_the_far_bound():
     assert over.accepted == 0 and over.rejected > 0 and over.sweeps == 40
 
 
+def test_engine_clamps_a_jump_to_the_near_bound():
+    # a descent at rate 0.9 while one node at the upper bound creeps up by a
+    # quarter of the slack each sweep: the jump, 7.2 steps long, would carry
+    # that creep 1.8e-10 past the bound, and the next sweep out of the
+    # sandwich
+    def sweep(u):
+        nxt = 0.9 * u
+        nxt[0] = u[0] + 2.5e-11
+        return nxt
+
+    run = oned._monotone_sweeps(
+        sweep, np.ones(5), np.zeros(5), np.ones(5), False,
+        lambda u, update: update < 1e-9, 500, 1e-10, certify=lambda v: True)
+    assert run.accepted > 0
+    assert run.u[0] == 1.0 and np.all(run.u[1:] < 1e-8)
+
+
 def _scripted(steps, start=0.0, upper=np.inf):
     """Engine run, judged against the update target 1e-12, whose k-th sweep
     adds steps[k]."""
