@@ -53,13 +53,16 @@ WORKABLE = {
 # options that every draw carries, so no default grid or suite runs
 FORCED = ("nx", "ny", "n", "grid", "suite")
 SOLVER = tuple(o.dest for o in cli._solver_options())
+FAMILY = tuple(o.dest for o in cli._COMMANDS["solve1d"]["options"]
+               if o.dest not in ("family", "out", "config"))
 # the options a run does not read, by its solve geometry, 1D family or flow
 # source; they are refused when given, so a draw leaves them out (a file
-# run may still draw --solve, the one draw of two flow sources)
-FOREIGN = {"strip": ("n", "grid"),
-           "halfplane": ("lam", "nx", "ny", "far_field", "grid"),
-           "arctan": ("L",), "allen-cahn": ("lam", "start"),
-           "catalog": SOLVER + ("file", "solve"), "file": SOLVER + ("grid",)}
+# run may still draw --solve, the one draw of two flow sources).  A solve
+# does not read the options of its table that its library calls do not take
+FOREIGN = {which: tuple(
+    k for k in (FAMILY if which in cli._NONLINEARITIES else SOLVER + ("grid",))
+    if k not in cli._parameters(which)) for which in cli._CONSTRUCTIONS}
+FOREIGN.update(catalog=SOLVER + ("file", "solve"), file=SOLVER + ("grid",))
 
 
 def _hostile(opt):
