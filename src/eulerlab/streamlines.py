@@ -477,12 +477,12 @@ _FIT_PINV = np.linalg.pinv(np.array(
     [[1.0, di, dj, di * di, di * dj, dj * dj] for di, dj in _FIT_OFFSETS]))
 
 
-def stagnation_points(flow, floor: float | None = None):
+def stagnation_points(flow):
     """Isolated stagnation points as (x, y, speed) triples, sorted by x, y.
 
     A node qualifies when its speed is at or below the floor and it is a
-    strict local minimum of speed over its 3x3 neighborhood.  The default
-    floor is one cell of speed variation, s = max(hx, hy) * max |grad v|_F
+    strict local minimum of speed over its 3x3 neighborhood.  The floor is
+    one cell of speed variation, s = max(hx, hy) * max |grad v|_F
     (Frobenius norm, exactly invariant under rotating the velocity).  The
     least-squares quadratic fit of speed^2 over that neighborhood then
     refines the location to the fit's vertex; the point is kept only when
@@ -498,9 +498,7 @@ def stagnation_points(flow, floor: float | None = None):
     the wall; nodes on open truncation edges never qualify.
     """
     g = flow.grid
-    if floor is None:
-        floor = cell_speed_variation(flow)
-    floor = float(floor)
+    floor = cell_speed_variation(flow)
     P = _padded_speed2(flow)
     c = P[1:-1, 1:-1]
     strict = np.ones(g.shape, dtype=bool)
