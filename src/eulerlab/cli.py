@@ -101,8 +101,6 @@ def _solver_options():
         _Opt("--ny", "ny", int, help="nodes along x2 (strip)"),
         _Opt("--n", "n", int, help="nodes per quadrant axis (half plane)"),
         _Opt("--tol", "tol", float, help="iteration stopping tolerance"),
-        _Opt("--start", "start", str, choices=("sub", "super"),
-             help="monotone iteration starting side"),
         _Opt("--far-field", "far_field", str, choices=("profile", "zero"),
              help="strip data at x1 = +-L"),
     ]
@@ -352,19 +350,11 @@ def _read_solve(r, which):
         if rival != which and (rival in _NONLINEARITIES) == family:
             _refuse(r, [k for k in _parameters(rival) if k not in params],
                     "the %s %s" % (rival, noun), which)
-    # the strip's exhaustion variant (zero far field) descends from the
-    # profile supersolution, as the saddle does from its own
-    zero = r.get("far_field") == "zero"
-    if zero:
-        _default(r, "start", "super")
     for key, p in params.items():
         if r[key] is None and p.default is p.empty:
             raise ConfigError("missing required option: %s (the %s %s "
                               "needs it)" % (_FLAGS[key], which, noun))
         _default(r, key, p.default)
-    if zero and r["start"] == "sub":
-        raise ConfigError("--far-field zero descends from the profile: it "
-                          "takes --start super, not sub")
     if r.get("nx") is not None and r["nx"] % 2 == 0:
         raise ConfigError("--nx must be odd so that x1 = 0 is a node "
                           "column, got %d" % r["nx"])

@@ -28,9 +28,10 @@ of its reference parameters (the keyword defaults):
 
 Both reuse the 1D solutions on the same node set, which makes the constant
 extension (strip) and min construction (quadrant) exact discrete
-supersolutions rather than approximate ones.  Both return (field, flow,
-SolveReport): the stream function on the full domain, the flow it carries
-(pressure included), and the report of the 2D solve.
+supersolutions rather than approximate ones, and both descend from them
+over the zero field, a subsolution for every ring they build.  Both
+return (field, flow, SolveReport): the stream function on the full domain,
+the flow it carries (pressure included), and the report of the 2D solve.
 """
 
 from __future__ import annotations
@@ -242,26 +243,18 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
 # flow constructions
 
 
-def _check_under(sub: ScalarField, super_values) -> ScalarField:
-    """``sub``, once it is checked to sit under the supersolution."""
-    if float(np.max(sub.values - super_values)) > 0.0:
-        raise oned.NoSubsolution("bump cannot be placed under the "
-                                 "supersolution")
-    return sub
-
-
 def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
                       ny: int = 129, tol: float = 1e-8,
-                      far_field: str = "profile", start: str = "sub"):
+                      far_field: str = "profile"):
     """The transversally pinned strip flow of f = lam*arctan on (-L, L) x (-1, 1).
 
     Solves on the half strip (0, L) x (-1, 1) with zero data on x1 = 0 and the
     walls, far-field data at x1 = L from the 1D transverse profile (or zero
-    with far_field="zero", the exhaustion variant, which descends and so
-    needs start="super"), then odd-extends through x1 = 0.  The transverse
-    profile is solved on the same ny-node grid, so its constant extension
-    is an exact discrete supersolution.  Returns (field, flow, SolveReport);
-    the report carries the profile as ``profile``.
+    with far_field="zero", the exhaustion variant), then odd-extends through
+    x1 = 0.  The transverse profile is solved on the same ny-node grid, so
+    its constant extension is an exact discrete supersolution, and the
+    sweeps descend from it over the zero field.  Returns (field, flow,
+    SolveReport); the report carries the profile as ``profile``.
 
     nx must be odd so that x1 = 0 is a node column.
     """
@@ -272,78 +265,44 @@ def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
         raise ValueError("nx must be odd so x1=0 is a node column")
     if far_field not in ("profile", "zero"):
         raise ValueError("far_field must be 'profile' or 'zero'")
-    if start not in ("sub", "super"):
-        raise ValueError("start must be 'sub' or 'super'")
     L = float(L)
     mx = (nx + 1) // 2
     half = Grid(STRIP, mx, ny, (0.0, L), (-1.0, 1.0))
 
     profile = oned.solve_strip_profile(nl, ny, tol=min(1e-10, tol))
-    super_vals = np.tile(profile.values, (mx, 1))
-    supersol = ScalarField(half, super_vals)
-
+    supersol = ScalarField(half, np.tile(profile.values, (mx, 1)))
     ring = dirichlet_ring(
         half, right=profile.values if far_field == "profile" else 0.0)
-
-    if far_field == "zero" and start == "sub":
-        # the bump pokes above zero far-field data where the box is cut by
-        # the x1 = L edge, so the exhaustion variant descends instead
-        raise ValueError("far_field='zero' descends: it needs start='super'")
-    if start == "sub":
-        delta = 0.05
-        rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)
-        eps = oned.select_subsolution_amplitude(nl, rate)
-        # the bump is at most eps*cos(pi x2/(2(1-delta))) <= eps*cos(pi x2/2),
-        # the profile's subsolution (a larger rate never selects a larger
-        # eps), and the engine's clamp keeps the profile above it bit for bit
-        sub = _check_under(subsolution_strip(half, eps, delta, half.hx),
-                           super_vals)
-    else:
-        # descending, the zero field is the lower side of the sandwich
-        sub = ScalarField(half, np.zeros((mx, ny)))
-    u_half, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
+    # f(0) = 0 and nonnegative ring data make the zero field a subsolution
+    sub = ScalarField(half, np.zeros(half.shape))
+    u_half, report = solve_semilinear(nl, ring, sub, supersol, "super",
+                                      tol=tol)
     report.profile = profile
     field = flows.odd_extend_x1(u_half)
     return field, flows.velocity_from_stream(field, nl), report
 
 
-def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8,
-                          start: str = "super"):
+def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8):
     """The half-plane saddle of f = s - s^3 on (-L, L) x (0, L).
 
     Solves on the quadrant (0, L)^2 with zero data on both axes and
     heteroclinic traces g on the far sides, descending from the exact
-    discrete supersolution min(g(x1), g(x2)) (or ascending from a product
-    sine bump with start="sub"), then odd-extends in x1.  The heteroclinic
-    is solved on the same n-node axis grid.  Returns (field, flow,
-    SolveReport); the report carries the heteroclinic as ``profile``.
+    discrete supersolution min(g(x1), g(x2)) over the zero field, then
+    odd-extends in x1.  The heteroclinic is solved on the same n-node axis
+    grid.  Returns (field, flow, SolveReport); the report carries the
+    heteroclinic as ``profile``.
     """
     nl = oned.allen_cahn()
-    if start not in ("sub", "super"):
-        raise ValueError("start must be 'sub' or 'super'")
     L = float(L)
     n = int(n)
     g = oned.solve_heteroclinic(nl, L=L, n=n, tol=min(1e-10, tol))
     quad = Grid(QUADRANT, n, n, (0.0, L), (0.0, L))
-
-    super_vals = np.minimum(g.values[:, None], g.values[None, :])
-    supersol = ScalarField(quad, super_vals)
+    supersol = ScalarField(
+        quad, np.minimum(g.values[:, None], g.values[None, :]))
     ring = dirichlet_ring(quad, right=g.values, top=g.values)
-
-    delta = 2.0 * np.pi / L
-    rate = 2.0 * delta ** 2
-    eps = oned.select_subsolution_amplitude(nl, rate)
-
-    X, Y = quad.mesh()
-    h0 = quad.hx
-    hi = h0 + np.pi / delta
-    inside = (X > h0) & (X < hi) & (Y > h0) & (Y < hi)
-    bump = eps * np.sin(delta * (X - h0)) * np.sin(delta * (Y - h0))
-    # each sine factor lies in [0, 1] inside the box, so the bump sits under
-    # min(g(x1), g(x2)) once eps*sin(delta*(t - h0)) <= g(t) on the axis
-    sub = _check_under(ScalarField(quad, np.where(inside, bump, 0.0)),
-                       super_vals)
-    u_quad, report = solve_semilinear(nl, ring, sub, supersol, start, tol=tol)
+    sub = ScalarField(quad, np.zeros(quad.shape))
+    u_quad, report = solve_semilinear(nl, ring, sub, supersol, "super",
+                                      tol=tol)
     report.profile = g
     field = flows.odd_extend_x1(u_quad)
     return field, flows.velocity_from_stream(field, nl), report

@@ -424,8 +424,8 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["solve", "strip", "--L", "1e-300", "--nx", "97", "--ny", "33"],
     # the acceptance suite has one resolution
     ["verify", "--fast"],
-    # zero far-field data cannot be approached from below
-    ["solve", "strip", "--far-field", "zero", "--start", "sub"],
+    # the 2D solves descend from their supersolution: no starting side
+    ["solve", "strip", "--start", "sub"],
     # options of the other geometry, which its solve would never read
     ["solve", "halfplane", "--n", "41", "--far-field", "zero"],
     ["solve", "halfplane", "--n", "41", "--nx", "99"],
@@ -436,14 +436,17 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
      "--n", "41", "--seed", "0,0.5"],
     ["solve", "halfplane", "--n", "41", "--config", "{zero_config}"],
     ["solve", "halfplane", "--n", "41", "--nx", "3"],
+    ["solve", "strip", "--config", "{start_config}"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
     plain.write_text("")
     zero = tmp_path / "zero_far_field.json"
     zero.write_text('{"far-field": "zero"}')
+    start = tmp_path / "start.json"
+    start.write_text('{"start": "sub"}')
     argv = [a.replace("{file}", str(plain)).replace("{zero_config}", str(zero))
-            for a in argv]
+            .replace("{start_config}", str(start)) for a in argv]
     expected = ""
     for damage, (spoil, message) in BUNDLE_DAMAGE.items():
         tag = "{bundle:%s}" % damage
@@ -475,8 +478,8 @@ def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
      "55", "the allen-cahn family, not to arctan"),
     (["analyze", "--catalog", "taylor-green", "--grid", "torus:16"], "nx",
      "99", "--solve, not to --catalog"),
-    (["trace", "--catalog", "couette", "--seed", "0,0.5"], "start", "super",
-     "--solve, not to --catalog"),
+    (["trace", "--catalog", "couette", "--seed", "0,0.5"], "far-field",
+     "zero", "--solve, not to --catalog"),
     (["trace", "--file", "flow.json", "--seed", "0,0.5"], "tol", "1e-3",
      "--solve, not to --file"),
     (["analyze", "--file", "flow.json"], "grid", "torus:16",

@@ -197,9 +197,9 @@ def test_zero_reaction_converges_immediately():
     assert report.settled_rate is None
 
 
-def strip_problem(nx=193, ny=65, L=12.0):
+def strip_problem(nx=193, ny=65, L=12.0, lam=4.0):
     """(nl, ring, supersolution) of the half-strip solve."""
-    nl = oned.arctan_family(4.0)
+    nl = oned.arctan_family(lam)
     g = Grid(STRIP, nx, ny, (0.0, L), (-1.0, 1.0))
     profile = oned.solve_strip_profile(nl, ny)
     super_vals = np.tile(profile.values, (nx, 1))
@@ -401,11 +401,9 @@ def test_type3_refinement_order():
 
 
 def test_type3_zero_far_field_mode():
-    za = e2.solve_type3_strip(L=8.0, nx=257, ny=33, far_field="zero",
-                              start="super")[0]
+    za = e2.solve_type3_strip(L=8.0, nx=257, ny=33, far_field="zero")[0]
     pa = e2.solve_type3_strip(L=8.0, nx=257, ny=33, far_field="profile")[0]
-    zb = e2.solve_type3_strip(L=12.0, nx=385, ny=33, far_field="zero",
-                              start="super")[0]
+    zb = e2.solve_type3_strip(L=12.0, nx=385, ny=33, far_field="zero")[0]
     pb = e2.solve_type3_strip(L=12.0, nx=385, ny=33, far_field="profile")[0]
 
     def window(f, lim=4.0):
@@ -425,32 +423,45 @@ def test_type3_input_checks():
         e2.solve_type3_strip(far_field="dirichlet")
 
 
-# each construction places its subsolution once and checks it: an amplitude
-# that cannot fit under the supersolution is NoSubsolution, not a smaller try
-PROFILE_RATE = np.pi ** 2 / 4.0 + 0.05 ** 2
-
-
-@pytest.mark.parametrize("solve, fits_below, says", [
-    (lambda: oned.solve_strip_profile(oned.arctan_family(4.0), 65), 0.0,
+# the 1D profile places its subsolution once and checks it: an amplitude
+# that cannot fit under the supersolution is NoSubsolution, not a smaller
+# try.  The 2D constructions place none: they descend over the zero field
+@pytest.mark.parametrize("solve, says", [
+    (lambda: oned.solve_strip_profile(oned.arctan_family(4.0), 65),
      "subsolution cannot be placed under supersolution"),
-    # the strip's own profile keeps its amplitude; only the bump is too tall
-    (lambda: e2.solve_type3_strip(L=3.0, nx=33, ny=17), PROFILE_RATE + 1e-9,
-     "bump cannot be placed under the supersolution"),
-    (lambda: e2.solve_saddle_quadrant(L=12.0, n=41), 0.0,
-     "bump cannot be placed under the supersolution"),
-], ids=["profile", "strip", "saddle"])
-def test_subsolution_that_cannot_fit_is_refused(solve, fits_below, says,
-                                                monkeypatch):
-    real = oned.select_subsolution_amplitude
+], ids=["profile"])
+def test_subsolution_that_cannot_fit_is_refused(solve, says, monkeypatch):
     monkeypatch.setattr(oned, "select_subsolution_amplitude",
-                        lambda nl, rate: real(nl, rate) if rate < fits_below
-                        else 1e3)
+                        lambda nl, rate: 1e3)
     with pytest.raises(oned.NoSubsolution, match=says):
         solve()
 
 
+def test_default_strip_descends_within_40_sweeps(type3_full):
+    assert type3_full[2].iterations <= 40
+
+
+def test_near_threshold_strips_descend():
+    # the bump under the strip needs lam > 2.7365 and the profile only
+    # lam > 2.4699; the descent needs the profile alone
+    for lam in (2.48, 2.6):
+        u, _, report = e2.solve_type3_strip(lam, L=40.0, nx=257, ny=17)
+        assert report.final_residual < 1e-8
+        assert float(u.values[(u.grid.nx + 1) // 2:, 1:-1].min()) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # rate extrapolation: same limit, same sandwich, fewer sweeps
+
+
+def ascending_strip(nx=193, ny=65, L=12.0, lam=4.0, tol=1e-8):
+    """The half-strip solve run up from the bump under the profile, the
+    other side of the sandwich the construction descends, as
+    (u, None, report)."""
+    nl, ring, supersol = strip_problem(nx, ny, L, lam)
+    u, report = e2.solve_semilinear(nl, ring, strip_bump(nl, supersol.grid),
+                                    supersol, start="sub", tol=tol)
+    return u, None, report
 
 
 def _plain(solve):
@@ -460,15 +471,16 @@ def _plain(solve):
 
 
 @pytest.mark.parametrize("case", ["strip769", "strip385", "saddle321",
-                                  "strip_descending"])
+                                  "strip_descending", "strip_ascending"])
 def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
     solve, accelerated = {
         "strip769": (e2.solve_type3_strip, type3_full),
         "strip385": (lambda: e2.solve_type3_strip(nx=385, ny=65), None),
         "saddle321": (e2.solve_saddle_quadrant, saddle_full),
-        # zero far-field data descends from the profile supersolution
+        # zero far-field data, the exhaustion variant
         "strip_descending": (lambda: e2.solve_type3_strip(
-            L=8.0, nx=257, ny=33, far_field="zero", start="super"), None),
+            L=8.0, nx=257, ny=33, far_field="zero"), None),
+        "strip_ascending": (ascending_strip, None),
     }[case]
     u, _, report = accelerated or solve()
     w, _, plain = _plain(solve)
@@ -526,16 +538,17 @@ def _watched_iterates(solve):
 
 @settings(max_examples=20)
 @given(lam=st.floats(3.0, 8.0), half=st.integers(7, 40),
-       ny=st.integers(9, 33), far_field=st.sampled_from(["profile", "zero"]))
-def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, far_field):
+       ny=st.integers(9, 33),
+       case=st.sampled_from(["profile", "zero", "ascending"]))
+def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, case):
     # two correct runs stop up to rate/(1 - rate) * tol from the fixed
     # point, about 2 * tol apart at lam = 3 on a 17 x 9 grid, so both stop
     # at 1e-10 here and must agree within the default tol of 1e-8
     def solve():
+        if case == "ascending":  # up from the bump, under profile data
+            return ascending_strip(half + 1, ny, 6.0, lam, tol=1e-10)
         return e2.solve_type3_strip(lam, L=6.0, nx=2 * half + 1, ny=ny,
-                                    tol=1e-10, far_field=far_field,
-                                    start="super" if far_field == "zero"
-                                    else "sub")
+                                    tol=1e-10, far_field=case)
 
     (u, _, report), runs = _watched_iterates(solve)
     [(lower, upper, ascending, seen)] = runs
@@ -593,9 +606,27 @@ def test_saddle_far_edges_match_heteroclinic(saddle_full):
 
 
 def test_saddle_two_sided_limit():
-    down = e2.solve_saddle_quadrant(n=161, start="super")[0]
-    up = e2.solve_saddle_quadrant(n=161, start="sub")[0]
-    assert float(np.max(np.abs(down.values - up.values))) < 1e-7
+    # the construction descends from min(g(x1), g(x2)); run up from a
+    # product sine bump under it, the quadrant half must be the same limit
+    n, L = 161, 20.0
+    down = e2.solve_saddle_quadrant(L=L, n=n)[0]
+    nl = oned.allen_cahn()
+    g = oned.solve_heteroclinic(nl, L=L, n=n)
+    quad = Grid(QUADRANT, n, n, (0.0, L), (0.0, L))
+    supersol = ScalarField(quad, np.minimum(g.values[:, None],
+                                            g.values[None, :]))
+    delta = 2.0 * np.pi / L
+    eps = oned.select_subsolution_amplitude(nl, 2.0 * delta ** 2)
+    X, Y = quad.mesh()
+    h0, hi = quad.hx, quad.hx + np.pi / delta
+    inside = (X > h0) & (X < hi) & (Y > h0) & (Y < hi)
+    bump = eps * np.sin(delta * (X - h0)) * np.sin(delta * (Y - h0))
+    ring = e2.dirichlet_ring(quad, right=g.values, top=g.values)
+    up, report = e2.solve_semilinear(
+        nl, ring, ScalarField(quad, np.where(inside, bump, 0.0)), supersol,
+        start="sub", tol=1e-8)
+    assert report.final_residual < 1e-8
+    assert float(np.max(np.abs(down.values[n - 1:, :] - up.values))) < 1e-7
 
 
 def test_reports_carry_the_far_field_solutions(type3_full, saddle_full):

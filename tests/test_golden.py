@@ -20,9 +20,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "29c960ab4071cb44ffdcdc4683ee1270bdbd1d7d08c571fbf9a60ad7ab16ed43",
-            "flow.json": "523998fbc7d31423cf63a0ec54c9f8656092b78747723d0130095c199db482b0",
-            "report.json": "0e1a027b58294f7bd3cd2036e5860507db9e9617be866b07cd8aae522a390b52",
+            "flow.csv": "4ac6a9a8c379631cda995af1ccc752d9e48ed160a2b9cbeed174b9f0d54eb32c",
+            "flow.json": "5e9a6dc4656c62aaecd44af107be1c0dd9a19ada6e76cc1a0a7670e40c0bf9c1",
+            "report.json": "ba8203b5fd7b0e90ff8494966f87bc11d635fdad3afd30258e5ed33cd5556e60",
         },
     ),
     "analyze": (
@@ -31,7 +31,7 @@ GOLDEN = {
         {
             "angle_set.csv": "43b7377a91551fb2a06c460a25f0e4488f204e0e4ce5234984922b214ff8e320",
             "curvature_profile.csv": "44f33dc3d8a33da7c7d3f8323574cad8c6c6e861f62af8fa40588629beda2338",
-            "report.json": "2b65fb40913d1c2c4ab90f5b4d424090e2dcfec5b221827f33d7002f6624dd0c",
+            "report.json": "4689ac017fff5b7e0e9fbcc647b3aecfc9ea901ca52d3a04420be74f0a554b4d",
         },
     ),
     # the half-plane saddle solve and its diagnostics, which no other run
@@ -42,7 +42,7 @@ GOLDEN = {
         {
             "angle_set.csv": "397284ea83c4b26a4a11f5245e5116234f2103b3b0804285cb43e74294fb9b44",
             "curvature_profile.csv": "a56030f49c6d3976c8a2ca80cbf4bed915b54226d6ad0a0d62439b826f6f62f2",
-            "report.json": "daa9fc42e0a897044483030b7519685855800bc92cd9e9adc0005d5ffe9df343",
+            "report.json": "06ee88e64c27beab7ee151b39ef86fdc808ac7d2bb429a594068d5512e8456e0",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -50,9 +50,9 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "50cc18a31599f8e89ee33eb930f454c626c0a9deb1292234799627178de27476",
-            "curvature_profile.csv": "e818f865ada424720826bd2a69369fa3cf3e66122233430a7a399552cf2a06f9",
-            "report.json": "198b2be56150d3e70373b2e671b1d538230ca91d35df084d533df63057c48191",
+            "angle_set.csv": "8bff67e5a3d6b8c8456d3114c0cb3cf2234629c781873fb1f91be5d434cdeecb",
+            "curvature_profile.csv": "3976d24848c3ba7c7d9a2889d8e7085db19bcbf9ae2ad2033a257460c1cbaafb",
+            "report.json": "194ed349223bd61c1303699d969589205ad226a55fe666c516ac07d06e154084",
         },
     ),
     # streamlines on the saved bundle: one seed runs out of steps, one
@@ -62,8 +62,8 @@ GOLDEN = {
          "--seed", "5,0.5", "--seed=0,-0.9", "--max-steps", "100",
          "--out", "golden_trace_file"],
         {
-            "traces.csv": "5c3812bad83bdaf8b3fd7b8729fe0c80d59e1af77a1e6a1701738e07d07f85c4",
-            "traces.json": "1e1f8bed8db0d0d6fdc8c04c2060fedaa98a9c0bc6c9c2194e939ad742693bd3",
+            "traces.csv": "1106e0e0db055fa25de12927b41cc8fd97a6bf04a56c6843f7ad42e97dfd4adf",
+            "traces.json": "63e3555b324778618fb6416cd8783c0740654a3e7220fe6a165e72bfd3db8b5f",
         },
     ),
     # closed orbits on the torus, from seeds a period or more outside the
@@ -74,7 +74,7 @@ GOLDEN = {
          "--out", "golden_trace_torus"],
         {
             "traces.csv": "fefcc8c9450c5b65b53760adc7c71195a1f7eae2626a8303a8508ff0819cff30",
-            "traces.json": "1b3b0a6c3059275bce0d220cdd39bb968fccacd5d53af259f7f2271233bb2f4a",
+            "traces.json": "34440c6e1b650ad45fde96dbdfca325fe2da5e4ef1f01ab0c5e72088a200571e",
         },
     ),
     # a node table of 51,681 rows, which spans many blocks of the CSV
@@ -83,8 +83,8 @@ GOLDEN = {
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
             "flow.csv": "ebe7f2f5866b9d2643774def88808d563919bffdce7e248da1b7bbe0e538d646",
-            "flow.json": "997535431067ee369a3538922a28a6979b259764bb4304d632603fc4620df4a0",
-            "report.json": "d1466fbe708b34b284aec6322350862ec0422814a1a12b7ec2998f5bdfe5de2e",
+            "flow.json": "99bbc6e43b36d7de5e97c412737349d8dca7f2eaee370f5f34e3342ab5075229",
+            "report.json": "edbe1da522d4d711727a0d808bc5b8b9c2d33bdd37c5a62773b5d9e2441d3ee1",
         },
     ),
     # the exhaustion variant: zero far-field data, descending from the
@@ -94,8 +94,8 @@ GOLDEN = {
          "--far-field", "zero", "--out", "golden_solve_zero"],
         {
             "flow.csv": "58fddae511d59e08e48ff7586f51a6b1615a46519430eb13b252d4dab4ca5109",
-            "flow.json": "c04b6c21cec853bc8c31d0d1919e7310fee7d2d1c5a0024f83d1b6feed3e2684",
-            "report.json": "d6be0b96df89ac73dcd30db91596e3876ce125175fb5f14f7c7d3a723135fd1d",
+            "flow.json": "464e9d9ee96f1420250345aab5b7a3dae39706fc6d0704aeaa889f81ea2f95b2",
+            "report.json": "d6c73b959b18c2038cf4ff679878670bd05c82fec232ce325f88d8843b66c2f0",
         },
     ),
     # the heteroclinic writer
@@ -135,8 +135,8 @@ GOLDEN = {
             "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
             "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
             "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",
-            "figure2_stagnation.csv": "5ae49f44f2675165511cd8c529818428c2fb21ac4e45810dd5fcbee80a88682b",
-            "figure2_traces.csv": "92d7df2c3e93833101eeb46a0f2f098cd70024ce5e87a5b20dc1d24cf9c63fe9",
+            "figure2_stagnation.csv": "0c5409659714c2de1670c7ee130a9049bcc91925df939b2ea296a088a77e3de9",
+            "figure2_traces.csv": "d01a17022efbaa2f817621f02cdf8521158692a3765d1ba11e47eec76fc2b71a",
             "figure2_traces.json": "5cd764f61ccbe0c63d70227a2e8c9183cdc3d826597fcd50905b6138c06dfd79",
         },
     ),
