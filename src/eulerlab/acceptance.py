@@ -1,6 +1,10 @@
 """Acceptance checks: each headline number re-measured at a pinned
 resolution against a frozen oracle, on flows a :class:`_FlowCache` builds
 once per run.  The ``verify`` command and the acceptance tests share them.
+
+Each entry of ``_CHECKS`` names the cached flows its check reads, so
+:func:`run_suite` can drop each flow, with the curvature bundle kept on it,
+after the last check of the suite that reads it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,11 @@ class CheckResult:
 
 
 class _FlowCache:
-    """Memo for the solved and sampled flows the checks share."""
+    """Memo for the solved and sampled flows the checks share.  A key is the
+    builder's name followed by its arguments, as the ``_CHECKS`` table
+    names them: ``("strip",)``, ``("strip", ("nx", 385), ("ny", 65))``,
+    ``("cellular", 512)``.
+    """
 
     def __init__(self):
         self._memo = {}
@@ -59,6 +67,9 @@ class _FlowCache:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def drop(self, key):
+        self._memo.pop(key, None)
 
     def strip(self, **sizes):
         # (field, flow) of the reference strip, or of a coarser one
@@ -88,9 +99,12 @@ def _rel(measured, target):
     return abs(measured - target) / abs(target)
 
 
+_SHEARS = ("Couette", "Poiseuille", "Kolmogorov")
+
+
 def check_shear_triviality(cache):
     out = []
-    for name in ("Couette", "Poiseuille", "Kolmogorov"):
+    for name in _SHEARS:
         fl = cache.shear(name)
         tc = dg.total_curvature(fl)
         verdict = dg.classify(dg.angle_set(fl), tc).kind
@@ -385,23 +399,34 @@ def check_invariance(cache):
     return out
 
 
+_STRIP = ("strip",)
+
+# (name, check, the _FlowCache keys the check reads)
 _CHECKS = (
-    ("shear_triviality", check_shear_triviality),
-    ("counterexample", check_counterexample),
-    ("sign_equation", check_sign_equation),
-    ("transverse_profile", check_transverse_profile),
-    ("strip_flow", check_strip_flow),
-    ("saddle_flow", check_saddle_flow),
-    ("equal_distribution", check_equal_distribution),
-    ("strict_gap", check_strict_gap),
-    ("identity_chain", check_identity_chain),
-    ("stability_margins", check_stability_margins),
-    ("invariance", check_invariance),
+    ("shear_triviality", check_shear_triviality,
+     [("shear", name) for name in _SHEARS]),
+    ("counterexample", check_counterexample,
+     [("counterexample", n) for n in (100, 128, 256)]),
+    ("sign_equation", check_sign_equation, []),
+    ("transverse_profile", check_transverse_profile, []),
+    ("strip_flow", check_strip_flow, [_STRIP]),
+    ("saddle_flow", check_saddle_flow, [("saddle",)]),
+    ("equal_distribution", check_equal_distribution,
+     [("cellular", 512), _STRIP]),
+    ("strict_gap", check_strict_gap, [("cellular", 256)]),
+    ("identity_chain", check_identity_chain,
+     [("cellular", n) for n in (128, 256, 512)]
+     + [_STRIP, ("strip", ("nx", 385), ("ny", 65)),
+        ("counterexample", 129)]),
+    ("stability_margins", check_stability_margins,
+     [("shear", name) for name in _SHEARS]),
+    ("invariance", check_invariance, [("cellular", 256), _STRIP]),
 )
-_CHECK_MAP = dict(_CHECKS)
+_CHECK_MAP = {name: check for name, check, _ in _CHECKS}
+_READS = {name: reads for name, _, reads in _CHECKS}
 
 _SUITES = {
-    "all": [name for name, _ in _CHECKS],
+    "all": [name for name, _, _ in _CHECKS],
     "shears": ["shear_triviality", "sign_equation", "stability_margins"],
     "oned": ["transverse_profile"],
     "identities": ["counterexample", "identity_chain"],
@@ -410,3 +435,19 @@ _SUITES = {
     "cellular": ["equal_distribution", "strict_gap"],
     "invariance": ["invariance"],
 }
+
+
+def run_suite(name):
+    """Run the checks of one suite in order; each cached flow is built on
+    first read and dropped after the last check of the suite that reads it.
+    """
+    cache = _FlowCache()
+    checks = _SUITES[name]
+    last = {key: i for i, check in enumerate(checks) for key in _READS[check]}
+    results = []
+    for i, check in enumerate(checks):
+        results.extend(_CHECK_MAP[check](cache))
+        for key in _READS[check]:
+            if last[key] == i:
+                cache.drop(key)
+    return results

@@ -682,10 +682,7 @@ def cmd_reproduce(r, out, cfg) -> int:
 
 
 def cmd_verify(r, out, cfg) -> int:
-    cache = acceptance._FlowCache()
-    results = []
-    for name in acceptance._SUITES[r["suite"]]:
-        results.extend(acceptance._CHECK_MAP[name](cache))
+    results = acceptance.run_suite(r["suite"])
     for res in results:
         print(res.line())
     failed = sum(1 for res in results if not res.passed)

@@ -12,10 +12,14 @@ is exactly invariant under a constant rotation of the velocity vectors:
 angles are only defined where the velocity is visibly nonzero, and the
 curvature integrand is set to zero on the floored set (it vanishes almost
 everywhere on stagnation sets in the continuum, so this discards nothing).
-The velocity partials, that floor and the curvature quadrature split form
-one per-flow bundle: run_diagnostics builds it once and derives every
-report quantity from it, while a public diagnostic called on its own builds
-its own.  Neighbour tests read the grid's one-node apron (``Grid.pad``):
+That floor and the curvature quadrature split form one per-flow bundle.  It
+is built on first use and kept on the flow, so every curvature diagnostic of
+one flow reads the same bundle.  The memo is valid only while the flow's
+velocity object is unchanged: field arrays are read-only, so the same
+object always holds the same values, and replacing ``flow.velocity``
+rebuilds the bundle.  The bundle keeps none of the velocity partials;
+run_diagnostics forms them once for both the bundle and the identity
+residual.  Neighbour tests read the grid's one-node apron (``Grid.pad``):
 the torus wraps, and nothing lies beyond a bounded edge.
 
 The wall functional is computed by two routes that share no code: an
@@ -85,6 +89,19 @@ def bin_centers(n_bins: int) -> np.ndarray:
     return np.arange(n_bins) * (2.0 * np.pi / n_bins) - np.pi
 
 
+def _gradient_norms2(grads):
+    """|d_x v|^2 and |d_y v|^2 per node, their sum |grad v|_F^2, and its max.
+
+    Every stagnation floor takes its s from this one formula, so the
+    bundle's floor and stagnation_floor agree to the last bit.
+    """
+    v1x, v1y, v2x, v2y = grads
+    gx2 = v1x ** 2 + v2x ** 2
+    gy2 = v1y ** 2 + v2y ** 2
+    g2 = gx2 + gy2
+    return gx2, gy2, g2, float(np.max(g2))
+
+
 def _cell_speed(grid, g2max: float) -> float:
     return max(grid.hx, grid.hy) * float(np.sqrt(g2max))
 
@@ -95,9 +112,8 @@ def cell_speed_variation(flow) -> float:
     The Frobenius norm |grad v|_F is exactly invariant under a constant
     rotation of the velocity vectors, so every floor built on s is too.
     """
-    v1x, v1y, v2x, v2y = _g.vector_gradient(flow.velocity)
-    return _cell_speed(flow.grid, float(np.max((v1x ** 2 + v2x ** 2)
-                                               + (v1y ** 2 + v2y ** 2))))
+    grads = _g.vector_gradient(flow.velocity)
+    return _cell_speed(flow.grid, _gradient_norms2(grads)[3])
 
 
 def _diagnostics_floor(s: float) -> float:
@@ -109,13 +125,25 @@ def stagnation_floor(flow) -> float:
     return _diagnostics_floor(cell_speed_variation(flow))
 
 
-_Bundle = namedtuple("_Bundle", "v1x v1y v2x v2y floor dens live ridge_mass "
-                     "across_y")
+_Bundle = namedtuple("_Bundle", "velocity floor dens live ridge_mass across_y")
 
 
-def _bundle(flow) -> _Bundle:
-    """Velocity partials, stagnation floor, and the curvature quadrature
-    split into resolved and sub-cell parts.
+def _bundle(flow, grads=None) -> _Bundle:
+    """The flow's curvature bundle, built on first use and kept on the flow
+    until its velocity is replaced, as ``streamlines._sampler`` keeps its
+    sampler.  ``grads``, the velocity partials, spares a caller that has
+    formed them a second gradient pass."""
+    b = getattr(flow, "_curvature_bundle", None)
+    if b is None or b.velocity is not flow.velocity:
+        if grads is None:
+            grads = _g.vector_gradient(flow.velocity)
+        b = flow._curvature_bundle = _build_bundle(flow, grads)
+    return b
+
+
+def _build_bundle(flow, grads) -> _Bundle:
+    """Stagnation floor and the curvature quadrature split into resolved and
+    sub-cell parts, from the velocity partials ``grads``.
 
     The floor takes s from the squared Frobenius norms |d_x v|^2 + |d_y v|^2
     that also pick the steepest axis, so it costs no extra array pass.
@@ -164,15 +192,12 @@ def _bundle(flow) -> _Bundle:
     """
     g = flow.grid
     v = flow.velocity
-    v1x, v1y, v2x, v2y = _g.vector_gradient(v)
+    v1x, v1y, v2x, v2y = grads
     cx = v.vx * v2x - v.vy * v1x
     cy = v.vx * v2y - v.vy * v1y
     speed2 = v.vx ** 2 + v.vy ** 2
     speed = np.sqrt(speed2)
-    gx2 = v1x ** 2 + v2x ** 2
-    gy2 = v1y ** 2 + v2y ** 2
-    g2 = gx2 + gy2
-    g2max = float(np.max(g2))
+    gx2, gy2, g2, g2max = _gradient_norms2(grads)
     floor = _diagnostics_floor(_cell_speed(g, g2max))
     across_y = gy2 >= gx2 - 1e-9 * g2max
     hn = np.where(across_y, g.hy, g.hx)
@@ -188,7 +213,7 @@ def _bundle(flow) -> _Bundle:
     ridge = censored & (np.where(across_y, dot_y, dot_x) < 0.0)
     wq = _g.quadrature_weights(g)
     ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
-    return _Bundle(v1x, v1y, v2x, v2y, floor, dens, live, ridge_mass, across_y)
+    return _Bundle(v, floor, dens, live, ridge_mass, across_y)
 
 
 class AngleSet:
@@ -206,12 +231,16 @@ class AngleSet:
 
 
 def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleSet:
-    """Bin the directions angle_from(v) of all non-stagnant nodes."""
+    """Bin the directions angle_from(v) of all non-stagnant nodes.
+
+    The threshold defaults to the stagnation floor, read off the flow's
+    curvature bundle (the same bits as :func:`stagnation_floor`).
+    """
     # with fewer bins classify fills an empty half-circle as a pinhole
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
     if threshold is None:
-        threshold = stagnation_floor(flow)
+        threshold = _bundle(flow).floor
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     v = flow.velocity
@@ -275,15 +304,18 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     stencils, the identity becomes exact algebra, and only the stagnation
     floor itself is masked.
     """
-    return _identity_residual(flow, _bundle(flow), derivatives, speed_fraction)
+    grads = _g.vector_gradient(flow.velocity)
+    floor = _diagnostics_floor(_cell_speed(flow.grid,
+                                           _gradient_norms2(grads)[3]))
+    return _identity_residual(flow, grads, floor, derivatives, speed_fraction)
 
 
-def _identity_residual(flow, b, derivatives, speed_fraction):
+def _identity_residual(flow, grads, floor, derivatives, speed_fraction):
     g = flow.grid
     if derivatives == "fd":
         v = flow.velocity
         v1, v2 = v.vx, v.vy
-        v1x, v1y, v2x, v2y = b.v1x, b.v1y, b.v2x, b.v2y
+        v1x, v1y, v2x, v2y = grads
         pgrads = None
         if flow.pressure is not None:
             pg = _g.gradient(flow.pressure)
@@ -302,7 +334,6 @@ def _identity_residual(flow, b, derivatives, speed_fraction):
 
     speed2 = v1 ** 2 + v2 ** 2
     speed = np.sqrt(speed2)
-    floor = b.floor
     if derivatives == "fd":
         floor = max(floor, speed_fraction * float(speed.max()))
     live = speed > floor
@@ -659,8 +690,9 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
     R defaults to quarter points of the domain half-width on wall
     geometries and stays empty elsewhere (the trace route needs walls).
     """
-    b = _bundle(flow)
-    aset = angle_set(flow, threshold=b.floor, n_bins=bins)
+    grads = _g.vector_gradient(flow.velocity)
+    b = _bundle(flow, grads)
+    aset = angle_set(flow, n_bins=bins)
     tc = _total_curvature(flow, b)
     j_signed = _signed_curvature_integral(flow, b)
     if flow.grid.kind in (STRIP, HALF_PLANE):
@@ -671,7 +703,7 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
     else:
         trace = []
     prof = _kappa_distribution(flow, b, kappa_bins)
-    resid = _identity_residual(flow, b, "fd", 0.05)
+    resid = _identity_residual(flow, grads, b.floor, "fd", 0.05)
     interior = flow.grid.interior_mask()
     rep = DiagnosticsReport(
         total_curvature=tc,

@@ -10,6 +10,8 @@ touching a flow pays for its solve inside its own (generous) budget.
 
 import time
 
+import pytest
+
 from eulerlab import acceptance
 
 
@@ -66,3 +68,57 @@ def test_criterion_10_stability_margins(cache):
 
 def test_criterion_11_invariance(cache):
     run_checks("invariance", cache, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# which flows each check reads, and their release by run_suite
+
+
+class RecordingCache(acceptance._FlowCache):
+    """A cache that takes its flows from the session cache and records each
+    key read and built, and the most flows it held at once."""
+
+    def __init__(self, session):
+        super().__init__()
+        self.session = session
+        self.reads = set()
+        self.built = []
+        self.peak = 0
+
+    def _get(self, key, build):
+        self.reads.add(key)
+        if key not in self._memo:
+            self.built.append(key)
+        flow = super()._get(key, lambda: self.session._get(key, build))
+        self.peak = max(self.peak, len(self._memo))
+        return flow
+
+
+@pytest.mark.parametrize("name", sorted(acceptance._CHECK_MAP))
+def test_each_check_reads_the_flows_its_entry_names(name, cache):
+    rec = RecordingCache(cache)
+    acceptance._CHECK_MAP[name](rec)
+    assert rec.reads == set(acceptance._READS[name])
+
+
+def run_suite(name, cache, monkeypatch):
+    rec = RecordingCache(cache)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: rec)
+    return rec, acceptance.run_suite(name)
+
+
+def test_run_suite_drops_every_flow_after_its_last_check(cache, monkeypatch):
+    rec, results = run_suite("all", cache, monkeypatch)
+    assert len(results) == 47 and all(res.passed for res in results)
+    assert rec._memo == {}
+    # built on first read, never read again once dropped
+    assert len(rec.built) == len(set(rec.built)) == 13
+    assert rec.peak < 13
+
+
+def test_named_suites_match_the_same_checks_inside_all(cache, monkeypatch):
+    full = {res.name: res.to_dict()
+            for res in run_suite("all", cache, monkeypatch)[1]}
+    for suite in acceptance._SUITES:
+        got = [res.to_dict() for res in run_suite(suite, cache, monkeypatch)[1]]
+        assert got and got == [full[d["name"]] for d in got], suite

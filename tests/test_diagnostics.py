@@ -684,3 +684,84 @@ def test_report_keeps_the_sets_it_was_built_from(strip_flow):
     interior = strip_flow.grid.interior_mask()
     assert rep.identity_residual_max == float(resid.values[interior].max())
     assert "angle_set" not in rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the curvature bundle kept on the flow
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def catalog_grid(kind):
+    if kind == g.STRIP:
+        return g.Grid(g.STRIP, 257, 65, (-4.0, 4.0), (-1.0, 1.0))
+    if kind == g.TORUS:
+        return g.Grid(g.TORUS, 128, 128, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
+    return g.Grid(g.PLANE, 129, 129, (-1.0, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("name", flows.ANALYTIC_NAMES)
+def test_stagnation_floor_is_the_bundle_floor_bit_for_bit(name):
+    fl = flows.analytic_flow(name, catalog_grid(flows._CATALOG[name][0]))
+    floor = dg.stagnation_floor(fl)
+    assert bits(dg._bundle(fl).floor) == bits(floor)
+    assert bits(dg.angle_set(fl).stagnation_threshold) == bits(floor)
+
+
+def drawn_velocity(kind, nx, ny, seed):
+    """Grid and node velocity of a drawn torus or strip flow: a transverse
+    shear with a weak crossflow, so its zero rows hold sub-cell bands."""
+    rng = np.random.default_rng(seed)
+    if kind == "torus":
+        gr = g.Grid(g.TORUS, nx, ny, (0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
+    else:
+        gr = g.Grid(g.STRIP, nx, ny, (-4.0, 4.0), (-1.0, 1.0))
+    X, Y = gr.mesh()
+    k, m = rng.integers(1, 4, size=2)
+    a, p, q = rng.uniform(-1.0, 1.0, size=3)
+    eps = 10.0 ** rng.uniform(-4.0, 0.0)
+    vx = np.sin(k * Y + p) + 0.2 * a * np.sin(X)
+    vy = eps * np.cos(m * X + q)
+    return gr, vx, vy
+
+
+def bare_flow(gr, vx, vy):
+    return flows.Flow(gr, VectorField(gr, vx, vy),
+                      ScalarField(gr, np.zeros(gr.shape)))
+
+
+CURVATURE_READERS = (
+    dg.total_curvature,
+    dg.signed_curvature_integral,
+    lambda fl: dg.kappa_distribution(fl).bin_mass,
+    lambda fl: np.append(dg.angle_set(fl).mass,
+                         dg.angle_set(fl).stagnation_threshold),
+    lambda fl: dg.curvature_identity_residual(fl).values,
+)
+
+
+def readings(fl):
+    return [bits(read(fl)) for read in CURVATURE_READERS]
+
+
+@given(st.sampled_from(["torus", "strip"]), st.integers(12, 40),
+       st.integers(12, 40), st.integers(0, 2 ** 32 - 1))
+def test_kept_bundle_serves_the_bits_of_a_first_call(kind, nx, ny, seed):
+    gr, vx, vy = drawn_velocity(kind, nx, ny, seed)
+    # each reader on a flow of its own is a first call that builds a bundle
+    first = [bits(read(bare_flow(gr, vx, vy))) for read in CURVATURE_READERS]
+    fl = bare_flow(gr, vx, vy)
+    assert readings(fl) == first  # the first reader builds, the rest hit
+    assert readings(fl) == first  # every reader hits
+    kept = fl._curvature_bundle
+    fl.velocity = VectorField(gr, vx.copy(), vy.copy())
+    assert readings(fl) == first
+    assert fl._curvature_bundle is not kept
+    # new values: the kept bundle is never served for them
+    wx, wy = vx + 0.5 * vy, vy - 0.25 * vx ** 2
+    fl.velocity = VectorField(gr, wx, wy)
+    again = readings(fl)
+    assert again == readings(bare_flow(gr, wx, wy))
+    assert again != first
