@@ -18,19 +18,26 @@ path is continuous and never "exits".  What lies beyond an edge is read
 off the grid's one periodic flag, and the neighbour tests of contours and
 stagnation points read the one-node apron of ``Grid.pad``.
 
-Tracing runs on scalars.  Each flow gets one sampler, built on its first
-trace and kept on the flow: the velocity rows as Python float lists, the
-grid geometry and the stagnation floor.  A stage sample then costs a few
-float operations instead of a dozen small numpy calls, and it reproduces
+Tracing runs on scalars.  Each flow gets one kernel ``unit(x, y)``, built
+on its first trace and kept on the flow: a closure over the velocity rows
+as Python float lists, the grid constants and the stagnation floor, with
+the grid locate written out in it.  A stage sample then costs a few float
+operations instead of a dozen small numpy calls, and it reproduces
 :func:`bilinear_sample` bit for bit because it performs the same IEEE
 operations in the same order: a bounded grid clamps exactly as
 ``np.clip`` (a point strictly outside moves to the edge), the torus wraps
 with float ``%``, which is ``np.mod`` to the bit, and the blend is evaluated
 left to right as ``v*(1-fx)*(1-fy) + v*fx*(1-fy) + ...``.  Precomputing a
 weight product such as ``(1-fx)*(1-fy)`` regroups the multiplication and
-moves the last bit, so the kernel must not.  The speed is ``np.hypot`` and
-the RK4 update keeps ``((k1 + 2 k2) + 2 k3) + k4``.  :func:`bilinear_sample`
-stays the array API and the reference the kernel is tested against.
+moves the last bit, so the kernel must not.  The speed is
+``abs(complex(vx, vy))``: CPython's complex abs calls the C library
+``hypot``, the function ``np.hypot`` calls, at a fifth of the cost of a
+numpy scalar call; where the result overflows it raises instead of
+returning inf, and the kernel reads inf.  ``math.hypot`` is not the same
+function (CPython computes it itself) and differs from ``np.hypot`` in the
+last bit on some inputs.  The RK4 update keeps ``((k1 + 2 k2) + 2 k3) +
+k4``.  :func:`bilinear_sample` stays the array API and the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -112,23 +119,6 @@ def _axis_locate(coord, origin, h, n, periodic):
     return i0, i0 + 1, frac
 
 
-def _locate(t, n, periodic):
-    """:func:`_axis_locate` of one grid coordinate ``t = (coord - origin)
-    / h``, in float arithmetic with the same results."""
-    if periodic:
-        # float % matches np.mod bit for bit, negative zero included
-        t %= n
-        i0 = math.floor(t)
-        return i0 % n, (i0 + 1) % n, t - i0
-    # np.clip keeps t unless it lies strictly outside the range
-    if t < 0.0:
-        t = 0.0
-    elif t > n - 1.0:
-        t = n - 1.0
-    i0 = min(math.floor(t), n - 2)
-    return i0, i0 + 1, t - i0
-
-
 def bilinear_sample(field, points):
     """Bilinear interpolation of a node field at arbitrary points.
 
@@ -169,61 +159,71 @@ def _inside(grid: Grid, p) -> bool:
                              and grid.y_range[0] <= p[1] <= grid.y_range[1])
 
 
-class _Sampler:
-    """Scalar twin of :func:`bilinear_sample` for one flow's velocity.
+def _unit_kernel(flow):
+    """One flow's unit velocity direction as a closure ``unit(x, y)``, or
+    None at or below the stagnation floor.
 
-    Everything a stage sample needs is computed once per flow: the velocity
-    rows as Python floats, the grid origin, spacings, sizes and periodic
-    flag, and the stagnation floor.  :meth:`sample` then does the
-    interpolation of one point in plain float arithmetic, operation for
-    operation as the array code does it, so its result is the same to the
-    last bit (see the module docstring for the order rules).
+    It is :func:`bilinear_sample` divided by its ``np.hypot`` speed, to the
+    bit, with the locate of :func:`_axis_locate` written out and the
+    velocity rows, grid constants and floor bound once (see the module
+    docstring for the order rules).
     """
+    v = flow.velocity
+    g = v.grid
+    vx, vy = v.vx.tolist(), v.vy.tolist()
+    x0, y0, hx, hy = g.x_range[0], g.y_range[0], g.hx, g.hy
+    nx, ny, periodic = g.nx, g.ny, g.periodic
+    xmax, ymax, ilast, jlast = nx - 1.0, ny - 1.0, nx - 2, ny - 2
+    stall = stagnation_floor(flow)
+    floor, inf = math.floor, math.inf
 
-    def __init__(self, flow):
-        v = flow.velocity
-        g = v.grid
-        self.velocity = v
-        self.floor = stagnation_floor(flow)
-        self._vx = v.vx.tolist()
-        self._vy = v.vy.tolist()
-        self._x0, self._y0 = g.x_range[0], g.y_range[0]
-        self._hx, self._hy = g.hx, g.hy
-        self._nx, self._ny = g.nx, g.ny
-        self._periodic = g.periodic
-
-    def sample(self, x, y):
-        """Interpolated velocity (vx, vy) at the point (x, y)."""
-        i0, i1, fx = _locate((x - self._x0) / self._hx, self._nx,
-                             self._periodic)
-        j0, j1, fy = _locate((y - self._y0) / self._hy, self._ny,
-                             self._periodic)
-        a, b = self._vx[i0], self._vx[i1]
-        wx = (a[j0] * (1.0 - fx) * (1.0 - fy) + b[j0] * fx * (1.0 - fy)
-              + a[j1] * (1.0 - fx) * fy + b[j1] * fx * fy)
-        a, b = self._vy[i0], self._vy[i1]
-        wy = (a[j0] * (1.0 - fx) * (1.0 - fy) + b[j0] * fx * (1.0 - fy)
-              + a[j1] * (1.0 - fx) * fy + b[j1] * fx * fy)
-        return wx, wy
-
-    def unit(self, x, y):
-        """Unit velocity direction at (x, y), or None at or below the
-        stagnation floor."""
-        wx, wy = self.sample(x, y)
-        m = float(np.hypot(wx, wy))
-        if m <= self.floor:
+    def unit(x, y):
+        t = (x - x0) / hx
+        s = (y - y0) / hy
+        if periodic:
+            # float % matches np.mod bit for bit, negative zero included
+            t, s = t % nx, s % ny
+            i0, j0 = floor(t), floor(s)
+            fx, fy = t - i0, s - j0
+            i0, j0 = i0 % nx, j0 % ny
+            i1, j1 = (i0 + 1) % nx, (j0 + 1) % ny
+        else:
+            # np.clip keeps t unless it lies strictly outside the range
+            t = 0.0 if t < 0.0 else xmax if t > xmax else t
+            s = 0.0 if s < 0.0 else ymax if s > ymax else s
+            i0, j0 = floor(t), floor(s)
+            if i0 > ilast:
+                i0 = ilast
+            if j0 > jlast:
+                j0 = jlast
+            fx, fy = t - i0, s - j0
+            i1, j1 = i0 + 1, j0 + 1
+        gx, gy = 1.0 - fx, 1.0 - fy
+        a, b = vx[i0], vx[i1]
+        wx = (a[j0] * gx * gy + b[j0] * fx * gy
+              + a[j1] * gx * fy + b[j1] * fx * fy)
+        a, b = vy[i0], vy[i1]
+        wy = (a[j0] * gx * gy + b[j0] * fx * gy
+              + a[j1] * gx * fy + b[j1] * fx * fy)
+        try:
+            m = abs(complex(wx, wy))
+        except OverflowError:
+            m = inf  # where np.hypot returns inf
+        if m <= stall:
             return None
         return wx / m, wy / m
 
+    return unit
 
-def _sampler(flow) -> _Sampler:
-    """The flow's sampler, built on first use and kept on the flow until
-    its velocity is replaced (field arrays are read-only, so the same
-    velocity object always holds the same values)."""
-    s = getattr(flow, "_sampler", None)
-    if s is None or s.velocity is not flow.velocity:
-        s = flow._sampler = _Sampler(flow)
-    return s
+
+def _sampler(flow):
+    """The flow's :func:`_unit_kernel`, built on first use and kept on the
+    flow until its velocity is replaced (field arrays are read-only, so
+    the same velocity object always holds the same values)."""
+    kept = getattr(flow, "_sampler", None)
+    if kept is None or kept[0] is not flow.velocity:
+        kept = flow._sampler = (flow.velocity, _unit_kernel(flow))
+    return kept[1]
 
 
 def trace(flow, seed, step: float | None = None,
@@ -262,8 +262,20 @@ def trace(flow, seed, step: float | None = None,
     max_steps = int(max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    (xlo, xhi), (ylo, yhi) = grid.x_range, grid.y_range
+    # nor may a torus march reach one: (x - x0) / h overflows to inf, and
+    # inf % n is NaN
+    reach = max_steps * step
+    if grid.periodic and not (
+            math.isfinite((abs(sx) + abs(xlo) + reach) / grid.hx)
+            and math.isfinite((abs(sy) + abs(ylo) + reach) / grid.hy)):
+        raise SeedOutsideDomain(
+            "%d steps of %g from seed (%g, %g) reach past what %r can "
+            "locate" % (max_steps, step, sx, sy, grid))
 
-    unit = _sampler(flow).unit
+    unit = _sampler(flow)
+    bounded = not grid.periodic
+    inf = math.inf
     half = 0.5 * step
     sixth = step / 6.0
     x, y = sx, sy
@@ -288,14 +300,19 @@ def trace(flow, seed, step: float | None = None,
             break
         qx = x + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         qy = y + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        if not _inside(grid, (qx, qy)):
+        if bounded and not (xlo <= qx <= xhi and ylo <= qy <= yhi):
             termination = "LeftDomain"
             break
         pts.append((qx, qy))
         x, y = qx, qy
-        if n >= 10 and float(np.hypot(qx - sx, qy - sy)) <= step:
-            termination = "Closed"
-            break
+        if n >= 10:
+            try:
+                back = abs(complex(qx - sx, qy - sy))
+            except OverflowError:
+                back = inf
+            if back <= step:
+                termination = "Closed"
+                break
     return Polyline(np.array(pts), seed, termination)
 
 

@@ -9,6 +9,8 @@ refinement.
 """
 
 import hashlib
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -352,17 +354,38 @@ offset = st.tuples(st.integers(-1000, 1000),
        st.lists(st.tuples(offset, offset), min_size=1, max_size=12))
 def test_sampler_matches_bilinear_sample_bit_for_bit(kind, nx, ny, x0, y0,
                                                      lx, ly, seed, where):
+    # the kernel trace runs: bilinear_sample over its np.hypot speed, or
+    # None at or below the stagnation floor
     f = random_flow(kind, nx, ny, x0, y0, lx, ly, seed)
     (x0, x1), (y0, y1) = f.grid.x_range, f.grid.y_range
     lx, ly = x1 - x0, y1 - y0
-    sampler = sl._Sampler(f)
+    unit = sl._sampler(f)
+    floor = sl.stagnation_floor(f)
     for (kx, ux), (ky, uy) in where:
         x = x0 + (kx + ux) * lx
         y = y0 + (ky + uy) * ly
         for p in ((x, y), (-0.0, y), (x, -0.0)):
-            want = sl.bilinear_sample(f.velocity, np.array(p))
-            got = sampler.sample(*p)
-            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+            w = sl.bilinear_sample(f.velocity, np.array(p))
+            m = float(np.hypot(w[0], w[1]))
+            got = unit(*p)
+            if m <= floor:
+                assert got is None
+            else:
+                assert [v.hex() for v in got] == [float(v).hex()
+                                                  for v in w / m]
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_sampler_stops_at_the_floor_itself(kind):
+    # a uniform field has no gradient, so its floor is 1e-10 exactly
+    f = random_flow(kind, 8, 8, 0.0, 0.0, 1.0, 1.0, 0)
+    gr = f.grid
+    ones = np.ones(gr.shape)
+    for speed, want in ((1e-10, None),
+                        (np.nextafter(1e-10, 1.0), (1.0, 0.0))):
+        f.velocity = VectorField(gr, speed * ones, 0.0 * ones)
+        assert sl.stagnation_floor(f) == 1e-10
+        assert sl._sampler(f)(0.25, 0.5) == want
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -370,6 +393,27 @@ def test_sampler_matches_bilinear_sample_bit_for_bit(kind, nx, ny, x0, y0,
 def test_float_remainder_is_np_mod(t, n):
     # the sampler wraps periodic axes with %, the array code with np.mod
     assert (t % n).hex() == float(np.mod(np.float64(t), n)).hex()
+
+
+# finite doubles, subnormals (and zeros) and magnitudes at the overflow edge
+double = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(1e307, sys.float_info.max),
+    st.floats(-sys.float_info.max, -1e307))
+
+
+@given(double, double)
+def test_complex_abs_is_np_hypot(a, b):
+    # the kernel's speed is abs(complex), the C hypot that np.hypot calls;
+    # where np.hypot overflows to inf, abs raises and the kernel reads inf
+    try:
+        got = abs(complex(a, b))
+    except OverflowError:
+        got = math.inf
+    with np.errstate(over="ignore"):
+        want = float(np.hypot(a, b))
+    assert got.hex() == want.hex()
 
 
 @settings(max_examples=30)
@@ -407,6 +451,26 @@ def test_trace_matches_reference_rk4_on_solved_flows(strip_pair, saddle_pair):
     assert_same_trace(strip, (-8.0, -0.5), max_steps=400)
     assert assert_same_trace(strip, (0.0, -0.99)).termination == "Stagnated"
     assert_same_trace(saddle, (-4.0, 0.5), max_steps=400)
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_trace_matches_reference_rk4_where_the_speed_overflows(kind):
+    # components in (0.3e308, 1.7e308): |v| overflows where both are large,
+    # and the huge spacing keeps the stagnation floor finite on the torus
+    f = random_flow(kind, 12, 12, -1e201, -1e201, 2e201, 2e201, 7)
+    gr = f.grid
+    big = [1e308 * (1.0 + 0.7 * np.tanh(c)) for c in (f.velocity.vx,
+                                                       f.velocity.vy)]
+    f = flows.Flow(gr, VectorField(gr, *big), f.vorticity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = np.hypot(*big)
+        i, j = np.argwhere(np.isinf(speed))[0]
+        assert np.isfinite(speed).any()
+        (x0, x1), (y0, y1) = gr.x_range, gr.y_range
+        for seed in ((gr.x_nodes()[i], gr.y_nodes()[j]),
+                     (x0 + 0.3 * (x1 - x0), y0 + 0.6 * (y1 - y0)),
+                     (x0 + 0.7 * (x1 - x0), y0 + 0.2 * (y1 - y0))):
+            assert_same_trace(f, seed, max_steps=60)
 
 
 def test_traces_of_one_flow_share_one_sampler(monkeypatch):
