@@ -175,7 +175,7 @@ def _unit_kernel(flow):
     nx, ny, periodic = g.nx, g.ny, g.periodic
     xmax, ymax, ilast, jlast = nx - 1.0, ny - 1.0, nx - 2, ny - 2
     stall = stagnation_floor(flow)
-    floor, inf = math.floor, math.inf
+    floor = math.floor
 
     def unit(x, y):
         t = (x - x0) / hx
@@ -208,7 +208,7 @@ def _unit_kernel(flow):
         try:
             m = abs(complex(wx, wy))
         except OverflowError:
-            m = inf  # where np.hypot returns inf
+            m = math.inf  # where np.hypot returns inf
         if m <= stall:
             return None
         return wx / m, wy / m
@@ -275,7 +275,6 @@ def trace(flow, seed, step: float | None = None,
 
     unit = _sampler(flow)
     bounded = not grid.periodic
-    inf = math.inf
     half = 0.5 * step
     sixth = step / 6.0
     x, y = sx, sy
@@ -309,7 +308,7 @@ def trace(flow, seed, step: float | None = None,
             try:
                 back = abs(complex(qx - sx, qy - sy))
             except OverflowError:
-                back = inf
+                back = math.inf
             if back <= step:
                 termination = "Closed"
                 break
