@@ -521,7 +521,8 @@ def _flow_from_source(r):
         except OSError as e:
             raise ConfigError("cannot read flow bundle %s: %s"
                               % (r["file"], e))
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, TypeError) as e:
+            # TypeError: an envelope entry of the wrong JSON type
             raise ConfigError("not a flow bundle: %s (%s)" % (r["file"], e))
     return _construct(r["solve"], r)[1]
 
@@ -609,7 +610,8 @@ def cmd_analyze(r, out, cfg) -> int:
     flow = _flow_from_source(r)
     try:
         rep = _call(dg.run_diagnostics, r, flow=flow)
-    except (dg.RTooLarge, dg.RTooSmall, dg.NotAStripGrid) as e:
+    except (dg.RTooLarge, dg.RTooSmall, dg.NotAStripGrid,
+            dg.DiagnosticOverflow) as e:
         raise ConfigError(str(e))
     dg.save_angle_set(rep.angle_set, os.path.join(out, "angle_set.csv"))
     dg.save_curvature_profile(rep.kappa_profile,

@@ -17,10 +17,12 @@ is built on first use and kept on the flow, so every curvature diagnostic of
 one flow reads the same bundle.  The memo is valid only while the flow's
 velocity object is unchanged: field arrays are read-only, so the same
 object always holds the same values, and replacing ``flow.velocity``
-rebuilds the bundle.  The bundle keeps none of the velocity partials;
-run_diagnostics forms them once for both the bundle and the identity
-residual.  Neighbour tests read the grid's one-node apron (``Grid.pad``):
-the torus wraps, and nothing lies beyond a bounded edge.
+rebuilds the bundle.  The bundle keeps none of the velocity partials:
+the identity residual forms them for its own expressions and builds the
+bundle from those same partials, so run_diagnostics, which takes the
+residual first, differences the velocity once.  Neighbour tests read the
+grid's one-node apron (``Grid.pad``): the torus wraps, and nothing lies
+beyond a bounded edge.
 
 The wall functional is computed by two routes that share no code: an
 interior integral of the signed curvature density, and a cutoff-weighted
@@ -50,6 +52,10 @@ class RTooSmall(ValueError):
 
 class NotAStripGrid(GridError):
     pass
+
+
+class DiagnosticOverflow(ValueError):
+    """A diagnostic of a finite flow overflowed the double range."""
 
 
 VERDICTS = ("Shear", "FullCircle", "TypeIIIUpper", "TypeIIILower",
@@ -230,19 +236,15 @@ class AngleSet:
         return np.flatnonzero(self.occupied)
 
 
-def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleSet:
-    """Bin the directions angle_from(v) of all non-stagnant nodes.
-
-    The threshold defaults to the stagnation floor, read off the flow's
-    curvature bundle (the same bits as :func:`stagnation_floor`).
+def angle_set(flow, n_bins: int = 360) -> AngleSet:
+    """Bin the directions angle_from(v) of all nodes faster than the
+    stagnation floor, read off the flow's curvature bundle (the same bits
+    as :func:`stagnation_floor`).
     """
     # with fewer bins classify fills an empty half-circle as a pinhole
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
-    if threshold is None:
-        threshold = _bundle(flow).floor
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    threshold = _bundle(flow).floor
     v = flow.velocity
     speed = np.hypot(v.vx, v.vy)
     live = speed > threshold
@@ -258,10 +260,7 @@ def angle_set(flow, threshold: float | None = None, n_bins: int = 360) -> AngleS
 
 def total_curvature(flow) -> float:
     """Curvature density integrated over the grid, sub-cell bands included."""
-    return _total_curvature(flow, _bundle(flow))
-
-
-def _total_curvature(flow, b):
+    b = _bundle(flow)
     return (_g.integrate(ScalarField(flow.grid, b.dens))
             + float(b.ridge_mass.sum()))
 
@@ -274,10 +273,7 @@ def signed_curvature_integral(flow) -> float:
     (always 0) would silently drop the walls' quadrature share from one route
     and not the other.
     """
-    return _signed_curvature_integral(flow, _bundle(flow))
-
-
-def _signed_curvature_integral(flow, b):
+    b = _bundle(flow)
     sgn = np.sign(flow.velocity.vy)
     ny = flow.grid.ny
     for j in flow.grid.wall_rows():
@@ -305,12 +301,7 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     floor itself is masked.
     """
     grads = _g.vector_gradient(flow.velocity)
-    floor = _diagnostics_floor(_cell_speed(flow.grid,
-                                           _gradient_norms2(grads)[3]))
-    return _identity_residual(flow, grads, floor, derivatives, speed_fraction)
-
-
-def _identity_residual(flow, grads, floor, derivatives, speed_fraction):
+    floor = _bundle(flow, grads).floor
     g = flow.grid
     if derivatives == "fd":
         v = flow.velocity
@@ -441,12 +432,9 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     turn such a band makes.  Every spread is normalized to the node's full
     mass, so the profile total matches total_curvature to rounding.
     """
-    return _kappa_distribution(flow, _bundle(flow), n_bins)
-
-
-def _kappa_distribution(flow, b, n_bins):
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
+    b = _bundle(flow)
     g = flow.grid
     live, ridge_mass, across_y = b.live, b.ridge_mass, b.across_y
     wq = _g.quadrature_weights(g)
@@ -689,33 +677,46 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
 
     R defaults to quarter points of the domain half-width on wall
     geometries and stays empty elsewhere (the trace route needs walls).
+    The identity residual goes first: its velocity partials build the
+    curvature bundle that the other diagnostics read.  A velocity so large
+    that a diagnostic overflows the double range raises DiagnosticOverflow,
+    naming the first quantity that is not finite, with no numpy warning on
+    the way.
     """
-    grads = _g.vector_gradient(flow.velocity)
-    b = _bundle(flow, grads)
-    aset = angle_set(flow, n_bins=bins)
-    tc = _total_curvature(flow, b)
-    j_signed = _signed_curvature_integral(flow, b)
-    if flow.grid.kind in (STRIP, HALF_PLANE):
-        if R is None:
-            span = max(abs(flow.grid.x_range[0]), abs(flow.grid.x_range[1]))
-            R = [0.25 * span, 0.5 * span, 0.75 * span]
-        trace = boundary_trace_Jinf(flow, R)
-    else:
-        trace = []
-    prof = _kappa_distribution(flow, b, kappa_bins)
-    resid = _identity_residual(flow, grads, b.floor, "fd", 0.05)
-    interior = flow.grid.interior_mask()
-    rep = DiagnosticsReport(
-        total_curvature=tc,
-        J_inf_signed=j_signed,
-        J_inf_trace=trace,
-        verdict=classify(aset, tc, tol_curv=shear_tol),
-        kappa_cv_upper=semicircle_cv(prof, "upper"),
-        kappa_cv_lower=semicircle_cv(prof, "lower"),
-        identity_residual_max=float(resid.values[interior].max()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = curvature_identity_residual(flow)
+        aset = angle_set(flow, n_bins=bins)
+        tc = total_curvature(flow)
+        j_signed = signed_curvature_integral(flow)
+        if flow.grid.kind in (STRIP, HALF_PLANE):
+            if R is None:
+                span = max(abs(flow.grid.x_range[0]),
+                           abs(flow.grid.x_range[1]))
+                R = [0.25 * span, 0.5 * span, 0.75 * span]
+            trace = boundary_trace_Jinf(flow, R)
+        else:
+            trace = []
+        prof = kappa_distribution(flow, kappa_bins)
+        interior = flow.grid.interior_mask()
+        rep = DiagnosticsReport(
+            total_curvature=tc,
+            J_inf_signed=j_signed,
+            J_inf_trace=trace,
+            verdict=classify(aset, tc, tol_curv=shear_tol),
+            kappa_cv_upper=semicircle_cv(prof, "upper"),
+            kappa_cv_lower=semicircle_cv(prof, "lower"),
+            identity_residual_max=float(resid.values[interior].max()),
+        )
     rep.angle_set = aset
     rep.kappa_profile = prof
+    numbers = dict(rep.to_dict(), angle_set=aset.mass,
+                   curvature_profile=prof.bin_mass)
+    del numbers["verdict"]
+    for name, value in numbers.items():
+        if not np.all(np.isfinite(value)):
+            raise DiagnosticOverflow(
+                "%s overflows the double range: the velocity is too large "
+                "for the diagnostics" % name)
     return rep
 
 

@@ -45,10 +45,6 @@ from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
 NonConvergence = oned.NonConvergence
 
 
-class BoxOutsideGrid(GridError):
-    pass
-
-
 class NotASubsolution(ValueError):
     pass
 
@@ -99,33 +95,6 @@ def dirichlet_ring(grid: Grid, right=0.0, top=0.0):
 
 # ---------------------------------------------------------------------------
 # sub/supersolutions
-
-
-def subsolution_strip(grid: Grid, eps: float, delta: float, h_offset: float) -> ScalarField:
-    """Compactly supported positive bump that the reaction term dominates.
-
-    Inside the box (h, h + pi/delta) x (-(1-delta), 1-delta) the field is
-    eps*sin(delta*(x1-h))*cos(pi*x2/(2(1-delta))), zero outside.  The product
-    structure gives -Lap u = (delta^2 + pi^2/(4(1-delta)^2)) u there, and
-    truncating to zero only lowers the discrete Laplacian at nodes whose
-    stencil crosses the box edge, so the discrete subsolution inequality
-    survives the kinks.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    h0 = float(h_offset)
-    x_hi = h0 + np.pi / delta
-    y_hi = 1.0 - delta
-    X, Y = grid.mesh()
-    inside = (X > h0) & (X < x_hi) & (np.abs(Y) < y_hi)
-    if not bool(inside.any()):
-        raise BoxOutsideGrid(
-            "box (%g, %g) x (-%g, %g) misses every grid node"
-            % (h0, x_hi, y_hi, y_hi))
-    bump = eps * np.sin(delta * (X - h0)) * np.cos(np.pi * Y / (2.0 * y_hi))
-    return ScalarField(grid, np.where(inside, bump, 0.0))
 
 
 def _stencil_slack(grid: Grid, shift: float, scale: float) -> float:

@@ -440,6 +440,16 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     # a torus march so long that (x - x0) / h overflows
     ["trace", "--catalog", "taylor-green", "--grid", "torus:64",
      "--seed=1,1", "--step", "1e308"],
+    # envelope entries of the wrong JSON type
+    ["analyze", "--file", "{bundle:array}"],
+    ["analyze", "--file", "{bundle:csv-number}"],
+    ["analyze", "--file", "{bundle:csv-null}"],
+    ["analyze", "--file", "{bundle:x-range-number}"],
+    ["analyze", "--file", "{bundle:provenance-number}"],
+    ["trace", "--file", "{bundle:array}", "--seed", "0,0.5"],
+    # a finite flow whose diagnostics overflow the double range
+    ["analyze", "--catalog", "exponential-counterexample", "--grid",
+     "plane:200:65:65"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -597,6 +607,28 @@ def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
     assert err.startswith(head) and says in err
 
 
+# a catalog sample or a diagnostic past the double range is refused by
+# name, with nothing written and nothing warned on the way
+@pytest.mark.parametrize("command, width, says", [
+    (["analyze"], 200, "kappa_cv_upper overflows the double range"),
+    (["analyze"], 700, "ExponentialCounterexample overflows on Grid(Plane"),
+    (["trace", "--seed", "0,0.5"], 700,
+     "ExponentialCounterexample overflows on Grid(Plane"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_counterexample_is_refused_quietly(command, width, says,
+                                                       tmp_path, capsys):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.main(command + ["--catalog", "exponential-counterexample",
+                               "--grid", "plane:%d:65:65" % width,
+                               "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert says in err
+    assert os.listdir(out) == []
+
+
 def _checked_options():
     return [(cmd, opt) for cmd, spec in sorted(cli._COMMANDS.items())
             for opt in spec["options"]
@@ -649,6 +681,13 @@ def _name_a_foreign_csv(bundle):
     ser.write_json(env, bundle / "flow.json")
 
 
+def _edit_envelope(edit):
+    def spoil(bundle):
+        env = ser.read_json(bundle / "flow.json")
+        ser.write_json(edit(env), bundle / "flow.json")
+    return spoil
+
+
 # a flow bundle with one defect, and the start of the message it must give
 BUNDLE_DAMAGE = {
     "no-csv": (lambda b: (b / "flow.csv").unlink(),
@@ -656,6 +695,15 @@ BUNDLE_DAMAGE = {
     "short-csv": (_drop_last_row, "not a flow bundle"),
     "no-fields": (_drop_csv_entry, "not a flow bundle"),
     "foreign-csv": (_name_a_foreign_csv, "not a flow bundle"),
+    "array": (_edit_envelope(lambda env: [env]), "not a flow bundle"),
+    "csv-number": (_edit_envelope(lambda env: dict(env, csv=5)),
+                   "not a flow bundle"),
+    "csv-null": (_edit_envelope(lambda env: dict(env, csv=None)),
+                 "not a flow bundle"),
+    "x-range-number": (_edit_envelope(lambda env: dict(
+        env, grid=dict(env["grid"], x_range=3))), "not a flow bundle"),
+    "provenance-number": (_edit_envelope(lambda env: dict(env, provenance=7)),
+                          "not a flow bundle"),
 }
 
 

@@ -9,6 +9,7 @@ ratios between solved grids.  The two expensive solves are shared through
 module fixtures.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -145,11 +146,6 @@ def test_couette_occupies_exactly_the_two_axis_bins():
     assert list(aset.occupied_indices()) == [0, 180]
     # symmetric speed distribution: equal mass both ways
     assert aset.mass[0] == pytest.approx(aset.mass[180], rel=1e-12)
-
-
-def test_angle_set_threshold_guard():
-    with pytest.raises(ValueError):
-        dg.angle_set(shear("Couette"), threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +680,30 @@ def test_report_keeps_the_sets_it_was_built_from(strip_flow):
     interior = strip_flow.grid.interior_mask()
     assert rep.identity_residual_max == float(resid.values[interior].max())
     assert "angle_set" not in rep.to_dict()
+
+
+def test_run_diagnostics_composes_the_public_readings(monkeypatch):
+    # counting wrappers on the module attributes, as the benchmark tracer
+    # installs them: the report takes one call of each public reading, and
+    # two gradient passes, the velocity's and the identity residual's unit
+    # field, the first of which also builds the bundle
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    readers = ("angle_set", "total_curvature", "signed_curvature_integral",
+               "kappa_distribution", "curvature_identity_residual")
+    for name in readers:
+        count(dg, name)
+    count(g, "vector_gradient")
+    dg.run_diagnostics(taylor_green(64))
+    assert calls == dict(dict.fromkeys(readers, 1), vector_gradient=2)
 
 
 # ---------------------------------------------------------------------------

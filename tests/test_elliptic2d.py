@@ -130,45 +130,6 @@ def test_linear_solve_honors_dirichlet_ring():
 
 
 # ---------------------------------------------------------------------------
-# subsolution bump
-
-
-def test_bump_zero_outside_and_peak_value():
-    # delta = pi/4 puts the sine crest at x1 = h + 2, a node of this grid
-    g = Grid(STRIP, 129, 65, (0.0, 8.0), (-1.0, 1.0))
-    delta = np.pi / 4.0
-    s = e2.subsolution_strip(g, 0.3, delta, 0.25)
-    X, Y = g.mesh()
-    outside = (X <= 0.25) | (X >= 0.25 + np.pi / delta) | (np.abs(Y) >= 1.0 - delta)
-    assert float(np.max(np.abs(s.values[outside]))) == 0.0
-    i = int(np.argmin(np.abs(g.x_nodes() - 2.25)))
-    j = int(np.argmin(np.abs(g.y_nodes())))
-    assert s.values[i, j] == 0.3
-    assert s.values.min() >= 0.0 and s.values.max() <= 0.3
-
-
-def test_bump_is_discrete_subsolution():
-    nl = oned.arctan_family(4.0)
-    delta = 0.05
-    rate = delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2)
-    eps = oned.select_subsolution_amplitude(nl, rate)
-    g = Grid(STRIP, 281, 65, (0.0, 70.0), (-1.0, 1.0))
-    s = e2.subsolution_strip(g, eps, delta, g.hx)
-    defect = oned._defect(s.values, (g.hx, g.hy), nl.f)
-    assert float(defect.max()) <= 1e-10
-
-
-def test_bump_outside_grid():
-    g = Grid(STRIP, 129, 65, (0.0, 8.0), (-1.0, 1.0))
-    with pytest.raises(e2.BoxOutsideGrid):
-        e2.subsolution_strip(g, 0.3, 0.5, 10.0)
-    with pytest.raises(ValueError):
-        e2.subsolution_strip(g, 0.3, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        e2.subsolution_strip(g, -0.3, 0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # monotone iteration
 
 
@@ -207,19 +168,10 @@ def strip_problem(nx=193, ny=65, L=12.0, lam=4.0):
     return nl, ring, ScalarField(g, super_vals)
 
 
-def strip_bump(nl, g, eps=None):
-    delta = 0.05
-    if eps is None:
-        eps = oned.select_subsolution_amplitude(
-            nl, delta ** 2 + np.pi ** 2 / (4.0 * (1.0 - delta) ** 2))
-    return e2.subsolution_strip(g, eps, delta, g.hx)
-
-
 def test_strip_solution_and_newton_cross_check():
     nl, ring, supersol = strip_problem()
     g = supersol.grid
-    sub = strip_bump(nl, g)
-    u, report = e2.solve_semilinear(nl, ring, sub, supersol, tol=1e-8)
+    u, report = e2.solve_semilinear(nl, ring, zeros_on(g), supersol, tol=1e-8)
     assert report.final_residual < 1e-8
     assert float(u.values[1:-1, 1:-1].min()) > 0.0
     assert float(np.max(u.values - supersol.values)) <= 1e-10
@@ -239,7 +191,7 @@ def test_strip_solution_and_newton_cross_check():
 def test_two_sided_iteration_unique_limit():
     nl, ring, supersol = strip_problem()
     g = supersol.grid
-    up, _ = e2.solve_semilinear(nl, ring, strip_bump(nl, g), supersol,
+    up, _ = e2.solve_semilinear(nl, ring, zeros_on(g), supersol,
                                 start="sub", tol=1e-8)
     down, _ = e2.solve_semilinear(nl, ring, zeros_on(g), supersol,
                                   start="super", tol=1e-8)
@@ -258,13 +210,12 @@ def test_sweep_budget_exhausted(monkeypatch):
 def test_start_fields_are_verified():
     nl, ring, supersol = strip_problem(nx=97, ny=33)
     g = supersol.grid
-    # quadrupled amplitude breaks the reaction inequality on the grid, where
-    # the truncated bump still reaches values past the f(s)/s = rate crossing
-    fat = strip_bump(nl, g, eps=4.0)
+    # f(s)/s decreases, so twice the tiled profile breaks the reaction
+    # inequality, and half of it is nowhere near a supersolution
+    fat = ScalarField(g, 2.0 * supersol.values)
     with pytest.raises(e2.NotASubsolution):
         e2.solve_semilinear(nl, ring, fat, supersol, tol=1e-8)
-    # a small admissible bump is nowhere near a supersolution
-    thin = strip_bump(nl, g, eps=0.1)
+    thin = ScalarField(g, 0.5 * supersol.values)
     with pytest.raises(e2.NotASupersolution):
         e2.solve_semilinear(nl, ring, zeros_on(g), thin,
                             start="super", tol=1e-8)
@@ -442,8 +393,7 @@ def test_default_strip_descends_within_40_sweeps(type3_full):
 
 
 def test_near_threshold_strips_descend():
-    # the bump under the strip needs lam > 2.7365 and the profile only
-    # lam > 2.4699; the descent needs the profile alone
+    # the profile, and with it the descent, exists for lam > 2.4699
     for lam in (2.48, 2.6):
         u, _, report = e2.solve_type3_strip(lam, L=40.0, nx=257, ny=17)
         assert report.final_residual < 1e-8
@@ -455,11 +405,11 @@ def test_near_threshold_strips_descend():
 
 
 def ascending_strip(nx=193, ny=65, L=12.0, lam=4.0, tol=1e-8):
-    """The half-strip solve run up from the bump under the profile, the
-    other side of the sandwich the construction descends, as
+    """The half-strip solve run up from the zero field under the profile,
+    the other side of the sandwich the construction descends, as
     (u, None, report)."""
     nl, ring, supersol = strip_problem(nx, ny, L, lam)
-    u, report = e2.solve_semilinear(nl, ring, strip_bump(nl, supersol.grid),
+    u, report = e2.solve_semilinear(nl, ring, zeros_on(supersol.grid),
                                     supersol, start="sub", tol=tol)
     return u, None, report
 
@@ -493,7 +443,7 @@ def test_extrapolated_limit_is_the_plain_limit(case, type3_full, saddle_full):
 
 def test_failing_certificate_is_the_plain_engine():
     nl, ring, supersol = strip_problem(nx=97, ny=33)
-    sub = strip_bump(nl, supersol.grid)
+    sub = zeros_on(supersol.grid)
     engine = oned._monotone_sweeps
 
     def refusing(*args, certify, **options):
@@ -545,7 +495,7 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, case):
     # point, about 2 * tol apart at lam = 3 on a 17 x 9 grid, so both stop
     # at 1e-10 here and must agree within the default tol of 1e-8
     def solve():
-        if case == "ascending":  # up from the bump, under profile data
+        if case == "ascending":  # up from zero, under profile data
             return ascending_strip(half + 1, ny, 6.0, lam, tol=1e-10)
         return e2.solve_type3_strip(lam, L=6.0, nx=2 * half + 1, ny=ny,
                                     tol=1e-10, far_field=case)

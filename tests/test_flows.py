@@ -236,6 +236,21 @@ def test_exponential_counterexample_fd_refinement():
     assert 3.0 < errs[1] / errs[2] < 5.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_catalog_sample_past_the_double_range_is_refused_quietly():
+    # exp(x1) is finite up to x1 ~ 709, but the pressure -exp(2 x1)/2 and
+    # x2 exp(x1) overflow well before; the refusal names flow and grid
+    plane = g.Grid(g.PLANE, 65, 65, (-700.0, 700.0), (-700.0, 700.0))
+    with pytest.raises(ValueError) as err:
+        flows.analytic_flow("ExponentialCounterexample", plane)
+    assert str(err.value).startswith(
+        "ExponentialCounterexample overflows on %r: " % plane)
+    wide = g.Grid(g.PLANE, 65, 65, (-300.0, 300.0), (-300.0, 300.0))
+    assert np.isfinite(
+        flows.analytic_flow("ExponentialCounterexample", wide).pressure.values
+    ).all()
+
+
 def test_sign_equation_stream_away_from_kink():
     # u = x2|x2|/2 is quadratic on either side of x2 = 0, so every check is
     # exact on rows whose stencils avoid the kink; the two rows nearest the
