@@ -403,9 +403,11 @@ class _DirichletSolver:
                                  "is not finite: f(u) + shift*u overflowed")
         eig = self._eig.get(dt)
         if eig is None:  # first solve in this dtype
+            # (2 sin(theta/2))^2 is 2 - 2 cos(theta) without the
+            # cancellation that costs the low modes eps/theta^2 of accuracy
             pi = 4 * np.arctan(dt.type(1))
-            axes = [(2.0 - 2.0 * np.cos(np.arange(1, n - 1, dtype=dt) * pi
-                                        / (n - 1))) / h ** 2
+            axes = [np.square(2.0 * np.sin(np.arange(1, n - 1, dtype=dt) * pi
+                                           / (2 * (n - 1)))) / h ** 2
                     for n, h in zip(self.shape, hs)]
             eig = self._eig[dt] = sum(np.ix_(*axes)) + dt.type(self.shift)
         w = dstn(dstn(b, type=1, norm="ortho") / eig, type=1, norm="ortho")

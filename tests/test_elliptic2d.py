@@ -87,8 +87,9 @@ def test_linear_solve_inner_residual(rank, dtype):
     assert float(np.linalg.norm(resid)) <= 5e4 * eps * float(
         np.linalg.norm(rhs))
     # a grid sine is an exact eigenvector of the stencil, with eigenvalue
-    # (2 - 2 cos(pi h)) / h^2 per axis, built here in the working dtype
-    eig = rank * (2.0 - 2.0 * np.cos(pi * h)) / h ** 2
+    # (2 sin(pi h / 2))^2 / h^2 = (2 - 2 cos(pi h)) / h^2 per axis, built
+    # here in the working dtype without the cancellation of the cos form
+    eig = rank * np.square(2.0 * np.sin(pi * h / 2)) / h ** 2
     exact = rhs / (eig + shift)
     assert float(np.max(np.abs(full - exact))) <= 64 * eps
 

@@ -20,9 +20,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "4ac6a9a8c379631cda995af1ccc752d9e48ed160a2b9cbeed174b9f0d54eb32c",
-            "flow.json": "5e9a6dc4656c62aaecd44af107be1c0dd9a19ada6e76cc1a0a7670e40c0bf9c1",
-            "report.json": "ba8203b5fd7b0e90ff8494966f87bc11d635fdad3afd30258e5ed33cd5556e60",
+            "flow.csv": "9ec2aa9ce7c04920dfaa6661ce034a874a105979d18ecceb557b341b17013757",
+            "flow.json": "4b8d1819b3696e43f438bef9245db2b9f0ebf12dfa002b79d9d4c735c41fa1e7",
+            "report.json": "3d48659fad02e790c770eb756d2d6efaef3bc43d9ea433ba407340de534401c5",
         },
     ),
     "analyze": (
@@ -40,9 +40,9 @@ GOLDEN = {
         ["analyze", "--solve", "halfplane", "--n", "81",
          "--out", "golden_saddle"],
         {
-            "angle_set.csv": "397284ea83c4b26a4a11f5245e5116234f2103b3b0804285cb43e74294fb9b44",
-            "curvature_profile.csv": "a56030f49c6d3976c8a2ca80cbf4bed915b54226d6ad0a0d62439b826f6f62f2",
-            "report.json": "06ee88e64c27beab7ee151b39ef86fdc808ac7d2bb429a594068d5512e8456e0",
+            "angle_set.csv": "1340bcfe5f096ed2cbb0c71605e6e72f1f073be2ea3ce7fae748997ba9c168c8",
+            "curvature_profile.csv": "7634cdc73d19400b1d4d0a108e213c5ccac03082ce20e85b38a9cab2154d3a9a",
+            "report.json": "24de23ceb7ff00eeddc31e0b0f920875f0fbd277165a6dda2f5d62a64cacc17a",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -50,9 +50,9 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "8bff67e5a3d6b8c8456d3114c0cb3cf2234629c781873fb1f91be5d434cdeecb",
-            "curvature_profile.csv": "3976d24848c3ba7c7d9a2889d8e7085db19bcbf9ae2ad2033a257460c1cbaafb",
-            "report.json": "194ed349223bd61c1303699d969589205ad226a55fe666c516ac07d06e154084",
+            "angle_set.csv": "3eb50154a27b0fde0ea2d369f5b52910d6da7245e97688db4140fd5696fa6690",
+            "curvature_profile.csv": "8ee8a7571bff632da7b971af68566f967d065a924fbc63f6d834b78357235f33",
+            "report.json": "6c930f6658203607d631be1a5e85f208dd45ba21c77364136ad901d626830b00",
         },
     ),
     # streamlines on the saved bundle: one seed runs out of steps, one
@@ -62,7 +62,7 @@ GOLDEN = {
          "--seed", "5,0.5", "--seed=0,-0.9", "--max-steps", "100",
          "--out", "golden_trace_file"],
         {
-            "traces.csv": "1106e0e0db055fa25de12927b41cc8fd97a6bf04a56c6843f7ad42e97dfd4adf",
+            "traces.csv": "6ab8a9ccc1452467f9daca37fc3c6160fe209bfbad2e236253c3ecdac58f5d69",
             "traces.json": "63e3555b324778618fb6416cd8783c0740654a3e7220fe6a165e72bfd3db8b5f",
         },
     ),
@@ -82,9 +82,9 @@ GOLDEN = {
     "solve_halfplane": (
         ["solve", "halfplane", "--n", "161", "--out", "golden_halfplane"],
         {
-            "flow.csv": "ebe7f2f5866b9d2643774def88808d563919bffdce7e248da1b7bbe0e538d646",
-            "flow.json": "99bbc6e43b36d7de5e97c412737349d8dca7f2eaee370f5f34e3342ab5075229",
-            "report.json": "edbe1da522d4d711727a0d808bc5b8b9c2d33bdd37c5a62773b5d9e2441d3ee1",
+            "flow.csv": "1b02b09d4a1d4d7ff01fcf743f194762c725104fc492d3ddd0bd8bdeafd5eb74",
+            "flow.json": "a5a52fdbfdb4edf6b315770eaa19c448b52d4850b7234d7baae78f4165bfa039",
+            "report.json": "aed43307744fcec0c6c0b546167b93a8c208ad37275cb64430e47a365ed8cb84",
         },
     ),
     # the exhaustion variant: zero far-field data, descending from the
@@ -93,9 +93,9 @@ GOLDEN = {
         ["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
          "--far-field", "zero", "--out", "golden_solve_zero"],
         {
-            "flow.csv": "58fddae511d59e08e48ff7586f51a6b1615a46519430eb13b252d4dab4ca5109",
-            "flow.json": "464e9d9ee96f1420250345aab5b7a3dae39706fc6d0704aeaa889f81ea2f95b2",
-            "report.json": "d6c73b959b18c2038cf4ff679878670bd05c82fec232ce325f88d8843b66c2f0",
+            "flow.csv": "2daed49328f6f6ad7817c34f6f970b4242c973349c1992f9e82bfd86efe53e78",
+            "flow.json": "9fa242e886d721114ccf6fcb70df1ac69da0c8d3a26fc71a92a747bfe2f5cc48",
+            "report.json": "2993bcb8b546debe88570d89b7435576453ab6a63f65e8ce73a4934489ee4f65",
         },
     ),
     # the heteroclinic writer
@@ -103,8 +103,8 @@ GOLDEN = {
         ["solve1d", "--family", "allen-cahn", "--n", "401",
          "--out", "golden_solve1d_heteroclinic"],
         {
-            "profile.csv": "40a1e5e1acf64aded93d25ac9dc5725735e4a19624fa8eec1eaddf389ee245a2",
-            "report.json": "bfa5a30babf38b85123ec9ce6670b398758fd182d1b95f25770ee5e480329484",
+            "profile.csv": "6e205842ecbd3cb23879d5501776fb441a1073ba1892fa121827aa9f9d2c9428",
+            "report.json": "55990c7844b3bfbe64835622305a97baf9fd5c85fe8b3af19b3b0b84e8ee0497",
         },
     ),
     # the 1D profile writer, which no 2D run covers
@@ -112,8 +112,8 @@ GOLDEN = {
         ["solve1d", "--family", "arctan", "--lambda", "4", "--n", "129",
          "--out", "golden_solve1d"],
         {
-            "profile.csv": "2ceddb3f3422fe308b978812215d6e1ee4807acdbc45ddd5ae85fcc1c55c4a3e",
-            "report.json": "95071ced888e0f91a98346bb6d0bf901a3d533b01565029f70a04d6ce79ba2ac",
+            "profile.csv": "b9e5c229f2bdfb551c3ef85b726f6de4c8351bfd5b98c04a0ed45010a78a20e5",
+            "report.json": "e42de229d49892c3d34fba77e3db467e9587f67da286e7949d03b498e15ea38a",
         },
     ),
     # shear verdicts, curvature and stability margins of the catalog shears
@@ -128,15 +128,15 @@ GOLDEN = {
     "reproduce": (
         ["reproduce", "all", "--out", "golden_reproduce"],
         {
-            "figure1_separatrices.csv": "3789c420be38ea950f49e54b7888b6417058323adb4180136389189ab03db008",
+            "figure1_separatrices.csv": "c35ae785e3489dd2d964d2fa656a33286dd7e37f4e6a5706c9416f1e6eaaf802",
             "figure1_separatrices.json": "93f8a96048976da3c5058bed26b50ebb142716f34e6f3d110522af40b1c7f578",
-            "figure1_stagnation.csv": "3b85fc86564113845a61e42737798d2d62274248d42651efba1493c78519a9e9",
-            "figure1_traces.csv": "6e2cb5ff19a7e60e67507adec57b2f018e8e9b18566b57fb9246aee12fba0953",
+            "figure1_stagnation.csv": "e39016acab8d31d0dcc169068ff58032c4c9b32991d01c9a6945e83031135a8b",
+            "figure1_traces.csv": "942b84eab8a5aae67211398fae8990c4a8571b66caf2d4f5b760007de60c27be",
             "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
             "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
             "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",
-            "figure2_stagnation.csv": "0c5409659714c2de1670c7ee130a9049bcc91925df939b2ea296a088a77e3de9",
-            "figure2_traces.csv": "d01a17022efbaa2f817621f02cdf8521158692a3765d1ba11e47eec76fc2b71a",
+            "figure2_stagnation.csv": "a31efdfa2ed9e95ed11a0415690e37dabedc1713178c5f8c0786b56baadbc2f5",
+            "figure2_traces.csv": "ca249d7c9c08bc04b137dd3a2dfa7f775b53d92e6f4e7730f2e4c107d6bb0471",
             "figure2_traces.json": "5cd764f61ccbe0c63d70227a2e8c9183cdc3d826597fcd50905b6138c06dfd79",
         },
     ),

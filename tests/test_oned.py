@@ -39,6 +39,16 @@ def test_strip_profile_second_order_in_h():
     assert e_coarse / e_fine > 8.0
 
 
+@pytest.mark.parametrize("start", ["sub", "super"])
+def test_fine_strip_profile_keeps_monotone_sweeps(start):
+    # eigenvalues built as 2 - 2 cos(theta) lose eps/theta^2 of relative
+    # accuracy in the low modes, enough at n = 16001 to put the float64
+    # fixed point above the long-double one, so the polish stepped down
+    p = oned.solve_strip_profile(oned.arctan_family(4.0), 16001, start=start)
+    assert p.residual < 1e-10
+    assert abs(p.sample(0.0) - CENTER_VALUE) < 1e-7
+
+
 def test_strip_profile_even_symmetry():
     p = oned.solve_strip_profile(oned.arctan_family(4.0), 2001)
     assert float(np.max(np.abs(p.values - p.values[::-1]))) < 1e-8
