@@ -301,13 +301,11 @@ def _resolve(cmd, ns):
 
 
 def _check_arctan_lambda(lam):
-    # the sandwich is built from lam*pi/2 and the sweeps from the Picard
-    # shift; past float range either one fills the solve with inf and nan
-    nl = oned.arctan_family(lam)
-    if not (math.isfinite(nl.bound_M)
-            and math.isfinite(oned.picard_shift(nl, nl.bound_M))):
-        raise ConfigError("--lambda %r is too large: lambda*pi/2 and the "
-                          "Picard shift must be finite" % lam)
+    # the sandwich is built from lam*pi/2; past float range it fills the
+    # solve with inf and nan
+    if not math.isfinite(oned.arctan_family(lam).bound_M):
+        raise ConfigError("--lambda %r is too large: lambda*pi/2 must be "
+                          "finite" % lam)
 
 
 def _refuse(r, dests, owner, here):

@@ -3,9 +3,10 @@
 ``solve_semilinear(nl, dirichlet, sub, sup)`` is the one entry point, on
 plain arguments: the reaction term, the Dirichlet ring, and the sandwich
 sub <= sup as two fields whose grid is the problem's grid.  The shift is
-derived from them: the Lipschitz bound of f on the sandwich range, which
-makes the iteration monotone (Sattinger 1972).  It runs the sweep engine
-and the linear solve of :mod:`eulerlab.oned`: sweeps of
+derived from them: the monotone bound -min f' on the sandwich range plus a
+margin (:func:`oned.picard_shift`), which makes the iteration monotone
+(Sattinger 1972); a larger shift would only slow it.  It runs the sweep
+engine and the linear solve of :mod:`eulerlab.oned`: sweeps of
 (-Lap + shift) u_next = f(u) + shift*u from one verified side of the
 sandwich towards the other, each linear system solved directly by a DST-I
 pair of transforms, which diagonalizes the shifted 5-point Laplacian.  The

@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_solve1d_heteroclinic(tmp_path):
     rep = read_json(out / "report.json")
     assert rep["error"] is None
     assert rep["residual"] < 1e-8
+
+
+def test_solve1d_large_lambda_on_a_coarse_grid(tmp_path):
+    # at h = 1/64 the rounding floor sits far below tol, and with the shift
+    # at 0.1 the sweeps contract at about 0.04 instead of about 1 - 1e-3
+    out = tmp_path / "run"
+    assert cli.main(["solve1d", "--family", "arctan", "--lambda", "1e3",
+                     "--n", "129", "--out", str(out)]) == 0
+    rep = read_json(out / "report.json")
+    assert rep["error"] is None and rep["residual"] < 1e-10
+
+
+@pytest.mark.parametrize("lam", ["100", "1000"])
+def test_large_lambda_strip_descends_in_few_sweeps(lam, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+                     "--lambda", lam, "--out", str(out)]) == 0
+    rep = read_json(out / "report.json")
+    assert rep["error"] is None and rep["solver"]["iterations"] <= 15
 
 
 # on long intervals the float64 iterate comes within rounding of the
@@ -546,37 +566,44 @@ def test_solve1d_echoes_the_defaults_of_its_solver(argv, echo, tmp_path):
     assert {k: cfg[k] for k in echo} == echo
 
 
-@pytest.mark.parametrize("argv", [
-    # the 1D profile's extended-precision polish stalls below rounding
-    ["analyze", "--solve", "strip", "--nx", "97", "--ny", "33", "--L", "6",
-     "--tol", "1e-300"],
+@pytest.mark.parametrize("argv, says", [
+    # the 1D profile's tol sits below the rounding floor of its
+    # extended-precision polish, so its float64 phase ends at once
+    pytest.param(["analyze", "--solve", "strip", "--nx", "97", "--ny", "33",
+                  "--L", "6", "--tol", "1e-300"],
+                 "below the rounding floor", id="argv0"),
     # the 2D sweeps stall on a strip too thin for the defect to pass
-    ["solve", "strip", "--L", "1e-150", "--nx", "97", "--ny", "33"],
+    pytest.param(["solve", "strip", "--L", "1e-150", "--nx", "97",
+                  "--ny", "33"], "stalled at sweep", id="argv1"),
 ])
 # the folded ring of the thin strip is ~1e303, so a norm that overflowed
 # would warn here, and its infinite bound would pass every linear solve
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
+def test_stalled_iteration_is_one_line_solver_error(argv, says, tmp_path,
+                                                    capsys):
     capsys.readouterr()
     assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 2
     lines = [ln for ln in capsys.readouterr().err.splitlines()
              if ln.startswith("solver error: ")]
     assert len(lines) == 1
-    assert "stalled at sweep" in lines[0]
+    assert says in lines[0]
 
 
 # runs that cannot finish end at once with one line, and nothing on the way
 # warns: lambda*pi/2 past float range is refused up front, the arctan f'
-# overflows quietly to its limit 0 on the huge sandwich, a right side that
-# overflows is refused before its transform, and a transform that overflows
-# before its residual check
+# overflows quietly to its limit 0 on the huge sandwich, a tol below the
+# long-double defect's rounding floor is refused at the first settled rate,
+# a right side that overflows is refused before its transform, and a
+# transform that overflows before its residual check
 @pytest.mark.parametrize("argv, code, head, says", [
+    # |u| reaches lam*pi/4, so the floor 2*eps*max|u|/h^2 passes tol 1e-10
+    # from lam ~ 600 on at h = 1e-3
     (["solve1d", "--family", "arctan", "--lambda", "1e6"], 2,
-     "solver error: NonConvergence: ", "predicts no end"),
+     "solver error: NonConvergence: ", "below the rounding floor"),
     (["solve1d", "--family", "arctan", "--lambda", "1e200"], 2,
-     "solver error: NonConvergence: ", "predicts no end"),
+     "solver error: NonConvergence: ", "below the rounding floor"),
     (["solve1d", "--family", "arctan", "--lambda", "1e300"], 2,
-     "solver error: NonConvergence: ", "predicts no end"),
+     "solver error: NonConvergence: ", "below the rounding floor"),
     (["solve1d", "--family", "arctan", "--lambda", "1e308"], 1,
      "config error: ", "--lambda 1e+308 is too large"),
     (["solve", "strip", "--lambda", "1e308"], 1,
@@ -592,16 +619,19 @@ def test_stalled_iteration_is_one_line_solver_error(argv, tmp_path, capsys):
     # the right side is finite, but its sine-transform sums overflow
     (["solve1d", "--family", "arctan", "--lambda", "1e305"], 2,
      "solver error: NonConvergence: ", "sine transform of a right side of "
-     "5.784e+306 overflowed"),
+     "7.115e+306 overflowed"),
     (["solve1d", "--family", "arctan", "--lambda", "1e306"], 2,
      "solver error: NonConvergence: ", "sine transform of a right side of "
-     "5.784e+307 overflowed"),
+     "2.624e+307 overflowed"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
                                         capsys):
     capsys.readouterr()
+    start = time.perf_counter()
     assert cli.main(argv + ["--out", str(tmp_path / "run")]) == code
+    # a run that spends its 200,000 float64 sweeps takes about a minute
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(head) and says in err

@@ -393,6 +393,25 @@ def test_default_strip_descends_within_40_sweeps(type3_full):
     assert type3_full[2].iterations <= 40
 
 
+def test_default_strip_descends_within_25_sweeps(type3_full):
+    # the shift is 0.1, not max |f'| + 0.1 = 4.1, so each sweep contracts
+    # about twice as fast
+    assert type3_full[2].iterations <= 25
+
+
+@settings(max_examples=25)
+@given(lam=st.floats(2.6, 1e4), half=st.integers(7, 40),
+       ny=st.integers(9, 33))
+def test_strip_solve_stays_between_zero_and_the_profile(lam, half, ny):
+    tol = 1e-8
+    u, _, report = e2.solve_type3_strip(lam, L=6.0, nx=2 * half + 1, ny=ny,
+                                        tol=tol)
+    assert report.final_residual < tol and report.final_update < tol
+    right = u.values[half:]
+    assert float(right.min()) >= 0.0
+    assert np.all(right <= report.profile.values[None, :])
+
+
 def test_near_threshold_strips_descend():
     # the profile, and with it the descent, exists for lam > 2.4699
     for lam in (2.48, 2.6):

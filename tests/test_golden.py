@@ -20,9 +20,9 @@ GOLDEN = {
         ["solve", "strip", "--lambda", "4", "--L", "6", "--nx", "97",
          "--ny", "33", "--tol", "1e-8", "--out", "golden_solve"],
         {
-            "flow.csv": "9ec2aa9ce7c04920dfaa6661ce034a874a105979d18ecceb557b341b17013757",
-            "flow.json": "4b8d1819b3696e43f438bef9245db2b9f0ebf12dfa002b79d9d4c735c41fa1e7",
-            "report.json": "3d48659fad02e790c770eb756d2d6efaef3bc43d9ea433ba407340de534401c5",
+            "flow.csv": "1d4e5fa7d5d600c24410cf11aba166fd93e94e5752bcedc4401aa8a8e8814f03",
+            "flow.json": "c542b45f98368f728bde0ffe179f55146bab92d932559b8bfe1d0f93612f42f6",
+            "report.json": "dfb5919a7b082e30575d313632d69a37c02dca8b947a89257b98446ce0440870",
         },
     ),
     "analyze": (
@@ -50,9 +50,9 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "3eb50154a27b0fde0ea2d369f5b52910d6da7245e97688db4140fd5696fa6690",
-            "curvature_profile.csv": "8ee8a7571bff632da7b971af68566f967d065a924fbc63f6d834b78357235f33",
-            "report.json": "6c930f6658203607d631be1a5e85f208dd45ba21c77364136ad901d626830b00",
+            "angle_set.csv": "3cddeea8c2bde884157ff84793ff08110d64e2a40ee327fece9e4d4fa9fa67e4",
+            "curvature_profile.csv": "2ca289ec1b1597fc34df1ddb4c6aff02cf4ae04f4e0d0150cac77a0c73d42a7f",
+            "report.json": "c5f1e8aafa4de85ca39905d0ab394f1e61e1b970b599bd5aacd00f6c94f8e0e6",
         },
     ),
     # streamlines on the saved bundle: one seed runs out of steps, one
@@ -62,7 +62,7 @@ GOLDEN = {
          "--seed", "5,0.5", "--seed=0,-0.9", "--max-steps", "100",
          "--out", "golden_trace_file"],
         {
-            "traces.csv": "6ab8a9ccc1452467f9daca37fc3c6160fe209bfbad2e236253c3ecdac58f5d69",
+            "traces.csv": "056d140e6d616a1ebb4004f449dfbc70f518e6b9ebed481e2853435511348a5c",
             "traces.json": "63e3555b324778618fb6416cd8783c0740654a3e7220fe6a165e72bfd3db8b5f",
         },
     ),
@@ -93,9 +93,9 @@ GOLDEN = {
         ["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
          "--far-field", "zero", "--out", "golden_solve_zero"],
         {
-            "flow.csv": "2daed49328f6f6ad7817c34f6f970b4242c973349c1992f9e82bfd86efe53e78",
-            "flow.json": "9fa242e886d721114ccf6fcb70df1ac69da0c8d3a26fc71a92a747bfe2f5cc48",
-            "report.json": "2993bcb8b546debe88570d89b7435576453ab6a63f65e8ce73a4934489ee4f65",
+            "flow.csv": "7d08f3bfe6ea2293eef724a2b0e79ff417db7c37843e703f346906aae206b636",
+            "flow.json": "c6ee534709433e369bec4c64fc9f634622c606fa10529d96b5577e5a6e0a0996",
+            "report.json": "af4f24cc94de1ad8f5ba0ab504dee4ad187e25e567589babd81bb09a341b27ee",
         },
     ),
     # the heteroclinic writer
@@ -112,8 +112,8 @@ GOLDEN = {
         ["solve1d", "--family", "arctan", "--lambda", "4", "--n", "129",
          "--out", "golden_solve1d"],
         {
-            "profile.csv": "b9e5c229f2bdfb551c3ef85b726f6de4c8351bfd5b98c04a0ed45010a78a20e5",
-            "report.json": "e42de229d49892c3d34fba77e3db467e9587f67da286e7949d03b498e15ea38a",
+            "profile.csv": "8c27205d936e0f152fdd55ca1b27ad01d1e069f91caa7d2ad58a4a3f1d7ade78",
+            "report.json": "eb89ca2a92f445c7f6d9160c1f739700e463ff28e0be45e54d336cde700a4dc2",
         },
     ),
     # shear verdicts, curvature and stability margins of the catalog shears
@@ -135,8 +135,8 @@ GOLDEN = {
             "figure1_traces.json": "622347d91cc7a41149ec5ca5abf2fb1787d63f3cccee34ec9a2e0eb85f8ac06e",
             "figure2_separatrices.csv": "31226bd1becffbca139f1ad6d7f11a82a3d816c8900323c802e837a98d555dc5",
             "figure2_separatrices.json": "02dd5ce0142a108e112987e0b6bc3965cd83deff01d57e11d8cc529edc8830b0",
-            "figure2_stagnation.csv": "a31efdfa2ed9e95ed11a0415690e37dabedc1713178c5f8c0786b56baadbc2f5",
-            "figure2_traces.csv": "ca249d7c9c08bc04b137dd3a2dfa7f775b53d92e6f4e7730f2e4c107d6bb0471",
+            "figure2_stagnation.csv": "51fbd70bf208cd4cb1722d39f198a7539310f131df7107918b8b8bc39330dc04",
+            "figure2_traces.csv": "d4bfa008b14541790947cb1345f566e9fb3d124d88900b52e4316f269ad7bdfb",
             "figure2_traces.json": "5cd764f61ccbe0c63d70227a2e8c9183cdc3d826597fcd50905b6138c06dfd79",
         },
     ),

@@ -330,8 +330,20 @@ def test_amplitude_rule():
 
 
 def test_picard_shift_covers_derivative_range():
-    # max |f'| on [0, 1] for s - s^3 is 2 (at s = 1), plus the 0.1 margin
+    # -min f' on [0, 1] for s - s^3 is 2 (at s = 1), plus the 0.1 margin
     assert abs(oned.picard_shift(oned.allen_cahn(), 1.0) - 2.1) < 1e-9
+
+
+@given(lam=st.floats(1e-3, 1e300), smax=st.floats(0.0, 1e300))
+def test_arctan_shift_is_the_margin(lam, smax):
+    # f' = lam/(1 + s^2) > 0, so s -> f(s) is monotone without a shift
+    assert oned.picard_shift(oned.arctan_family(lam), smax) == 0.1
+
+
+@pytest.mark.parametrize("start", ["sub", "super"])
+def test_strip_profile_takes_at_most_40_sweeps(start):
+    p = oned.solve_strip_profile(oned.arctan_family(4.0), 2001, start=start)
+    assert p.iterations <= 40
 
 
 def test_boundary_slope_exact_on_quadratics():
