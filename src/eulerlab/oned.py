@@ -137,7 +137,7 @@ def picard_shift(nl: Nonlinearity, smax: float) -> float:
     the shift.  For the arctan family, f' > 0, so the shift is 0.1.
     """
     s = np.linspace(0.0, max(smax, 1e-12), 4096)
-    return max(0.0, -float(np.min(nl.f_prime(s)))) + 0.1
+    return float(np.maximum(0.0, -np.min(nl.f_prime(s)))) + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +451,7 @@ def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
     solver = _DirichletSolver((n,), (h,), shift)
     ring = np.r_[bc[0], np.zeros(n - 2), bc[1]]
     f = nl.f
-    eps = float(np.finfo(np.longdouble).eps)
-    floor = 2.0 * eps * smax / (h * h)
+    floor = 2.0 * float(np.finfo(np.longdouble).eps) * smax / (h * h)
 
     def sweep(u):
         # shift in the iterate's dtype keeps the right side in extended
