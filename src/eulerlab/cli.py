@@ -730,6 +730,11 @@ def main(argv=None) -> int:
         # grids the options built that no solver can take (h^2 out of range)
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as e:
+        # sizes that the options ask for and the machine cannot hold
+        print("config error: the run does not fit in memory: %s" % e,
+              file=sys.stderr)
+        return EXIT_CONFIG
     except _SOLVER_ERRORS as e:
         print("solver error: %s: %s" % (type(e).__name__, e),
               file=sys.stderr)

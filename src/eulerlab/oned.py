@@ -25,9 +25,7 @@ The engine watches the ratio of successive step norms.  A caller that
 passes a certificate (the 2D solver does; the 1D solves, which cost little,
 do not) gets a damped Aitken jump along the last step once that rate has
 settled, kept only if the certificate accepts it as a new start of the same
-monotone iteration.  A caller that passes a judge (the float64 phase here)
-sees each settled rate and ends the run early when the rate shows that it
-cannot finish.
+monotone iteration.
 """
 
 from __future__ import annotations
@@ -231,10 +229,8 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     over.  The update after a jump is the whole move from the previous
     iterate, so a jump never ends a run early.
 
-    Each settled rate also goes to ``judge(rate, before, norm, left, nxt)``
-    if given, with the ratio before it, the last step norm and the sweeps
-    left; the judge raises NonConvergence for a run that cannot finish (see
-    :func:`_refuse_hopeless`).
+    Each settled rate also goes to ``judge(rate)`` if given, which may end
+    the run by raising NonConvergence.
 
     Returns a :class:`SweepRun`: the iterate, the plain sweeps run, the last
     update, the accepted and rejected jumps, and the last settled rate (None
@@ -270,7 +266,7 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
                 and abs(ratio - before) <= RATE_AGREEMENT * ratio):
             rate = ratio
             if judge is not None:
-                judge(rate, before, norm, max_iter - sweeps, nxt)
+                judge(rate)
             if certify is not None and rate < 1.0 and THETA > 0.0:
                 cand = nxt + (THETA * rate / (1.0 - rate)) * step
                 # a wrong-way step the slack let through comes out of the
@@ -289,51 +285,6 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
                 rejected += 1
         u, update = nxt, norm
     return SweepRun(u, sweeps, update, accepted, rejected, rate)
-
-
-def _refuse_hopeless(rate, before, norm, target, left, u, far):
-    """Raise NonConvergence when the settled ``rate`` says an update of
-    ``norm`` cannot fall below ``target`` in the ``left`` sweeps of budget.
-
-    A rate r < 1 needs log(target/norm) / log(r) more sweeps; r >= 1 never
-    gets there.  The verdict asks three things more.  The prediction must
-    hold still: made one sweep earlier from the ratio ``before``, it named
-    the same last sweep to within one, which a rate still drifting towards
-    its limit fails long before it fails the RATE_AGREEMENT test.  The step
-    must carry at least half the digits of the iterate u: below
-    sqrt(eps)*max|u| the step norms are a few ulps of u, and their ratios
-    hover near 1 whatever the true rate.  And the sandwich must have room
-    for the steps norm*r^j, j = 1..left, that the rate predicts: when their
-    sum exceeds the distance from u to the ``far`` side, the steps must
-    change course before the budget is out, as they do on the moving front
-    of the double-well connection and in the growth phase of a solve just
-    above the eigenvalue threshold.
-    """
-    if rate < 1.0:
-        if before >= 1.0:
-            return
-        ahead = math.log(target / norm)
-        need = ahead / math.log(rate)
-        if need <= left:
-            return
-        if abs((ahead + math.log(rate)) / math.log(before) - 1.0 - need) > 1.0:
-            return
-        predicted = "%d more sweeps" % math.ceil(need)
-    elif before < 1.0:
-        return
-    else:
-        predicted = "no end"
-    if norm < math.sqrt(np.finfo(u.dtype).eps) * float(np.max(np.abs(u))):
-        return
-    if rate == 1.0:
-        moved = norm * left
-    else:  # past e^700 the sum is beyond any float sandwich anyway
-        growth = math.expm1(min(left * math.log(rate), 700.0))
-        moved = norm * rate * growth / (rate - 1.0)
-    if moved <= float(np.max(np.abs(far - u))):
-        raise NonConvergence(
-            "settled update ratio %.9f predicts %s, with %d sweeps left in "
-            "the budget (last update %.3e)" % (rate, predicted, left, norm))
 
 
 def _defect(u, spacings, f):
@@ -462,9 +413,7 @@ def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
     def defect(u):
         return float(np.max(np.abs(_defect(u, (u.dtype.type(h),), f))))
 
-    def judge(rate, before, norm, left, u):
-        _refuse_hopeless(rate, before, norm, tol, left, u,
-                         upper if ascending else lower)
+    def judge(rate):
         # rounding to long double moves each stencil value by up to
         # eps*|u|/2, so the polish cannot pass a tol below this floor: it
         # stalls, or churns at the rounding level, whatever the rate.  Phase
@@ -476,6 +425,18 @@ def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
                 "%.3e of the long-double defect, so the polish cannot pass "
                 "it (settled update ratio %.6f)" % (tol, floor, rate))
 
+    def polished(ul, update):
+        # the floor above is only an estimate: a tol a few times over it can
+        # still meet a sweep that returns its input, and the defect then
+        # stays where rounding left it
+        reached = defect(ul)
+        if reached >= tol and update == 0.0:
+            raise NonConvergence(
+                "the long-double polish stalled at a defect of %.3e, above "
+                "tol %.3e: the sweep returned its input unchanged, so "
+                "rounding holds the defect there" % (reached, tol))
+        return reached < tol
+
     u = np.array(start, dtype=float)
     u[0], u[-1] = bc
     first = _monotone_sweeps(sweep, u, lower, upper, ascending,
@@ -483,7 +444,7 @@ def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
                              judge=judge)
     polish = _monotone_sweeps(
         sweep, first.u.astype(np.longdouble), lower, upper, ascending,
-        lambda ul, update: defect(ul) < tol, SWEEPS_POLISH, slack)
+        polished, SWEEPS_POLISH, slack)
     ul = polish.u
     return (np.asarray(ul, dtype=float), defect(ul),
             first.sweeps + polish.sweeps)

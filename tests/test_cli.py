@@ -470,6 +470,10 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     # a finite flow whose diagnostics overflow the double range
     ["analyze", "--catalog", "exponential-counterexample", "--grid",
      "plane:200:65:65"],
+    # sizes whose first array numpy refuses (7.28 TiB each)
+    ["analyze", "--catalog", "taylor-green", "--grid", "torus:64",
+     "--bins", "1000000000000"],
+    ["analyze", "--catalog", "taylor-green", "--grid", "torus:1000000"],
 ])
 def test_bad_input_is_one_line_config_error(argv, tmp_path, capsys):
     plain = tmp_path / "plain_file"
@@ -593,8 +597,9 @@ def test_stalled_iteration_is_one_line_solver_error(argv, says, tmp_path,
 # warns: lambda*pi/2 past float range is refused up front, the arctan f'
 # overflows quietly to its limit 0 on the huge sandwich, a tol below the
 # long-double defect's rounding floor is refused at the first settled rate,
-# a right side that overflows is refused before its transform, and a
-# transform that overflows before its residual check
+# a right side that overflows is refused before its transform, a
+# transform that overflows before its residual check, and a polish that
+# rounding stalls above tol names the defect it reached
 @pytest.mark.parametrize("argv, code, head, says", [
     # |u| reaches lam*pi/4, so the floor 2*eps*max|u|/h^2 passes tol 1e-10
     # from lam ~ 600 on at h = 1e-3
@@ -623,6 +628,11 @@ def test_stalled_iteration_is_one_line_solver_error(argv, says, tmp_path,
     (["solve1d", "--family", "arctan", "--lambda", "1e306"], 2,
      "solver error: NonConvergence: ", "sine transform of a right side of "
      "2.624e+307 overflowed"),
+    # under the floor estimate 6.8e-11 the tol still sits within reach of
+    # rounding: the polish's sweep returns its input at a defect of 2.1e-10
+    (["solve1d", "--family", "arctan", "--lambda", "400"], 2,
+     "solver error: NonConvergence: ", "the long-double polish stalled at "
+     "a defect of 2.130e-10, above tol 1.000e-10"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_lambda_is_one_error_line(argv, code, head, says, tmp_path,
