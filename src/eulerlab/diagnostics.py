@@ -33,7 +33,6 @@ the whole pipeline, so the report carries both.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 
 import numpy as np
 
@@ -196,30 +195,60 @@ def _build_bundle(flow, grads) -> _Bundle:
 
     Censored nodes keep their genuine directions (angle sets are built on
     the plain stagnation floor); they just cannot carry naive cell weight.
+
+    The arrays are built in place (``out=``) and dropped after their last
+    use, so few full-grid arrays are alive at once.  Each elementwise ufunc
+    takes the same operands in the same order as the plain expression
+    (x ** 2 is np.square, a masked np.copyto is np.where), so every bit is
+    the same.
     """
     g = flow.grid
     v = flow.velocity
     v1x, v1y, v2x, v2y = grads
-    cx = v.vx * v2x - v.vy * v1x
-    cy = v.vx * v2y - v.vy * v1y
-    speed2 = v.vx ** 2 + v.vy ** 2
-    speed = np.sqrt(speed2)
     gx2, gy2, g2, g2max = _gradient_norms2(grads)
     floor = _diagnostics_floor(_cell_speed(g, g2max))
-    across_y = gy2 >= gx2 - 1e-9 * g2max
+    # gy2 >= gx2 - 1e-9 g2max
+    across_y = gy2 >= np.subtract(gx2, 1e-9 * g2max, out=gx2)
+    del gx2, gy2
     hn = np.where(across_y, g.hy, g.hx)
+    band = np.multiply(hn, np.sqrt(g2, out=g2), out=g2)  # hn |grad v|
+    speed2 = np.square(v.vx)
+    speed2 += np.square(v.vy)
+    speed = np.sqrt(speed2)
     moving = speed > floor
-    censored = moving & (speed <= hn * np.sqrt(g2))
+    censored = moving & (speed <= band)
+    del speed, band, g2
     live = moving & ~censored
-    dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
+    dead = ~live
+    del moving
     # v(node+h) . v(node-h) across the band; the zero apron beyond a bounded
     # edge gives an end node a dot of 0, which is no sweep
     px, py = g.pad(v.vx, 0.0), g.pad(v.vy, 0.0)
-    dot_x = px[2:, 1:-1] * px[:-2, 1:-1] + py[2:, 1:-1] * py[:-2, 1:-1]
-    dot_y = px[1:-1, 2:] * px[1:-1, :-2] + py[1:-1, 2:] * py[1:-1, :-2]
-    ridge = censored & (np.where(across_y, dot_y, dot_x) < 0.0)
-    wq = _g.quadrature_weights(g)
-    ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
+    dot = np.multiply(px[2:, 1:-1], px[:-2, 1:-1])
+    dot += np.multiply(py[2:, 1:-1], py[:-2, 1:-1])
+    dot_y = np.multiply(px[1:-1, 2:], px[1:-1, :-2])
+    dot_y += np.multiply(py[1:-1, 2:], py[1:-1, :-2])
+    del px, py
+    np.copyto(dot, dot_y, where=across_y)
+    ridge = censored & (dot < 0.0)
+    del dot, dot_y, censored
+    # cx, cy = v1 grad v2 - v2 grad v1
+    cx = np.multiply(v.vx, v2x)
+    cx -= np.multiply(v.vy, v1x)
+    cy = np.multiply(v.vx, v2y)
+    cy -= np.multiply(v.vy, v1y)
+    dens = np.square(cx)
+    dens += np.square(cy)
+    np.copyto(speed2, 1.0, where=dead)
+    dens /= speed2
+    np.copyto(dens, 0.0, where=dead)
+    del speed2, dead
+    ridge_mass = np.hypot(cx, cy, out=cx)
+    del cy
+    np.multiply(np.pi, ridge_mass, out=ridge_mass)
+    ridge_mass *= _g.quadrature_weights(g)
+    ridge_mass /= hn
+    np.copyto(ridge_mass, 0.0, where=~ridge)
     return _Bundle(v, floor, dens, live, ridge_mass, across_y)
 
 
@@ -300,18 +329,24 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     derivatives="analytic" the catalog's closed-form evaluators replace the
     stencils, the identity becomes exact algebra, and only the stagnation
     floor itself is masked.
+
+    The expressions are formed one at a time, in the order listed, each
+    folded into a running max and min with ``out=`` and then dropped: the
+    same operands in the same order as reduce(np.maximum) and
+    reduce(np.minimum) over the list, so even signed zeros keep their bits,
+    with one expression alive instead of four.
     """
     grads = _g.vector_gradient(flow.velocity)
     floor = _bundle(flow, grads).floor
     g = flow.grid
     if derivatives == "fd":
-        v = flow.velocity
-        v1, v2 = v.vx, v.vy
+        v1, v2 = flow.velocity.vx, flow.velocity.vy
         v1x, v1y, v2x, v2y = grads
-        pgrads = None
+        pressure_partials = None
         if flow.pressure is not None:
-            pg = _g.gradient(flow.pressure)
-            pgrads = (pg.vx, pg.vy)
+            def pressure_partials():
+                pg = _g.gradient(flow.pressure)
+                return pg.vx, pg.vy
     elif derivatives == "analytic":
         if flow.closed_form is None:
             raise ValueError("flow carries no closed-form evaluators")
@@ -320,44 +355,97 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
         v1, v2 = cf["v1"](X, Y), cf["v2"](X, Y)
         v1x, v1y = cf["v1_x"](X, Y), cf["v1_y"](X, Y)
         v2x, v2y = cf["v2_x"](X, Y), cf["v2_y"](X, Y)
-        pgrads = (cf["P_x"](X, Y), cf["P_y"](X, Y))
+
+        def pressure_partials():
+            return cf["P_x"](X, Y), cf["P_y"](X, Y)
     else:
         raise ValueError("derivatives must be 'fd' or 'analytic'")
+    del grads
 
-    speed2 = v1 ** 2 + v2 ** 2
+    speed2 = np.square(v1)
+    speed2 += np.square(v2)
     speed = np.sqrt(speed2)
     if derivatives == "fd":
         floor = max(floor, speed_fraction * float(speed.max()))
     live = speed > floor
-    denom2 = np.where(live, speed2, 1.0)
+    dead = ~live
 
-    grad_v2 = v1x ** 2 + v1y ** 2 + v2x ** 2 + v2y ** 2
+    # |grad |v||^2 and the partials of the unit vector field v/|v|
     if derivatives == "fd":
         gs = _g.gradient(ScalarField(g, speed))
         grad_speed2 = gs.vx ** 2 + gs.vy ** 2
+        del gs
         unit = np.where(live, 1.0, 0.0) / np.where(live, speed, 1.0)
+        del speed
         w = VectorField(g, v1 * unit, v2 * unit)
+        del unit
         w1x, w1y, w2x, w2y = _g.vector_gradient(w)
+        del w
     else:
         dotx = v1 * v1x + v2 * v2x
         doty = v1 * v1y + v2 * v2y
         denom = np.where(live, speed, 1.0)
+        denom2 = np.where(live, speed2, 1.0)
         grad_speed2 = (dotx ** 2 + doty ** 2) / denom2
         w1x = v1x / denom - v1 * dotx / (denom2 * denom)
         w1y = v1y / denom - v1 * doty / (denom2 * denom)
         w2x = v2x / denom - v2 * dotx / (denom2 * denom)
         w2y = v2y / denom - v2 * doty / (denom2 * denom)
-
-    exprs = [grad_v2 - grad_speed2,
-             speed2 * (w1x ** 2 + w1y ** 2 + w2x ** 2 + w2y ** 2),
-             ((v1 * v2x - v2 * v1x) ** 2 + (v1 * v2y - v2 * v1y) ** 2) / denom2]
-    if pgrads is not None:
-        exprs.append((pgrads[0] ** 2 + pgrads[1] ** 2) / denom2)
+        del dotx, doty, denom, denom2, speed
 
     # the extreme pair attains the largest pairwise |difference|
-    spread = reduce(np.maximum, exprs) - reduce(np.minimum, exprs)
+    # |grad v|^2 - |grad |v||^2 starts the running max (hi) and min (lo)
+    hi = np.square(v1x)
+    hi += np.square(v1y)
+    hi += np.square(v2x)
+    hi += np.square(v2y)
+    hi -= grad_speed2
+    lo = grad_speed2  # its buffer, no longer read, holds the running min
+    lo[...] = hi
+    del grad_speed2
 
-    dead = g.pad(~live, False)
+    def fold(e):
+        np.maximum(hi, e, out=hi)
+        np.minimum(lo, e, out=lo)
+
+    # |v|^2 |grad(v/|v|)|^2, formed in the buffers of the unit partials
+    e = np.square(w1x, out=w1x)
+    e += np.square(w1y, out=w1y)
+    e += np.square(w2x, out=w2x)
+    e += np.square(w2y, out=w2y)
+    np.multiply(speed2, e, out=e)
+    fold(e)
+    del e, w1x, w1y, w2x, w2y
+    denom2 = speed2  # the speed^2 no longer read: 1 off the live set
+    np.copyto(denom2, 1.0, where=dead)
+    del speed2
+
+    # |v1 grad v2 - v2 grad v1|^2 / |v|^2
+    e = np.multiply(v1, v2x)
+    e -= np.multiply(v2, v1x)
+    np.square(e, out=e)
+    cy = np.multiply(v1, v2y)
+    cy -= np.multiply(v2, v1y)
+    e += np.square(cy, out=cy)
+    del cy
+    e /= denom2
+    fold(e)
+    del e, v1x, v1y, v2x, v2y
+
+    # |grad P|^2 / |v|^2
+    if pressure_partials is not None:
+        p1, p2 = pressure_partials()
+        e = np.square(p1)
+        e += np.square(p2)
+        del p1, p2
+        e /= denom2
+        fold(e)
+        del e
+
+    spread = np.subtract(hi, lo, out=hi)
+    del lo
+
+    dead = g.pad(dead, False)
     spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
            | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0
     return ScalarField(g, spread)
