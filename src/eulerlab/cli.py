@@ -662,19 +662,21 @@ def _reproduce_figure(out, cfg, tag, field, flow, seeds):
 
 
 def cmd_reproduce(r, out, cfg) -> int:
-    # the acceptance resolutions: arctan lambda = 4 strip, Allen-Cahn saddle
-    cache = acceptance._FlowCache()
+    # the acceptance resolutions: arctan lambda = 4 strip, Allen-Cahn saddle;
+    # each flow, with the sampler kept on it, is freed after its figure
     if r["figure"] in ("figure1", "all"):
         # half-plane saddle: separatrix pair (the zero level set: wall plus
         # vertical axis, crossing at the origin) and a hyperbolic trace fan
-        _reproduce_figure(out, cfg, "figure1", *cache.saddle(),
+        _reproduce_figure(out, cfg, "figure1",
+                          *elliptic2d.solve_saddle_quadrant()[:2],
                           [(-12.0, 0.5), (-8.0, 0.5), (-4.0, 0.5),
                            (4.0, 0.5), (8.0, 0.5), (12.0, 0.5)])
     if r["figure"] in ("figure2", "all"):
         # strip flow: hairpin fan entering from both far ends plus the
         # central separatrix, hinging on the two wall stagnation points
         # (0, -1), (0, 1)
-        _reproduce_figure(out, cfg, "figure2", *cache.strip(),
+        _reproduce_figure(out, cfg, "figure2",
+                          *elliptic2d.solve_type3_strip()[:2],
                           [(-8.0, -0.25), (-8.0, -0.5), (-8.0, -0.75),
                            (8.0, 0.25), (8.0, 0.5), (8.0, 0.75)])
     print("wrote %s" % out)
