@@ -220,7 +220,6 @@ def _build_bundle(flow, grads) -> _Bundle:
     del speed, band, g2
     live = moving & ~censored
     dead = ~live
-    del moving
     # v(node+h) . v(node-h) across the band; the zero apron beyond a bounded
     # edge gives an end node a dot of 0, which is no sweep
     px, py = g.pad(v.vx, 0.0), g.pad(v.vy, 0.0)
@@ -437,14 +436,10 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
         p1, p2 = pressure_partials()
         e = np.square(p1)
         e += np.square(p2)
-        del p1, p2
         e /= denom2
         fold(e)
-        del e
 
     spread = np.subtract(hi, lo, out=hi)
-    del lo
-
     dead = g.pad(dead, False)
     spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
            | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0
