@@ -11,10 +11,12 @@ module fixtures.
 
 import collections
 import json
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eulerlab import diagnostics as dg
 from eulerlab import elliptic2d, flows, oned, serialize
@@ -785,3 +787,205 @@ def test_kept_bundle_serves_the_bits_of_a_first_call(kind, nx, ny, seed):
     again = readings(fl)
     assert again == readings(bare_flow(gr, wx, wy))
     assert again != first
+
+
+# ---------------------------------------------------------------------------
+# the bundle and the identity residual in a bounded working set
+
+
+def reference_build_bundle(flow, grads):
+    """The curvature bundle written one expression per line, every
+    temporary alive until the return: the bits the in-place build keeps."""
+    gr = flow.grid
+    v = flow.velocity
+    v1x, v1y, v2x, v2y = grads
+    cx = v.vx * v2x - v.vy * v1x
+    cy = v.vx * v2y - v.vy * v1y
+    speed2 = v.vx ** 2 + v.vy ** 2
+    speed = np.sqrt(speed2)
+    gx2, gy2, g2, g2max = dg._gradient_norms2(grads)
+    floor = dg._diagnostics_floor(dg._cell_speed(gr, g2max))
+    across_y = gy2 >= gx2 - 1e-9 * g2max
+    hn = np.where(across_y, gr.hy, gr.hx)
+    moving = speed > floor
+    censored = moving & (speed <= hn * np.sqrt(g2))
+    live = moving & ~censored
+    dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
+    px, py = gr.pad(v.vx, 0.0), gr.pad(v.vy, 0.0)
+    dot_x = px[2:, 1:-1] * px[:-2, 1:-1] + py[2:, 1:-1] * py[:-2, 1:-1]
+    dot_y = px[1:-1, 2:] * px[1:-1, :-2] + py[1:-1, 2:] * py[1:-1, :-2]
+    ridge = censored & (np.where(across_y, dot_y, dot_x) < 0.0)
+    wq = g.quadrature_weights(gr)
+    ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
+    return dg._Bundle(v, floor, dens, live, ridge_mass, across_y)
+
+
+def reference_identity_residual(flow, derivatives, speed_fraction):
+    """The identity residual with all its expressions alive in one list and
+    reduced at the end, its floor from :func:`reference_build_bundle`."""
+    grads = g.vector_gradient(flow.velocity)
+    floor = reference_build_bundle(flow, grads).floor
+    gr = flow.grid
+    if derivatives == "fd":
+        v = flow.velocity
+        v1, v2 = v.vx, v.vy
+        v1x, v1y, v2x, v2y = grads
+        pgrads = None
+        if flow.pressure is not None:
+            pg = g.gradient(flow.pressure)
+            pgrads = (pg.vx, pg.vy)
+    else:
+        X, Y = gr.mesh()
+        cf = flow.closed_form
+        v1, v2 = cf["v1"](X, Y), cf["v2"](X, Y)
+        v1x, v1y = cf["v1_x"](X, Y), cf["v1_y"](X, Y)
+        v2x, v2y = cf["v2_x"](X, Y), cf["v2_y"](X, Y)
+        pgrads = (cf["P_x"](X, Y), cf["P_y"](X, Y))
+
+    speed2 = v1 ** 2 + v2 ** 2
+    speed = np.sqrt(speed2)
+    if derivatives == "fd":
+        floor = max(floor, speed_fraction * float(speed.max()))
+    live = speed > floor
+    denom2 = np.where(live, speed2, 1.0)
+
+    grad_v2 = v1x ** 2 + v1y ** 2 + v2x ** 2 + v2y ** 2
+    if derivatives == "fd":
+        gs = g.gradient(ScalarField(gr, speed))
+        grad_speed2 = gs.vx ** 2 + gs.vy ** 2
+        unit = np.where(live, 1.0, 0.0) / np.where(live, speed, 1.0)
+        w = VectorField(gr, v1 * unit, v2 * unit)
+        w1x, w1y, w2x, w2y = g.vector_gradient(w)
+    else:
+        dotx = v1 * v1x + v2 * v2x
+        doty = v1 * v1y + v2 * v2y
+        denom = np.where(live, speed, 1.0)
+        grad_speed2 = (dotx ** 2 + doty ** 2) / denom2
+        w1x = v1x / denom - v1 * dotx / (denom2 * denom)
+        w1y = v1y / denom - v1 * doty / (denom2 * denom)
+        w2x = v2x / denom - v2 * dotx / (denom2 * denom)
+        w2y = v2y / denom - v2 * doty / (denom2 * denom)
+
+    exprs = [grad_v2 - grad_speed2,
+             speed2 * (w1x ** 2 + w1y ** 2 + w2x ** 2 + w2y ** 2),
+             ((v1 * v2x - v2 * v1x) ** 2 + (v1 * v2y - v2 * v1y) ** 2) / denom2]
+    if pgrads is not None:
+        exprs.append((pgrads[0] ** 2 + pgrads[1] ** 2) / denom2)
+    spread = reduce(np.maximum, exprs) - reduce(np.minimum, exprs)
+    dead = gr.pad(~live, False)
+    spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
+           | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0
+    return ScalarField(gr, spread)
+
+
+DRAWN_GRIDS = {
+    "torus": lambda nx, ny: g.Grid(g.TORUS, nx, ny, (0.0, 2.0 * np.pi),
+                                   (0.0, 2.0 * np.pi)),
+    "strip": lambda nx, ny: g.Grid(g.STRIP, nx, ny, (-4.0, 4.0), (-1.0, 1.0)),
+    "plane": lambda nx, ny: g.Grid(g.PLANE, nx, ny, (-1.0, 1.0), (-1.0, 1.0)),
+    "halfplane": lambda nx, ny: g.Grid(g.HALF_PLANE, nx, ny, (-3.0, 3.0),
+                                       (0.0, 3.0)),
+    "quadrant": lambda nx, ny: g.Grid(g.QUADRANT, nx, ny, (0.0, 3.0),
+                                      (0.0, 3.0)),
+}
+
+
+def hostile_flow(kind, nx, ny, seed, ramp, k, with_pressure):
+    """A drawn flow scaled by 2**k, k in [-498, 498] (about 1e-150 to
+    1e150): waves, a shear with a weak crossflow (sub-cell bands on its zero
+    rows) plus noise, or, with ``ramp``, the exact shear v = (x2, 0), whose
+    nodes next to x2 = 0 sit on the censoring bound |v| = h |grad v| when the
+    spacing is dyadic.  A stagnant patch (at times the whole grid) and
+    signed zeros are scattered over both components.  The closed form returns the drawn arrays themselves,
+    so a residual that wrote into what the evaluators return would change
+    its second reading."""
+    rng = np.random.default_rng(seed)
+    gr = DRAWN_GRIDS[kind](nx, ny)
+    X, Y = gr.mesh()
+    if ramp:
+        vx, vy = Y.copy(), np.zeros(gr.shape)
+    else:
+        m, n = rng.integers(1, 4, size=2)
+        a, p, q = rng.uniform(-1.0, 1.0, size=3)
+        eps, noise = 10.0 ** rng.uniform(-4.0, 0.0, size=2)
+        vx = (np.sin(n * Y + p) + 0.2 * a * np.sin(X)
+              + noise * rng.standard_normal(gr.shape))
+        vy = eps * np.cos(m * X + q) + noise * rng.standard_normal(gr.shape)
+    i0, j0 = rng.integers(0, nx - 1), rng.integers(0, ny - 1)
+    di, dj = rng.integers(1, 6, size=2)
+    zero = np.full(gr.shape, rng.random() < 0.05)  # at times a still flow
+    zero[i0:i0 + di, j0:j0 + dj] = True
+    zero |= rng.random(gr.shape) < 0.1
+    sign = rng.standard_normal((2,) + gr.shape)
+    c = 2.0 ** k
+    vx = c * np.where(zero, np.copysign(0.0, sign[0]), vx)
+    vy = c * np.where(zero, np.copysign(0.0, sign[1]), vy)
+    vel = VectorField(gr, vx, vy)
+    partials = [d * (1.0 + 0.1 * rng.standard_normal(gr.shape))
+                for d in g.vector_gradient(vel)]
+    drawn = dict(zip(("v1", "v2", "v1_x", "v1_y", "v2_x", "v2_y", "P_x", "P_y"),
+                     [vx, vy] + partials
+                     + list(c * c * rng.standard_normal((2,) + gr.shape))))
+    cf = {name: (lambda X, Y, a=arr: a) for name, arr in drawn.items()}
+    pressure = None
+    if with_pressure:
+        pressure = ScalarField(gr, c * c * rng.standard_normal(gr.shape))
+    return flows.Flow(gr, vel, ScalarField(gr, np.zeros(gr.shape)), pressure,
+                      closed_form=cf)
+
+
+def outcome(read):
+    """The bits of a reading, or the exception it raised."""
+    try:
+        return bits(read())
+    except (g.GridError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+# dyadic node counts put the ramp's nodes exactly on the censoring bound
+nodes = st.one_of(st.sampled_from([9, 17, 33]), st.integers(8, 40))
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from(sorted(DRAWN_GRIDS)), nx=nodes, ny=nodes,
+       seed=st.integers(0, 2 ** 32 - 1), ramp=st.booleans(),
+       k=st.integers(-498, 498), with_pressure=st.booleans(),
+       derivatives=st.sampled_from(["fd", "analytic"]),
+       speed_fraction=st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.5, 1.0]))
+def test_in_place_residual_and_bundle_keep_every_bit(
+        kind, nx, ny, seed, ramp, k, with_pressure, derivatives,
+        speed_fraction):
+    fl = hostile_flow(kind, nx, ny, seed, ramp, k, with_pressure)
+    with np.errstate(all="ignore"):
+        want_bundle = reference_build_bundle(fl, g.vector_gradient(fl.velocity))
+        want = outcome(lambda: reference_identity_residual(
+            fl, derivatives, speed_fraction).values)
+        got = [outcome(lambda: dg.curvature_identity_residual(
+            fl, derivatives, speed_fraction).values) for _ in range(2)]
+        got_bundle = dg._build_bundle(fl, g.vector_gradient(fl.velocity))
+    assert got == [want, want]
+    for name in dg._Bundle._fields[1:]:
+        assert bits(getattr(fl._curvature_bundle, name)) \
+            == bits(getattr(want_bundle, name)), name
+        assert bits(getattr(got_bundle, name)) \
+            == bits(getattr(want_bundle, name)), name
+
+
+def test_diagnostics_working_set_is_bounded():
+    # tracemalloc peak of the whole report on the 256 x 256 torus, counted
+    # in full-grid float arrays: 19.0 with the residual folded one
+    # expression at a time and the bundle built in place (29.4 with every
+    # expression and temporary alive at once); the bound leaves 10%
+    fl = taylor_green(256)
+    arrays = fl.grid.nx * fl.grid.ny * 8
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dg.run_diagnostics(fl)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / arrays <= 21.0
