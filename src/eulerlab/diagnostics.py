@@ -766,7 +766,10 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
     the way.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = curvature_identity_residual(flow)
+        # the report keeps one interior max of the residual field, so the
+        # field is freed before the other diagnostics run
+        resid_max = float(curvature_identity_residual(flow).values[
+            flow.grid.interior_mask()].max())
         aset = angle_set(flow, n_bins=bins)
         tc = total_curvature(flow)
         j_signed = signed_curvature_integral(flow)
@@ -779,7 +782,6 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
         else:
             trace = []
         prof = kappa_distribution(flow, kappa_bins)
-        interior = flow.grid.interior_mask()
         rep = DiagnosticsReport(
             total_curvature=tc,
             J_inf_signed=j_signed,
@@ -787,7 +789,7 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
             verdict=classify(aset, tc, tol_curv=shear_tol),
             kappa_cv_upper=semicircle_cv(prof, "upper"),
             kappa_cv_lower=semicircle_cv(prof, "lower"),
-            identity_residual_max=float(resid.values[interior].max()),
+            identity_residual_max=resid_max,
         )
     rep.angle_set = aset
     rep.kappa_profile = prof

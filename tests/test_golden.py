@@ -5,8 +5,9 @@ byte-identical files.  These hashes pin that output across refactors, so a
 change that moves any number in the last digit, or reorders a key or a
 column, fails here.  Each run writes to a fixed relative ``--out`` inside a
 scratch working directory, because the resolved configuration (output path
-included) is echoed into every JSON artifact.  The acceptance-size flows
-come from the session's flow cache, so ``reproduce`` adds no solve.
+included) is echoed into every JSON artifact.  The ``verify`` run takes
+its flows from the session's flow cache, so it adds no solve; ``reproduce``
+solves its saddle and strip itself, as the command does.
 """
 
 import hashlib

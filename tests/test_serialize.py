@@ -189,3 +189,137 @@ def test_a_transposed_view_writes_its_c_order(tmp_path):
     serialize.write_csv(paths[1], ["v", "n"], [field.T.ravel(),
                                                np.arange(35)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def kernel_text(values):
+    """The text ``_text_table`` gives each value, checking that every row
+    is its text followed by NULs only."""
+    table, index, signed = serialize._text_table(
+        np.asarray(values, dtype=float))
+    assert signed and table.dtype == np.uint8
+    rows = [bytes(r) for r in table]
+    for r in rows:
+        text = r.rstrip(b"\0")
+        assert b"\0" not in text and len(text) > 0
+    assert table.shape[1] == max(len(r.rstrip(b"\0")) for r in rows)
+    return ["-" * int(i >> 31) + rows[i & 0x7FFFFFFF].rstrip(b"\0").decode()
+            for i in index.tolist()]
+
+
+def neighbours(values, ulps=2):
+    """``values`` and their finite neighbours up to ``ulps`` ulps each side."""
+    out = [np.asarray(values, dtype=float)]
+    for toward in (0.0, np.inf):
+        step = out[0]
+        for _ in range(ulps):
+            with np.errstate(over="ignore"):   # the largest double's
+                step = np.nextafter(step, toward)
+            out.append(step)
+    out = np.concatenate(out)
+    return out[np.isfinite(out)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=64))
+def test_kernel_text_is_format_17g(values):
+    assert kernel_text(values) == ["{:.17g}".format(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=1e-16, max_value=1e20), min_size=1,
+                max_size=256),
+       st.sampled_from([1, 3, 64]))
+def test_kernel_text_across_blocks(values, block):
+    # values where the long-double product is exact and where it is not,
+    # split over blocks of a few keys
+    with mock.patch.object(serialize, "CSV_BLOCK", block):
+        assert kernel_text(values) == ["{:.17g}".format(v) for v in values]
+
+
+# every power of ten a double reaches, 1e-323 to 1e308, where the decimal
+# exponent changes and the first guess of it can be one off
+POWERS_OF_TEN = [float("1e%d" % k) for k in range(-323, 309)]
+FAMILIES = {
+    "powers of ten": neighbours(POWERS_OF_TEN),
+    # x 10**(16 - e) ends in exactly one half: a tie, rounded half to even
+    "ties": [2.0 ** -25, 2.0 ** -26, 2.0 ** -27, 0.5 ** 30, 3 * 2.0 ** -40,
+             1.0 + 2.0 ** -52, 2.0 ** 60, 2.0 ** 59 + 2.0 ** 7],
+    # 17 digits that round up into the next decade
+    "carries": neighbours([9.9999999999999999e-05, 99999999999999999.0,
+                           0.099999999999999999, 9.9999999999999999e22,
+                           9.9999999999999999e-300]),
+    "subnormals": neighbours([5e-324, 1e-320, 2.225073858507201e-308,
+                              1.2345e-315]),
+    "zero": [0.0],
+    "edges": neighbours(EDGE_VALUES),
+    # outside the exact powers, y = x 10**(16 - e) lies across a
+    # half-integer from x 10**(16 - e) itself: the band sends these to
+    # format()
+    "rounded products": [1.378551e-317, 2.8218410097801e-276,
+                         1.5231709793896137e-208, 6.498134491524302e-168,
+                         3.3987890803065585e-125, 3.1584966312238785e-71,
+                         5.447394294479486e-62, 2.5370339436530752e+47,
+                         2.8533478111693098e+59, 6.445407143961869e+142,
+                         3.589012988361085e+210, 1.7750631198163622e+252,
+                         6.894596735968038e+280],
+    # short decimal texts, in fixed and in exponent form
+    "short": [1.0, 0.5, 0.25, 100.0, 1e16, 1e17, 1.5e17, 123456.0, 1e-5,
+              1.5e-5, 0.0001, 0.00012, 1e22, 1e23, 1e100, 1.25e-100],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kernel_text_on_fixed_families(family):
+    values = np.asarray(FAMILIES[family], dtype=float)
+    values = np.r_[values, -values]
+    assert kernel_text(values) == ["{:.17g}".format(v) for v in values]
+
+
+def test_a_tie_rounds_half_to_even():
+    # 2**-25 = 2.98023223876953125e-08 has 18 significant digits
+    assert kernel_text([2.0 ** -25, -(2.0 ** -25)]) == [
+        "2.9802322387695312e-08", "-2.9802322387695312e-08"]
+    assert kernel_text([9.9999999999999999e-05, 99999999999999999.0]) == [
+        "0.0001", "1e+17"]
+
+
+FALLBACK_VALUES = np.concatenate([v for v in FAMILIES.values()]
+                                 + [np.linspace(-3.0, 7.0, 1001)])
+
+
+@pytest.mark.parametrize("patch", [
+    # every value fails the exactness test and goes through format()
+    ("_needs_dtoa", lambda e, dist: np.ones(len(e), bool)),
+    # a host without a 64-bit long double: no kernel at all
+    ("_digit_tables", lambda: None),
+])
+def test_the_format_fallback_gives_the_same_bytes(patch):
+    want = serialize._text_table(FALLBACK_VALUES)
+    with mock.patch.object(serialize, *patch):
+        got = serialize._text_table(FALLBACK_VALUES)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert kernel_text(FALLBACK_VALUES) == [
+        "{:.17g}".format(v) for v in FALLBACK_VALUES]
+
+
+def test_an_exponent_guess_two_off_still_gives_format_text():
+    # log10 two too high leaves N below 1e16 after the one retry; those
+    # values go through format()
+    log10 = np.log10
+    values = FAMILIES["short"] + FAMILIES["ties"]
+    with mock.patch.object(serialize.np, "log10", lambda x: log10(x) + 2):
+        assert kernel_text(values) == ["{:.17g}".format(v) for v in values]
+
+
+def test_powers_of_ten_are_rounded_to_64_bits():
+    if serialize._digit_tables() is None:
+        pytest.skip("this long double has no 64-bit mantissa")
+    from fractions import Fraction
+    for k in range(-350, 351, 7):
+        p = Fraction(*serialize._pow10_64(k).as_integer_ratio())
+        exact = Fraction(10) ** k
+        if 0 <= k <= 27:
+            assert p == exact
+        # half an ulp of a 64-bit mantissa
+        assert abs(p - exact) <= exact * Fraction(1, 2 ** 64)
