@@ -241,9 +241,12 @@ def test_kernel_text_across_blocks(values, block):
 POWERS_OF_TEN = [float("1e%d" % k) for k in range(-323, 309)]
 FAMILIES = {
     "powers of ten": neighbours(POWERS_OF_TEN),
-    # x 10**(16 - e) ends in exactly one half: a tie, rounded half to even
-    "ties": [2.0 ** -25, 2.0 ** -26, 2.0 ** -27, 0.5 ** 30, 3 * 2.0 ** -40,
-             1.0 + 2.0 ** -52, 2.0 ** 60, 2.0 ** 59 + 2.0 ** 7],
+    # x 10**(16 - e) ends in exactly one half: a tie, rounded half to even,
+    # down to an even last digit or up from an odd one
+    "ties": [16.000015258789062, 8.000007629394531, 0.023546218872070312,
+             0.0004763603210449219, 1.3113021850585938e-06,
+             1.5497207641601562e-06, 1.7881393432617188e-07,
+             2.980232238769531e-07, 2.0 ** -25, 8.940696716308594e-08],
     # 17 digits that round up into the next decade
     "carries": neighbours([9.9999999999999999e-05, 99999999999999999.0,
                            0.099999999999999999, 9.9999999999999999e22,
@@ -276,9 +279,11 @@ def test_kernel_text_on_fixed_families(family):
 
 
 def test_a_tie_rounds_half_to_even():
-    # 2**-25 = 2.98023223876953125e-08 has 18 significant digits
-    assert kernel_text([2.0 ** -25, -(2.0 ** -25)]) == [
-        "2.9802322387695312e-08", "-2.9802322387695312e-08"]
+    # 2**-25 = 2.98023223876953125e-08 and 3 2**-25 = 8.94069671630859375e-08
+    # have 18 significant digits, the last a 5
+    assert kernel_text([2.0 ** -25, -(2.0 ** -25), 3 * 2.0 ** -25]) == [
+        "2.9802322387695312e-08", "-2.9802322387695312e-08",
+        "8.9406967163085938e-08"]
     assert kernel_text([9.9999999999999999e-05, 99999999999999999.0]) == [
         "0.0001", "1e+17"]
 
@@ -297,10 +302,10 @@ def test_the_format_fallback_gives_the_same_bytes(patch):
     want = serialize._text_table(FALLBACK_VALUES)
     with mock.patch.object(serialize, *patch):
         got = serialize._text_table(FALLBACK_VALUES)
+        assert kernel_text(FALLBACK_VALUES) == [
+            "{:.17g}".format(v) for v in FALLBACK_VALUES]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    assert kernel_text(FALLBACK_VALUES) == [
-        "{:.17g}".format(v) for v in FALLBACK_VALUES]
 
 
 def test_an_exponent_guess_two_off_still_gives_format_text():
