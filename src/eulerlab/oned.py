@@ -30,7 +30,10 @@ monotone iteration.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -61,8 +64,9 @@ class Nonlinearity:
 
     ``F`` is the antiderivative with F(0) = 0.  ``bound_M`` bounds |f| on the
     range the solvers visit (all of R for the arctan family, [-1, 1] for the
-    double well).  ``family`` tags the construction: ArctanFamily, AllenCahn,
-    SignFunction, or Custom.
+    double well).  ``family`` tags the construction in a flow's provenance:
+    ArctanFamily or AllenCahn for the builders below, any other name for a
+    reaction term built directly.
     """
 
     def __init__(self, f, f_prime, F, bound_M, family):
@@ -107,22 +111,6 @@ def allen_cahn() -> Nonlinearity:
         bound_M=2.0 / (3.0 * np.sqrt(3.0)),
         family="AllenCahn",
     )
-
-
-def sign_equation() -> Nonlinearity:
-    """Reaction term of the kinked shear example: Laplacian(u) = sgn(u)
-    written as -Laplacian(u) = f(u) with f(s) = -sgn(s)."""
-    return Nonlinearity(
-        f=lambda s: -np.sign(s),
-        f_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        F=lambda s: -np.abs(s),
-        bound_M=1.0,
-        family="SignFunction",
-    )
-
-
-def custom(f, f_prime, F, bound_M) -> Nonlinearity:
-    return Nonlinearity(f, f_prime, F, bound_M, family="Custom")
 
 
 def picard_shift(nl: Nonlinearity, smax: float) -> float:
@@ -307,6 +295,53 @@ def _norm(a) -> float:
     return n
 
 
+def _pocketfft_dst():
+    """The orthonormal DST-I of scipy's pocketfft extension, loaded from its
+    file without importing ``scipy`` or ``scipy.fft``.
+
+    ``dst(x, 1, axes, 1, None, 1, None)`` is the call that
+    ``scipy.fft.dstn(x, type=1, norm="ortho")`` makes (norm code 1 is
+    "ortho"; no output array, one worker); the package import it skips
+    would also load ``scipy.special``.
+    """
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    base = os.path.join(root, "fft", "_pocketfft", "pypocketfft")
+    path = next(base + s for s in importlib.machinery.EXTENSION_SUFFIXES
+                if os.path.isfile(base + s))
+    spec = importlib.util.spec_from_file_location("pypocketfft", path)
+    ext = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ext)
+    return lambda x: ext.dst(x, 1, tuple(range(x.ndim)), 1, None, 1, None)
+
+
+_DST = None  # the DST-I that _dst1 settled on in this process
+
+
+def _dst1(x):
+    """Orthonormal DST-I of ``x`` along every axis, as
+    ``scipy.fft.dstn(x, type=1, norm="ortho")`` gives it.
+
+    The first call loads the transform straight from scipy's extension
+    file and tries it on three points.  That layout is private to scipy, so
+    any failure there (a missing file, another ABI, a changed signature)
+    falls back to ``scipy.fft.dstn`` without a word.  A transform that
+    returns wrong numbers quietly still meets the backward-error check of
+    :meth:`_DirichletSolver.solve`.
+    """
+    global _DST
+    if _DST is None:
+        try:
+            dst = _pocketfft_dst()
+            dst(np.zeros(3))
+        except Exception:  # whatever the private layout raises
+            from scipy.fft import dstn
+
+            def dst(a):
+                return dstn(a, type=1, norm="ortho")
+        _DST = dst
+    return _DST(x)
+
+
 class _DirichletSolver:
     """Direct solve of (-Lap_h + shift) w = b on a box with Dirichlet data.
 
@@ -340,9 +375,6 @@ class _DirichletSolver:
     def solve(self, rhs_interior, dirichlet):
         """Full-box solution with the ring of ``dirichlet`` folded into the
         right side, in the float dtype of ``rhs_interior``."""
-        # scipy loads on the first solve, so commands that never solve
-        # (analyze and trace of a saved or catalog flow) skip its import
-        from scipy.fft import dstn
         b = np.array(rhs_interior, dtype=np.result_type(rhs_interior, 1.0))
         dt = b.dtype
         hs = [dt.type(h) for h in self.spacings]
@@ -365,7 +397,7 @@ class _DirichletSolver:
                                            / (2 * (n - 1)))) / h ** 2
                     for n, h in zip(self.shape, hs)]
             eig = self._eig[dt] = sum(np.ix_(*axes)) + dt.type(self.shift)
-        w = dstn(dstn(b, type=1, norm="ortho") / eig, type=1, norm="ortho")
+        w = _dst1(_dst1(b) / eig)
         full = np.array(dirichlet, dtype=dt)
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself

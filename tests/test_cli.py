@@ -767,6 +767,21 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_solve_leaves_the_scipy_fft_package_out(tmp_path):
+    # a solve loads scipy's sine-transform extension from its file; the
+    # scipy.fft package and the scipy.special it pulls in stay unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulerlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from eulerlab import cli; code = cli.main(['solve',"
+            " 'strip', '--L', '6', '--nx', '97', '--ny', '33', '--out',"
+            " sys.argv[1]]); print(sorted(m for m in sys.modules if"
+            " m.startswith(('scipy.fft', 'scipy.special')))); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_file_bundle_reads_from_another_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",

@@ -135,10 +135,8 @@ def test_linear_solve_honors_dirichlet_ring():
 
 
 def zero_reaction():
-    return oned.custom(f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                       f_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                       F=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                       bound_M=0.0)
+    z = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    return oned.Nonlinearity(f=z, f_prime=z, F=z, bound_M=0.0, family="Custom")
 
 
 def zeros_on(g):
@@ -281,7 +279,7 @@ def test_residual_kinked_quadratic():
     g = Grid(STRIP, 33, 65, (0.0, 4.0), (-1.0, 1.0))
     X, Y = g.mesh()
     r = oned._defect(0.5 * Y * np.abs(Y), (g.hx, g.hy),
-                     oned.sign_equation().f)
+                     lambda s: -np.sign(s))
     away = (np.abs(Y) >= 2.0 * g.hy - 1e-12)[1:-1, 1:-1]
     assert float(np.max(np.abs(r[away]))) == 0.0
 

@@ -44,7 +44,7 @@ def momentum_error(flow):
 
 def zero_reaction():
     z = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return oned.custom(z, z, z, 1.0)
+    return oned.Nonlinearity(z, z, z, 1.0, "Custom")
 
 
 def test_constant_shear_from_stream():
@@ -148,9 +148,10 @@ def test_bernoulli_wall_law(strip_flows):
 def test_taylor_green_pressure_oracle():
     # u = sin x1 sin x2 solves -Lap(u) = f(u) with f(s) = 2s; the exact
     # pressure collapses to -(sin^2 x1 + sin^2 x2)/2
-    two = oned.custom(lambda s: 2.0 * s,
-                      lambda s: 2.0 * np.ones_like(np.asarray(s, dtype=float)),
-                      np.square, 100.0)
+    two = oned.Nonlinearity(
+        lambda s: 2.0 * s,
+        lambda s: 2.0 * np.ones_like(np.asarray(s, dtype=float)),
+        np.square, 100.0, "Custom")
     p_errs, id_errs = [], []
     for n in (32, 64, 128):
         tor = g.Grid(g.TORUS, n, n, (0.0, 2 * np.pi), (0.0, 2 * np.pi))
@@ -258,7 +259,10 @@ def test_sign_equation_stream_away_from_kink():
     gr = g.Grid(g.STRIP, 33, 65, (0.0, 2.0), (-1.0, 1.0))
     X, Y = gr.mesh()
     flow = flows.velocity_from_stream(
-        g.ScalarField(gr, 0.5 * Y * np.abs(Y)), oned.sign_equation())
+        g.ScalarField(gr, 0.5 * Y * np.abs(Y)),
+        oned.Nonlinearity(lambda s: -np.sign(s),
+                          lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+                          lambda s: -np.abs(s), 1.0, "SignFunction"))
     cat = flows.analytic_flow("ExampleSignEq", gr)
     away = np.abs(Y) >= 2 * gr.hy - 1e-12
     assert np.array_equal(flow.velocity.vx[away], cat.velocity.vx[away])

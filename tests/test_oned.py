@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import oned, serialize
+from eulerlab import cli, oned, serialize
 
 # shooting oracle, lam = 4 arctan family on (-1, 1)
 CENTER_VALUE = 1.987904528586843
@@ -285,8 +285,8 @@ def test_heteroclinic_truncation_guard():
 
 
 def test_heteroclinic_rejects_unbalanced_state():
-    nl = oned.custom(f=lambda s: np.cos(s), f_prime=lambda s: -np.sin(s),
-                     F=lambda s: np.sin(s), bound_M=1.0)
+    nl = oned.Nonlinearity(f=lambda s: np.cos(s), f_prime=lambda s: -np.sin(s),
+                           F=lambda s: np.sin(s), bound_M=1.0, family="Custom")
     with pytest.raises(ValueError):
         oned.solve_heteroclinic(nl)
 
@@ -351,13 +351,6 @@ def test_boundary_slope_exact_on_quadratics():
     assert abs(upper + 2.0) < 1e-12
 
 
-def test_sign_equation_fields():
-    nl = oned.sign_equation()
-    assert nl.f(2.0) == -1.0 and nl.f(-2.0) == 1.0
-    assert nl.F(-3.0) == -3.0
-    assert nl.bound_M == 1.0
-
-
 def test_profile_reads_its_dirichlet_pair_off_its_ends():
     p = oned.Profile((0.0, 1.0), [0.5, 0.7, 1.0], 0.0, 1)
     assert p.dirichlet == (0.5, 1.0)
@@ -371,6 +364,58 @@ def test_linear_solve_refuses_a_right_side_that_is_not_finite():
             solver.solve(np.array([1.0, bad, 1.0]), np.zeros(5))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         oned._DirichletSolver((5,), (0.25,), np.inf)
+
+
+@pytest.mark.parametrize("shape", [(2001,), (4001,), (383, 127), (319, 319),
+                                   (159, 159)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_direct_sine_transform_is_scipy_fft_dstn(shape):
+    from scipy.fft import dstn
+    dst = oned._pocketfft_dst()
+    x = np.random.default_rng(shape[0]).standard_normal(shape)
+    assert dst(x).tobytes() == dstn(x, type=1, norm="ortho").tobytes()
+    # a long double carries padding bytes that no transform writes, so
+    # compare values and signs, not tobytes()
+    xl = x.astype(np.longdouble) / 3
+    got, want = dst(xl), dstn(xl, type=1, norm="ortho")
+    assert got.dtype == want.dtype == np.longdouble
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sine_transform_falls_back_to_scipy_fft_with_the_same_bytes(
+        tmp_path, monkeypatch):
+    import scipy.fft
+    # the same relative --out from two directories: the bundle records it
+    args = ["solve", "strip", "--L", "6", "--nx", "97", "--ny", "33",
+            "--out", "run"]
+    for side in ("direct", "fallback"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "direct")
+    monkeypatch.setattr(oned, "_DST", None)
+    assert cli.main(args) == 0
+
+    def unloadable():
+        raise ImportError("no pocketfft extension at the expected path")
+
+    real_dstn, calls = scipy.fft.dstn, []
+
+    def dstn(*a, **kw):
+        calls.append(kw)
+        return real_dstn(*a, **kw)
+
+    monkeypatch.setattr(scipy.fft, "dstn", dstn)
+    monkeypatch.setattr(oned, "_pocketfft_dst", unloadable)
+    monkeypatch.setattr(oned, "_DST", None)
+    monkeypatch.chdir(tmp_path / "fallback")
+    assert cli.main(args) == 0
+    assert calls and all(kw == {"type": 1, "norm": "ortho"} for kw in calls)
+    direct = tmp_path / "direct" / "run"
+    fallback = tmp_path / "fallback" / "run"
+    names = sorted(p.name for p in direct.iterdir())
+    assert names == sorted(p.name for p in fallback.iterdir())
+    for name in names:
+        assert (fallback / name).read_bytes() == (direct / name).read_bytes()
 
 
 def test_profile_rejects_bad_input():
