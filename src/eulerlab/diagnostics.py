@@ -20,9 +20,8 @@ object always holds the same values, and replacing ``flow.velocity``
 rebuilds the bundle.  The bundle keeps none of the velocity partials:
 the identity residual forms them for its own expressions and builds the
 bundle from those same partials, so run_diagnostics, which takes the
-residual first, differences the velocity once.  Neighbour tests read the
-grid's one-node apron (``Grid.pad``): the torus wraps, and nothing lies
-beyond a bounded edge.
+residual first, differences the velocity once.  Neighbour tests wrap on
+the torus, and nothing lies beyond a bounded edge.
 
 The wall functional is computed by two routes that share no code: an
 interior integral of the signed curvature density, and a cutoff-weighted
@@ -66,6 +65,20 @@ VERDICTS = ("Shear", "FullCircle", "TypeIIIUpper", "TypeIIILower",
 # angles
 
 
+def _angle(u1, u2):
+    """Angle of the vectors (u1, u2) from e1, elementwise, in (-pi, pi]:
+    sgn(u2) * arccos(u1 / |u|), the zero vector mapped to 0 and the antipode
+    (u2 = 0, u1 < 0) to +pi.  Built in place in one fresh array."""
+    out = np.hypot(u1, u2)
+    moving = out > 0.0
+    np.divide(u1, out, out=out, where=moving)
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    np.negative(out, out=out, where=u2 < 0.0)
+    np.copyto(out, 0.0, where=~moving)
+    return out
+
+
 def angle_from(u):
     """Angle of vector u measured from e1 = (1, 0), in (-pi, pi].
 
@@ -74,14 +87,8 @@ def angle_from(u):
     or arrays with components along the last axis.
     """
     u = np.asarray(u, dtype=float)
-    scalar = u.shape == (2,)
-    u1, u2 = u[..., 0], u[..., 1]
-    mag = np.hypot(u1, u2)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    core = np.arccos(np.clip(u1 / safe, -1.0, 1.0))
-    sign = np.where(u2 < 0.0, -1.0, 1.0)
-    out = np.where(mag > 0.0, sign * core, 0.0)
-    return float(out) if scalar else out
+    out = _angle(np.atleast_1d(u[..., 0]), np.atleast_1d(u[..., 1]))
+    return float(out[0]) if u.shape == (2,) else out
 
 
 def _bin_index(theta, n_bins):
@@ -200,7 +207,8 @@ def _build_bundle(flow, grads) -> _Bundle:
     use, so few full-grid arrays are alive at once.  Each elementwise ufunc
     takes the same operands in the same order as the plain expression
     (x ** 2 is np.square, a masked np.copyto is np.where), so every bit is
-    the same.
+    the same.  The neighbour test keeps only the sign of the dot on the
+    steepest axis, one axis at a time.
     """
     g = flow.grid
     v = flow.velocity
@@ -209,9 +217,11 @@ def _build_bundle(flow, grads) -> _Bundle:
     floor = _diagnostics_floor(_cell_speed(g, g2max))
     # gy2 >= gx2 - 1e-9 g2max
     across_y = gy2 >= np.subtract(gx2, 1e-9 * g2max, out=gx2)
+    across_x = ~across_y
     del gx2, gy2
-    hn = np.where(across_y, g.hy, g.hx)
-    band = np.multiply(hn, np.sqrt(g2, out=g2), out=g2)  # hn |grad v|
+    band = np.sqrt(g2, out=g2)  # hn |grad v|, hn the spacing across the band
+    np.multiply(g.hy, band, out=band, where=across_y)
+    np.multiply(g.hx, band, out=band, where=across_x)
     speed2 = np.square(v.vx)
     speed2 += np.square(v.vy)
     speed = np.sqrt(speed2)
@@ -220,35 +230,45 @@ def _build_bundle(flow, grads) -> _Bundle:
     del speed, band, g2
     live = moving & ~censored
     dead = ~live
-    # v(node+h) . v(node-h) across the band; the zero apron beyond a bounded
-    # edge gives an end node a dot of 0, which is no sweep
-    px, py = g.pad(v.vx, 0.0), g.pad(v.vy, 0.0)
-    dot = np.multiply(px[2:, 1:-1], px[:-2, 1:-1])
-    dot += np.multiply(py[2:, 1:-1], py[:-2, 1:-1])
-    dot_y = np.multiply(px[1:-1, 2:], px[1:-1, :-2])
-    dot_y += np.multiply(py[1:-1, 2:], py[1:-1, :-2])
-    del px, py
-    np.copyto(dot, dot_y, where=across_y)
-    ridge = censored & (dot < 0.0)
-    del dot, dot_y, censored
+    # v(node+h) . v(node-h) < 0 across the band
+    opposed = _opposed_neighbours(v, 0, g.periodic)
+    np.copyto(opposed, _opposed_neighbours(v, 1, g.periodic), where=across_y)
+    ridge = censored & opposed
+    del opposed, censored
     # cx, cy = v1 grad v2 - v2 grad v1
     cx = np.multiply(v.vx, v2x)
     cx -= np.multiply(v.vy, v1x)
     cy = np.multiply(v.vx, v2y)
     cy -= np.multiply(v.vy, v1y)
-    dens = np.square(cx)
-    dens += np.square(cy)
-    np.copyto(speed2, 1.0, where=dead)
-    dens /= speed2
+    ridge_mass = np.hypot(cx, cy)
+    dens = np.square(cx, out=cx)
+    dens += np.square(cy, out=cy)
+    del cy
+    np.divide(dens, speed2, out=dens, where=live)
     np.copyto(dens, 0.0, where=dead)
     del speed2, dead
-    ridge_mass = np.hypot(cx, cy, out=cx)
-    del cy
     np.multiply(np.pi, ridge_mass, out=ridge_mass)
     ridge_mass *= _g.quadrature_weights(g)
-    ridge_mass /= hn
+    np.divide(ridge_mass, g.hy, out=ridge_mass, where=across_y)
+    np.divide(ridge_mass, g.hx, out=ridge_mass, where=across_x)
     np.copyto(ridge_mass, 0.0, where=~ridge)
     return _Bundle(v, floor, dens, live, ridge_mass, across_y)
+
+
+def _opposed_neighbours(v: VectorField, axis: int, periodic: bool) -> np.ndarray:
+    """v(node+h) . v(node-h) < 0 along ``axis``.  Beyond a bounded edge
+    nothing lies, so an end node has no opposed pair; the torus wraps."""
+    dot = np.zeros(v.vx.shape)
+    d = np.moveaxis(dot, axis, 0)
+    x, y = np.moveaxis(v.vx, axis, 0), np.moveaxis(v.vy, axis, 0)
+    np.multiply(x[2:], x[:-2], out=d[1:-1])
+    d[1:-1] += np.multiply(y[2:], y[:-2])
+    if periodic:
+        np.multiply(x[1:2], x[-1:], out=d[:1])
+        d[:1] += np.multiply(y[1:2], y[-1:])
+        np.multiply(x[:1], x[-2:-1], out=d[-1:])
+        d[-1:] += np.multiply(y[:1], y[-2:-1])
+    return dot < 0.0
 
 
 class AngleSet:
@@ -277,8 +297,7 @@ def angle_set(flow, n_bins: int = 360) -> AngleSet:
     v = flow.velocity
     speed = np.hypot(v.vx, v.vy)
     live = speed > threshold
-    theta = angle_from(np.stack([v.vx[live], v.vy[live]], axis=-1))
-    idx = _bin_index(theta, n_bins)
+    idx = _bin_index(_angle(v.vx[live], v.vy[live]), n_bins)
     mass = np.bincount(idx, weights=speed[live], minlength=n_bins)
     return AngleSet(mass, threshold)
 
@@ -329,18 +348,24 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     stencils, the identity becomes exact algebra, and only the stagnation
     floor itself is masked.
 
-    The expressions are formed one at a time, in the order listed, each
-    folded into a running max and min with ``out=`` and then dropped: the
-    same operands in the same order as reduce(np.maximum) and
-    reduce(np.minimum) over the list, so even signed zeros keep their bits,
-    with one expression alive instead of four.
+    The expressions are folded one at a time, in the order listed, into a
+    running max and min with ``out=`` and then dropped: the same operands in
+    the same order as reduce(np.maximum) and reduce(np.minimum) over the
+    list, so even signed zeros keep their bits, with at most two expressions
+    alive instead of four.  The third is formed before the second, in the
+    buffers of the velocity partials after their last read, so the unit
+    field, differenced one component and one axis at a time, never meets
+    them.  Divisions by |v|^2 skip the nodes off the live set, where the
+    quotient by 1 would leave the numerator as it is.
     """
-    grads = _g.vector_gradient(flow.velocity)
+    fd = derivatives == "fd"
+    grads = _g.vector_gradient(flow.velocity) if fd else None
     floor = _bundle(flow, grads).floor
     g = flow.grid
-    if derivatives == "fd":
+    if fd:
         v1, v2 = flow.velocity.vx, flow.velocity.vy
         v1x, v1y, v2x, v2y = grads
+        del grads
         pressure_partials = None
         if flow.pressure is not None:
             def pressure_partials():
@@ -352,44 +377,48 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
         X, Y = g.mesh()
         cf = flow.closed_form
         v1, v2 = cf["v1"](X, Y), cf["v2"](X, Y)
-        v1x, v1y = cf["v1_x"](X, Y), cf["v1_y"](X, Y)
-        v2x, v2y = cf["v2_x"](X, Y), cf["v2_y"](X, Y)
+        # copies, since the cross expression is formed in these buffers and
+        # an evaluator may return an array it keeps
+        v1x, v1y, v2x, v2y = (np.array(cf[name](X, Y), dtype=float)
+                              for name in ("v1_x", "v1_y", "v2_x", "v2_y"))
 
         def pressure_partials():
             return cf["P_x"](X, Y), cf["P_y"](X, Y)
     else:
         raise ValueError("derivatives must be 'fd' or 'analytic'")
-    del grads
 
     speed2 = np.square(v1)
     speed2 += np.square(v2)
     speed = np.sqrt(speed2)
-    if derivatives == "fd":
+    if fd:
         floor = max(floor, speed_fraction * float(speed.max()))
     live = speed > floor
-    dead = ~live
 
     # |grad |v||^2 and the partials of the unit vector field v/|v|
-    if derivatives == "fd":
-        gs = _g.gradient(ScalarField(g, speed))
-        grad_speed2 = gs.vx ** 2 + gs.vy ** 2
-        del gs
-        unit = np.where(live, 1.0, 0.0) / np.where(live, speed, 1.0)
+    if fd:
+        speed_field = ScalarField(g, speed)
+        grad_speed2, gsy = _g.ddx(speed_field), _g.ddy(speed_field)
+        # a gradient field's checks, on buffers left writable for the squares
+        _g._check_finite(grad_speed2)
+        _g._check_finite(gsy)
+        np.square(grad_speed2, out=grad_speed2)
+        grad_speed2 += np.square(gsy, out=gsy)
+        del gsy, speed_field
+        # 1/|v| on the live set and 0 off it
+        unit = np.divide(1.0, speed, out=np.zeros_like(speed), where=live)
         del speed
-        w = VectorField(g, v1 * unit, v2 * unit)
+        unit_partials = _unit_partials(g, v1, v2, unit)
         del unit
-        w1x, w1y, w2x, w2y = _g.vector_gradient(w)
-        del w
     else:
         dotx = v1 * v1x + v2 * v2x
         doty = v1 * v1y + v2 * v2y
         denom = np.where(live, speed, 1.0)
         denom2 = np.where(live, speed2, 1.0)
         grad_speed2 = (dotx ** 2 + doty ** 2) / denom2
-        w1x = v1x / denom - v1 * dotx / (denom2 * denom)
-        w1y = v1y / denom - v1 * doty / (denom2 * denom)
-        w2x = v2x / denom - v2 * dotx / (denom2 * denom)
-        w2y = v2y / denom - v2 * doty / (denom2 * denom)
+        unit_partials = [v1x / denom - v1 * dotx / (denom2 * denom),
+                         v1y / denom - v1 * doty / (denom2 * denom),
+                         v2x / denom - v2 * dotx / (denom2 * denom),
+                         v2y / denom - v2 * doty / (denom2 * denom)]
         del dotx, doty, denom, denom2, speed
 
     # the extreme pair attains the largest pairwise |difference|
@@ -407,43 +436,54 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
         np.maximum(hi, e, out=hi)
         np.minimum(lo, e, out=lo)
 
-    # |v|^2 |grad(v/|v|)|^2, formed in the buffers of the unit partials
-    e = np.square(w1x, out=w1x)
-    e += np.square(w1y, out=w1y)
-    e += np.square(w2x, out=w2x)
-    e += np.square(w2y, out=w2y)
+    # |v1 grad v2 - v2 grad v1|^2 / |v|^2, formed now in the buffers of the
+    # velocity partials, whose last read this is, and folded third; off the
+    # live set x / 1 is x, so the division skips it
+    cross = np.multiply(v1, v2x, out=v2x)
+    cross -= np.multiply(v2, v1x, out=v1x)
+    np.square(cross, out=cross)
+    cy = np.multiply(v1, v2y, out=v2y)
+    cy -= np.multiply(v2, v1y, out=v1y)
+    cross += np.square(cy, out=cy)
+    del cy, v1x, v1y, v2x, v2y
+    np.divide(cross, speed2, out=cross, where=live)
+
+    # |v|^2 |grad(v/|v|)|^2, summed in the buffer of the first unit partial
+    e = None
+    for part in unit_partials:
+        np.square(part, out=part)
+        e = part if e is None else np.add(e, part, out=e)
+        del part
+    del unit_partials
     np.multiply(speed2, e, out=e)
     fold(e)
-    del e, w1x, w1y, w2x, w2y
-    denom2 = speed2  # the speed^2 no longer read: 1 off the live set
-    np.copyto(denom2, 1.0, where=dead)
-    del speed2
-
-    # |v1 grad v2 - v2 grad v1|^2 / |v|^2
-    e = np.multiply(v1, v2x)
-    e -= np.multiply(v2, v1x)
-    np.square(e, out=e)
-    cy = np.multiply(v1, v2y)
-    cy -= np.multiply(v2, v1y)
-    e += np.square(cy, out=cy)
-    del cy
-    e /= denom2
-    fold(e)
-    del e, v1x, v1y, v2x, v2y
+    del e
+    fold(cross)
+    del cross
 
     # |grad P|^2 / |v|^2
     if pressure_partials is not None:
         p1, p2 = pressure_partials()
         e = np.square(p1)
         e += np.square(p2)
-        e /= denom2
+        np.divide(e, speed2, out=e, where=live)
         fold(e)
 
     spread = np.subtract(hi, lo, out=hi)
-    dead = g.pad(dead, False)
+    dead = g.pad(~live, False)
     spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
            | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0
     return ScalarField(g, spread)
+
+
+def _unit_partials(g, v1, v2, unit):
+    """The partials w1_x, w1_y, w2_x, w2_y of the unit field w = v * unit,
+    one component and one axis at a time."""
+    w = np.empty_like(unit)
+    for v in (v1, v2):
+        np.multiply(v, unit, out=w)
+        yield _g._diff1(w, g.hx, 0, g.periodic)
+        yield _g._diff1(w, g.hy, 1, g.periodic)
 
 
 def boundary_trace_Jinf(flow, R_list):
@@ -513,44 +553,35 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     the half circle centered on the node's direction, which is exactly the
     turn such a band makes.  Every spread is normalized to the node's full
     mass, so the profile total matches total_curvature to rounding.
+
+    The arcs are formed one axis at a time, folded in place and merged with
+    a masked copy, so few full-grid arrays are alive at once; each ufunc
+    takes the operands of the plain expression, so every bit is the same.
     """
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
     b = _bundle(flow)
     g = flow.grid
     live, ridge_mass, across_y = b.live, b.ridge_mass, b.across_y
-    wq = _g.quadrature_weights(g)
     v = flow.velocity
     width = 2.0 * np.pi / n_bins
 
-    theta = angle_from(np.stack([v.vx, v.vy], axis=-1))
+    theta = _angle(v.vx, v.vy)
+    # the arc across the steepest axis: y's, then x's merged in off across_y
+    span, center = _voronoi_arc(theta, 1, g.periodic)
+    span_x, center_x = _voronoi_arc(theta, 0, g.periodic)
+    across_x = ~across_y
+    np.copyto(span, span_x, where=across_x)
+    np.copyto(center, center_x, where=across_x)
+    del span_x, center_x, across_x
 
-    def wrap(a):
-        return (a + np.pi) % (2.0 * np.pi) - np.pi
-
-    def voronoi_arc(axis):
-        up = wrap(np.roll(theta, -1, axis) - theta)
-        dn = wrap(np.roll(theta, 1, axis) - theta)
-        if not g.periodic:
-            edge = [slice(None), slice(None)]
-            for j in (0, -1):
-                edge[axis] = j
-                up[tuple(edge)] = 0.0
-                dn[tuple(edge)] = 0.0
-        lo = np.minimum(up, dn) / 2.0
-        hi = np.maximum(up, dn) / 2.0
-        return np.clip(hi - lo, 0.0, np.pi), theta + (hi + lo) / 2.0
-
-    span_y, center_y = voronoi_arc(1)
-    span_x, center_x = voronoi_arc(0)
-    span = np.where(across_y, span_y, span_x)
-    center = np.where(across_y, center_y, center_x)
-
-    node_mass = wq * b.dens
+    node_mass = _g.quadrature_weights(g)
+    node_mass *= b.dens
     point = live & (span <= width)
     wide = live & ~point
     idx = _bin_index(theta[point], n_bins)
     mass = np.bincount(idx, weights=node_mass[point], minlength=n_bins)
+    del idx, point
 
     ridge = ridge_mass > 0.0
     starts = np.concatenate([(center[wide] - 0.5 * span[wide]).ravel(),
@@ -558,6 +589,7 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     spans = np.concatenate([span[wide].ravel(),
                             np.full(int(ridge.sum()), np.pi)])
     amounts = np.concatenate([node_mass[wide].ravel(), ridge_mass[ridge].ravel()])
+    del theta, span, center, node_mass, wide, ridge
     if amounts.size:
         lo_edges = bin_centers(n_bins) - 0.5 * width
         # overlap of each bin with the arc [start, start + span], mod 2pi
@@ -568,6 +600,36 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
         share = overlap / overlap.sum(axis=1, keepdims=True)
         mass = mass + amounts @ share
     return CurvatureProfile(mass)
+
+
+def _voronoi_arc(theta, axis, periodic):
+    """Span and center of each node's arc of directions across ``axis``:
+    the stretch between the midpoints of the wrapped turns toward its two
+    neighbours, which a bounded edge node does not have on its edge side."""
+    up, dn = np.empty_like(theta), np.empty_like(theta)
+    t, u, d = (np.moveaxis(a, axis, 0) for a in (theta, up, dn))
+    # theta[i+1] - theta[i] and theta[i-1] - theta[i], written by slices
+    np.subtract(t[1:], t[:-1], out=u[:-1])
+    np.subtract(t[:-1], t[1:], out=d[1:])
+    np.subtract(t[:1], t[-1:], out=u[-1:])
+    np.subtract(t[-1:], t[:1], out=d[:1])
+    for a in (up, dn):  # wrap into [-pi, pi)
+        a += np.pi
+        np.remainder(a, 2.0 * np.pi, out=a)
+        a -= np.pi
+    if not periodic:
+        for a in (u, d):
+            a[0] = a[-1] = 0.0
+    lo = np.minimum(up, dn)
+    hi = np.maximum(up, dn, out=up)
+    lo /= 2.0
+    hi /= 2.0
+    span = np.subtract(hi, lo, out=dn)
+    np.clip(span, 0.0, np.pi, out=span)
+    center = np.add(hi, lo, out=hi)
+    center /= 2.0
+    np.add(theta, center, out=center)
+    return span, center
 
 
 def semicircle_bins(n_bins: int):
