@@ -395,13 +395,7 @@ def _finish_trace(r):
 
 
 def _echo_config(r, cmd):
-    out = {"command": cmd}
-    for key in sorted(r):
-        val = r[key]
-        if key == "seed" and val:
-            val = [list(p) for p in val]
-        out[key] = val
-    return out
+    return {"command": cmd, **{key: r[key] for key in sorted(r)}}
 
 
 # ---------------------------------------------------------------------------

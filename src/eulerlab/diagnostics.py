@@ -37,8 +37,7 @@ import numpy as np
 
 from . import grid as _g
 from . import serialize as _ser
-from .grid import (Grid, GridError, ScalarField, VectorField,
-                   STRIP, HALF_PLANE, TORUS, PLANE)
+from .grid import GridError, ScalarField, VectorField, STRIP
 
 
 class RTooLarge(ValueError):
@@ -77,18 +76,6 @@ def _angle(u1, u2):
     np.negative(out, out=out, where=u2 < 0.0)
     np.copyto(out, 0.0, where=~moving)
     return out
-
-
-def angle_from(u):
-    """Angle of vector u measured from e1 = (1, 0), in (-pi, pi].
-
-    sgn(u2) * arccos(u1 / |u|), with the zero vector mapped to 0 and the
-    antipodal boundary case (u2 = 0, u1 < 0) to +pi.  Accepts single vectors
-    or arrays with components along the last axis.
-    """
-    u = np.asarray(u, dtype=float)
-    out = _angle(np.atleast_1d(u[..., 0]), np.atleast_1d(u[..., 1]))
-    return float(out[0]) if u.shape == (2,) else out
 
 
 def _bin_index(theta, n_bins):
@@ -286,7 +273,7 @@ class AngleSet:
 
 
 def angle_set(flow, n_bins: int = 360) -> AngleSet:
-    """Bin the directions angle_from(v) of all nodes faster than the
+    """Bin the directions _angle(vx, vy) of all nodes faster than the
     stagnation floor, read off the flow's curvature bundle (the same bits
     as :func:`stagnation_floor`).
     """
@@ -496,7 +483,7 @@ def boundary_trace_Jinf(flow, R_list):
     as a sequence, convergence being the caller's question.
     """
     g = flow.grid
-    if g.kind not in (STRIP, HALF_PLANE):
+    if not g.wall_rows():
         raise GridError("wall trace needs a strip or half-plane grid")
     x = g.x_nodes()
     span = max(abs(g.x_range[0]), abs(g.x_range[1]))
@@ -751,7 +738,7 @@ def wall_limits(flow):
     solved flows.
     """
     g = flow.grid
-    if g.kind not in (STRIP, HALF_PLANE):
+    if not g.wall_rows():
         raise GridError("wall limits need a strip or half-plane grid")
     m = max(1, int(np.ceil(0.1 * g.nx)))
     out = {}
@@ -835,7 +822,7 @@ def run_diagnostics(flow, R=None, bins: int = 360, kappa_bins: int = 64,
         aset = angle_set(flow, n_bins=bins)
         tc = total_curvature(flow)
         j_signed = signed_curvature_integral(flow)
-        if flow.grid.kind in (STRIP, HALF_PLANE):
+        if flow.grid.wall_rows():
             if R is None:
                 span = max(abs(flow.grid.x_range[0]),
                            abs(flow.grid.x_range[1]))

@@ -24,8 +24,9 @@ of its reference parameters (the keyword defaults):
   arctan family: solve on the half strip (0, L) x (-1, 1) with the 1D
   transverse profile as far-field data, then extend oddly through x1 = 0.
 * ``solve_saddle_quadrant`` builds the half-plane saddle of the Allen-Cahn
-  term: solve on the quadrant (0, L)^2 with heteroclinic traces on the far
-  sides, then extend oddly in x1.
+  term: solve on the quadrant (0, L)^2, a half-plane grid with its wall at
+  x2 = 0, with heteroclinic traces on the far sides, then extend oddly in
+  x1.
 
 Both reuse the 1D solutions on the same node set, which makes the constant
 extension (strip) and min construction (quadrant) exact discrete
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import flows, oned
-from .grid import Grid, GridError, ScalarField, STRIP, QUADRANT
+from .grid import Grid, GridError, ScalarField, STRIP, HALF_PLANE
 
 
 NonConvergence = oned.NonConvergence
@@ -255,7 +256,8 @@ def solve_type3_strip(lam: float = 4.0, L: float = 12.0, nx: int = 769,
 def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8):
     """The half-plane saddle of f = s - s^3 on (-L, L) x (0, L).
 
-    Solves on the quadrant (0, L)^2 with zero data on both axes and
+    Solves on the quadrant (0, L)^2, built as a half-plane grid (its wall
+    row is x2 = 0), with zero data on both axes and
     heteroclinic traces g on the far sides, descending from the exact
     discrete supersolution min(g(x1), g(x2)) over the zero field, then
     odd-extends in x1.  The heteroclinic is solved on the same n-node axis
@@ -266,7 +268,7 @@ def solve_saddle_quadrant(L: float = 20.0, n: int = 321, tol: float = 1e-8):
     L = float(L)
     n = int(n)
     g = oned.solve_heteroclinic(nl, L=L, n=n, tol=min(1e-10, tol))
-    quad = Grid(QUADRANT, n, n, (0.0, L), (0.0, L))
+    quad = Grid(HALF_PLANE, n, n, (0.0, L), (0.0, L))
     supersol = ScalarField(
         quad, np.minimum(g.values[:, None], g.values[None, :]))
     ring = dirichlet_ring(quad, right=g.values, top=g.values)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import grid as _g
 from .grid import (Grid, GridError, IncompatibleGrid, ScalarField, VectorField,
-                   STRIP, HALF_PLANE, TORUS, PLANE)
+                   STRIP, TORUS, PLANE)
 from . import serialize as _ser
 
 
@@ -59,7 +59,6 @@ class Flow:
         self.pressure = pressure
         self.provenance = dict(provenance or {"kind": "Unknown"})
         self.closed_form = closed_form
-        self.boundary_rows = list(grid.wall_rows())
 
 
 def velocity_from_stream(u: ScalarField, nl=None) -> Flow:
@@ -240,7 +239,7 @@ def odd_extend_x1(f: ScalarField) -> ScalarField:
     """Reflect a field on a half grid x1 >= 0 oddly through the x2 axis.
 
     Mirror values are the exact negatives, and the x1 = 0 trace must vanish.
-    A quadrant becomes a half plane when reflected; other kinds keep theirs.
+    The full grid keeps the half grid's kind.
     """
     g = f.grid
     if g.periodic:
@@ -252,9 +251,8 @@ def odd_extend_x1(f: ScalarField) -> ScalarField:
     if worst > 1e-12:
         raise ParityViolation(
             "odd extension needs a zero trace on x1 = 0; found %.3e" % worst)
-    kind = HALF_PLANE if g.kind == _g.QUADRANT else g.kind
     L = g.x_range[1]
-    full = Grid(kind, 2 * g.nx - 1, g.ny, (-L, L), g.y_range)
+    full = Grid(g.kind, 2 * g.nx - 1, g.ny, (-L, L), g.y_range)
     vals = np.empty((full.nx, full.ny))
     vals[g.nx - 1:, :] = f.values
     vals[:g.nx - 1, :] = -f.values[:0:-1, :]
@@ -299,7 +297,7 @@ def save_flow(flow: Flow, csv_path, json_path, extra=None) -> None:
         "schema_version": _ser.SCHEMA_VERSION,
         "grid": g.to_dict(),
         "provenance": flow.provenance,
-        "boundary_rows": flow.boundary_rows,
+        "boundary_rows": list(g.wall_rows()),
         "has_pressure": has_p,
         "residual_norms": norms,
         "csv": os.path.relpath(csv_path,

@@ -1,16 +1,18 @@
 """Tensor-product node grids and second-order finite differences.
 
-The domains are rectangles standing in for the five flow geometries: a
-truncated channel strip, a truncated half plane, a quarter plane, a doubly
-periodic square, and a plain rectangle.  Nodes sit at the tensor product of
-uniformly spaced coordinates; values live on nodes.  A grid is periodic on
-both axes (the torus) or bounded on both (every other kind), so one flag,
+The domains are rectangles standing in for the four flow geometries: a
+truncated channel strip, a truncated half plane, a doubly periodic square,
+and a plain rectangle.  Nodes sit at the tensor product of uniformly spaced
+coordinates; values live on nodes.  A grid is periodic on both axes (the
+torus) or bounded on both (every other kind), so one flag,
 ``Grid.periodic``, says what lies beyond every edge, and ``Grid.pad`` gives
-the one-node apron that neighbour tests read.  Derivatives use centered
-second-order stencils in the interior, one-sided second-order stencils at
-bounded edges, and wrap around on the torus.  Quadrature is the trapezoid
-rule, degenerating to the rectangle rule on the torus (where it is
-spectrally accurate).
+the one-node apron that neighbour tests read.  Slip walls are the one other
+edge fact: ``Grid.wall_rows()`` names them (both strip rows, the half
+plane's y = 0 row, none elsewhere), and every module reads them there.
+Derivatives use centered second-order stencils in the interior, one-sided
+second-order stencils at bounded edges, and wrap around on the torus.
+Quadrature is the trapezoid rule, degenerating to the rectangle rule on the
+torus (where it is spectrally accurate).
 
 Field values are stored with shape ``(nx, ny)`` indexed ``[i, j]`` for node
 ``(x_i, y_j)``, and the arrays are frozen: operations always allocate.
@@ -22,10 +24,9 @@ import numpy as np
 
 STRIP = "StripTruncation"
 HALF_PLANE = "HalfPlaneTruncation"
-QUADRANT = "Quadrant"
 TORUS = "Torus"
 PLANE = "Plane"
-KINDS = (STRIP, HALF_PLANE, QUADRANT, TORUS, PLANE)
+KINDS = (STRIP, HALF_PLANE, TORUS, PLANE)
 
 
 class GridError(ValueError):
@@ -55,7 +56,7 @@ class Grid:
         the right end is omitted (it duplicates the left end).
     x_range, y_range : (float, float)
         Coordinate extents.  A strip must span exactly [-1, 1] transversally;
-        a half plane has its wall at y = 0; a quadrant has both walls at 0.
+        a half plane has its wall at y = 0.
     """
 
     def __init__(self, kind, nx, ny, x_range, y_range):
@@ -72,8 +73,6 @@ class Grid:
             raise GridError("a strip grid spans y in [-1, 1], got [%g, %g]" % (y0, y1))
         if kind == HALF_PLANE and y0 != 0.0:
             raise GridError("a half-plane grid has its wall at y = 0")
-        if kind == QUADRANT and (x0 != 0.0 or y0 != 0.0):
-            raise GridError("a quadrant grid has its corner at the origin")
         periodic = kind == TORUS
         hx = (x1 - x0) / (nx if periodic else nx - 1)
         hy = (y1 - y0) / (ny if periodic else ny - 1)
@@ -120,10 +119,11 @@ class Grid:
         return np.pad(a, 1, constant_values=fill)
 
     def wall_rows(self):
-        """Indices of the slip-wall node rows (j-index) for this geometry."""
+        """Indices of the slip-wall node rows (j-index) for this geometry;
+        empty exactly when the grid has no walls (torus and plane)."""
         if self.kind == STRIP:
             return (0, self.ny - 1)
-        if self.kind in (HALF_PLANE, QUADRANT):
+        if self.kind == HALF_PLANE:
             return (0,)
         return ()
 

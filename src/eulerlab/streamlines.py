@@ -168,13 +168,15 @@ def _unit_kernel(flow):
     velocity rows, grid constants and floor bound once (see the module
     docstring for the order rules).
     """
+    # the floor's gradient pass runs and frees its arrays before the
+    # velocity rows become Python float lists, so the two never coexist
+    stall = stagnation_floor(flow)
     v = flow.velocity
     g = v.grid
     vx, vy = v.vx.tolist(), v.vy.tolist()
     x0, y0, hx, hy = g.x_range[0], g.y_range[0], g.hx, g.hy
     nx, ny, periodic = g.nx, g.ny, g.periodic
     xmax, ymax, ilast, jlast = nx - 1.0, ny - 1.0, nx - 2, ny - 2
-    stall = stagnation_floor(flow)
     floor = math.floor
 
     def unit(x, y):

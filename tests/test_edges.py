@@ -5,7 +5,9 @@ On the torus there is no edge, so rolling a flow's node arrays by whole
 cells must roll every nodewise diagnostic exactly and move every contour
 segment and stagnation point by the same whole cells: the seam is not a
 place.  On a bounded grid the apron is a fill, so nothing reaches across
-from the opposite edge.
+from the opposite edge.  Which edges are slip walls is read off
+``Grid.wall_rows()`` alone: every wall diagnostic and the saved envelope
+agree with it on every grid kind.
 """
 
 from collections import Counter
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulerlab import diagnostics as dg
-from eulerlab import flows
+from eulerlab import flows, serialize
 from eulerlab import grid as g
 from eulerlab import streamlines as sl
 from eulerlab.grid import ScalarField, VectorField
@@ -153,3 +155,26 @@ def test_end_nodes_of_a_bounded_grid_see_no_opposite_edge():
     resid = dg.curvature_identity_residual(flow).values
     assert not resid[:, :2].any()
     assert resid[:, -1].all()
+
+
+@pytest.mark.parametrize("kind", g.KINDS)
+def test_wall_rows_answer_every_wall_question(kind, tmp_path):
+    y_range = (-1.0, 1.0) if kind == g.STRIP else (0.0, 2.0)
+    gr = g.Grid(kind, 33, 17, (0.0, 8.0), y_range)
+    X, Y = gr.mesh()
+    flow = node_flow(gr, 1.0 + 0.1 * np.cos(X), 0.1 * np.sin(X) * Y)
+    walls = gr.wall_rows()
+
+    def accepts(read):
+        try:
+            read(flow)
+        except g.GridError:
+            return False
+        return True
+
+    assert accepts(lambda f: dg.boundary_trace_Jinf(f, [2.0])) == bool(walls)
+    assert accepts(dg.wall_limits) == bool(walls)
+    assert bool(dg.run_diagnostics(flow).J_inf_trace) == bool(walls)
+    flows.save_flow(flow, tmp_path / "f.csv", tmp_path / "f.json")
+    envelope = serialize.read_json(tmp_path / "f.json")
+    assert envelope["boundary_rows"] == list(walls)

@@ -17,11 +17,11 @@ from scipy.sparse.linalg import spsolve
 from eulerlab import elliptic2d as e2
 from eulerlab import grid as _g
 from eulerlab import oned
-from eulerlab.grid import Grid, GridError, ScalarField, QUADRANT, STRIP, TORUS
+from eulerlab.grid import Grid, GridError, ScalarField, HALF_PLANE, STRIP, TORUS
 
 
 def unit_square(n):
-    return Grid(QUADRANT, n, n, (0.0, 1.0), (0.0, 1.0))
+    return Grid(HALF_PLANE, n, n, (0.0, 1.0), (0.0, 1.0))
 
 
 def dirichlet_solve(g, shift, rhs, ring):
@@ -580,7 +580,7 @@ def test_saddle_two_sided_limit():
     down = e2.solve_saddle_quadrant(L=L, n=n)[0]
     nl = oned.allen_cahn()
     g = oned.solve_heteroclinic(nl, L=L, n=n)
-    quad = Grid(QUADRANT, n, n, (0.0, L), (0.0, L))
+    quad = Grid(HALF_PLANE, n, n, (0.0, L), (0.0, L))
     supersol = ScalarField(quad, np.minimum(g.values[:, None],
                                             g.values[None, :]))
     delta = 2.0 * np.pi / L

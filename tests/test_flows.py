@@ -56,7 +56,7 @@ def test_constant_shear_from_stream():
     assert np.array_equal(flow.vorticity.values, np.zeros(gr.shape))
     assert np.array_equal(flow.pressure.values, np.full(gr.shape, -0.5))
     assert flow.provenance == {"kind": "FromStream", "tag": "Custom"}
-    assert flow.boundary_rows == [0, 32]
+    assert flow.grid.wall_rows() == (0, 32)
     mom, div = flows.euler_residual(flow)
     m = gr.interior_mask()
     assert np.abs(mom.vx[m]).max() == 0.0 and np.abs(mom.vy[m]).max() == 0.0
@@ -95,7 +95,7 @@ def test_random_streams_slip_and_divergence():
                     * np.cos((l + 1) * np.pi * X / 2.0)
         flow = flows.velocity_from_stream(g.ScalarField(gr, vals))
         assert flow.pressure is None
-        for j in flow.boundary_rows:
+        for j in flow.grid.wall_rows():
             assert np.abs(flow.velocity.vy[:, j]).max() <= 1e-12
         div = g.divergence(flow.velocity)
         assert np.abs(div.values[m]).max() <= 1e-12
@@ -130,7 +130,7 @@ def test_bernoulli_wall_law(strip_flows):
     spans = []
     for f in strip_flows:
         per_wall = []
-        for j in f.boundary_rows:
+        for j in f.grid.wall_rows():
             b = f.pressure.values[:, j] + 0.5 * f.velocity.vx[:, j] ** 2
             per_wall.append(float(b.max() - b.min()))
         spans.append(max(per_wall))
@@ -140,7 +140,7 @@ def test_bernoulli_wall_law(strip_flows):
     # analytic shear: wall speed is constant, so the law is exact to roundoff
     gr = g.Grid(g.STRIP, 65, 65, (0.0, 2.0), (-1.0, 1.0))
     kol = flows.analytic_flow("Kolmogorov", gr)
-    for j in kol.boundary_rows:
+    for j in kol.grid.wall_rows():
         b = kol.pressure.values[:, j] + 0.5 * kol.velocity.vx[:, j] ** 2
         assert float(b.max() - b.min()) < 1e-12
 
@@ -395,7 +395,7 @@ def schema1_envelope(flow):
     # the bundle layout before the node table moved out of the JSON
     env = {"schema_version": 1, "grid": flow.grid.to_dict(),
            "provenance": flow.provenance,
-           "boundary_rows": flow.boundary_rows,
+           "boundary_rows": list(flow.grid.wall_rows()),
            "has_pressure": flow.pressure is not None,
            "residual_norms": {}, "vx": flow.velocity.vx,
            "vy": flow.velocity.vy, "omega": flow.vorticity.values}

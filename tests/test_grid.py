@@ -40,11 +40,6 @@ def test_minimum_node_count():
         g.Grid(g.PLANE, 4, 32, (0.0, 1.0), (0.0, 1.0))
 
 
-def test_quadrant_corner_at_origin():
-    with pytest.raises(g.GridError):
-        g.Grid(g.QUADRANT, 16, 16, (1.0, 2.0), (0.0, 1.0))
-
-
 def test_half_plane_wall_at_zero():
     with pytest.raises(g.GridError):
         g.Grid(g.HALF_PLANE, 16, 16, (-1.0, 1.0), (-0.5, 1.0))
