@@ -301,8 +301,7 @@ def check_identity_chain(cache):
                            r_coarse / r_fine >= 2.5, r_coarse / r_fine,
                            4.0, ">= 2.5"))
     fl = cache.counterexample(129)
-    worst = float(np.max(dg.curvature_identity_residual(
-        fl, derivatives="analytic").values))
+    worst = float(np.max(dg.closed_form_identity_residual(fl).values))
     out.append(CheckResult("identity_chain_closed_form_exact",
                            worst <= 1e-12, worst, 0.0, "<= 1e-12"))
     return out

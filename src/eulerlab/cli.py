@@ -53,6 +53,12 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; maps to exit code 1."""
 
 
+# what the options ask for and the run refuses: grids no solver can take (h^2
+# out of range), radii the domain cannot hold, overflow, seeds off the grid
+_CONFIG_ERRORS = (ConfigError, GridError, dg.RTooLarge, dg.RTooSmall,
+                  dg.DiagnosticOverflow, sl.SeedOutsideDomain)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse wants to sys.exit on bad flags; raise instead so main() can
     # report the field-precise message and return the config exit code
@@ -505,7 +511,7 @@ def _flow_from_source(r):
                            or _DEFAULT_GRIDS[flows._CATALOG[name][0]])
         try:
             return flows.analytic_flow(name, grid)
-        except (GridError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(str(e))
     if r["file"]:
         try:
@@ -599,12 +605,7 @@ def cmd_solve(r, out, cfg) -> int:
 
 
 def cmd_analyze(r, out, cfg) -> int:
-    flow = _flow_from_source(r)
-    try:
-        rep = _call(dg.run_diagnostics, r, flow=flow)
-    except (dg.RTooLarge, dg.RTooSmall, dg.NotAStripGrid,
-            dg.DiagnosticOverflow) as e:
-        raise ConfigError(str(e))
+    rep = _call(dg.run_diagnostics, r, flow=_flow_from_source(r))
     dg.save_angle_set(rep.angle_set, os.path.join(out, "angle_set.csv"))
     dg.save_curvature_profile(rep.kappa_profile,
                               os.path.join(out, "curvature_profile.csv"))
@@ -618,13 +619,8 @@ def cmd_analyze(r, out, cfg) -> int:
 
 def cmd_trace(r, out, cfg) -> int:
     flow = _flow_from_source(r)
-    polys = []
-    for seed in r["seed"]:
-        try:
-            polys.append(sl.trace(flow, seed, step=r["step"],
-                                  max_steps=r["max_steps"]))
-        except sl.SeedOutsideDomain as e:
-            raise ConfigError(str(e))
+    polys = [sl.trace(flow, seed, step=r["step"], max_steps=r["max_steps"])
+             for seed in r["seed"]]
     sl.save_polylines(polys, os.path.join(out, "traces.csv"),
                       os.path.join(out, "traces.json"),
                       extra={"config": cfg})
@@ -722,8 +718,7 @@ def main(argv=None) -> int:
                               % (r["out"], e))
         cfg = _echo_config(r, ns.command)
         return _DISPATCH[ns.command][1](r, r["out"], cfg)
-    except (ConfigError, GridError) as e:
-        # grids the options built that no solver can take (h^2 out of range)
+    except _CONFIG_ERRORS as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as e:

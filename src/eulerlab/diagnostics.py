@@ -32,6 +32,7 @@ the whole pipeline, so the report carries both.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 
 import numpy as np
 
@@ -318,22 +319,21 @@ def signed_curvature_integral(flow) -> float:
                           + float((sgn * b.ridge_mass).sum()))
 
 
-def curvature_identity_residual(flow, derivatives: str = "fd",
+def curvature_identity_residual(flow,
                                 speed_fraction: float = 0.05) -> ScalarField:
-    """Nodewise spread of the equivalent curvature-density expressions.
+    """Nodewise spread of equivalent curvature densities by finite differences.
 
     Compares |grad v|^2 - |grad |v||^2, |v|^2 |grad(v/|v|)|^2,
     |v1 grad v2 - v2 grad v1|^2/|v|^2, and (with pressure) |grad P|^2/|v|^2;
     returns the max pairwise discrepancy.
 
-    In FD mode the comparison is masked where |v| <= speed_fraction times
-    the peak speed (and one node beyond): every expression divides by a
-    power of |v|, so the finite-difference error grows without bound as the
+    The comparison is masked where |v| <= speed_fraction times the peak
+    speed (and one node beyond): every expression divides by a power of
+    |v|, so the finite-difference error grows without bound as the
     stagnation set is approached, and only a floor that does not shrink
-    with the mesh leaves a max that refines at second order.  With
-    derivatives="analytic" the catalog's closed-form evaluators replace the
-    stencils, the identity becomes exact algebra, and only the stagnation
-    floor itself is masked.
+    with the mesh leaves a max that refines at second order.
+    :func:`closed_form_identity_residual` forms the same expressions from a
+    catalog flow's closed-form derivatives.
 
     The expressions are folded one at a time, in the order listed, into a
     running max and min with ``out=`` and then dropped: the same operands in
@@ -345,68 +345,33 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     them.  Divisions by |v|^2 skip the nodes off the live set, where the
     quotient by 1 would leave the numerator as it is.
     """
-    fd = derivatives == "fd"
-    grads = _g.vector_gradient(flow.velocity) if fd else None
+    grads = _g.vector_gradient(flow.velocity)
     floor = _bundle(flow, grads).floor
     g = flow.grid
-    if fd:
-        v1, v2 = flow.velocity.vx, flow.velocity.vy
-        v1x, v1y, v2x, v2y = grads
-        del grads
-        pressure_partials = None
-        if flow.pressure is not None:
-            def pressure_partials():
-                pg = _g.gradient(flow.pressure)
-                return pg.vx, pg.vy
-    elif derivatives == "analytic":
-        if flow.closed_form is None:
-            raise ValueError("flow carries no closed-form evaluators")
-        X, Y = g.mesh()
-        cf = flow.closed_form
-        v1, v2 = cf["v1"](X, Y), cf["v2"](X, Y)
-        # copies, since the cross expression is formed in these buffers and
-        # an evaluator may return an array it keeps
-        v1x, v1y, v2x, v2y = (np.array(cf[name](X, Y), dtype=float)
-                              for name in ("v1_x", "v1_y", "v2_x", "v2_y"))
-
-        def pressure_partials():
-            return cf["P_x"](X, Y), cf["P_y"](X, Y)
-    else:
-        raise ValueError("derivatives must be 'fd' or 'analytic'")
+    v1, v2 = flow.velocity.vx, flow.velocity.vy
+    v1x, v1y, v2x, v2y = grads
+    del grads
 
     speed2 = np.square(v1)
     speed2 += np.square(v2)
     speed = np.sqrt(speed2)
-    if fd:
-        floor = max(floor, speed_fraction * float(speed.max()))
+    floor = max(floor, speed_fraction * float(speed.max()))
     live = speed > floor
 
     # |grad |v||^2 and the partials of the unit vector field v/|v|
-    if fd:
-        speed_field = ScalarField(g, speed)
-        grad_speed2, gsy = _g.ddx(speed_field), _g.ddy(speed_field)
-        # a gradient field's checks, on buffers left writable for the squares
-        _g._check_finite(grad_speed2)
-        _g._check_finite(gsy)
-        np.square(grad_speed2, out=grad_speed2)
-        grad_speed2 += np.square(gsy, out=gsy)
-        del gsy, speed_field
-        # 1/|v| on the live set and 0 off it
-        unit = np.divide(1.0, speed, out=np.zeros_like(speed), where=live)
-        del speed
-        unit_partials = _unit_partials(g, v1, v2, unit)
-        del unit
-    else:
-        dotx = v1 * v1x + v2 * v2x
-        doty = v1 * v1y + v2 * v2y
-        denom = np.where(live, speed, 1.0)
-        denom2 = np.where(live, speed2, 1.0)
-        grad_speed2 = (dotx ** 2 + doty ** 2) / denom2
-        unit_partials = [v1x / denom - v1 * dotx / (denom2 * denom),
-                         v1y / denom - v1 * doty / (denom2 * denom),
-                         v2x / denom - v2 * dotx / (denom2 * denom),
-                         v2y / denom - v2 * doty / (denom2 * denom)]
-        del dotx, doty, denom, denom2, speed
+    speed_field = ScalarField(g, speed)
+    grad_speed2, gsy = _g.ddx(speed_field), _g.ddy(speed_field)
+    # a gradient field's checks, on buffers left writable for the squares
+    _g._check_finite(grad_speed2)
+    _g._check_finite(gsy)
+    np.square(grad_speed2, out=grad_speed2)
+    grad_speed2 += np.square(gsy, out=gsy)
+    del gsy, speed_field
+    # 1/|v| on the live set and 0 off it
+    unit = np.divide(1.0, speed, out=np.zeros_like(speed), where=live)
+    del speed
+    unit_partials = _unit_partials(g, v1, v2, unit)
+    del unit
 
     # the extreme pair attains the largest pairwise |difference|
     # |grad v|^2 - |grad |v||^2 starts the running max (hi) and min (lo)
@@ -449,14 +414,49 @@ def curvature_identity_residual(flow, derivatives: str = "fd",
     del cross
 
     # |grad P|^2 / |v|^2
-    if pressure_partials is not None:
-        p1, p2 = pressure_partials()
-        e = np.square(p1)
-        e += np.square(p2)
+    if flow.pressure is not None:
+        pg = _g.gradient(flow.pressure)
+        e = np.square(pg.vx)
+        e += np.square(pg.vy)
         np.divide(e, speed2, out=e, where=live)
         fold(e)
 
-    spread = np.subtract(hi, lo, out=hi)
+    return _stagnation_halo(g, live, np.subtract(hi, lo, out=hi))
+
+
+def closed_form_identity_residual(flow) -> ScalarField:
+    """:func:`curvature_identity_residual` from a catalog flow's closed-form
+    derivatives: the identity is exact algebra, so only the stagnation floor
+    (and one node beyond) is masked."""
+    if flow.closed_form is None:
+        raise ValueError("flow carries no closed-form evaluators")
+    floor = _bundle(flow).floor
+    X, Y = flow.grid.mesh()
+    v1, v2, v1x, v1y, v2x, v2y, p1, p2 = (
+        flow.closed_form[name](X, Y) for name in
+        ("v1", "v2", "v1_x", "v1_y", "v2_x", "v2_y", "P_x", "P_y"))
+    speed2 = v1 ** 2 + v2 ** 2
+    speed = np.sqrt(speed2)
+    live = speed > floor
+    denom = np.where(live, speed, 1.0)
+    denom2 = np.where(live, speed2, 1.0)
+    dotx = v1 * v1x + v2 * v2x
+    doty = v1 * v1y + v2 * v2y
+    grad_speed2 = (dotx ** 2 + doty ** 2) / denom2
+    w1x = v1x / denom - v1 * dotx / (denom2 * denom)
+    w1y = v1y / denom - v1 * doty / (denom2 * denom)
+    w2x = v2x / denom - v2 * dotx / (denom2 * denom)
+    w2y = v2y / denom - v2 * doty / (denom2 * denom)
+    exprs = [v1x ** 2 + v1y ** 2 + v2x ** 2 + v2y ** 2 - grad_speed2,
+             speed2 * (w1x ** 2 + w1y ** 2 + w2x ** 2 + w2y ** 2),
+             ((v1 * v2x - v2 * v1x) ** 2 + (v1 * v2y - v2 * v1y) ** 2) / denom2,
+             (p1 ** 2 + p2 ** 2) / denom2]
+    spread = reduce(np.maximum, exprs) - reduce(np.minimum, exprs)
+    return _stagnation_halo(flow.grid, live, spread)
+
+
+def _stagnation_halo(g, live, spread) -> ScalarField:
+    """``spread`` zeroed off the live set and one node beyond."""
     dead = g.pad(~live, False)
     spread[dead[1:-1, 1:-1] | dead[2:, 1:-1] | dead[:-2, 1:-1]
            | dead[1:-1, 2:] | dead[1:-1, :-2]] = 0.0

@@ -311,9 +311,14 @@ def save_flow(flow: Flow, csv_path, json_path, extra=None) -> None:
 def load_flow(json_path) -> Flow:
     """Read a bundle written by :func:`save_flow`; a schema-1 envelope, with
     no ``"csv"`` entry, carries the node fields itself as (nx, ny) arrays.
-    The CSV's x/y columns must equal the envelope grid's node table."""
+    The CSV's x/y columns must equal the envelope grid's node table, and
+    the envelope's ``boundary_rows``, when given, the grid's wall rows."""
     d = _ser.read_json(json_path)
     g = Grid.from_dict(d["grid"])
+    walls = list(g.wall_rows())
+    if d.get("boundary_rows", walls) != walls:
+        raise ValueError("boundary_rows %r are not the wall rows %r of grid %r"
+                         % (d["boundary_rows"], walls, g))
     if "csv" in d:
         header, cols = _ser.read_csv(
             os.path.join(os.path.dirname(json_path), d["csv"]))

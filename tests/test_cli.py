@@ -15,12 +15,13 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import eulerlab
-from eulerlab import cli, flows
+from eulerlab import acceptance, cli, flows
 from eulerlab import diagnostics as dg
 from eulerlab import serialize as ser
 from eulerlab import streamlines as sl
@@ -436,6 +437,11 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["analyze", "--catalog", "couette", "--grid", "strip:1e308:257:65"],
     ["analyze", "--solve", "halfplane", "--n", "41", "--R", "0.5"],
     ["analyze", "--solve", "halfplane", "--n", "41", "--R", "1,5"],
+    # a plateau radius wider than the strip's half-width
+    ["analyze", "--catalog", "couette", "--grid", "strip:4:65:33", "--R", "5"],
+    # a seed off a bounded grid
+    ["trace", "--catalog", "couette", "--grid", "strip:4:33:17",
+     "--seed", "0,5"],
     ["analyze", "--catalog", "couette", "--shear-tol", "-1"],
     # spacings whose h^2 overflows or underflows
     ["solve1d", "--family", "allen-cahn", "--L", "1e300"],
@@ -466,6 +472,8 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
     ["analyze", "--file", "{bundle:csv-null}"],
     ["analyze", "--file", "{bundle:x-range-number}"],
     ["analyze", "--file", "{bundle:provenance-number}"],
+    # wall rows that are not the grid's
+    ["analyze", "--file", "{bundle:boundary-rows}"],
     ["trace", "--file", "{bundle:array}", "--seed", "0,0.5"],
     # a finite flow whose diagnostics overflow the double range
     ["analyze", "--catalog", "exponential-counterexample", "--grid",
@@ -744,6 +752,8 @@ BUNDLE_DAMAGE = {
         env, grid=dict(env["grid"], x_range=3))), "not a flow bundle"),
     "provenance-number": (_edit_envelope(lambda env: dict(env, provenance=7)),
                           "not a flow bundle"),
+    "boundary-rows": (_edit_envelope(lambda env: dict(env, boundary_rows=[3])),
+                      "not a flow bundle"),
 }
 
 
@@ -807,10 +817,14 @@ def test_negative_seed_needs_no_equals_sign(tmp_path):
                                                        [-2.0, 0.25]]
 
 
-def _readme_commands():
+def _readme():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path) as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _readme_commands():
+    text = _readme()
     return (re.findall(r"^eulerlab .*$", text, re.M)
             + re.findall(r"`(eulerlab [^`]+)`", text))
 
@@ -824,3 +838,22 @@ def test_readme_commands_parse_and_resolve(monkeypatch):
         ns = cli._build_parser().parse_args(argv)
         resolved = cli._resolve(ns.command, ns)
         assert resolved["out"] == "eulerlab_out", line
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys, cache):
+    # the commands of the README's fenced blocks, in order, so that
+    # analyze --file eulerlab_out/flow.json reads the bundle the solve
+    # before it wrote; verify and reproduce take their flows from the
+    # session's flow cache
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EULERLAB_OUT", raising=False)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: cache)
+    lines = [line for block in _readme().split("```")[1::2]
+             for line in block.splitlines() if line.startswith("eulerlab ")]
+    assert len(lines) == 13
+    capsys.readouterr()
+    for line in lines:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(shlex.split(line, comments=True)[1:])
+        assert (code, capsys.readouterr().err, caught) == (0, "", []), line

@@ -299,13 +299,8 @@ def test_identity_residual_refines_on_solved_strip(strip_flow, cache):
 def test_counterexample_identity_is_algebraically_exact():
     gr = g.Grid(g.PLANE, 129, 129, (-1.0, 1.0), (-1.0, 1.0))
     fl = flows.analytic_flow("ExponentialCounterexample", gr)
-    r = dg.curvature_identity_residual(fl, derivatives="analytic")
+    r = dg.closed_form_identity_residual(fl)
     assert np.max(r.values) <= 1e-12
-
-
-def test_identity_residual_mode_guard():
-    with pytest.raises(ValueError):
-        dg.curvature_identity_residual(shear("Couette"), derivatives="spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -1083,8 +1078,12 @@ def test_in_place_residual_and_bundle_keep_every_bit(
     # the first call builds the bundle, as the reference does
     want = flagged(lambda: reference_identity_residual(
         fl, derivatives, speed_fraction).values)
-    got = [flagged(lambda: dg.curvature_identity_residual(
-        fl, derivatives, speed_fraction).values) for _ in range(2)]
+    def residual():
+        if derivatives == "fd":
+            return dg.curvature_identity_residual(fl, speed_fraction)
+        return dg.closed_form_identity_residual(fl)
+
+    got = [flagged(lambda: residual().values) for _ in range(2)]
     with np.errstate(all="ignore"):
         want_bundle = reference_bundle(fl)
         got_bundle = dg._build_bundle(fl, g.vector_gradient(fl.velocity))

@@ -1,13 +1,13 @@
-"""Golden bytes: the sha256 of every artifact of twelve pinned runs.
+"""Golden bytes: the sha256 of every artifact of thirteen pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
 change that moves any number in the last digit, or reorders a key or a
 column, fails here.  Each run writes to a fixed relative ``--out`` inside a
 scratch working directory, because the resolved configuration (output path
-included) is echoed into every JSON artifact.  The ``verify`` run takes
-its flows from the session's flow cache, so it adds no solve; ``reproduce``
-solves its saddle and strip itself, as the command does.
+included) is echoed into every JSON artifact.  The ``verify`` runs take
+their flows from the session's flow cache, so they add no solve;
+``reproduce`` solves its saddle and strip itself, as the command does.
 """
 
 import hashlib
@@ -122,6 +122,16 @@ GOLDEN = {
         ["verify", "--suite", "shears", "--out", "golden_verify_shears"],
         {
             "verify.json": "c94d3ae004a3566f23cee4b6cc958307f04d722450d41613bd387378a4aa0a2a",
+        },
+    ),
+    # the counterexample's residuals and every identity-chain value: the
+    # refinement ratios of the finite-difference identity residual and the
+    # closed-form residual's maximum
+    "verify_identities": (
+        ["verify", "--suite", "identities", "--out",
+         "golden_verify_identities"],
+        {
+            "verify.json": "c7a291a2b737bc04a679a44404826a14bbc267a37f54d1b419d4ade5b498e7f6",
         },
     ),
     # separatrices (zero level contours), trace fans and stagnation points
