@@ -301,6 +301,9 @@ def test_counterexample_identity_is_algebraically_exact():
     fl = flows.analytic_flow("ExponentialCounterexample", gr)
     r = dg.closed_form_identity_residual(fl)
     assert np.max(r.values) <= 1e-12
+    fl.closed_form = None
+    with pytest.raises(ValueError, match="no closed-form evaluators"):
+        dg.closed_form_identity_residual(fl)
 
 
 # ---------------------------------------------------------------------------
