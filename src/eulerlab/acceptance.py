@@ -231,11 +231,11 @@ def check_saddle_flow(cache):
     pts = sl.stagnation_points(fl)
     out.append(CheckResult("saddle_stagnation_count", len(pts) == 1,
                            len(pts), 1, "exactly one"))
-    if pts:
-        h = max(fl.grid.hx, fl.grid.hy)
-        dist = float(np.hypot(pts[0][0], pts[0][1]))
-        out.append(CheckResult("saddle_stagnation_at_origin",
-                               dist <= 2.0 * h, dist, 0.0, "<= 2h"))
+    # emitted with no point found too, so a failing saddle prints every line
+    dist = float(np.hypot(pts[0][0], pts[0][1])) if pts else "none"
+    h = max(fl.grid.hx, fl.grid.hy)
+    out.append(CheckResult("saddle_stagnation_at_origin",
+                           bool(pts) and dist <= 2.0 * h, dist, 0.0, "<= 2h"))
     verdict = dg.classify(dg.angle_set(fl), tc).kind
     out.append(CheckResult("saddle_verdict", verdict == "TypeIIIUpper",
                            verdict, "TypeIIIUpper", "exact"))

@@ -126,7 +126,7 @@ def stagnation_floor(flow) -> float:
     return _diagnostics_floor(cell_speed_variation(flow))
 
 
-_Bundle = namedtuple("_Bundle", "velocity floor dens live ridge_mass across_y")
+_Bundle = namedtuple("_Bundle", "velocity floor mass live ridge_mass across_y")
 
 
 def _bundle(flow, grads=None) -> _Bundle:
@@ -150,12 +150,13 @@ def _build_bundle(flow, grads) -> _Bundle:
     that also pick the steepest axis, so it costs no extra array pass.
 
     ``across_y`` marks nodes whose steepest velocity variation runs along
-    x2.  ``dens`` is the pointwise density
-    |v1 grad v2 - v2 grad v1|^2 / |v|^2 on ``live`` nodes and zero
-    elsewhere; ``ridge_mass`` is a per-node correction, zero off a small
-    exceptional set.
+    x2.  Both arrays are per-node curvature masses, trapezoid weights
+    included, so every reading sums them: ``mass`` is the pointwise density
+    |v1 grad v2 - v2 grad v1|^2 / |v|^2 on ``live`` nodes (zero elsewhere)
+    times the node's weight; ``ridge_mass`` is a sub-cell band correction,
+    zero off a small exceptional set.
 
-    A node is censored from ``dens`` when |v| <= h_n |grad v| with h_n the
+    A node is censored from ``mass`` when |v| <= h_n |grad v| with h_n the
     node spacing across the direction of steepest velocity variation: there
     the flow direction turns through order one inside a single cell, and a
     nodewise sample weighted by a full cell misreads what the cell actually
@@ -229,18 +230,21 @@ def _build_bundle(flow, grads) -> _Bundle:
     cy = np.multiply(v.vx, v2y)
     cy -= np.multiply(v.vy, v1y)
     ridge_mass = np.hypot(cx, cy)
-    dens = np.square(cx, out=cx)
-    dens += np.square(cy, out=cy)
+    mass = np.square(cx, out=cx)
+    mass += np.square(cy, out=cy)
     del cy
-    np.divide(dens, speed2, out=dens, where=live)
-    np.copyto(dens, 0.0, where=dead)
+    np.divide(mass, speed2, out=mass, where=live)
+    np.copyto(mass, 0.0, where=dead)
     del speed2, dead
+    weights = _g.quadrature_weights(g)
+    mass *= weights
     np.multiply(np.pi, ridge_mass, out=ridge_mass)
-    ridge_mass *= _g.quadrature_weights(g)
+    ridge_mass *= weights
+    del weights
     np.divide(ridge_mass, g.hy, out=ridge_mass, where=across_y)
     np.divide(ridge_mass, g.hx, out=ridge_mass, where=across_x)
     np.copyto(ridge_mass, 0.0, where=~ridge)
-    return _Bundle(v, floor, dens, live, ridge_mass, across_y)
+    return _Bundle(v, floor, mass, live, ridge_mass, across_y)
 
 
 def _opposed_neighbours(v: VectorField, axis: int, periodic: bool) -> np.ndarray:
@@ -297,8 +301,7 @@ def angle_set(flow, n_bins: int = 360) -> AngleSet:
 def total_curvature(flow) -> float:
     """Curvature density integrated over the grid, sub-cell bands included."""
     b = _bundle(flow)
-    return (_g.integrate(ScalarField(flow.grid, b.dens))
-            + float(b.ridge_mass.sum()))
+    return float(b.mass.sum()) + float(b.ridge_mass.sum())
 
 
 def signed_curvature_integral(flow) -> float:
@@ -315,7 +318,7 @@ def signed_curvature_integral(flow) -> float:
     for j in flow.grid.wall_rows():
         inner = 1 if j == 0 else ny - 2
         sgn[:, j] = np.sign(flow.velocity.vy[:, inner])
-    return 2.0 / np.pi * (_g.integrate(ScalarField(flow.grid, sgn * b.dens))
+    return 2.0 / np.pi * (float((sgn * b.mass).sum())
                           + float((sgn * b.ridge_mass).sum()))
 
 
@@ -562,12 +565,10 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     np.copyto(center, center_x, where=across_x)
     del span_x, center_x, across_x
 
-    node_mass = _g.quadrature_weights(g)
-    node_mass *= b.dens
     point = live & (span <= width)
     wide = live & ~point
     idx = _bin_index(theta[point], n_bins)
-    mass = np.bincount(idx, weights=node_mass[point], minlength=n_bins)
+    mass = np.bincount(idx, weights=b.mass[point], minlength=n_bins)
     del idx, point
 
     ridge = ridge_mass > 0.0
@@ -575,8 +576,8 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
                              (theta[ridge] - 0.5 * np.pi).ravel()])
     spans = np.concatenate([span[wide].ravel(),
                             np.full(int(ridge.sum()), np.pi)])
-    amounts = np.concatenate([node_mass[wide].ravel(), ridge_mass[ridge].ravel()])
-    del theta, span, center, node_mass, wide, ridge
+    amounts = np.concatenate([b.mass[wide].ravel(), ridge_mass[ridge].ravel()])
+    del theta, span, center, wide, ridge
     if amounts.size:
         lo_edges = bin_centers(n_bins) - 0.5 * width
         # overlap of each bin with the arc [start, start + span], mod 2pi

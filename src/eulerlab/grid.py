@@ -291,12 +291,3 @@ def axis_weights(n: int, h: float, periodic: bool) -> np.ndarray:
 def quadrature_weights(grid: Grid) -> np.ndarray:
     return np.outer(axis_weights(grid.nx, grid.hx, grid.periodic),
                     axis_weights(grid.ny, grid.hy, grid.periodic))
-
-
-def integrate(f) -> float:
-    """Trapezoid-rule integral of a scalar field over its whole grid."""
-    if isinstance(f, ScalarField):
-        grid, v = f.grid, f.values
-    else:
-        raise TypeError("integrate expects a ScalarField; got %r" % type(f))
-    return float(np.sum(v * quadrature_weights(grid)))

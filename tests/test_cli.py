@@ -408,6 +408,22 @@ def test_verify_oned_suite_passes(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 0
 
 
+def test_a_saddle_without_a_stagnation_point_prints_every_line(
+        tmp_path, capsys, monkeypatch, cache):
+    # the origin check fails instead of going missing, so a failing saddle
+    # prints as many lines as a passing one
+    monkeypatch.setattr(sl, "stagnation_points", lambda flow: [])
+    monkeypatch.setattr(cache, "drop", lambda key: None)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: cache)
+    assert len(acceptance.check_saddle_flow(cache)) == 5
+    code = cli.main(["verify", "--suite", "all", "--out", str(tmp_path)])
+    assert code == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 48 and lines[-1] == "suite all: 47 checks, 2 failed"
+    assert "FAIL saddle_stagnation_at_origin measured=none expected=0 " \
+           "tol=<= 2h" in lines
+
+
 # ---------------------------------------------------------------------------
 # front-door robustness and the documented commands
 

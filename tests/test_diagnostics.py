@@ -842,13 +842,14 @@ def reference_build_bundle(flow, grads):
     censored = moving & (speed <= hn * np.sqrt(g2))
     live = moving & ~censored
     dens = np.where(live, (cx ** 2 + cy ** 2) / np.where(live, speed2, 1.0), 0.0)
+    wq = g.quadrature_weights(gr)
+    mass = dens * wq
     px, py = gr.pad(v.vx, 0.0), gr.pad(v.vy, 0.0)
     dot_x = px[2:, 1:-1] * px[:-2, 1:-1] + py[2:, 1:-1] * py[:-2, 1:-1]
     dot_y = px[1:-1, 2:] * px[1:-1, :-2] + py[1:-1, 2:] * py[1:-1, :-2]
     ridge = censored & (np.where(across_y, dot_y, dot_x) < 0.0)
-    wq = g.quadrature_weights(gr)
     ridge_mass = np.where(ridge, np.pi * np.hypot(cx, cy) * wq / hn, 0.0)
-    return dg._Bundle(v, floor, dens, live, ridge_mass, across_y)
+    return dg._Bundle(v, floor, mass, live, ridge_mass, across_y)
 
 
 def reference_identity_residual(flow, derivatives, speed_fraction):
@@ -946,7 +947,6 @@ def reference_kappa_distribution(flow, n_bins):
     b = reference_bundle(flow)
     gr = flow.grid
     live, ridge_mass, across_y = b.live, b.ridge_mass, b.across_y
-    wq = g.quadrature_weights(gr)
     v = flow.velocity
     width = 2.0 * np.pi / n_bins
     theta = reference_angle_from(np.stack([v.vx, v.vy], axis=-1))
@@ -971,7 +971,7 @@ def reference_kappa_distribution(flow, n_bins):
     span_x, center_x = voronoi_arc(0)
     span = np.where(across_y, span_y, span_x)
     center = np.where(across_y, center_y, center_x)
-    node_mass = wq * b.dens
+    node_mass = b.mass
     point = live & (span <= width)
     wide = live & ~point
     idx = dg._bin_index(theta[point], n_bins)
@@ -1099,6 +1099,34 @@ def test_in_place_residual_and_bundle_keep_every_bit(
             == bits(getattr(want_bundle, name)), name
 
 
+def test_closed_form_residual_takes_a_node_at_the_floor_as_stagnant():
+    # the twin's live set is speed > floor: a node whose closed-form speed
+    # is exactly the bundle floor is stagnant, so it and its four
+    # neighbours read zero, while every other node keeps its spread
+    gr = g.Grid(g.PLANE, 17, 17, (-1.0, 1.0), (-1.0, 1.0))
+    X, Y = gr.mesh()
+    vel = VectorField(gr, np.sin(Y + 0.3) + 0.2 * np.sin(X), 0.1 * np.cos(X))
+    rng = np.random.default_rng(0)
+    drawn = {name: d * (1.0 + 0.1 * rng.standard_normal(gr.shape))
+             for name, d in zip(("v1_x", "v1_y", "v2_x", "v2_y"),
+                                g.vector_gradient(vel))}
+    drawn["P_x"], drawn["P_y"] = rng.standard_normal((2,) + gr.shape)
+    cf = {name: (lambda X, Y, name=name: drawn[name])
+          for name in ("v1", "v2", *drawn)}
+    fl = flows.Flow(gr, vel, ScalarField(gr, np.zeros(gr.shape)), None,
+                    closed_form=cf)
+    floor = dg._bundle(fl).floor
+    drawn["v1"], drawn["v2"] = vel.vx.copy(), vel.vy.copy()
+    drawn["v1"][8, 8], drawn["v2"][8, 8] = floor, 0.0
+    assert np.sqrt(drawn["v1"] ** 2 + drawn["v2"] ** 2)[8, 8] == floor
+    got = dg.closed_form_identity_residual(fl).values
+    assert bits(got) == bits(reference_identity_residual(fl, "analytic", 0.0)
+                             .values)
+    halo = np.zeros(gr.shape, dtype=bool)
+    halo[7:10, 8] = halo[8, 7:10] = True
+    assert np.all(got[halo] == 0.0) and np.all(got[~halo] > 0.0)
+
+
 @settings(max_examples=100)
 @given(kind=st.sampled_from(sorted(DRAWN_GRIDS)), nx=nodes, ny=nodes,
        seed=st.integers(0, 2 ** 32 - 1), ramp=st.booleans(),
@@ -1167,9 +1195,14 @@ def test_diagnostics_working_set_is_bounded():
 @pytest.mark.parametrize("read, bound", [
     # the residual building the bundle: 11.4 (15.5 before)
     (dg.curvature_identity_residual, 12.5),
-    # with the bundle kept: 7.2 (15.7 before) and 4.4 (9.3 before)
-    (dg.kappa_distribution, 7.9),
+    # with the bundle kept: 6.2 (7.2 with a bare density in the bundle,
+    # 15.7 before the in-place build) and 4.4 (9.3 before)
+    (dg.kappa_distribution, 6.8),
     (dg.angle_set, 4.8),
+    # the bundle's node masses summed: 0.0 and 2.0 (1.3 and 3.3 with a
+    # weights array and a product formed per reading)
+    (dg.total_curvature, 0.1),
+    (dg.signed_curvature_integral, 2.2),
 ])
 def test_each_diagnostic_working_set_is_bounded(read, bound):
     fl = taylor_green(256)

@@ -96,7 +96,7 @@ def test_rolling_a_torus_flow_rolls_its_bundle_exactly(shape, k, m, make):
     flow = make(torus(*shape))
     moved = rolled(flow, k, m)
     b0, b1 = dg._bundle(flow), dg._bundle(moved)
-    for name in ("dens", "live", "ridge_mass", "across_y"):
+    for name in ("mass", "live", "ridge_mass", "across_y"):
         assert np.array_equal(getattr(b1, name),
                               np.roll(getattr(b0, name), (k, m), (0, 1))), name
     r0 = dg.curvature_identity_residual(flow).values

@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of every artifact of thirteen pinned runs.
+"""Golden bytes: the sha256 of every artifact of fourteen pinned runs.
 
 The README promises that identical resolved configurations produce
 byte-identical files.  These hashes pin that output across refactors, so a
@@ -132,6 +132,15 @@ GOLDEN = {
          "golden_verify_identities"],
         {
             "verify.json": "c7a291a2b737bc04a679a44404826a14bbc267a37f54d1b419d4ade5b498e7f6",
+        },
+    ),
+    # every check of every suite: the type3, saddle, cellular and
+    # invariance values read the total curvature, J_inf and the curvature
+    # profile at acceptance sizes, which no run above covers
+    "verify_all": (
+        ["verify", "--suite", "all", "--out", "golden_verify_all"],
+        {
+            "verify.json": "e852aa6ea3628cc1c9ed17b8b4057c5857a5da77215603e600028e2e69ffa85f",
         },
     ),
     # separatrices (zero level contours), trace fans and stagnation points
