@@ -202,10 +202,11 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
             return False
         return True
 
+    # the engine never writes into the start it is given, so the frozen
+    # start field needs no copy
     run = oned._monotone_sweeps(
-        sweep, np.array(first.values, dtype=float), sub.values, sup.values,
-        ascending, done, oned.SWEEPS_2D, 1e-10 * (1.0 + smax),
-        certify=certify)
+        sweep, first.values, sub.values, sup.values, ascending, done,
+        oned.SWEEPS_2D, 1e-10 * (1.0 + smax), certify=certify)
     return ScalarField(g, run.u), SolveReport(
         run.sweeps, res, run.update, run.accepted, run.rejected, run.rate)
 

@@ -217,18 +217,27 @@ def _diff2(v: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     return out
 
 
-def _neg_lap(v: np.ndarray, spacings) -> np.ndarray:
+def _neg_lap(v: np.ndarray, spacings, out=None) -> np.ndarray:
     """-Lap_h on the interior nodes of an array of any rank: the
     (2, -1, -1)/h^2 stencil summed over the axes, one spacing per axis.
-    Spacings in the dtype of ``v`` keep its precision."""
+    Spacings in the dtype of ``v`` keep its precision.  The first axis's
+    term is formed in ``out`` if given (the interior's shape, in the dtype
+    of ``v``) and every later one in a temporary added to it, by the same
+    operations in the same order either way."""
     inner = (slice(1, -1),) * v.ndim
-    out = None
+    total = out
     for axis, h in enumerate(spacings):
         hi, lo = list(inner), list(inner)
         hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-        term = (2.0 * v[inner] - v[tuple(hi)] - v[tuple(lo)]) / h ** 2
-        out = term if out is None else out + term
-    return out
+        term = np.multiply(v[inner], 2.0, out=None if axis else out)
+        np.subtract(term, v[tuple(hi)], out=term)
+        np.subtract(term, v[tuple(lo)], out=term)
+        np.divide(term, h ** 2, out=term)
+        if axis:
+            np.add(total, term, out=total)
+        else:
+            total = term
+    return total
 
 
 def ddx(f: ScalarField) -> np.ndarray:

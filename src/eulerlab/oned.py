@@ -220,6 +220,15 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     Each settled rate also goes to ``judge(rate)`` if given, which may end
     the run by raising NonConvergence.
 
+    The engine makes two buffers on its first sweep and writes over them
+    on every later one: the step, whose min and max give the direction
+    check, the update and so the rate, and a scratch array that holds each
+    side's sandwich gap in turn.  A jump is formed in the step buffer and
+    keeps it if accepted; the next sweep then makes a new one.  Besides
+    those, the engine writes only into the array a sweep returned (its
+    clamp), never into ``lower``, ``upper`` or the start ``u``, which it
+    returns unchanged if ``done`` stops the run before any sweep.
+
     Returns a :class:`SweepRun`: the iterate, the plain sweeps run, the last
     update, the accepted and rejected jumps, and the last settled rate (None
     if the rate never settled).
@@ -227,6 +236,7 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     update = np.inf
     sweeps = accepted = rejected = 0
     last = ratio = rate = None
+    step = scratch = None  # made by the first sweep, then written over
     while not done(u, update):
         if update == 0.0:
             raise NonConvergence("iteration stalled at sweep %d: the sweep "
@@ -235,19 +245,24 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
             raise NonConvergence("no convergence in %d sweeps (last update "
                                  "%.3e)" % (max_iter, update))
         nxt = sweep(u)
-        step = nxt - u
-        worst = float(step.min()) if ascending else float(step.max())
+        step = np.subtract(nxt, u, out=step)
+        low, high = float(step.min()), float(step.max())
+        worst = low if ascending else high
         if (worst < -slack) if ascending else (worst > slack):
             raise NonConvergence("%s sweep lost monotonicity (worst step %.3e)"
                                  % ("ascending" if ascending else "descending",
                                     worst))
-        escape = max(float(np.max(lower - nxt)), float(np.max(nxt - upper)))
+        scratch = np.subtract(lower, nxt, out=scratch)
+        below = float(scratch.max())
+        escape = max(below, float(np.subtract(nxt, upper, out=scratch).max()))
         if escape > slack:
             raise NonConvergence("iterate escaped the sub/supersolution "
                                  "sandwich by %.3e" % escape)
         np.minimum(np.maximum(nxt, lower, out=nxt), upper, out=nxt)
         sweeps += 1
-        norm = float(np.max(np.abs(step)))
+        # max |step| exactly, since rounding to float is symmetric; abs
+        # keeps a zero step's update +0.0
+        norm = max(abs(low), abs(high))
         before, ratio = ratio, (norm / last if last else None)
         last = norm
         if (before is not None and ratio is not None
@@ -256,7 +271,10 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
             if judge is not None:
                 judge(rate)
             if certify is not None and rate < 1.0 and THETA > 0.0:
-                cand = nxt + (THETA * rate / (1.0 - rate)) * step
+                # the jump is formed in the step buffer; a kept jump takes
+                # the buffer with it, and the next sweep makes a new one
+                cand = np.add(nxt, np.multiply(
+                    step, THETA * rate / (1.0 - rate), out=step), out=step)
                 # a wrong-way step the slack let through comes out of the
                 # jump about r/(1-r) times larger, past the near bound
                 if ascending:
@@ -266,8 +284,10 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
                 if (np.all(cand <= upper) if ascending
                         else np.all(cand >= lower)) and certify(cand):
                     accepted += 1
-                    update = float(np.max(np.abs(cand - u)))
-                    u = cand
+                    move = np.subtract(cand, u, out=scratch)
+                    update = max(abs(float(move.min())),
+                                 abs(float(move.max())))
+                    u, step = cand, None
                     last = ratio = None
                     continue
                 rejected += 1
@@ -302,7 +322,9 @@ def _pocketfft_dst():
     ``dst(x, 1, axes, 1, None, 1, None)`` is the call that
     ``scipy.fft.dstn(x, type=1, norm="ortho")`` makes (norm code 1 is
     "ortho"; no output array, one worker); the package import it skips
-    would also load ``scipy.special``.
+    would also load ``scipy.special``.  An output array ``out`` may be
+    ``x`` itself: each line is transformed in a buffer of its own, so the
+    transform in place gives the same bits.
     """
     root = os.path.dirname(importlib.util.find_spec("scipy").origin)
     base = os.path.join(root, "fft", "_pocketfft", "pypocketfft")
@@ -311,15 +333,17 @@ def _pocketfft_dst():
     spec = importlib.util.spec_from_file_location("pypocketfft", path)
     ext = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ext)
-    return lambda x: ext.dst(x, 1, tuple(range(x.ndim)), 1, None, 1, None)
+    return lambda x, out=None: ext.dst(x, 1, tuple(range(x.ndim)), 1, out,
+                                       1, None)
 
 
 _DST = None  # the DST-I that _dst1 settled on in this process
 
 
-def _dst1(x):
+def _dst1(x, out=None):
     """Orthonormal DST-I of ``x`` along every axis, as
-    ``scipy.fft.dstn(x, type=1, norm="ortho")`` gives it.
+    ``scipy.fft.dstn(x, type=1, norm="ortho")`` gives it, written into
+    ``out`` (which may be ``x``) if given.
 
     The first call loads the transform straight from scipy's extension
     file and tries it on three points.  That layout is private to scipy, so
@@ -336,10 +360,14 @@ def _dst1(x):
         except Exception:  # whatever the private layout raises
             from scipy.fft import dstn
 
-            def dst(a):
-                return dstn(a, type=1, norm="ortho")
+            def dst(a, out=None):
+                t = dstn(a, type=1, norm="ortho")
+                if out is None:
+                    return t
+                out[...] = t
+                return out
         _DST = dst
-    return _DST(x)
+    return _DST(x, out)
 
 
 class _DirichletSolver:
@@ -358,6 +386,15 @@ class _DirichletSolver:
     of the full box, boundary included.  A spacing whose h*h or 4/(h*h) is
     not positive and finite raises :class:`grid.GridError`; a right side
     that is not finite raises NonConvergence before the transforms.
+
+    A solve allocates only the box it returns.  Each dtype keeps a
+    workspace of two interior-sized arrays, made on its first solve: the
+    folded right side, which both transforms and the eigenvalue division
+    overwrite in place until it holds the solution, and the residual of the
+    check.  Once the returned box holds the solution, the check's stencil
+    writes over the first.  Every value comes from the same operations in
+    the same order as when each step took a new array, so every bit is the
+    same.
     """
 
     def __init__(self, shape, spacings, shift):
@@ -371,12 +408,19 @@ class _DirichletSolver:
                                    "4/h^2 must be positive and finite" % h)
         self.shift = float(shift)
         self._eig = {}
+        self._work = {}
 
     def solve(self, rhs_interior, dirichlet):
         """Full-box solution with the ring of ``dirichlet`` folded into the
-        right side, in the float dtype of ``rhs_interior``."""
-        b = np.array(rhs_interior, dtype=np.result_type(rhs_interior, 1.0))
-        dt = b.dtype
+        right side, in the float dtype of ``rhs_interior``; a new array on
+        every call, sharing no memory with the workspace."""
+        dt = np.result_type(rhs_interior, 1.0)
+        work = self._work.get(dt)
+        if work is None:  # first solve in this dtype
+            inner = [n - 2 for n in self.shape]
+            work = self._work[dt] = (np.empty(inner, dt), np.empty(inner, dt))
+        b, r = work
+        np.copyto(b, rhs_interior)
         hs = [dt.type(h) for h in self.spacings]
         for axis, h in enumerate(hs):
             for end in (0, -1):
@@ -397,15 +441,19 @@ class _DirichletSolver:
                                            / (2 * (n - 1)))) / h ** 2
                     for n, h in zip(self.shape, hs)]
             eig = self._eig[dt] = sum(np.ix_(*axes)) + dt.type(self.shift)
-        w = _dst1(_dst1(b) / eig)
-        full = np.array(dirichlet, dtype=dt)
-        full[(slice(1, -1),) * b.ndim] = w
-        # residual of the unfolded system: the stencil sees the ring itself
+        w = _dst1(np.divide(_dst1(b, out=b), eig, out=b), out=b)
         wnorm = _norm(w)
         if not math.isfinite(wnorm):
             raise NonConvergence("the sine transform of a right side of "
                                  "%.3e overflowed" % bnorm)
-        rnorm = _norm(rhs_interior - self.shift * w - _g._neg_lap(full, hs))
+        full = np.array(dirichlet, dtype=dt)
+        full[(slice(1, -1),) * b.ndim] = w
+        # residual of the unfolded system: the stencil sees the ring itself,
+        # and writes over the solution, which the box now holds
+        np.multiply(w, self.shift, out=r)
+        np.subtract(rhs_interior, r, out=r)
+        np.subtract(r, _g._neg_lap(full, hs, out=b), out=r)
+        rnorm = _norm(r)
         anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift
         if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):
             raise NonConvergence("sine-transform solve left a residual of "

@@ -860,9 +860,10 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys, cache):
     # the commands of the README's fenced blocks, in order, so that
     # analyze --file eulerlab_out/flow.json reads the bundle the solve
     # before it wrote; verify and reproduce take their flows from the
-    # session's flow cache
+    # session's flow cache, which keeps them for later modules
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("EULERLAB_OUT", raising=False)
+    monkeypatch.setattr(cache, "drop", lambda key: None)
     monkeypatch.setattr(acceptance, "_FlowCache", lambda: cache)
     lines = [line for block in _readme().split("```")[1::2]
              for line in block.splitlines() if line.startswith("eulerlab ")]

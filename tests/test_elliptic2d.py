@@ -6,6 +6,7 @@ so the fixed point is certified by a solver that shares no code with the
 sweep machinery.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -128,6 +129,139 @@ def test_linear_solve_honors_dirichlet_ring():
     assert np.array_equal(w[-1, :], d[-1, :])
     # harmonic interpolant stays inside the data range
     assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the workspace solve: the bits of the solve that allocated every step
+
+
+def reference_neg_lap(v, spacings):
+    # grid._neg_lap before it could write into an output array
+    inner = (slice(1, -1),) * v.ndim
+    out = None
+    for axis, h in enumerate(spacings):
+        hi, lo = list(inner), list(inner)
+        hi[axis], lo[axis] = slice(2, None), slice(None, -2)
+        term = (2.0 * v[inner] - v[tuple(hi)] - v[tuple(lo)]) / h ** 2
+        out = term if out is None else out + term
+    return out
+
+
+def reference_solve(solver, rhs_interior, dirichlet):
+    # _DirichletSolver.solve before its workspace, every step a new array;
+    # returns the box with the stencil and the residual of its check
+    b = np.array(rhs_interior, dtype=np.result_type(rhs_interior, 1.0))
+    dt = b.dtype
+    hs = [dt.type(h) for h in solver.spacings]
+    for axis, h in enumerate(hs):
+        for end in (0, -1):
+            side = [slice(None)] * b.ndim
+            ring = [slice(1, -1)] * b.ndim
+            side[axis] = ring[axis] = end
+            b[tuple(side)] += dirichlet[tuple(ring)] / h ** 2
+    bnorm = oned._norm(b)
+    if not np.isfinite(bnorm):
+        raise e2.NonConvergence("the right side of the sine-transform solve "
+                                "is not finite: f(u) + shift*u overflowed")
+    pi = 4 * np.arctan(dt.type(1))
+    axes = [np.square(2.0 * np.sin(np.arange(1, n - 1, dtype=dt) * pi
+                                   / (2 * (n - 1)))) / h ** 2
+            for n, h in zip(solver.shape, hs)]
+    eig = sum(np.ix_(*axes)) + dt.type(solver.shift)
+    w = oned._dst1(oned._dst1(b) / eig)
+    full = np.array(dirichlet, dtype=dt)
+    full[(slice(1, -1),) * b.ndim] = w
+    wnorm = oned._norm(w)
+    if not np.isfinite(wnorm):
+        raise e2.NonConvergence("the sine transform of a right side of "
+                                "%.3e overflowed" % bnorm)
+    lap = reference_neg_lap(full, hs)
+    resid = rhs_interior - solver.shift * w - lap
+    rnorm = oned._norm(resid)
+    anorm = sum(4.0 / h ** 2 for h in solver.spacings) + solver.shift
+    if not rnorm <= 8.0 * np.finfo(dt).eps * (bnorm + anorm * wnorm):
+        raise e2.NonConvergence("sine-transform solve left a residual of "
+                                "%.3e against a right side of %.3e"
+                                % (rnorm, bnorm))
+    return full, lap, resid
+
+
+def same_bits(a, b):
+    # a long double carries padding bytes that nothing writes, so compare
+    # values and signs rather than tobytes()
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                        np.signbit(b)))
+
+
+def _unloadable():
+    raise ImportError("no pocketfft extension")
+
+
+def sine_transform(path):
+    """The DST-I that _dst1 settles on: the pocketfft extension, or the
+    scipy.fft.dstn fallback when the extension cannot load."""
+    with mock.patch.object(oned, "_DST", None):
+        if path == "dstn":
+            with mock.patch.object(oned, "_pocketfft_dst", _unloadable):
+                oned._dst1(np.zeros(3))
+        else:
+            oned._dst1(np.zeros(3))
+        return oned._DST
+
+
+TRANSFORMS = {path: sine_transform(path) for path in ("pocketfft", "dstn")}
+
+
+@pytest.mark.parametrize("path", sorted(TRANSFORMS))
+@settings(max_examples=60)
+@given(case=st.sampled_from(["1d-float64", "1d-longdouble", "2d-float64"]),
+       sizes=st.lists(st.integers(3, 48), min_size=2, max_size=2),
+       log_h=st.lists(st.floats(-3.0, 1.0), min_size=2, max_size=2),
+       shift=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
+       solves=st.integers(2, 4))
+def test_workspace_solve_keeps_every_bit(path, case, sizes, log_h, shift,
+                                         seed, solves):
+    rank, dtype = {"1d-float64": (1, np.float64),
+                   "1d-longdouble": (1, np.longdouble),
+                   "2d-float64": (2, np.float64)}[case]
+    shape = tuple(sizes[:rank])
+    spacings = tuple(10.0 ** x for x in log_h[:rank])
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(oned, "_DST", TRANSFORMS[path]):
+        solver = oned._DirichletSolver(shape, spacings, shift)
+        returned = []
+        for _ in range(solves):
+            # a new right side and ring each time, as every sweep brings
+            rhs = rng.standard_normal([n - 2 for n in shape]).astype(dtype)
+            ring = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            full = solver.solve(rhs, ring)
+            want, lap, resid = reference_solve(solver, rhs, ring)
+            assert same_bits(full, want)
+            # the workspace ends with the check's stencil and residual
+            [work] = solver._work.values()
+            assert same_bits(work[0], lap) and same_bits(work[1], resid)
+            returned.append(full)
+        for i, full in enumerate(returned):
+            assert not any(np.shares_memory(full, a) for a in work)
+            assert not any(np.shares_memory(full, other)
+                           for other in returned[i + 1:])
+
+
+@settings(max_examples=40)
+@given(rank=st.integers(1, 3), size=st.integers(3, 12),
+       log_h=st.floats(-3.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       dtype=st.sampled_from([np.float64, np.longdouble]))
+def test_stencil_into_an_output_keeps_every_bit(rank, size, log_h, seed,
+                                                dtype):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((size + 2,) * rank).astype(dtype)
+    hs = [dtype(10.0 ** log_h * (1 + axis)) for axis in range(rank)]
+    want = reference_neg_lap(v, hs)
+    out = np.empty_like(want)
+    assert _g._neg_lap(v, hs, out=out) is out
+    assert same_bits(out, want)
+    assert same_bits(_g._neg_lap(v, hs), want)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +429,6 @@ def test_residual_zero_field():
 
 # ---------------------------------------------------------------------------
 # strip flow construction
-
-
-@pytest.fixture(scope="module")
-def type3_full():
-    return e2.solve_type3_strip()
 
 
 def test_type3_symmetries(type3_full):
@@ -533,13 +662,75 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, case):
     assert float(np.max(np.abs(u.values - w.values))) <= 1e-8
 
 
+@settings(max_examples=30)
+@given(lam=st.floats(3.0, 50.0), half=st.integers(7, 30),
+       ny=st.integers(9, 33), ascending=st.booleans(), jump=st.booleans())
+def test_2d_engine_writes_only_its_own_arrays(lam, half, ny, ascending,
+                                              jump):
+    # the engine's reused step and scratch buffers, and the clamp it runs
+    # in the iterate a sweep returned, leave the sandwich and the caller's
+    # start as they were.  The sweep forms f(u) + shift*u out of place,
+    # since a custom f may return its own argument
+    nl, ring, supersol = strip_problem(half + 1, ny, 6.0, lam)
+    g = supersol.grid
+    lower, upper = np.zeros(g.shape), np.array(supersol.values)
+    shift = oned.picard_shift(nl, float(upper.max()))
+    solver = oned._DirichletSolver(g.shape, (g.hx, g.hy), shift)
+    kind = "sub" if ascending else "super"
+
+    def sweep(u):
+        inner = u[1:-1, 1:-1]
+        return solver.solve(nl.f(inner) + shift * inner, ring)
+
+    def certify(v):
+        try:
+            e2._check_one_sided(nl, ring, shift, g, v, kind)
+        except (e2.NotASubsolution, e2.NotASupersolution):
+            return False
+        return True
+
+    start = np.array(lower if ascending else upper)
+    given_arrays = (lower, upper, start)
+    kept = [a.copy() for a in given_arrays]
+    run = oned._monotone_sweeps(
+        sweep, start, lower, upper, ascending,
+        lambda u, update: update < 1e-10, oned.SWEEPS_2D,
+        1e-10 * (1.0 + float(upper.max())), certify=certify if jump else None)
+    assert run.sweeps > 2
+    for a, before in zip(given_arrays, kept):
+        assert a.tobytes() == before.tobytes()
+        assert not np.shares_memory(run.u, a)
+
+
+@settings(max_examples=30)
+@given(lam=st.floats(3.0, 50.0), n=st.integers(9, 200),
+       start=st.sampled_from(["sub", "super"]))
+def test_1d_engine_runs_write_only_their_own_arrays(lam, n, start):
+    # the float64 phase and the long-double polish of a profile solve, with
+    # the sweeps of the library
+    runs, engine = [], oned._monotone_sweeps
+
+    def spy(sweep, u, lower, upper, *rest, **options):
+        given_arrays = (u, lower, upper)
+        kept = [np.array(a) for a in given_arrays]
+        run = engine(sweep, u, lower, upper, *rest, **options)
+        runs.append((given_arrays, kept, run))
+        return run
+
+    with mock.patch.object(oned, "_monotone_sweeps", spy):
+        oned.solve_strip_profile(oned.arctan_family(lam), n, start=start)
+    assert [r[2].u.dtype for r in runs] == [np.float64, np.longdouble]
+    for (u, lower, upper), kept, run in runs:
+        for a, before in zip((u, lower, upper), kept):
+            assert same_bits(a, before)
+        # a run that stops before its first sweep returns its start
+        assert np.shares_memory(run.u, u) == (run.sweeps == 0)
+        assert not np.shares_memory(run.u, lower)
+        assert not np.shares_memory(run.u, upper)
+
+
 # ---------------------------------------------------------------------------
 # saddle construction
-
-
-@pytest.fixture(scope="module")
-def saddle_full():
-    return e2.solve_saddle_quadrant()
 
 
 def test_saddle_range_and_symmetry(saddle_full):
@@ -571,6 +762,34 @@ def test_saddle_far_edges_match_heteroclinic(saddle_full):
     g = oned.solve_heteroclinic(oned.allen_cahn(), L=20.0, n=q.shape[0])
     assert np.array_equal(q[:, -1], g.values)
     assert np.array_equal(q[-1, :], g.values)
+
+
+def test_saddle_solve_working_set_is_bounded():
+    # tracemalloc peak of the reference saddle's solve_semilinear, in 321^2
+    # arrays: 10.0 with the sine-transform solve and the engine writing
+    # into buffers that persist across sweeps (11.9 when every step of a
+    # sweep took a new array).  The peak is a certificate's defect on top
+    # of the two iterates, the step, the engine's scratch, the solver's
+    # workspace and its eigenvalues
+    n, L = 321, 20.0
+    nl = oned.allen_cahn()
+    g = oned.solve_heteroclinic(nl, L=L, n=n)
+    quad = Grid(HALF_PLANE, n, n, (0.0, L), (0.0, L))
+    supersol = ScalarField(quad, np.minimum(g.values[:, None],
+                                            g.values[None, :]))
+    ring = e2.dirichlet_ring(quad, right=g.values, top=g.values)
+    sub = zeros_on(quad)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        e2.solve_semilinear(nl, ring, sub, supersol, "super")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (n * n * 8) <= 10.5
 
 
 def test_saddle_two_sided_limit():
