@@ -179,9 +179,9 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
     if float((sup.values - sub.values).min()) < -1e-12:
         raise ValueError("sandwich ordering sub <= super fails pointwise")
 
-    def sweep(u):
+    def sweep(u, out):
         rhs = nl.f(u[1:-1, 1:-1]) + shift * u[1:-1, 1:-1]
-        return solver.solve(rhs, dirichlet)
+        return solver.solve(rhs, dirichlet, out)
 
     res = np.inf
 

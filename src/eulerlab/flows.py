@@ -230,7 +230,8 @@ def analytic_flow(name: str, grid: Grid) -> Flow:
         if not np.all(np.isfinite(a)):
             raise ValueError("%s overflows on %r: %s is not finite"
                              % (name, grid, k))
-        f[k] = np.ascontiguousarray(np.broadcast_to(a, grid.shape))
+        # the field freezes a C-contiguous copy of a column or a row
+        f[k] = np.broadcast_to(a, grid.shape)
     velocity = VectorField(grid, f["v1"], f["v2"])
     vorticity = ScalarField(grid, f["omega"])
     pressure = ScalarField(grid, f["P"])

@@ -190,15 +190,17 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
 
     Before each sweep ``done(u, update)`` decides whether to stop (``update``
     is the max-norm of the last move, inf before the first); otherwise
-    ``u = sweep(u)``.  Every step must go one way (up when ``ascending``)
-    and keep lower <= u <= upper, both within ``slack``: a failure means the
-    shift did not linearize f on the range, which is a solver defect and not
-    something to iterate past.  Nor is a zero update while ``done`` is false:
-    every later sweep would repeat it.  The checked step is then clamped to
-    [lower, upper] in place (``sweep`` returns a new array); in exact
-    arithmetic it lies there already, so the clamp removes only rounding,
-    which near an unstable state would grow sweep by sweep until it passed
-    the slack.
+    ``u = sweep(u, out)``, where ``out`` is None or a dead iterate of the
+    run, in ``u``'s shape and dtype, that the sweep may write its result
+    into; else it returns a new array.  Every step must go one way (up when
+    ``ascending``) and keep lower <= u <= upper, both within ``slack``: a
+    failure means the shift did not linearize f on the range, which is a
+    solver defect and not something to iterate past.  Nor is a zero update
+    while ``done`` is false: every later sweep would repeat it.  The
+    checked step is then clamped to [lower, upper] in place, in the array
+    ``sweep`` returned; in exact arithmetic it lies there already, so the
+    clamp removes only rounding, which near an unstable state would grow
+    sweep by sweep until it passed the slack.
 
     The ratio of the last two step max-norms is the observed rate, settled
     once two consecutive ratios agree within RATE_AGREEMENT.  Given a
@@ -224,10 +226,12 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     on every later one: the step, whose min and max give the direction
     check, the update and so the rate, and a scratch array that holds each
     side's sandwich gap in turn.  A jump is formed in the step buffer and
-    keeps it if accepted; the next sweep then makes a new one.  Besides
-    those, the engine writes only into the array a sweep returned (its
-    clamp), never into ``lower``, ``upper`` or the start ``u``, which it
-    returns unchanged if ``done`` stops the run before any sweep.
+    keeps it if accepted; the next sweep then makes a new one.  The iterate
+    a plain sweep replaces is dead, and goes to the next sweep as its
+    ``out``, unless it is the start.  Besides those, the engine writes only
+    into arrays that sweeps returned (the clamp, and each ``out``), never
+    into ``lower``, ``upper`` or the start ``u``, which it returns
+    unchanged if ``done`` stops the run before any sweep.
 
     Returns a :class:`SweepRun`: the iterate, the plain sweeps run, the last
     update, the accepted and rejected jumps, and the last settled rate (None
@@ -236,7 +240,7 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
     update = np.inf
     sweeps = accepted = rejected = 0
     last = ratio = rate = None
-    step = scratch = None  # made by the first sweep, then written over
+    step = scratch = spare = None  # made by the first sweeps, then reused
     while not done(u, update):
         if update == 0.0:
             raise NonConvergence("iteration stalled at sweep %d: the sweep "
@@ -244,7 +248,7 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
         if sweeps >= max_iter:
             raise NonConvergence("no convergence in %d sweeps (last update "
                                  "%.3e)" % (max_iter, update))
-        nxt = sweep(u)
+        nxt = sweep(u, spare)
         step = np.subtract(nxt, u, out=step)
         low, high = float(step.min()), float(step.max())
         worst = low if ascending else high
@@ -291,6 +295,8 @@ def _monotone_sweeps(sweep, u, lower, upper, ascending, done, max_iter,
                     last = ratio = None
                     continue
                 rejected += 1
+        # the iterate nxt replaces is dead, unless it is the caller's start
+        spare = u if sweeps > 1 else None
         u, update = nxt, norm
     return SweepRun(u, sweeps, update, accepted, rejected, rate)
 
@@ -387,14 +393,14 @@ class _DirichletSolver:
     not positive and finite raises :class:`grid.GridError`; a right side
     that is not finite raises NonConvergence before the transforms.
 
-    A solve allocates only the box it returns.  Each dtype keeps a
-    workspace of two interior-sized arrays, made on its first solve: the
-    folded right side, which both transforms and the eigenvalue division
-    overwrite in place until it holds the solution, and the residual of the
-    check.  Once the returned box holds the solution, the check's stencil
-    writes over the first.  Every value comes from the same operations in
-    the same order as when each step took a new array, so every bit is the
-    same.
+    A solve allocates only the box it returns, and not even that when it
+    is given an ``out``.  Each dtype keeps a workspace of two
+    interior-sized arrays, made on its first solve: the folded right side,
+    which both transforms and the eigenvalue division overwrite in place
+    until it holds the solution, and the residual of the check.  Once the
+    returned box holds the solution, the check's stencil writes over the
+    first.  Every value comes from the same operations in the same order
+    as when each step took a new array, so every bit is the same.
     """
 
     def __init__(self, shape, spacings, shift):
@@ -410,10 +416,11 @@ class _DirichletSolver:
         self._eig = {}
         self._work = {}
 
-    def solve(self, rhs_interior, dirichlet):
+    def solve(self, rhs_interior, dirichlet, out=None):
         """Full-box solution with the ring of ``dirichlet`` folded into the
-        right side, in the float dtype of ``rhs_interior``; a new array on
-        every call, sharing no memory with the workspace."""
+        right side, in the float dtype of ``rhs_interior``: written into
+        ``out`` if given (a full box in that dtype that overlaps neither
+        argument), else a new array; never memory of the workspace."""
         dt = np.result_type(rhs_interior, 1.0)
         work = self._work.get(dt)
         if work is None:  # first solve in this dtype
@@ -446,7 +453,11 @@ class _DirichletSolver:
         if not math.isfinite(wnorm):
             raise NonConvergence("the sine transform of a right side of "
                                  "%.3e overflowed" % bnorm)
-        full = np.array(dirichlet, dtype=dt)
+        if out is None:
+            full = np.array(dirichlet, dtype=dt)
+        else:
+            full = out
+            np.copyto(full, dirichlet)
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself,
         # and writes over the solution, which the box now holds
@@ -484,11 +495,12 @@ def _picard_1d(nl, h, start, lower, upper, bc, tol, ascending):
     f = nl.f
     floor = 2.0 * float(np.finfo(np.longdouble).eps) * smax / (h * h)
 
-    def sweep(u):
+    def sweep(u, out):
         # shift in the iterate's dtype keeps the right side in extended
         # precision even where f returns float64
         inner = u[1:-1]
-        return solver.solve(f(inner) + u.dtype.type(shift) * inner, ring)
+        return solver.solve(f(inner) + u.dtype.type(shift) * inner, ring,
+                            out)
 
     def defect(u):
         return float(np.max(np.abs(_defect(u, (u.dtype.type(h),), f))))

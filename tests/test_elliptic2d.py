@@ -219,9 +219,9 @@ TRANSFORMS = {path: sine_transform(path) for path in ("pocketfft", "dstn")}
        sizes=st.lists(st.integers(3, 48), min_size=2, max_size=2),
        log_h=st.lists(st.floats(-3.0, 1.0), min_size=2, max_size=2),
        shift=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
-       solves=st.integers(2, 4))
+       solves=st.integers(2, 4), into=st.booleans())
 def test_workspace_solve_keeps_every_bit(path, case, sizes, log_h, shift,
-                                         seed, solves):
+                                         seed, solves, into):
     rank, dtype = {"1d-float64": (1, np.float64),
                    "1d-longdouble": (1, np.longdouble),
                    "2d-float64": (2, np.float64)}[case]
@@ -235,7 +235,11 @@ def test_workspace_solve_keeps_every_bit(path, case, sizes, log_h, shift,
             # a new right side and ring each time, as every sweep brings
             rhs = rng.standard_normal([n - 2 for n in shape]).astype(dtype)
             ring = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
-            full = solver.solve(rhs, ring)
+            # an output array starts full of NaN, as a dead iterate of any
+            # value would, and ends as the returned box
+            out = np.full(shape, np.nan, dtype) if into else None
+            full = solver.solve(rhs, ring, out)
+            assert out is None or full is out
             want, lap, resid = reference_solve(solver, rhs, ring)
             assert same_bits(full, want)
             # the workspace ends with the check's stencil and residual
@@ -667,20 +671,29 @@ def test_extrapolated_iterates_stay_sandwiched(lam, half, ny, case):
        ny=st.integers(9, 33), ascending=st.booleans(), jump=st.booleans())
 def test_2d_engine_writes_only_its_own_arrays(lam, half, ny, ascending,
                                               jump):
-    # the engine's reused step and scratch buffers, and the clamp it runs
-    # in the iterate a sweep returned, leave the sandwich and the caller's
-    # start as they were.  The sweep forms f(u) + shift*u out of place,
-    # since a custom f may return its own argument
+    # the engine's reused step and scratch buffers, the clamp it runs in
+    # the iterate a sweep returned and the dead iterates it hands back as a
+    # sweep's output leave the sandwich and the caller's start as they
+    # were.  The sweep forms f(u) + shift*u out of place, since a custom f
+    # may return its own argument
     nl, ring, supersol = strip_problem(half + 1, ny, 6.0, lam)
     g = supersol.grid
     lower, upper = np.zeros(g.shape), np.array(supersol.values)
     shift = oned.picard_shift(nl, float(upper.max()))
     solver = oned._DirichletSolver(g.shape, (g.hx, g.hy), shift)
     kind = "sub" if ascending else "super"
+    start = np.array(lower if ascending else upper)
+    given_arrays = (lower, upper, start)
+    kept = [a.copy() for a in given_arrays]
+    outs = []
 
-    def sweep(u):
+    def sweep(u, out):
+        if out is not None:
+            assert not any(np.shares_memory(out, a)
+                           for a in (u,) + given_arrays)
+            outs.append(out)
         inner = u[1:-1, 1:-1]
-        return solver.solve(nl.f(inner) + shift * inner, ring)
+        return solver.solve(nl.f(inner) + shift * inner, ring, out)
 
     def certify(v):
         try:
@@ -689,14 +702,11 @@ def test_2d_engine_writes_only_its_own_arrays(lam, half, ny, ascending,
             return False
         return True
 
-    start = np.array(lower if ascending else upper)
-    given_arrays = (lower, upper, start)
-    kept = [a.copy() for a in given_arrays]
     run = oned._monotone_sweeps(
         sweep, start, lower, upper, ascending,
         lambda u, update: update < 1e-10, oned.SWEEPS_2D,
         1e-10 * (1.0 + float(upper.max())), certify=certify if jump else None)
-    assert run.sweeps > 2
+    assert run.sweeps > 2 and outs
     for a, before in zip(given_arrays, kept):
         assert a.tobytes() == before.tobytes()
         assert not np.shares_memory(run.u, a)

@@ -188,6 +188,33 @@ def test_catalog_names_and_kind_guards():
         flows.analytic_flow("Rankine", strip)
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("TaylorGreen", g.Grid(g.TORUS, 64, 64, (0.0, 2 * np.pi),
+                           (0.0, 2 * np.pi))),
+    ("TaylorGreen", g.Grid(g.TORUS, 257, 257, (0.0, 2 * np.pi),
+                           (0.0, 2 * np.pi))),
+    ("ExponentialCounterexample", g.Grid(g.PLANE, 65, 97, (-3.0, 3.0),
+                                         (-2.0, 2.0))),
+    ("Couette", g.Grid(g.STRIP, 33, 17, (0.0, 2.0), (-1.0, 1.0))),
+    ("Poiseuille", g.Grid(g.STRIP, 33, 17, (0.0, 2.0), (-1.0, 1.0))),
+    ("Kolmogorov", g.Grid(g.STRIP, 33, 17, (0.0, 2.0), (-1.0, 1.0))),
+    ("ExampleSignEq", g.Grid(g.STRIP, 33, 17, (0.0, 2.0), (-1.0, 1.0))),
+])
+def test_catalog_sample_has_the_bits_of_the_full_mesh(name, grid):
+    # each closed form runs on the node axes and is broadcast to the grid;
+    # every node must get the value the full mesh gives it, in a frozen
+    # C-contiguous array like every field's
+    flow = flows.analytic_flow(name, grid)
+    X, Y = grid.mesh()
+    cf = flows._CATALOG[name][1]
+    for key, a in (("v1", flow.velocity.vx), ("v2", flow.velocity.vy),
+                   ("omega", flow.vorticity.values),
+                   ("P", flow.pressure.values)):
+        assert a.tobytes() == np.asarray(cf[key](X, Y), dtype=float).tobytes()
+        assert a.shape == grid.shape
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
 def test_couette_catalog_fields():
     gr = g.Grid(g.STRIP, 21, 41, (0.0, 3.0), (-1.0, 1.0))
     _, Y = gr.mesh()

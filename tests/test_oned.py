@@ -84,17 +84,16 @@ def test_both_starts_reach_one_profile(lam, n):
 
 def _recorded_sweeps(run):
     """Run ``run()`` with every iterate of the sweep engine recorded (the
-    start of each phase included), cast to float64."""
+    start of each phase included), copied as float64 when ``done`` sees
+    it, since the engine hands dead iterates back to the sweep."""
     seen, engine = [], oned._monotone_sweeps
 
-    def spy(sweep, u, *rest, **options):
-        seen.append(np.asarray(u, dtype=float))
-
-        def recorded(v):
-            nxt = sweep(v)
-            seen.append(np.asarray(nxt, dtype=float))
-            return nxt
-        return engine(recorded, u, *rest, **options)
+    def spy(sweep, u, lower, upper, ascending, done, *rest, **options):
+        def recorded(v, update):
+            seen.append(np.array(v, dtype=float))
+            return done(v, update)
+        return engine(sweep, u, lower, upper, ascending, recorded, *rest,
+                      **options)
     with mock.patch.object(oned, "_monotone_sweeps", spy):
         result = run()
     return result, np.array(seen)
@@ -143,16 +142,16 @@ def _sweeps(sweep, lower=-np.inf, upper=np.inf, ascending=True, max_iter=50):
 
 def test_engine_rejects_a_step_the_wrong_way():
     with pytest.raises(oned.NonConvergence, match="ascending sweep lost"):
-        _sweeps(lambda u: u - 1e-3)
+        _sweeps(lambda u, out: u - 1e-3)
     with pytest.raises(oned.NonConvergence, match="descending sweep lost"):
-        _sweeps(lambda u: u + 1e-3, ascending=False)
+        _sweeps(lambda u, out: u + 1e-3, ascending=False)
 
 
 def test_engine_rejects_leaving_the_sandwich():
     with pytest.raises(oned.NonConvergence, match="sandwich"):
-        _sweeps(lambda u: u + 0.3, upper=np.ones(5))
+        _sweeps(lambda u, out: u + 0.3, upper=np.ones(5))
     with pytest.raises(oned.NonConvergence, match="sandwich"):
-        _sweeps(lambda u: u - 0.3, lower=-np.ones(5), ascending=False)
+        _sweeps(lambda u, out: u - 0.3, lower=-np.ones(5), ascending=False)
 
 
 def test_engine_clamps_a_rounding_escape_to_the_sandwich():
@@ -162,8 +161,8 @@ def test_engine_clamps_a_rounding_escape_to_the_sandwich():
     for ascending, start, out in ((False, upper, -5e-11),
                                   (True, lower, 1.0 + 5e-11)):
         nxt = np.r_[0.5, 0.5, out, 0.5, 0.5]
-        run = oned._monotone_sweeps(lambda u: nxt.copy(), start.copy(), lower,
-                                    upper, ascending,
+        run = oned._monotone_sweeps(lambda u, out: nxt.copy(), start.copy(),
+                                    lower, upper, ascending,
                                     lambda u, update: update < np.inf, 5,
                                     1e-10)
         assert run.sweeps == 1
@@ -173,7 +172,7 @@ def test_engine_clamps_a_rounding_escape_to_the_sandwich():
 
 def test_engine_rejects_an_exhausted_budget():
     with pytest.raises(oned.NonConvergence, match="in 7 sweeps"):
-        _sweeps(lambda u: u + 1e-3, max_iter=7)
+        _sweeps(lambda u, out: u + 1e-3, max_iter=7)
 
 
 def test_engine_stops_at_a_stall():
@@ -181,7 +180,7 @@ def test_engine_stops_at_a_stall():
     # repeats, so the engine raises after that one sweep, not at the budget
     calls = []
 
-    def sweep(u):
+    def sweep(u, out):
         calls.append(1)
         return u.copy()
 
@@ -194,7 +193,7 @@ def test_engine_stops_at_a_stall():
 def test_engine_counts_sweeps_to_the_fixed_point():
     # u -> (u + 1)/2 ascends from 0 toward 1; sweep k moves by 2^-k, and
     # 2^-40 is the first update below 1e-12
-    run = _sweeps(lambda u: 0.5 * (u + 1.0), upper=np.ones(5))
+    run = _sweeps(lambda u, out: 0.5 * (u + 1.0), upper=np.ones(5))
     assert run.sweeps == 40 and run.update == 2.0 ** -40
     assert np.all(run.u <= 1.0)
     # the rate settles at 1/2, but without a certificate nothing jumps
@@ -206,7 +205,7 @@ def test_engine_keeps_a_jump_only_under_the_far_bound():
     # jumps nine tenths of the way there, THETA = 3 would jump past it
     def run():
         return oned._monotone_sweeps(
-            lambda u: 0.5 * (u + 1.0), np.zeros(5), -np.inf, np.ones(5),
+            lambda u, out: 0.5 * (u + 1.0), np.zeros(5), -np.inf, np.ones(5),
             True, lambda u, update: update < 1e-12, 50, 1e-10,
             certify=lambda v: True)
 
@@ -223,7 +222,7 @@ def test_engine_clamps_a_jump_to_the_near_bound():
     # quarter of the slack each sweep: the jump, 7.2 steps long, would carry
     # that creep 1.8e-10 past the bound, and the next sweep out of the
     # sandwich
-    def sweep(u):
+    def sweep(u, out):
         nxt = 0.9 * u
         nxt[0] = u[0] + 2.5e-11
         return nxt
@@ -253,8 +252,8 @@ def test_engine_budget_ends_a_run_its_rate_cannot_finish(steps, start):
     with pytest.raises(oned.NonConvergence,
                        match="^no convergence in 50 sweeps"):
         oned._monotone_sweeps(
-            lambda u: u + next(script), np.full(5, start), -np.inf, np.inf,
-            True, lambda u, update: update < 1e-12, 50, 1e-10,
+            lambda u, out: u + next(script), np.full(5, start), -np.inf,
+            np.inf, True, lambda u, update: update < 1e-12, 50, 1e-10,
             judge=seen.append)
     assert len(seen) == 48
 
