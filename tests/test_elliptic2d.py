@@ -775,31 +775,32 @@ def test_saddle_far_edges_match_heteroclinic(saddle_full):
 
 
 def test_saddle_solve_working_set_is_bounded():
-    # tracemalloc peak of the reference saddle's solve_semilinear, in 321^2
-    # arrays: 10.0 with the sine-transform solve and the engine writing
-    # into buffers that persist across sweeps (11.9 when every step of a
-    # sweep took a new array).  The peak is a certificate's defect on top
-    # of the two iterates, the step, the engine's scratch, the solver's
-    # workspace and its eigenvalues
-    n, L = 321, 20.0
-    nl = oned.allen_cahn()
-    g = oned.solve_heteroclinic(nl, L=L, n=n)
-    quad = Grid(HALF_PLANE, n, n, (0.0, L), (0.0, L))
-    supersol = ScalarField(quad, np.minimum(g.values[:, None],
-                                            g.values[None, :]))
-    ring = e2.dirichlet_ring(quad, right=g.values, top=g.values)
-    sub = zeros_on(quad)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        e2.solve_semilinear(nl, ring, sub, supersol, "super")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / (n * n * 8) <= 10.5
+    # tracemalloc peak of the reference saddle's solve_semilinear, taken
+    # around the call solve_saddle_quadrant makes, in 321^2 arrays: 10.0
+    # with the sine-transform solve and the engine writing into buffers
+    # that persist across sweeps (11.9 when every step of a sweep took a
+    # new array).  The peak is a certificate's defect on top of the two
+    # iterates, the step, the engine's scratch, the solver's workspace and
+    # its eigenvalues
+    peaks, solve = [], e2.solve_semilinear
+
+    def measured(*args, **options):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve(*args, **options)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result
+    with mock.patch.object(e2, "solve_semilinear", measured):
+        u = e2.solve_saddle_quadrant()[0]
+    n = u.grid.ny
+    assert n == 321 and len(peaks) == 1
+    assert peaks[0] / (n * n * 8) <= 10.5
 
 
 def test_saddle_two_sided_limit():

@@ -84,16 +84,18 @@ def test_both_starts_reach_one_profile(lam, n):
 
 def _recorded_sweeps(run):
     """Run ``run()`` with every iterate of the sweep engine recorded (the
-    start of each phase included), copied as float64 when ``done`` sees
-    it, since the engine hands dead iterates back to the sweep."""
+    start of each phase included), copied as float64 as the sweep returns
+    it, before the engine's clamp: the engine writes over dead iterates."""
     seen, engine = [], oned._monotone_sweeps
 
-    def spy(sweep, u, lower, upper, ascending, done, *rest, **options):
-        def recorded(v, update):
-            seen.append(np.array(v, dtype=float))
-            return done(v, update)
-        return engine(sweep, u, lower, upper, ascending, recorded, *rest,
-                      **options)
+    def spy(sweep, u, *rest, **options):
+        seen.append(np.array(u, dtype=float))
+
+        def recorded(v, out):
+            nxt = sweep(v, out)
+            seen.append(np.array(nxt, dtype=float))
+            return nxt
+        return engine(recorded, u, *rest, **options)
     with mock.patch.object(oned, "_monotone_sweeps", spy):
         result = run()
     return result, np.array(seen)
