@@ -4,7 +4,13 @@ classification verdicts built from them.
 Angle bins use a round-to-center convention: bin b of n covers the angles
 within half a width of b*(2pi/n) - pi, so the cardinal directions sit at bin
 centers instead of edges and finite-difference jitter around an exact
-direction cannot flip occupancy.  Bin 0 straddles the seam at +-pi.
+direction cannot flip occupancy.  Bin 0 straddles the seam at +-pi.  The
+occupied bins are the flow angles of a continuous direction field: each
+node faster than the stagnation floor occupies its own bin, and each pair
+of such nodes that are neighbours along an axis and turn by at most pi/2
+(v . v' >= 0) occupies every bin on the shorter way between theirs, since
+the field sweeps that arc between them.  A wider turn is a fold that one
+cell cannot resolve, so its pair adds nothing.
 
 Every curvature quantity shares one stagnation floor, max(1e-10, 1e-3 s)
 with s = max(hx, hy) * max |grad v|_F, |grad v|_F the Frobenius norm, which
@@ -80,9 +86,15 @@ def _angle(u1, u2):
 
 
 def _bin_index(theta, n_bins):
-    # round-to-center: cardinal angles land mid-bin
+    # round-to-center: cardinal angles land mid-bin; int32 while twice the
+    # bin count fits, so angle_set's arc ends never overflow
     w = 2.0 * np.pi / n_bins
-    return np.round((theta + np.pi) / w).astype(int) % n_bins
+    b = np.add(theta, np.pi)
+    b /= w
+    np.round(b, out=b)
+    idx = b.astype(np.int32 if n_bins < 2 ** 30 else np.int64)
+    idx %= n_bins
+    return idx
 
 
 def bin_centers(n_bins: int) -> np.ndarray:
@@ -247,30 +259,52 @@ def _build_bundle(flow, grads) -> _Bundle:
     return _Bundle(v, floor, mass, live, ridge_mass, across_y)
 
 
+def _pairwise(op, a, axis, offset, periodic):
+    """op(a[k + offset], a[k]) along ``axis`` for each pair of nodes
+    ``offset`` apart, axis first: pair k for k < n - offset, then on the
+    torus the ``offset`` pairs that wrap, with a[k + offset - n].  Beyond a
+    bounded edge nothing lies, so it has no pair there.  The result is laid
+    out as ``a`` is, so every operand steps alike."""
+    n = a.shape[axis]
+    shape = list(a.shape)
+    shape[axis] = n if periodic else n - offset
+    out = np.moveaxis(np.empty(shape, a.dtype), axis, 0)
+    a = np.moveaxis(a, axis, 0)
+    op(a[offset:], a[:n - offset], out=out[:n - offset])
+    if periodic:
+        op(a[:offset], a[n - offset:], out=out[n - offset:])
+    return out
+
+
+def _neighbour_dot(v: VectorField, axis, offset, periodic) -> np.ndarray:
+    """v(k + offset) . v(k) along ``axis``, one entry per pair of
+    :func:`_pairwise`."""
+    dot = _pairwise(np.multiply, v.vx, axis, offset, periodic)
+    dot += _pairwise(np.multiply, v.vy, axis, offset, periodic)
+    return dot
+
+
 def _opposed_neighbours(v: VectorField, axis: int, periodic: bool) -> np.ndarray:
     """v(node+h) . v(node-h) < 0 along ``axis``.  Beyond a bounded edge
     nothing lies, so an end node has no opposed pair; the torus wraps."""
-    dot = np.zeros(v.vx.shape)
-    d = np.moveaxis(dot, axis, 0)
-    x, y = np.moveaxis(v.vx, axis, 0), np.moveaxis(v.vy, axis, 0)
-    np.multiply(x[2:], x[:-2], out=d[1:-1])
-    d[1:-1] += np.multiply(y[2:], y[:-2])
+    less = _neighbour_dot(v, axis, 2, periodic) < 0.0
+    opposed = np.zeros(v.vx.shape, dtype=bool)
+    # the pair (k, k + 2) is centred on node k + 1
     if periodic:
-        np.multiply(x[1:2], x[-1:], out=d[:1])
-        d[:1] += np.multiply(y[1:2], y[-1:])
-        np.multiply(x[:1], x[-2:-1], out=d[-1:])
-        d[-1:] += np.multiply(y[:1], y[-2:-1])
-    return dot < 0.0
+        np.moveaxis(opposed, axis, 0)[...] = np.roll(less, 1, axis=0)
+    else:
+        np.moveaxis(opposed, axis, 0)[1:-1] = less
+    return opposed
 
 
 class AngleSet:
-    """|v|-weighted mass of flow directions over angle bins; a bin with mass
-    is occupied."""
+    """|v|-weighted mass of flow directions over angle bins, and the bins
+    that the direction field occupies."""
 
-    def __init__(self, mass, stagnation_threshold):
+    def __init__(self, mass, occupied, stagnation_threshold):
         self.mass = np.asarray(mass, dtype=float)
         self.n_bins = len(self.mass)
-        self.occupied = self.mass > 0.0
+        self.occupied = np.asarray(occupied, dtype=bool)
         self.stagnation_threshold = float(stagnation_threshold)
 
     def occupied_indices(self):
@@ -280,18 +314,51 @@ class AngleSet:
 def angle_set(flow, n_bins: int = 360) -> AngleSet:
     """Bin the directions _angle(vx, vy) of all nodes faster than the
     stagnation floor, read off the flow's curvature bundle (the same bits
-    as :func:`stagnation_floor`).
+    as :func:`stagnation_floor`): ``mass`` sums their |v| per bin, and the
+    occupied bins are those of the module's rule for a continuous direction
+    field.  A turn of at most pi/2 spans at most n/4 + 1 bins, so the
+    shorter way round is never in doubt.  Only pairs two or more bins apart
+    add a bin; their arcs are marked with one difference array over twice
+    the bins, folded onto the circle.
     """
-    # with fewer bins classify fills an empty half-circle as a pinhole
+    # 2 bins read the strip as FullCircle and 3 the counterexample, so the
+    # floor keeps a half circle many bins wide
     if n_bins < 16:
         raise ValueError("need at least 16 bins")
+    periodic = flow.grid.periodic
     threshold = _bundle(flow).floor
     v = flow.velocity
     speed = np.hypot(v.vx, v.vy)
     live = speed > threshold
-    idx = _bin_index(_angle(v.vx[live], v.vy[live]), n_bins)
-    mass = np.bincount(idx, weights=speed[live], minlength=n_bins)
-    return AngleSet(mass, threshold)
+    idx = _bin_index(_angle(v.vx, v.vy), n_bins)
+    mass = np.bincount(idx[live], weights=speed[live], minlength=n_bins)
+    del speed
+    edges = np.zeros(2 * n_bins, dtype=np.intp)
+    for axis in (0, 1):
+        swept = _neighbour_dot(v, axis, 1, periodic) >= 0.0
+        swept &= _pairwise(np.logical_and, live, axis, 1, periodic)
+        # the bin step from k to k + 1, in (-n, n); a pair one bin apart,
+        # either way round, adds no bin
+        step = _pairwise(np.subtract, idx, axis, 1, periodic)
+        far = np.abs(step)
+        swept &= (far >= 2) & (far <= n_bins - 2)
+        del far
+        first = np.moveaxis(idx, axis, 0)[:len(step)][swept]
+        step = step[swept]
+        del swept
+        # the shorter way round, in [-n/2, n/2)
+        step += n_bins // 2
+        step %= n_bins
+        step -= n_bins // 2
+        # the arc lo .. hi, lo in [0, n) and hi < 3n/2; mark lo + 1 .. hi - 1
+        lo = first + np.minimum(step, 0)
+        lo %= n_bins
+        hi = lo + np.abs(step)
+        edges += np.bincount(lo + 1, minlength=2 * n_bins)
+        edges -= np.bincount(hi, minlength=2 * n_bins)
+    depth = np.cumsum(edges)
+    occupied = (mass > 0.0) | (depth[:n_bins] + depth[n_bins:] > 0)
+    return AngleSet(mass, occupied, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -684,34 +751,24 @@ def classify(angle_set: AngleSet, total_curvature: float,
     """Verdict from angle occupancy, checked in order of specificity.
 
     Shear wins on vanishing curvature; FullCircle on total occupancy; the
-    two semicircle verdicts next; a contiguous occupied arc is reported with
-    its gap half-width beta and arc center theta0; anything else is
-    Indeterminate.  A semicircle verdict lets each of the two endpoint bins
-    be empty, since the axial directions are realized exactly on walls and
-    stagnation rims where the floor may mute them.
-
-    A single empty bin flanked by occupied neighbors is filled before any
-    occupancy decision.  Node sampling cannot certify a gap narrower than
-    its own angular step: where the direction field crosses a sampled value
-    steeply (a symmetry ray hit exactly by grid nodes, say), the two
-    adjacent one-bin slots may simply never be landed on, and treating such
-    pinholes as genuine gaps would misreport an occupancy that every finer
-    grid refills.  Gaps of two or more bins are always respected.
+    two semicircle verdicts next, each when the occupied bins are exactly
+    that closed semicircle, both endpoint bins included; a contiguous
+    occupied arc is reported with its gap half-width beta and arc center
+    theta0; anything else is Indeterminate.
     """
     if total_curvature < tol_curv:
         return Classification("Shear")
-    filled = angle_set.occupied | (np.roll(angle_set.occupied, 1)
-                                   & np.roll(angle_set.occupied, -1))
-    if filled.all():
+    occupied = angle_set.occupied
+    if occupied.all():
         return Classification("FullCircle")
-    occ = set(np.flatnonzero(filled))
-    upper, lower, ends = semicircle_bins(angle_set.n_bins)
-    if (upper - ends) <= occ <= upper:
+    occ = set(np.flatnonzero(occupied))
+    upper, lower, _ = semicircle_bins(angle_set.n_bins)
+    if occ == upper:
         return Classification("TypeIIIUpper")
-    if (lower - ends) <= occ <= lower:
+    if occ == lower:
         return Classification("TypeIIILower")
     # a gap starts at each empty bin that follows an occupied one
-    empty = ~filled
+    empty = ~occupied
     starts = np.flatnonzero(empty & ~np.roll(empty, 1))
     if len(starts) == 1:
         n = angle_set.n_bins

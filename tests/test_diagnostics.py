@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulerlab import diagnostics as dg
 from eulerlab import elliptic2d, flows, oned, serialize
@@ -161,10 +161,9 @@ def test_couette_occupies_exactly_the_two_axis_bins():
 
 def test_strip_flow_is_upper_semicircle(strip_flow):
     aset = dg.angle_set(strip_flow)
-    upper, lower, ends = dg.semicircle_bins(aset.n_bins)
-    occ = set(aset.occupied_indices())
-    assert occ >= upper
-    assert occ & (lower - ends) == set()
+    upper, _, _ = dg.semicircle_bins(aset.n_bins)
+    # the closed upper semicircle, both endpoint bins included
+    assert set(aset.occupied_indices()) == upper
     verdict = dg.classify(aset, dg.total_curvature(strip_flow))
     assert verdict.kind == "TypeIIIUpper"
 
@@ -274,6 +273,61 @@ def test_taylor_green_strict_gap():
 def test_taylor_green_verdict_full_circle():
     fl = taylor_green(256)
     assert dg.classify(dg.angle_set(fl), dg.total_curvature(fl)).kind == "FullCircle"
+
+
+# ---------------------------------------------------------------------------
+# the flow angles of the continuous direction field: a live node's bin and
+# the arc swept between live neighbours that turn by at most pi/2
+
+
+@settings(max_examples=10)
+@given(st.integers(16, 512), st.integers(90, 1440))
+@example(512, 1440)
+@example(64, 360)
+def test_taylor_green_reads_full_circle_on_every_torus(n, n_bins):
+    # the paper's first theorem: a bounded non-shear flow has the whole
+    # circle; node bins alone left coarse tori and fine bins Indeterminate
+    fl = taylor_green(n)
+    verdict = dg.classify(dg.angle_set(fl, n_bins), dg.total_curvature(fl))
+    assert verdict.kind == "FullCircle"
+
+
+@settings(max_examples=20)
+@given(st.floats(1.0, 10.0), st.integers(90, 1440))
+@example(10.0, 360)
+@example(1.0, 1324)
+def test_counterexample_reads_its_arc_on_65_nodes(L, n_bins):
+    # 65 rows give fewer node directions than the arc has bins; the swept
+    # arcs fill it, and the gap half-width misses pi - atan(L) by at most
+    # the one bin that its two partly covered edge bins can take (an exact
+    # tie at L = 1, 1324 bins lands on the bound to rounding)
+    fl = flows.analytic_flow("ExponentialCounterexample",
+                             g.Grid(g.PLANE, 65, 65, (-L, L), (-L, L)))
+    verdict = dg.classify(dg.angle_set(fl, n_bins), dg.total_curvature(fl))
+    assert verdict.kind == "Arc"
+    width = 2.0 * np.pi / n_bins
+    assert abs(verdict.beta - (np.pi - np.arctan(L))) <= width * (1.0 + 1e-9)
+
+
+def test_neighbours_sweep_the_arc_between_them_unless_opposed():
+    # two live nodes a half turn apart occupy their own bins only, and a
+    # quarter turn sweeps the bins between them; a bounded edge has no pair
+    # beyond it, while the torus wraps
+    def occupied_bins(kind, east):
+        gr = {"plane": g.Grid(g.PLANE, 9, 8, (-1.0, 1.0), (-1.0, 1.0)),
+              "torus": g.Grid(g.TORUS, 9, 8, (0.0, 2.0 * np.pi),
+                              (0.0, 2.0 * np.pi))}[kind]
+        vx, vy = np.zeros(gr.shape), np.zeros(gr.shape)
+        vx[4, 3], vx[4, 4] = 1.0, -1.0  # opposed along y
+        vy[0, 0], vx[east, 0] = 1.0, 1.0  # a quarter turn along x
+        aset = dg.angle_set(bare_flow(gr, vx, vy), 16)
+        assert list(np.flatnonzero(aset.mass)) == [0, 8, 12]
+        return list(aset.occupied_indices())
+
+    assert occupied_bins("plane", 1) == [0, 8, 9, 10, 11, 12]
+    # the same quarter turn across the x axis's ends
+    assert occupied_bins("plane", 8) == [0, 8, 12]
+    assert occupied_bins("torus", 8) == [0, 8, 9, 10, 11, 12]
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +454,24 @@ def test_power_of_two_scaling_is_exact_on_angle_sets(seed, k, n_bins):
 # classification decision table
 
 
+def occupied(occ):
+    """An AngleSet that occupies the bins where ``occ`` is true."""
+    occ = np.asarray(occ, dtype=bool)
+    return dg.AngleSet(occ.astype(float), occ, 1e-10)
+
+
 def occupancy(n, true_bins):
     occ = np.zeros(n, dtype=bool)
     occ[list(true_bins)] = True
-    return dg.AngleSet(occ.astype(float), 1e-10)
+    return occupied(occ)
 
 
-def test_bin_counts_and_occupancy_are_read_off_the_mass():
-    aset = dg.AngleSet(np.array([0.0, 2.0, 0.0, 1.0]), 1e-10)
+def test_bin_counts_and_occupancy_are_kept_as_given():
+    # a bin may be occupied with no node mass: an arc swept between nodes
+    aset = dg.AngleSet(np.array([0.0, 2.0, 0.0, 1.0]),
+                       np.array([False, True, True, True]), 1e-10)
     assert aset.n_bins == 4
-    assert list(aset.occupied_indices()) == [1, 3]
+    assert list(aset.occupied_indices()) == [1, 2, 3]
     assert dg.CurvatureProfile(np.ones(16)).n_bins == 16
 
 
@@ -417,17 +479,18 @@ def test_classify_full_circle():
     assert dg.classify(occupancy(360, range(360)), 1.0).kind == "FullCircle"
 
 
-def test_classify_semicircles_with_endpoint_slack():
+def test_classify_semicircle_needs_both_endpoint_bins():
     upper, lower, ends = dg.semicircle_bins(360)
     assert dg.classify(occupancy(360, upper), 1.0).kind == "TypeIIIUpper"
-    assert dg.classify(occupancy(360, upper - ends), 1.0).kind == "TypeIIIUpper"
     assert dg.classify(occupancy(360, lower), 1.0).kind == "TypeIIILower"
-
-
-def test_classify_fills_single_bin_holes_only():
-    upper, lower, ends = dg.semicircle_bins(360)
-    assert dg.classify(occupancy(360, upper - {250}), 1.0).kind == "TypeIIIUpper"
-    assert dg.classify(occupancy(360, upper - {250, 251}), 1.0).kind == "Indeterminate"
+    for side in (upper, lower):
+        for end in ends:
+            # the rest of a closed semicircle is one run of n/2 bins
+            v = dg.classify(occupancy(360, side - {end}), 1.0)
+            assert v.kind == "Arc"
+    # one empty bin inside is a gap too
+    assert dg.classify(occupancy(360, upper - {250}), 1.0).kind \
+        == "Indeterminate"
 
 
 def test_classify_arc_geometry():
@@ -449,24 +512,17 @@ def test_classify_guards():
         dg.Classification("Spiral")
 
 
-def arc_bins(n, start, length, holes):
-    """Occupancy of the circular run of bins start .. start + length - 1,
-    emptied at the given interior offsets."""
+def arc_bins(n, start, length):
+    """Occupancy of the circular run of bins start .. start + length - 1."""
     occ = np.zeros(n, dtype=bool)
     occ[(start + np.arange(length)) % n] = True
-    occ[(start + np.asarray(holes, dtype=int)) % n] = False
     return occ
 
 
-@st.composite
-def bin_runs(draw, n, lengths):
-    """One occupied run of bins with a length from ``lengths``, pierced by
-    single-bin pinholes at odd offsets (both neighbours stay occupied, so
-    classify fills every one of them)."""
-    length = draw(st.sampled_from(lengths))
-    holes = draw(st.sets(st.integers(0, max(length - 3, 0) // 2)))
-    holes = [2 * h + 1 for h in holes if 2 * h + 1 <= length - 2]
-    return draw(st.integers(0, n - 1)), length, holes
+def bin_runs(n, lengths):
+    """(start, length) of one occupied run of bins, its length from
+    ``lengths``."""
+    return st.tuples(st.integers(0, n - 1), st.sampled_from(lengths))
 
 
 @st.composite
@@ -483,14 +539,11 @@ def occupancies(draw):
     # the closed lower semicircle is bins 0 .. n/2, the upper n/2 .. n
     start = draw(st.sampled_from([0, n // 2]))
     skip_first, skip_last = draw(st.booleans()), draw(st.booleans())
-    _, length, holes = draw(bin_runs(n, [n // 2 + 1]))
-    return arc_bins(n, start + skip_first,
-                    length - skip_first - skip_last,
-                    [h - skip_first for h in holes])
+    return arc_bins(n, start + skip_first, n // 2 + 1 - skip_first - skip_last)
 
 
 def rolled(occ, k):
-    return dg.AngleSet(np.roll(occ, k).astype(float), 1e-10)
+    return occupied(np.roll(occ, k))
 
 
 def angle_gap(a, b):
@@ -518,8 +571,8 @@ def test_half_turn_of_the_bins_swaps_the_semicircles(occ):
     st.integers(-1000, 1000))
 def test_rolling_the_bins_turns_an_arc(arc, k):
     # runs of n/2 - 1 .. n/2 + 1 bins would be semicircles at some rolls
-    n, (start, length, holes) = arc
-    occ = arc_bins(n, start, length, holes)
+    n, (start, length) = arc
+    occ = arc_bins(n, start, length)
     before = dg.classify(rolled(occ, 0), 1.0)
     after = dg.classify(rolled(occ, k), 1.0)
     assert before.kind == after.kind == "Arc"
@@ -535,7 +588,7 @@ def test_one_gap_is_an_arc_centred_opposite_it(gap):
     n, start, length = gap
     occ = np.ones(n, dtype=bool)
     occ[(start + np.arange(length)) % n] = False
-    v = dg.classify(dg.AngleSet(occ.astype(float), 1e-10), 1.0)
+    v = dg.classify(occupied(occ), 1.0)
     assert v.kind == "Arc"
     assert v.beta == pytest.approx(length * np.pi / n, rel=1e-14)
     # the gap's middle bin sits at angle (start + (length - 1)/2) w - pi
@@ -611,8 +664,8 @@ def test_kappa_bin_floor():
 
 
 def test_direction_bin_floor():
-    # below 16 bins an empty half-circle can shrink to one pinhole bin,
-    # which classify fills (the strip flow read FullCircle at 4 bins)
+    # a half circle needs many bins: at 2 the strip flow reads FullCircle,
+    # and at 3 so does the counterexample on plane:3 and plane:10
     for n_bins in (1, 2, 4, 15):
         with pytest.raises(ValueError, match="at least 16 bins"):
             dg.angle_set(shear("Couette"), n_bins=n_bins)
@@ -941,6 +994,30 @@ def reference_angle_set(flow, n_bins):
     return np.append(mass, threshold)
 
 
+def reference_occupancy(flow, n_bins):
+    """angle_set's occupied bins by their definition, pair by pair: each
+    live node's bin, and the bins strictly between those of two live
+    neighbours along an axis with v . v' >= 0, the shorter way round."""
+    v = flow.velocity
+    live = np.hypot(v.vx, v.vy) > reference_bundle(flow).floor
+    idx = dg._bin_index(reference_angle_from(np.stack([v.vx, v.vy], axis=-1)),
+                        n_bins)
+    occ = np.zeros(n_bins, dtype=bool)
+    occ[idx[live]] = True
+    for axis in (0, 1):
+        def nxt(a):
+            return np.roll(a, -1, axis)
+        pair = (live & nxt(live)
+                & (nxt(v.vx) * v.vx + nxt(v.vy) * v.vy >= 0.0))
+        if not flow.grid.periodic:
+            np.moveaxis(pair, axis, 0)[-1] = False
+        for a, b in zip(idx[pair].tolist(), nxt(idx)[pair].tolist()):
+            step = (b - a + n_bins // 2) % n_bins - n_bins // 2
+            for j in range(1, abs(step)):
+                occ[(min(a, a + step) + j) % n_bins] = True
+    return occ
+
+
 def reference_kappa_distribution(flow, n_bins):
     """kappa_distribution's bin masses with both axes' arcs formed from
     rolled copies and every temporary alive until the return."""
@@ -1165,6 +1242,8 @@ def test_in_place_angles_and_curvature_profile_keep_every_bit(
         aset = dg.angle_set(fl, n_bins)
         again = dg.kappa_distribution(fl, n_bins).bin_mass
     assert bits(np.append(aset.mass, aset.stagnation_threshold)) == want[1][0]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(aset.occupied, reference_occupancy(fl, n_bins))
     assert bits(again) == want[0][0]
 
 

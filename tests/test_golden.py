@@ -11,6 +11,7 @@ their flows from the session's flow cache, so they add no solve;
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -30,9 +31,9 @@ GOLDEN = {
         ["analyze", "--catalog", "taylor-green", "--grid", "torus:64",
          "--out", "golden_analyze"],
         {
-            "angle_set.csv": "43b7377a91551fb2a06c460a25f0e4488f204e0e4ce5234984922b214ff8e320",
+            "angle_set.csv": "c514c09bfc492fe179019e4e40a2344ad5efee90639be3a8bb54de7ea4126895",
             "curvature_profile.csv": "44f33dc3d8a33da7c7d3f8323574cad8c6c6e861f62af8fa40588629beda2338",
-            "report.json": "4689ac017fff5b7e0e9fbcc647b3aecfc9ea901ca52d3a04420be74f0a554b4d",
+            "report.json": "4d9719942c0303c5a10eb4a3f0189b71b528cc65ffd9b460be69fd81b8f3a869",
         },
     ),
     # the half-plane saddle solve and its diagnostics, which no other run
@@ -41,9 +42,9 @@ GOLDEN = {
         ["analyze", "--solve", "halfplane", "--n", "81",
          "--out", "golden_saddle"],
         {
-            "angle_set.csv": "1340bcfe5f096ed2cbb0c71605e6e72f1f073be2ea3ce7fae748997ba9c168c8",
+            "angle_set.csv": "652a298cb4701f830882d859db90bc4707e0e6a5bd9c24ca8b85973132e2b5ba",
             "curvature_profile.csv": "7634cdc73d19400b1d4d0a108e213c5ccac03082ce20e85b38a9cab2154d3a9a",
-            "report.json": "24de23ceb7ff00eeddc31e0b0f920875f0fbd277165a6dda2f5d62a64cacc17a",
+            "report.json": "4f6205981a7a1a244fdd7f1656e1a01f0051204eb28a825bad21e3879730ca8e",
         },
     ),
     # the read path: the bundle the "solve" run writes, analyzed from disk
@@ -51,7 +52,7 @@ GOLDEN = {
         ["analyze", "--file", "golden_solve/flow.json",
          "--out", "golden_analyze_file"],
         {
-            "angle_set.csv": "3cddeea8c2bde884157ff84793ff08110d64e2a40ee327fece9e4d4fa9fa67e4",
+            "angle_set.csv": "fb8cdccebc6050058591e87ac963c4052f2be007a4eb787de7d0c9ca6004bad0",
             "curvature_profile.csv": "2ca289ec1b1597fc34df1ddb4c6aff02cf4ae04f4e0d0150cac77a0c73d42a7f",
             "report.json": "c5f1e8aafa4de85ca39905d0ab394f1e61e1b970b599bd5aacd00f6c94f8e0e6",
         },
@@ -165,6 +166,12 @@ GOLDEN = {
 # runs whose output a golden run reads
 INPUTS = {"analyze_file": ["solve"], "trace_file": ["solve"]}
 
+# the verdicts of the analyze runs: the flow angles of the continuous
+# direction field give Taylor-Green the whole circle on torus:64 and both
+# solved flows exactly the closed upper semicircle
+VERDICTS = {"analyze": "FullCircle", "saddle": "TypeIIIUpper",
+            "analyze_file": "TypeIIIUpper"}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch, cache):
@@ -181,3 +188,6 @@ def test_artifacts_match_golden_hashes(name, tmp_path, monkeypatch, cache):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == expected
+    if name in VERDICTS:
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] == VERDICTS[name]
