@@ -174,10 +174,9 @@ def check_strip_flow(cache):
     tc = dg.total_curvature(fl)
     aset = dg.angle_set(fl)
     verdict = dg.classify(aset, tc).kind
-    upper, lower, ends = dg.semicircle_bins(aset.n_bins)
-    occ = set(int(i) for i in aset.occupied_indices())
-    missing_upper = len(upper - occ)
-    stray_lower = len(occ & (lower - ends))
+    upper, lower = dg.semicircle_bins(aset.n_bins)
+    missing_upper = int(np.count_nonzero(upper & ~aset.occupied))
+    stray_lower = int(np.count_nonzero(aset.occupied & lower & ~upper))
     out = [
         CheckResult("strip_verdict", verdict == "TypeIIIUpper", verdict,
                     "TypeIIIUpper", "exact"),
@@ -257,8 +256,8 @@ def check_equal_distribution(cache):
     _, st = cache.strip()
     sprof = dg.kappa_distribution(st)
     cv_up = dg.semicircle_cv(sprof, "upper")
-    upper, lower, ends = dg.semicircle_bins(sprof.n_bins)
-    stray = float(sprof.bin_mass[sorted(lower - ends)].sum())
+    upper, lower = dg.semicircle_bins(sprof.n_bins)
+    stray = float(sprof.bin_mass[lower & ~upper].sum())
     out.append(CheckResult("strip_upper_bin_cv", cv_up < 0.08, cv_up, 0.0,
                            "< 8e-2"))
     out.append(CheckResult("strip_open_lower_mass",

@@ -266,8 +266,8 @@ def _default(r, key, value):
 # value (the smallest grids and bin counts the library accepts); every
 # numeric option must also be finite
 _POSITIVE = ("lam", "L", "tol", "step", "shear_tol")
-_AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": 16, "kappa_bins": 16,
-             "max_steps": 1}
+_AT_LEAST = {"nx": 15, "ny": 8, "n": 8, "bins": dg.MIN_BINS,
+             "kappa_bins": dg.MIN_BINS, "max_steps": 1}
 
 
 def _check_numbers(r, opts):

@@ -4,13 +4,15 @@ classification verdicts built from them.
 Angle bins use a round-to-center convention: bin b of n covers the angles
 within half a width of b*(2pi/n) - pi, so the cardinal directions sit at bin
 centers instead of edges and finite-difference jitter around an exact
-direction cannot flip occupancy.  Bin 0 straddles the seam at +-pi.  The
-occupied bins are the flow angles of a continuous direction field: each
-node faster than the stagnation floor occupies its own bin, and each pair
-of such nodes that are neighbours along an axis and turn by at most pi/2
-(v . v' >= 0) occupies every bin on the shorter way between theirs, since
-the field sweeps that arc between them.  A wider turn is a fold that one
-cell cannot resolve, so its pair adds nothing.
+direction cannot flip occupancy.  Bin 0 straddles the seam at +-pi.  A
+semicircle is the bins its directions land in, so at every bin count both
+closed semicircles hold the bins of (1, 0) and (-1, 0).  The occupied bins
+are the flow angles of a continuous direction field: each node faster than
+the stagnation floor occupies its own bin, and each pair of such nodes that
+are neighbours along an axis and turn by at most pi/2 (v . v' >= 0)
+occupies every bin on the shorter way between theirs, since the field
+sweeps that arc between them.  A wider turn is a fold that one cell cannot
+resolve, so its pair adds nothing.
 
 Every curvature quantity shares one stagnation floor, max(1e-10, 1e-3 s)
 with s = max(hx, hy) * max |grad v|_F, |grad v|_F the Frobenius norm, which
@@ -66,16 +68,21 @@ class DiagnosticOverflow(ValueError):
 VERDICTS = ("Shear", "FullCircle", "TypeIIIUpper", "TypeIIILower",
             "Arc", "Indeterminate")
 
+# at 2 bins the strip reads FullCircle and at 3 the counterexample does, so
+# every bin count has this floor: it keeps a half circle many bins wide
+MIN_BINS = 16
+
 
 # ---------------------------------------------------------------------------
 # angles
 
 
-def _angle(u1, u2):
+def _angle(u1, u2, speed=None):
     """Angle of the vectors (u1, u2) from e1, elementwise, in (-pi, pi]:
     sgn(u2) * arccos(u1 / |u|), the zero vector mapped to 0 and the antipode
-    (u2 = 0, u1 < 0) to +pi.  Built in place in one fresh array."""
-    out = np.hypot(u1, u2)
+    (u2 = 0, u1 < 0) to +pi.  Built in place in one fresh array: a copy of
+    ``speed``, the caller's |u| = np.hypot(u1, u2), or |u| formed here."""
+    out = np.hypot(u1, u2) if speed is None else speed.copy()
     moving = out > 0.0
     np.divide(u1, out, out=out, where=moving)
     np.clip(out, -1.0, 1.0, out=out)
@@ -307,9 +314,6 @@ class AngleSet:
         self.occupied = np.asarray(occupied, dtype=bool)
         self.stagnation_threshold = float(stagnation_threshold)
 
-    def occupied_indices(self):
-        return np.flatnonzero(self.occupied)
-
 
 def angle_set(flow, n_bins: int = 360) -> AngleSet:
     """Bin the directions _angle(vx, vy) of all nodes faster than the
@@ -321,16 +325,14 @@ def angle_set(flow, n_bins: int = 360) -> AngleSet:
     add a bin; their arcs are marked with one difference array over twice
     the bins, folded onto the circle.
     """
-    # 2 bins read the strip as FullCircle and 3 the counterexample, so the
-    # floor keeps a half circle many bins wide
-    if n_bins < 16:
-        raise ValueError("need at least 16 bins")
+    if n_bins < MIN_BINS:
+        raise ValueError("need at least %d bins" % MIN_BINS)
     periodic = flow.grid.periodic
     threshold = _bundle(flow).floor
     v = flow.velocity
     speed = np.hypot(v.vx, v.vy)
     live = speed > threshold
-    idx = _bin_index(_angle(v.vx, v.vy), n_bins)
+    idx = _bin_index(_angle(v.vx, v.vy, speed), n_bins)
     mass = np.bincount(idx[live], weights=speed[live], minlength=n_bins)
     del speed
     edges = np.zeros(2 * n_bins, dtype=np.intp)
@@ -615,8 +617,8 @@ def kappa_distribution(flow, n_bins: int = 64) -> CurvatureProfile:
     a masked copy, so few full-grid arrays are alive at once; each ufunc
     takes the operands of the plain expression, so every bit is the same.
     """
-    if n_bins < 16:
-        raise ValueError("need at least 16 bins")
+    if n_bins < MIN_BINS:
+        raise ValueError("need at least %d bins" % MIN_BINS)
     b = _bundle(flow)
     g = flow.grid
     live, ridge_mass, across_y = b.live, b.ridge_mass, b.across_y
@@ -688,32 +690,28 @@ def _voronoi_arc(theta, axis, periodic):
 
 
 def semicircle_bins(n_bins: int):
-    """(upper closed, lower closed, endpoint) bin index sets.
+    """The closed upper and lower semicircles as boolean masks over the bins.
 
-    Endpoints are the bins holding the directions (1,0) and (-1,0), shared
-    by both closed semicircles.
+    A semicircle is the bins its directions land in.  (-1, 0) lands in bin 0
+    and (1, 0) in bin m = _bin_index(0, n), and the binning is monotone in
+    the angle, so the closed upper semicircle is bins m .. n-1 and 0 and the
+    closed lower one bins 0 .. m.  Both hold the two bins 0 and m of the
+    axis directions, and each open semicircle is one mask minus the other.
     """
-    theta = bin_centers(n_bins)
-    s = np.sin(theta)
-    upper = set(np.flatnonzero(s >= -1e-12))
-    lower = set(np.flatnonzero(s <= 1e-12))
-    return upper, lower, upper & lower
-
-
-def _interior_bins(n_bins, sign):
-    # bins whose full width lies strictly inside the open upper/lower arc
-    theta = bin_centers(n_bins)
-    half = np.pi / n_bins
-    lo = sign * theta - half
-    hi = sign * theta + half
-    return np.flatnonzero((lo > 1e-12) & (hi < np.pi - 1e-12))
+    m = int(_bin_index(np.zeros(1), n_bins)[0])
+    b = np.arange(n_bins)
+    upper = b >= m
+    upper[0] = True
+    return upper, b <= m
 
 
 def semicircle_cv(profile: CurvatureProfile, side: str) -> float:
-    """Coefficient of variation of bin masses strictly inside one open
-    semicircle; 0 for an empty distribution."""
-    idx = _interior_bins(profile.n_bins, 1.0 if side == "upper" else -1.0)
-    vals = profile.bin_mass[idx]
+    """Coefficient of variation of the bin masses of one open semicircle,
+    the bins that only its own directions land in; 0 for an empty
+    distribution."""
+    upper, lower = semicircle_bins(profile.n_bins)
+    vals = profile.bin_mass[upper & ~lower if side == "upper"
+                            else lower & ~upper]
     mean = float(vals.mean())
     if mean == 0.0:
         return 0.0
@@ -752,20 +750,20 @@ def classify(angle_set: AngleSet, total_curvature: float,
 
     Shear wins on vanishing curvature; FullCircle on total occupancy; the
     two semicircle verdicts next, each when the occupied bins are exactly
-    that closed semicircle, both endpoint bins included; a contiguous
-    occupied arc is reported with its gap half-width beta and arc center
-    theta0; anything else is Indeterminate.
+    the bins that closed semicircle's directions land in (semicircle_bins),
+    both axis bins included; a contiguous occupied arc is reported with its
+    gap half-width beta and arc center theta0; anything else is
+    Indeterminate.
     """
     if total_curvature < tol_curv:
         return Classification("Shear")
     occupied = angle_set.occupied
     if occupied.all():
         return Classification("FullCircle")
-    occ = set(np.flatnonzero(occupied))
-    upper, lower, _ = semicircle_bins(angle_set.n_bins)
-    if occ == upper:
+    upper, lower = semicircle_bins(angle_set.n_bins)
+    if np.array_equal(occupied, upper):
         return Classification("TypeIIIUpper")
-    if occ == lower:
+    if np.array_equal(occupied, lower):
         return Classification("TypeIIILower")
     # a gap starts at each empty bin that follows an occupied one
     empty = ~occupied

@@ -110,10 +110,118 @@ def test_bins_are_centered_on_their_labels():
 
 
 def test_semicircles_share_only_the_axis_bins():
-    upper, lower, ends = dg.semicircle_bins(360)
-    assert ends == {0, 180}
-    assert upper & lower == ends
-    assert len(upper) == 181 and len(lower) == 181
+    upper, lower = dg.semicircle_bins(360)
+    assert list(np.flatnonzero(upper & lower)) == [0, 180]
+    assert upper.sum() == 181 and lower.sum() == 181
+
+
+def reference_semicircles(n_bins):
+    """The closed semicircles by the sign of each bin centre's sine, and the
+    open ones as the bins whose whole width lies strictly inside, each with
+    a 1e-12 slack: the float rules the bin-rule masks replaced."""
+    theta = dg.bin_centers(n_bins)
+    s = np.sin(theta)
+    opened = []
+    for sign in (1.0, -1.0):
+        lo = sign * theta - np.pi / n_bins
+        hi = sign * theta + np.pi / n_bins
+        opened.append((lo > 1e-12) & (hi < np.pi - 1e-12))
+    return s >= -1e-12, s <= 1e-12, opened[0], opened[1]
+
+
+def test_semicircle_masks_follow_the_bin_rule():
+    # at an even bin count the masks are the float rules' sets; at an odd
+    # one (1, 0) sits on a bin edge, and the masks differ from them only in
+    # the bin m that _bin_index gives it, which both closed masks hold, and
+    # one open mask gains the bin next to m across the axis
+    for n in range(16, 4097):
+        upper, lower = dg.semicircle_bins(n)
+        ref_upper, ref_lower, ref_open_upper, ref_open_lower = \
+            reference_semicircles(n)
+        m = int(dg._bin_index(np.array([0.0]), n)[0])
+        assert dg._bin_index(np.array([-np.pi, np.pi]), n).tolist() == [0, 0]
+        assert upper[0] and upper[m] and lower[0] and lower[m]
+        differ = (upper != ref_upper) | (lower != ref_lower)
+        open_upper, open_lower = upper & ~lower, lower & ~upper
+        gained = (open_upper & ~ref_open_upper) | (open_lower & ~ref_open_lower)
+        assert not (ref_open_upper & ~open_upper).any()
+        assert not (ref_open_lower & ~open_lower).any()
+        if n % 2 == 0:
+            assert not differ.any() and not gained.any(), n
+        else:
+            assert np.flatnonzero(differ).tolist() == [m], n
+            assert np.flatnonzero(gained).tolist() in ([m - 1], [m + 1]), n
+
+
+def mirrored(flow):
+    """The flow read with the x2 axis reversed: (v1, -v2) at the mirror
+    node, so every flow angle changes sign."""
+    return transformed(flow, lambda vx, vy: (vx[:, ::-1], -vy[:, ::-1]))
+
+
+def test_semicircle_verdicts_hold_at_every_bin_count(strip_flow):
+    # odd counts put (1, 0) on a bin edge: the float rules read these flows
+    # as Arc at 17, 361, 363 and 1441 bins and their mirrors at 19 and 1443
+    upper_flows = [strip_flow,
+                   elliptic2d.solve_type3_strip(L=6.0, nx=97, ny=33)[1],
+                   elliptic2d.solve_saddle_quadrant(n=81)[1]]
+    for n_bins in (16, 17, 18, 19, 90, 360, 361, 363, 1440, 1441, 1443):
+        for fl in upper_flows:
+            tc = dg.total_curvature(fl)
+            assert dg.classify(dg.angle_set(fl, n_bins), tc).kind \
+                == "TypeIIIUpper", n_bins
+        for fl in upper_flows[:2]:
+            fl = mirrored(fl)
+            assert dg.classify(dg.angle_set(fl, n_bins),
+                               dg.total_curvature(fl)).kind \
+                == "TypeIIILower", n_bins
+
+
+def test_semicircle_cv_reads_the_open_mask_at_odd_bin_counts():
+    # (1, 0) lands in bin 8 of 17 and bin 10 of 19; the open semicircles
+    # take bin 9 too, whose edge touches the axis but whose directions lie
+    # strictly inside
+    for n_bins, side, bins in ((17, "upper", range(9, 17)),
+                               (17, "lower", range(1, 8)),
+                               (19, "upper", range(11, 19)),
+                               (19, "lower", range(1, 10))):
+        upper, lower = dg.semicircle_bins(n_bins)
+        inside = upper & ~lower if side == "upper" else lower & ~upper
+        assert np.flatnonzero(inside).tolist() == list(bins)
+        mass = np.ones(n_bins)
+        mass[9] = 3.0
+        vals = mass[list(bins)]
+        cv = dg.semicircle_cv(dg.CurvatureProfile(mass), side)
+        assert cv == float(vals.std() / vals.mean())
+    assert dg.semicircle_cv(dg.CurvatureProfile(np.zeros(17)), "upper") == 0.0
+
+
+def reference_angle_body(u1, u2):
+    """_angle as it was written before it took the caller's speed."""
+    out = np.hypot(u1, u2)
+    moving = out > 0.0
+    np.divide(u1, out, out=out, where=moving)
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    np.negative(out, out=out, where=u2 < 0.0)
+    np.copyto(out, 0.0, where=~moving)
+    return out
+
+
+def test_angle_from_the_callers_speed_keeps_every_bit():
+    # every pair of zeros of both signs, antipodes, subnormals, huge and
+    # non-finite components, and the speed it is given left as it was
+    vals = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 5e-324, -5e-324,
+                     1e-300, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
+    u1, u2 = (a.ravel() for a in np.meshgrid(vals, vals))
+    want = flagged(lambda: reference_angle_body(u1, u2))
+    assert flagged(lambda: dg._angle(u1, u2, np.hypot(u1, u2))) == want
+    assert flagged(lambda: dg._angle(u1, u2)) == want
+    with np.errstate(all="ignore"):
+        speed = np.hypot(u1, u2)
+        kept = bits(speed)
+        dg._angle(u1, u2, speed)
+    assert bits(speed) == kept
 
 
 def test_stagnation_floor_tracks_mesh_and_shear():
@@ -150,7 +258,7 @@ def test_shear_verdict():
 
 def test_couette_occupies_exactly_the_two_axis_bins():
     aset = dg.angle_set(shear("Couette"))
-    assert list(aset.occupied_indices()) == [0, 180]
+    assert list(np.flatnonzero(aset.occupied)) == [0, 180]
     # symmetric speed distribution: equal mass both ways
     assert aset.mass[0] == pytest.approx(aset.mass[180], rel=1e-12)
 
@@ -161,9 +269,9 @@ def test_couette_occupies_exactly_the_two_axis_bins():
 
 def test_strip_flow_is_upper_semicircle(strip_flow):
     aset = dg.angle_set(strip_flow)
-    upper, _, _ = dg.semicircle_bins(aset.n_bins)
+    upper, _ = dg.semicircle_bins(aset.n_bins)
     # the closed upper semicircle, both endpoint bins included
-    assert set(aset.occupied_indices()) == upper
+    assert np.array_equal(aset.occupied, upper)
     verdict = dg.classify(aset, dg.total_curvature(strip_flow))
     assert verdict.kind == "TypeIIIUpper"
 
@@ -194,8 +302,8 @@ def test_strip_kappa_profile(strip_flow):
     assert prof.n_bins == 64
     assert abs(prof.total - tc) <= 1e-10 * abs(tc)
     assert dg.semicircle_cv(prof, "upper") < 0.08
-    upper, lower, ends = dg.semicircle_bins(prof.n_bins)
-    assert prof.bin_mass[sorted(lower - ends)].sum() <= 1e-12 * tc
+    upper, lower = dg.semicircle_bins(prof.n_bins)
+    assert prof.bin_mass[lower & ~upper].sum() <= 1e-12 * tc
 
 
 def test_strip_wall_limits_and_asymmetry_identity(strip_flow):
@@ -322,7 +430,7 @@ def test_neighbours_sweep_the_arc_between_them_unless_opposed():
         vy[0, 0], vx[east, 0] = 1.0, 1.0  # a quarter turn along x
         aset = dg.angle_set(bare_flow(gr, vx, vy), 16)
         assert list(np.flatnonzero(aset.mass)) == [0, 8, 12]
-        return list(aset.occupied_indices())
+        return list(np.flatnonzero(aset.occupied))
 
     assert occupied_bins("plane", 1) == [0, 8, 9, 10, 11, 12]
     # the same quarter turn across the x axis's ends
@@ -471,7 +579,7 @@ def test_bin_counts_and_occupancy_are_kept_as_given():
     aset = dg.AngleSet(np.array([0.0, 2.0, 0.0, 1.0]),
                        np.array([False, True, True, True]), 1e-10)
     assert aset.n_bins == 4
-    assert list(aset.occupied_indices()) == [1, 2, 3]
+    assert list(np.flatnonzero(aset.occupied)) == [1, 2, 3]
     assert dg.CurvatureProfile(np.ones(16)).n_bins == 16
 
 
@@ -480,17 +588,19 @@ def test_classify_full_circle():
 
 
 def test_classify_semicircle_needs_both_endpoint_bins():
-    upper, lower, ends = dg.semicircle_bins(360)
-    assert dg.classify(occupancy(360, upper), 1.0).kind == "TypeIIIUpper"
-    assert dg.classify(occupancy(360, lower), 1.0).kind == "TypeIIILower"
+    upper, lower = dg.semicircle_bins(360)
+    assert dg.classify(occupied(upper), 1.0).kind == "TypeIIIUpper"
+    assert dg.classify(occupied(lower), 1.0).kind == "TypeIIILower"
     for side in (upper, lower):
-        for end in ends:
+        for end in np.flatnonzero(upper & lower):
             # the rest of a closed semicircle is one run of n/2 bins
-            v = dg.classify(occupancy(360, side - {end}), 1.0)
-            assert v.kind == "Arc"
+            occ = side.copy()
+            occ[end] = False
+            assert dg.classify(occupied(occ), 1.0).kind == "Arc"
     # one empty bin inside is a gap too
-    assert dg.classify(occupancy(360, upper - {250}), 1.0).kind \
-        == "Indeterminate"
+    occ = upper.copy()
+    occ[250] = False
+    assert dg.classify(occupied(occ), 1.0).kind == "Indeterminate"
 
 
 def test_classify_arc_geometry():
