@@ -4,7 +4,10 @@ once per run.  The ``verify`` command and the acceptance tests share them.
 
 Each entry of ``_CHECKS`` names the cached flows its check reads, so
 :func:`run_suite` can drop each flow, with the curvature bundle kept on it,
-after the last check of the suite that reads it.
+after the last check of the suite that reads it.  The saddle, whose 2D
+solve no other check reads, is solved on one worker thread while the
+checks before it run; results, their order and every bit are those of a
+serial run.
 """
 
 from __future__ import annotations
@@ -53,11 +56,22 @@ class CheckResult:
                 "tol": self.tol}
 
 
+class _Pending:
+    """A build running on :func:`run_suite`'s worker thread."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future):
+        self.future = future
+
+
 class _FlowCache:
     """Memo for the solved and sampled flows the checks share.  A key is the
     builder's name followed by its arguments, as the ``_CHECKS`` table
     names them: ``("strip",)``, ``("strip", ("nx", 385), ("ny", 65))``,
-    ``("cellular", 512)``.
+    ``("cellular", 512)``.  A build started on a worker (:meth:`start`)
+    sits in the memo as pending; the first read waits for it, and raises
+    what the build raised.
     """
 
     def __init__(self):
@@ -66,7 +80,15 @@ class _FlowCache:
     def _get(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
-        return self._memo[key]
+        flow = self._memo[key]
+        if isinstance(flow, _Pending):
+            flow = self._memo[key] = flow.future.result()
+        return flow
+
+    def start(self, key, build, pool):
+        """Run ``build`` for ``key`` on ``pool`` unless the memo has it."""
+        if key not in self._memo:
+            self._memo[key] = _Pending(pool.submit(build))
 
     def drop(self, key):
         self._memo.pop(key, None)
@@ -77,8 +99,12 @@ class _FlowCache:
                          lambda: elliptic2d.solve_type3_strip(**sizes)[:2])
 
     def saddle(self):
-        return self._get(("saddle",),
-                         lambda: elliptic2d.solve_saddle_quadrant()[:2])
+        return self._get(_SADDLE, self.solve_saddle)
+
+    def solve_saddle(self):
+        # (field, flow) of the reference saddle: the builder behind
+        # saddle(), which run_suite also hands to its worker
+        return elliptic2d.solve_saddle_quadrant()[:2]
 
     def taylor_green(self, n):
         box = (0.0, 2.0 * np.pi)
@@ -398,6 +424,7 @@ def check_invariance(cache):
 
 
 _STRIP = ("strip",)
+_SADDLE = ("saddle",)
 
 # (name, check, the _FlowCache keys the check reads)
 _CHECKS = (
@@ -408,7 +435,7 @@ _CHECKS = (
     ("sign_equation", check_sign_equation, []),
     ("transverse_profile", check_transverse_profile, []),
     ("strip_flow", check_strip_flow, [_STRIP]),
-    ("saddle_flow", check_saddle_flow, [("saddle",)]),
+    ("saddle_flow", check_saddle_flow, [_SADDLE]),
     ("equal_distribution", check_equal_distribution,
      [("cellular", 512), _STRIP]),
     ("strict_gap", check_strict_gap, [("cellular", 256)]),
@@ -438,14 +465,44 @@ _SUITES = {
 def run_suite(name):
     """Run the checks of one suite in order; each cached flow is built on
     first read and dropped after the last check of the suite that reads it.
+
+    A suite that reads the saddle starts its solve on one worker thread at
+    once, and the checks before the saddle's run meanwhile; the pool is
+    joined before this returns or raises.  Once the saddle is dropped, the
+    pages its arrays held go back to the system.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     cache = _FlowCache()
     checks = _SUITES[name]
     last = {key: i for i, check in enumerate(checks) for key in _READS[check]}
     results = []
-    for i, check in enumerate(checks):
-        results.extend(_CHECK_MAP[check](cache))
-        for key in _READS[check]:
-            if last[key] == i:
-                cache.drop(key)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if _SADDLE in last:
+            cache.start(_SADDLE, cache.solve_saddle, pool)
+        for i, check in enumerate(checks):
+            results.extend(_CHECK_MAP[check](cache))
+            for key in _READS[check]:
+                if last[key] == i:
+                    cache.drop(key)
+                    if key == _SADDLE:
+                        _release_freed_pages()
     return results
+
+
+def _release_freed_pages():
+    """Return the pages that free() keeps to the system (glibc's
+    ``malloc_trim``; elsewhere nothing happens).
+
+    The worker's allocations come from its own malloc arena, whose freed
+    pages the calling thread cannot reuse; dropping the saddle without this
+    leaves them resident under the later checks' peak (the 512^2 torus),
+    which rose by 5.6 MB instead of 3.1 MB in one process.
+    """
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)

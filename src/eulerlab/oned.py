@@ -34,6 +34,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -309,16 +310,25 @@ def _defect(u, spacings, f):
 def _norm(a) -> float:
     """2-norm of ``a``, finite whenever the exact norm is.
 
-    The sum of squares overflows for entries beyond ~1e154, as the folded
-    ring of a spacing near 1e-150 gives; only then is the norm taken again
-    on ``a`` scaled by its largest magnitude, so other solves pay nothing.
+    The sum of squares is one ``einsum`` pass, which calls no BLAS:
+    ``np.linalg.norm`` runs a threaded BLAS dot, whose threads contend for
+    the cores with a solve on another thread (``verify`` solves the saddle
+    on a worker).  The sum overflows for entries beyond ~1e154, as the
+    folded ring of a spacing near 1e-150 gives; only then is the norm taken
+    again on ``a`` scaled by its largest magnitude, so other solves pay
+    nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        n = float(np.linalg.norm(a))
+        n = _sqrt_sum_squares(a)
         if not math.isfinite(n):
             m = float(np.max(np.abs(a)))
-            n = m * float(np.linalg.norm(a / m))
+            n = m * _sqrt_sum_squares(a / m)
     return n
+
+
+def _sqrt_sum_squares(a) -> float:
+    flat = a.ravel()
+    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def _pocketfft_dst():
@@ -344,6 +354,7 @@ def _pocketfft_dst():
 
 
 _DST = None  # the DST-I that _dst1 settled on in this process
+_DST_LOCK = threading.Lock()  # taken by the first loads only
 
 
 def _dst1(x, out=None):
@@ -356,24 +367,31 @@ def _dst1(x, out=None):
     any failure there (a missing file, another ABI, a changed signature)
     falls back to ``scipy.fft.dstn`` without a word.  A transform that
     returns wrong numbers quietly still meets the backward-error check of
-    :meth:`_DirichletSolver.solve`.
+    :meth:`_DirichletSolver.solve`.  The load runs under a lock, so threads
+    that make their first calls together load one transform and share it.
     """
     global _DST
     if _DST is None:
-        try:
-            dst = _pocketfft_dst()
-            dst(np.zeros(3))
-        except Exception:  # whatever the private layout raises
-            from scipy.fft import dstn
-
-            def dst(a, out=None):
-                t = dstn(a, type=1, norm="ortho")
-                if out is None:
-                    return t
-                out[...] = t
-                return out
-        _DST = dst
+        with _DST_LOCK:
+            if _DST is None:
+                _DST = _load_dst()
     return _DST(x, out)
+
+
+def _load_dst():
+    try:
+        dst = _pocketfft_dst()
+        dst(np.zeros(3))
+    except Exception:  # whatever the private layout raises
+        from scipy.fft import dstn
+
+        def dst(a, out=None):
+            t = dstn(a, type=1, norm="ortho")
+            if out is None:
+                return t
+            out[...] = t
+            return out
+    return dst
 
 
 class _DirichletSolver:

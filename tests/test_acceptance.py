@@ -8,11 +8,12 @@ shared through the session cache of ``conftest.py``, so the first criterion
 touching a flow pays for its solve inside its own (generous) budget.
 """
 
+import threading
 import time
 
 import pytest
 
-from eulerlab import acceptance
+from eulerlab import acceptance, elliptic2d
 
 
 def run_checks(name, cache, budget):
@@ -93,6 +94,13 @@ class RecordingCache(acceptance._FlowCache):
         self.peak = max(self.peak, len(self._memo))
         return flow
 
+    def start(self, key, build, pool):
+        # run_suite's background build, recorded like one _get makes
+        if key not in self._memo:
+            self.built.append(key)
+        super().start(key, lambda: self.session._get(key, build), pool)
+        self.peak = max(self.peak, len(self._memo))
+
 
 @pytest.mark.parametrize("name", sorted(acceptance._CHECK_MAP))
 def test_each_check_reads_the_flows_its_entry_names(name, cache):
@@ -114,6 +122,66 @@ def test_run_suite_drops_every_flow_after_its_last_check(cache, monkeypatch):
     # built on first read, never read again once dropped
     assert len(rec.built) == len(set(rec.built)) == 13
     assert rec.peak < 13
+
+
+def test_run_suite_solves_only_the_saddle_on_one_worker(cache, monkeypatch):
+    # the session's saddle, handed out by the builder run_suite gives its
+    # worker; every other flow is read on the calling thread
+    solved, builds = cache.solve_saddle, []
+
+    def watched():
+        builds.append(threading.current_thread())
+        return solved()
+
+    monkeypatch.setattr(cache, "solve_saddle", watched)
+    monkeypatch.setattr(cache, "drop", lambda key: None)
+    monkeypatch.delitem(cache._memo, ("saddle",), raising=False)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: cache)
+    before = threading.active_count()
+    results = acceptance.run_suite("all")
+    assert len(results) == 47 and all(res.passed for res in results)
+    assert len(builds) == 1 and builds[0] is not threading.main_thread()
+    assert cache._memo[("saddle",)] == solved()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("suite", ["all", "saddle"])
+def test_a_failing_background_solve_raises_at_the_saddle_check(
+        suite, cache, monkeypatch):
+    class FailingSaddle(RecordingCache):
+        def solve_saddle(self):
+            raise elliptic2d.NonConvergence("x")
+
+        def start(self, key, build, pool):
+            # the worker runs the failing builder, not the session's solve
+            super(RecordingCache, self).start(key, build, pool)
+
+    rec = FailingSaddle(cache)
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: rec)
+    before = threading.active_count()
+    with pytest.raises(elliptic2d.NonConvergence, match="^x$"):
+        acceptance.run_suite(suite)
+    # raised where the saddle check reads the flow, after the checks
+    # before it ran
+    checks = acceptance._SUITES[suite]
+    earlier = checks[:checks.index("saddle_flow")]
+    assert rec.reads == {key for name in earlier + ["saddle_flow"]
+                         for key in acceptance._READS[name]}
+    assert threading.active_count() == before
+
+
+def test_run_suite_returns_the_freed_pages_once_the_saddle_is_dropped(
+        cache, monkeypatch):
+    release, held = acceptance._release_freed_pages, []
+    assert release() is None  # malloc_trim where glibc has it, else nothing
+    rec = RecordingCache(cache)
+    monkeypatch.setattr(acceptance, "_release_freed_pages",
+                        lambda: held.append(set(rec._memo)))
+    monkeypatch.setattr(acceptance, "_FlowCache", lambda: rec)
+    acceptance.run_suite("all")
+    # once, right after the saddle check dropped the saddle
+    assert held == [{("shear", name) for name in acceptance._SHEARS}
+                    | {("strip",)}]
 
 
 def test_named_suites_match_the_same_checks_inside_all(cache, monkeypatch):

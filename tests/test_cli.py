@@ -793,6 +793,18 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_out():
+    # verify imports its worker pool when a suite runs; loading it with the
+    # CLI cost every command ~4 ms of start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulerlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, eulerlab.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_solve_leaves_the_scipy_fft_package_out(tmp_path):
     # a solve loads scipy's sine-transform extension from its file; the
     # scipy.fft package and the scipy.special it pulls in stay unloaded

@@ -335,6 +335,26 @@ def test_two_sided_iteration_unique_limit():
     assert float(np.max(np.abs(up.values - down.values))) < 1e-7
 
 
+def test_a_2d_solve_takes_no_blas_norm(monkeypatch):
+    # the sine-transform check's norms are einsum passes: with numpy's norm
+    # (a threaded BLAS dot) refused, a small solve runs to the same bits
+    nl, ring, supersol = strip_problem(nx=49, ny=17, L=3.0)
+    g = supersol.grid
+    want, want_report = e2.solve_semilinear(nl, ring, zeros_on(g), supersol,
+                                            "super")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refused)
+    nl, ring, supersol = strip_problem(nx=49, ny=17, L=3.0)
+    g = supersol.grid
+    got, report = e2.solve_semilinear(nl, ring, zeros_on(g), supersol, "super")
+    assert report.iterations > 0 and report.final_residual < 1e-8
+    assert same_bits(got.values, want.values)
+    assert report.to_dict() == want_report.to_dict()
+
+
 def test_sweep_budget_exhausted(monkeypatch):
     nl, ring, supersol = strip_problem()
     assert e2.NonConvergence is oned.NonConvergence

@@ -6,6 +6,9 @@ rtol 1e-12 and bisect the center value until u(1) = 0.  The heteroclinic
 has the closed form tanh(x/sqrt 2), so no numerical oracle is needed there.
 """
 
+import math
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -417,6 +420,80 @@ def test_sine_transform_falls_back_to_scipy_fft_with_the_same_bytes(
     assert names == sorted(p.name for p in fallback.iterdir())
     for name in names:
         assert (fallback / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_first_sine_transforms_on_two_threads_load_one_transform(
+        monkeypatch):
+    # verify solves the saddle on a worker while the main thread solves the
+    # strip, so both can make the process's first transform together
+    x = np.random.default_rng(3).standard_normal((9, 7))
+    want = oned._dst1(x.copy())
+    real, loads = oned._pocketfft_dst, []
+
+    def slow_load():
+        loads.append(threading.get_ident())
+        time.sleep(0.05)  # the other thread arrives while this one loads
+        return real()
+
+    monkeypatch.setattr(oned, "_pocketfft_dst", slow_load)
+    monkeypatch.setattr(oned, "_DST", None)
+    both = threading.Barrier(2)
+    got = [None, None]
+
+    def first(k):
+        both.wait()
+        got[k] = oned._dst1(x.copy())
+
+    threads = [threading.Thread(target=first, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(loads) == 1 and oned._DST is not None
+    for g in got:
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+def _reference_norm(a):
+    # numpy's norm, rescaled by the largest magnitude where the sum of
+    # squares overflows
+    with np.errstate(over="ignore"):
+        ref = float(np.linalg.norm(a))
+    if not math.isfinite(ref):
+        m = np.max(np.abs(a))
+        ref = float(m * np.linalg.norm(a / m))
+    return ref
+
+
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-30, 1.0),
+                     st.floats(-1.0, -1e-30))
+
+
+@settings(max_examples=200)
+@given(values=st.lists(_ENTRIES, min_size=1, max_size=200),
+       scale=st.sampled_from([1e-100, 1.0, 1e100, 1e300]),
+       dtype=st.sampled_from([np.float64, np.longdouble]),
+       rows=st.sampled_from([1, 2]))
+def test_norm_matches_numpy_norm(values, scale, dtype, rows):
+    # one einsum pass in place of the BLAS dot; entries near 1e300 take
+    # the rescaled path, long doubles sum in their own precision
+    values = values[:len(values) // rows * rows] or [0.0] * rows
+    a = np.asarray(values, dtype=dtype).reshape(rows, -1) * dtype(scale) / 3
+    got = oned._norm(a)
+    assert type(got) is float and math.isfinite(got)
+    ref = _reference_norm(a)
+    if not a.any():
+        assert got == 0.0
+    assert abs(got - ref) <= 4.0 * math.sqrt(a.size) * np.finfo(float).eps * ref
+
+
+def test_norm_of_zeros_and_of_entries_near_the_overflow():
+    for dtype in (np.float64, np.longdouble):
+        assert oned._norm(np.zeros((5, 3), dtype=dtype)) == 0.0
+    big = np.full(100, 1e300)
+    got = oned._norm(big)
+    assert math.isfinite(got)
+    assert abs(got - 1e301) <= 40.0 * np.finfo(float).eps * 1e301
 
 
 def test_profile_rejects_bad_input():
