@@ -4,10 +4,11 @@ once per run.  The ``verify`` command and the acceptance tests share them.
 
 Each entry of ``_CHECKS`` names the cached flows its check reads, so
 :func:`run_suite` can drop each flow, with the curvature bundle kept on it,
-after the last check of the suite that reads it.  The saddle, whose 2D
-solve no other check reads, is solved on one worker thread while the
-checks before it run; results, their order and every bit are those of a
-serial run.
+after the last check of the suite that reads it.  The saddle's check,
+whose 2D solve no other check reads, runs whole on one worker thread with a
+cache of its own, while the calling thread runs the checks that read no
+512^2 torus; those run once the worker is joined.  Results, their order
+and every bit are those of a serial run.
 """
 
 from __future__ import annotations
@@ -56,22 +57,11 @@ class CheckResult:
                 "tol": self.tol}
 
 
-class _Pending:
-    """A build running on :func:`run_suite`'s worker thread."""
-
-    __slots__ = ("future",)
-
-    def __init__(self, future):
-        self.future = future
-
-
 class _FlowCache:
     """Memo for the solved and sampled flows the checks share.  A key is the
     builder's name followed by its arguments, as the ``_CHECKS`` table
     names them: ``("strip",)``, ``("strip", ("nx", 385), ("ny", 65))``,
-    ``("cellular", 512)``.  A build started on a worker (:meth:`start`)
-    sits in the memo as pending; the first read waits for it, and raises
-    what the build raised.
+    ``("cellular", 512)``.
     """
 
     def __init__(self):
@@ -80,15 +70,7 @@ class _FlowCache:
     def _get(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
-        flow = self._memo[key]
-        if isinstance(flow, _Pending):
-            flow = self._memo[key] = flow.future.result()
-        return flow
-
-    def start(self, key, build, pool):
-        """Run ``build`` for ``key`` on ``pool`` unless the memo has it."""
-        if key not in self._memo:
-            self._memo[key] = _Pending(pool.submit(build))
+        return self._memo[key]
 
     def drop(self, key):
         self._memo.pop(key, None)
@@ -99,12 +81,8 @@ class _FlowCache:
                          lambda: elliptic2d.solve_type3_strip(**sizes)[:2])
 
     def saddle(self):
-        return self._get(_SADDLE, self.solve_saddle)
-
-    def solve_saddle(self):
-        # (field, flow) of the reference saddle: the builder behind
-        # saddle(), which run_suite also hands to its worker
-        return elliptic2d.solve_saddle_quadrant()[:2]
+        return self._get(_SADDLE,
+                         lambda: elliptic2d.solve_saddle_quadrant()[:2])
 
     def taylor_green(self, n):
         box = (0.0, 2.0 * np.pi)
@@ -425,6 +403,7 @@ def check_invariance(cache):
 
 _STRIP = ("strip",)
 _SADDLE = ("saddle",)
+_TORUS_512 = ("cellular", 512)
 
 # (name, check, the _FlowCache keys the check reads)
 _CHECKS = (
@@ -463,31 +442,44 @@ _SUITES = {
 
 
 def run_suite(name):
-    """Run the checks of one suite in order; each cached flow is built on
-    first read and dropped after the last check of the suite that reads it.
+    """Run the checks of one suite; return their results in suite order.
 
-    A suite that reads the saddle starts its solve on one worker thread at
-    once, and the checks before the saddle's run meanwhile; the pool is
-    joined before this returns or raises.  Once the saddle is dropped, the
-    pages its arrays held go back to the system.
+    The saddle's check runs whole (solve, velocity, diagnostics) on one
+    worker thread with a :class:`_FlowCache` of its own, so the saddle never
+    enters the shared memo.  Meanwhile the calling thread runs, in suite
+    order, every other check that reads no 512^2 torus.  It then joins the
+    worker, returns the pages the saddle held to the system, and runs the
+    checks that read the torus: the torus sets the suite's peak resident
+    set, and the saddle is never alive under it.  Each shared flow is built
+    on first read and dropped after the last check, in this run order, that
+    reads it.  Any error is raised once the worker is joined.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    cache = _FlowCache()
     checks = _SUITES[name]
-    last = {key: i for i, check in enumerate(checks) for key in _READS[check]}
-    results = []
+    late = [check for check in checks if _TORUS_512 in _READS[check]]
+    order = [c for c in checks if c not in late and c != "saddle_flow"] + late
+    last = {key: i for i, check in enumerate(order) for key in _READS[check]}
+    cache, done = _FlowCache(), {}
+
+    def run(i):
+        done[order[i]] = _CHECK_MAP[order[i]](cache)
+        for key in _READS[order[i]]:
+            if last[key] == i:
+                cache.drop(key)
+
     with ThreadPoolExecutor(max_workers=1) as pool:
-        if _SADDLE in last:
-            cache.start(_SADDLE, cache.solve_saddle, pool)
-        for i, check in enumerate(checks):
-            results.extend(_CHECK_MAP[check](cache))
-            for key in _READS[check]:
-                if last[key] == i:
-                    cache.drop(key)
-                    if key == _SADDLE:
-                        _release_freed_pages()
-    return results
+        if "saddle_flow" in checks:
+            done["saddle_flow"] = pool.submit(
+                lambda: _CHECK_MAP["saddle_flow"](_FlowCache()))
+        for i in range(len(order) - len(late)):
+            run(i)
+    if "saddle_flow" in checks:
+        _release_freed_pages()
+        done["saddle_flow"] = done["saddle_flow"].result()
+    for i in range(len(order) - len(late), len(order)):
+        run(i)
+    return [res for check in checks for res in done[check]]
 
 
 def _release_freed_pages():
@@ -495,9 +487,9 @@ def _release_freed_pages():
     ``malloc_trim``; elsewhere nothing happens).
 
     The worker's allocations come from its own malloc arena, whose freed
-    pages the calling thread cannot reuse; dropping the saddle without this
-    leaves them resident under the later checks' peak (the 512^2 torus),
-    which rose by 5.6 MB instead of 3.1 MB in one process.
+    pages the calling thread cannot reuse; joining the saddle's check
+    without this leaves them resident under the later checks' peak (the
+    512^2 torus), which rose by 5.6 MB instead of 3.1 MB in one process.
     """
     try:
         import ctypes

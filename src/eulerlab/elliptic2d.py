@@ -180,7 +180,9 @@ def solve_semilinear(nl: oned.Nonlinearity, dirichlet, sub: ScalarField,
         raise ValueError("sandwich ordering sub <= super fails pointwise")
 
     def sweep(u, out):
-        rhs = nl.f(u[1:-1, 1:-1]) + shift * u[1:-1, 1:-1]
+        # f(u) + shift*u, formed in the solver's buffer every sweep reuses
+        rhs = np.multiply(shift, u[1:-1, 1:-1], out=solver.rhs_buffer())
+        rhs += nl.f(u[1:-1, 1:-1])
         return solver.solve(rhs, dirichlet, out)
 
     res = np.inf

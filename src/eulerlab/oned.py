@@ -416,9 +416,12 @@ class _DirichletSolver:
     interior-sized arrays, made on its first solve: the folded right side,
     which both transforms and the eigenvalue division overwrite in place
     until it holds the solution, and the residual of the check.  Once the
-    returned box holds the solution, the check's stencil writes over the
-    first.  Every value comes from the same operations in the same order
-    as when each step took a new array, so every bit is the same.
+    returned box holds the solution, shift times the solution and then the
+    check's stencil write over the first.  A caller may form its right side
+    in the second (:meth:`rhs_buffer`), which the check reads before it
+    writes the residual there.  Every value comes from the same operations
+    in the same order as when each step took a new array, so every bit is
+    the same.
     """
 
     def __init__(self, shape, spacings, shift):
@@ -434,17 +437,24 @@ class _DirichletSolver:
         self._eig = {}
         self._work = {}
 
+    def _workspace(self, dt):
+        work = self._work.get(dt)
+        if work is None:  # first use in this dtype
+            inner = [n - 2 for n in self.shape]
+            work = self._work[dt] = (np.empty(inner, dt), np.empty(inner, dt))
+        return work
+
+    def rhs_buffer(self, dtype=float):
+        """The workspace array a right side may be formed in for solve."""
+        return self._workspace(np.dtype(dtype))[1]
+
     def solve(self, rhs_interior, dirichlet, out=None):
         """Full-box solution with the ring of ``dirichlet`` folded into the
         right side, in the float dtype of ``rhs_interior``: written into
         ``out`` if given (a full box in that dtype that overlaps neither
         argument), else a new array; never memory of the workspace."""
         dt = np.result_type(rhs_interior, 1.0)
-        work = self._work.get(dt)
-        if work is None:  # first solve in this dtype
-            inner = [n - 2 for n in self.shape]
-            work = self._work[dt] = (np.empty(inner, dt), np.empty(inner, dt))
-        b, r = work
+        b, r = self._workspace(dt)
         np.copyto(b, rhs_interior)
         hs = [dt.type(h) for h in self.spacings]
         for axis, h in enumerate(hs):
@@ -479,8 +489,8 @@ class _DirichletSolver:
         full[(slice(1, -1),) * b.ndim] = w
         # residual of the unfolded system: the stencil sees the ring itself,
         # and writes over the solution, which the box now holds
-        np.multiply(w, self.shift, out=r)
-        np.subtract(rhs_interior, r, out=r)
+        np.multiply(w, self.shift, out=b)
+        np.subtract(rhs_interior, b, out=r)
         np.subtract(r, _g._neg_lap(full, hs, out=b), out=r)
         rnorm = _norm(r)
         anorm = sum(4.0 / h ** 2 for h in self.spacings) + self.shift

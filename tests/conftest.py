@@ -19,7 +19,11 @@ class SessionFlows(acceptance._FlowCache):
     """The acceptance checks' flow cache, whose reference strip and saddle
     come from the session's one solve of each.  That solve is kept whole,
     (field, flow, SolveReport), and outlives ``drop``, so a check suite
-    that drops the flows it read leaves nothing to solve again."""
+    that drops the flows it read leaves nothing to solve again.  Both come
+    through ``_get``, so a cache that reads its misses from this one (the
+    saddle worker's own cache included) gets the same solve."""
+
+    _SOLVES = {("strip",): "strip", ("saddle",): "saddle"}
 
     def __init__(self):
         super().__init__()
@@ -32,14 +36,10 @@ class SessionFlows(acceptance._FlowCache):
             self._solved[name] = build()
         return self._solved[name]
 
-    def strip(self, **sizes):
-        if sizes:
-            return super().strip(**sizes)
-        return self._get(("strip",), lambda: self.solved("strip")[:2])
-
-    def solve_saddle(self):
-        # the builder run_suite's worker runs too
-        return self.solved("saddle")[:2]
+    def _get(self, key, build):
+        name = self._SOLVES.get(key)
+        return super()._get(key, build if name is None
+                            else lambda: self.solved(name)[:2])
 
 
 @pytest.fixture(scope="session")

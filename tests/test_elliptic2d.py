@@ -219,9 +219,9 @@ TRANSFORMS = {path: sine_transform(path) for path in ("pocketfft", "dstn")}
        sizes=st.lists(st.integers(3, 48), min_size=2, max_size=2),
        log_h=st.lists(st.floats(-3.0, 1.0), min_size=2, max_size=2),
        shift=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1),
-       solves=st.integers(2, 4), into=st.booleans())
+       solves=st.integers(2, 4), into=st.booleans(), formed=st.booleans())
 def test_workspace_solve_keeps_every_bit(path, case, sizes, log_h, shift,
-                                         seed, solves, into):
+                                         seed, solves, into, formed):
     rank, dtype = {"1d-float64": (1, np.float64),
                    "1d-longdouble": (1, np.longdouble),
                    "2d-float64": (2, np.float64)}[case]
@@ -238,7 +238,11 @@ def test_workspace_solve_keeps_every_bit(path, case, sizes, log_h, shift,
             # an output array starts full of NaN, as a dead iterate of any
             # value would, and ends as the returned box
             out = np.full(shape, np.nan, dtype) if into else None
-            full = solver.solve(rhs, ring, out)
+            given_rhs = rhs
+            if formed:  # in the solver's own buffer, as a 2D sweep forms it
+                given_rhs = solver.rhs_buffer(dtype)
+                np.copyto(given_rhs, rhs)
+            full = solver.solve(given_rhs, ring, out)
             assert out is None or full is out
             want, lap, resid = reference_solve(solver, rhs, ring)
             assert same_bits(full, want)
@@ -730,6 +734,37 @@ def test_2d_engine_writes_only_its_own_arrays(lam, half, ny, ascending,
     for a, before in zip(given_arrays, kept):
         assert a.tobytes() == before.tobytes()
         assert not np.shares_memory(run.u, a)
+
+
+def test_2d_sweeps_form_the_right_side_in_place_with_the_same_bits():
+    # solve_semilinear forms f(u) + shift*u in the solver's buffer: every
+    # sweep gives the bits of the sum formed out of place, and every array
+    # f returned is left as f returned it
+    nl, ring, supersol = strip_problem(41, 17, 6.0, 6.0)
+    g = supersol.grid
+    shift = oned.picard_shift(nl, float(np.max(np.abs(supersol.values))))
+    reference = oned._DirichletSolver(g.shape, (g.hx, g.hy), shift)
+    returned, sweeps, engine = [], [], oned._monotone_sweeps
+
+    def f(s):
+        v = nl.f(s)
+        returned.append((v, v.copy()))
+        return v
+
+    def checked(sweep, *args, **options):
+        def compared(u, out):
+            inner = u[1:-1, 1:-1]
+            want = reference.solve(nl.f(inner) + shift * inner, ring)
+            got = sweep(u, out)
+            sweeps.append(got.tobytes() == want.tobytes())
+            return got
+        return engine(compared, *args, **options)
+
+    watched = oned.Nonlinearity(f, nl.f_prime, nl.F, nl.bound_M, nl.family)
+    with mock.patch.object(oned, "_monotone_sweeps", checked):
+        e2.solve_semilinear(watched, ring, zeros_on(g), supersol, "super")
+    assert len(sweeps) > 2 and all(sweeps)
+    assert all(v.tobytes() == kept.tobytes() for v, kept in returned)
 
 
 @settings(max_examples=30)
