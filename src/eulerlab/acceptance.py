@@ -361,6 +361,7 @@ def check_invariance(cache):
     # sitting a fraction of a width from a bin edge legitimately cross it
     a_fl = dg.angle_set(fl)
     a_rot = dg.angle_set(rot)
+    del rot  # with its curvature bundle; the scaled flows come next
     occ0, occ1 = a_fl.occupied, a_rot.occupied
     rolled = np.roll(occ0, int(round(0.7 * occ0.size / (2.0 * np.pi))))
 
@@ -475,26 +476,9 @@ def run_suite(name):
         for i in range(len(order) - len(late)):
             run(i)
     if "saddle_flow" in checks:
-        _release_freed_pages()
+        _ser._release_freed_pages()
         done["saddle_flow"] = done["saddle_flow"].result()
     for i in range(len(order) - len(late), len(order)):
         run(i)
     return [res for check in checks for res in done[check]]
 
-
-def _release_freed_pages():
-    """Return the pages that free() keeps to the system (glibc's
-    ``malloc_trim``; elsewhere nothing happens).
-
-    The worker's allocations come from its own malloc arena, whose freed
-    pages the calling thread cannot reuse; joining the saddle's check
-    without this leaves them resident under the later checks' peak (the
-    512^2 torus), which rose by 5.6 MB instead of 3.1 MB in one process.
-    """
-    try:
-        import ctypes
-
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return
-    trim(0)

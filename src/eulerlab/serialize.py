@@ -18,8 +18,9 @@ are formatted by one vectorised numpy kernel (:func:`_format_block`): a
 long-double product gives the 17 digits of ``format(x, ".17g")`` for all
 but the few values that might round otherwise, which go through
 ``format()`` themselves, and table lookups lay out the text, so each table
-row holds the bytes of ``format(x, ".17g")``.  Tables are parsed in one
-pass.
+row holds the bytes of ``format(x, ".17g")``.  A large table is built on
+two threads (see :func:`write_csv`); its bytes do not depend on that.
+Tables are parsed in one pass.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ SCHEMA_VERSION = 2
 # ns a value on 4096 keys, against 223 on 1024 and 165 on 16384, and its
 # temporaries stay near 1 MB
 CSV_BLOCK = 4096
+# write_csv builds a table of more blocks than this on two threads; a
+# 5,000-row table took 8.8-9.6 ms through the worker against 6.1-6.5 ms on
+# one thread
+_WORKER_BLOCKS = 8
 
 
 def fmt17(x) -> str:
@@ -118,8 +123,17 @@ def write_csv(path, header, columns) -> None:
     whole before the file is opened: plain integers if its dtype is integer,
     else the :func:`fmt17` text of each value as a double.  A bool column
     raises TypeError and a non-finite value ValueError, as :func:`fmt17`
-    does.  Each column's text comes from :func:`_text_table`; the rows are
-    built as bytes, :data:`CSV_BLOCK` at a time.
+    does.  Each column is deduplicated (:func:`_dedup`) and its distinct
+    keys formatted (:func:`_key_text`); the rows are built as bytes,
+    :data:`CSV_BLOCK` at a time.
+
+    A table of more than :data:`_WORKER_BLOCKS` blocks is built on two
+    threads.  One worker formats column k's keys while the calling thread
+    deduplicates column k + 1; once every text table is done, the worker
+    builds every other block of rows while the calling thread builds the
+    rest and writes them all in file order.  The bytes are the same either
+    way.  The worker is joined, and the pages it freed returned to the
+    system, before this returns or raises.
     """
     cols = [np.asarray(c) for c in columns]
     n = cols[0].size if cols else 0
@@ -132,42 +146,142 @@ def write_csv(path, header, columns) -> None:
             c = cols[k] = np.asarray(c, dtype=float)
             if not np.isfinite(c).all():
                 raise ValueError("non-finite value in numeric output")
-    tables = [_text_table(c) for c in cols] if n else []
+    if n <= _WORKER_BLOCKS * CSV_BLOCK:
+        _write_rows(path, header, cols, n, _Done)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            _write_rows(path, header, cols, n, pool.submit)
+    finally:
+        _release_freed_pages()
+
+
+class _Done:
+    """A call made at once, in place of a worker's future."""
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
+
+
+def _release_freed_pages():
+    """Return the pages that free() keeps to the system (glibc's
+    ``malloc_trim``; elsewhere nothing happens).
+
+    A worker thread's allocations come from its own malloc arena, whose
+    freed pages the calling thread cannot reuse; joining a worker without
+    this leaves them resident under what the process does next.  In
+    ``verify`` the 512^2 torus checks after the saddle's worker rose by
+    5.6 MB instead of 3.1 MB in one process.
+    """
+    try:
+        import ctypes
+
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim(0)
+
+
+def _write_rows(path, header, cols, n, submit):
+    """The body of :func:`write_csv` on checked columns, handing the key
+    formatting and every other block of rows to ``submit(fn, *args)``, whose
+    ``result()`` is ``fn(*args)``: a one-worker pool's ``submit``, or
+    :class:`_Done`.  The handed-off blocks share the ``spare`` buffer, and
+    only one of them is in flight at a time."""
+    texts = []
+    for c in cols if n else []:
+        keys, index, signed = _dedup(c)
+        texts.append((submit(_key_text, keys, signed), index, signed))
+        del keys
+    tables = [(text.result(), index, signed) for text, index, signed in texts]
     # a cell is a sign byte (float columns), its NUL-padded text and a
-    # separator; dropping the NULs leaves the row's text
-    ends = np.cumsum([s + t.shape[1] + 1 for t, _, s in tables], dtype=int)
-    rows = np.full((min(n, CSV_BLOCK), ends[-1] if n else 0), ord(","),
-                   np.uint8)
+    # separator; dropping the NULs leaves the row's text.  The texts go in
+    # as one np.void item per cell, through a structured view of the rows
+    offsets, width = [], 0
+    for table, _, signed in tables:
+        offsets.append(width + signed)
+        width += signed + table.itemsize + 1
+    layout = np.dtype({"names": ["c%d" % k for k in range(len(tables))],
+                       "formats": [t.dtype for t, _, _ in tables],
+                       "offsets": offsets, "itemsize": width})
+    rows = np.full((min(n, CSV_BLOCK), width), ord(","), np.uint8)
     rows[:, -1:] = ord("\n")
+    spare = rows.copy()
+
+    def block(m, start):
+        m = m[:min(CSV_BLOCK, n - start)]
+        cells = m.view(layout)[:, 0]
+        for name, at, (table, index, signed) in zip(layout.names, offsets,
+                                                    tables):
+            ix = index[start:start + len(m)]
+            if signed:
+                m[:, at - 1] = (ix >> 31) * ord("-")
+                ix = ix & 0x7FFFFFFF
+            cells[name] = table[ix]
+        return m[m != 0]
+
+    starts = range(0, n, CSV_BLOCK)
+    odd = starts[1::2]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n, CSV_BLOCK):
-            m = rows[:min(CSV_BLOCK, n - start)]
-            for (table, index, signed), end in zip(tables, ends):
-                ix = index[start:start + len(m)]
-                if signed:
-                    m[:, end - table.shape[1] - 2] = (ix >> 31) * ord("-")
-                    ix = ix & 0x7FFFFFFF
-                m[:, end - table.shape[1] - 1:end - 1] = table[ix]
-            fh.write(m[m != 0].tobytes())
+        ahead = [submit(block, spare, s) for s in odd[:1]]
+        for k, start in enumerate(starts[::2]):
+            fh.write(block(rows, start))
+            if ahead:
+                done = ahead.pop().result()
+                ahead = [submit(block, spare, s) for s in odd[k + 1:k + 2]]
+                fh.write(done)
 
 
-def _text_table(c):
-    """``(table, index, signed)`` of one checked column: each distinct key
-    formatted once, CSV_BLOCK keys at a time, into a row of the NUL-padded
-    uint8 ``table``, and each cell's row in C order.  Float keys are the bits
-    of |c|, and a cell's sign bit rides in the top bit of its index."""
+def _dedup(c):
+    """``(keys, index, signed)`` of one checked column: its sorted distinct
+    keys, and each cell's rank among them in C order as uint32.  Float keys
+    are the bits of |c|, and a cell's sign bit rides in the top bit of its
+    index."""
     signed = not np.issubdtype(c.dtype, np.integer)
-    keys, index = np.unique(np.abs(c).view(np.int64) if signed else c,
-                            return_inverse=True)
-    index = index.reshape(-1).astype(np.uint32)
-    if not signed:
+    keys = np.empty(c.size, np.float64 if signed else c.dtype)
+    if signed:
+        np.abs(c, out=keys.reshape(c.shape))
+        keys = keys.view(np.int64)
+    else:
+        keys.reshape(c.shape)[...] = c
+    order = np.argsort(keys)
+    keys.sort()
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new]
+    # the ranks go where the sorted keys were, where a key is 4 bytes or more
+    rank = (keys.view(np.uint32)[:len(keys)] if keys.itemsize >= 4
+            else np.empty(len(keys), np.uint32))
+    np.cumsum(new, dtype=np.uint32, out=rank)
+    rank -= 1
+    index = np.empty(len(keys), np.uint32)
+    index[order] = rank
+    if signed:
+        np.bitwise_or(index, np.uint32(1 << 31), out=index,
+                      where=np.signbit(c).reshape(-1))
+    return distinct, index, signed
+
+
+def _key_text(keys, signed):
+    """The text of a column's sorted distinct keys, one NUL-padded np.void
+    item each: integers, or (``signed``) the bits of float magnitudes,
+    formatted CSV_BLOCK keys at a time."""
+    if signed:
+        table = _float_text(keys.view(np.float64))
+    else:
         table = np.concatenate([
-            np.array(list(map(str, keys[k:k + CSV_BLOCK].tolist())), dtype="S")
+            np.array(list(map(str, keys[k:k + CSV_BLOCK].tolist())),
+                     dtype="S")
             for k in range(0, len(keys), CSV_BLOCK)])
-        return table.view(np.uint8).reshape(len(keys), -1), index, signed
-    index |= np.signbit(c).reshape(-1).astype(np.uint32) << 31
-    return _float_text(keys.view(np.float64)), index, signed
+        table = table.view(np.uint8).reshape(len(keys), -1)
+    return table.view("V%d" % table.shape[1])[:, 0]
 
 
 # format(x, ".17g") for x > 0, vectorised.  With e = floor(log10 x), %.17g
@@ -276,7 +390,8 @@ def _needs_dtoa(e, dist):
 
 def _float_text(keys):
     """The NUL-padded text table of sorted distinct ``keys`` >= 0, each row
-    ``format(key, ".17g")``, formatted CSV_BLOCK keys at a time."""
+    ``format(key, ".17g")``, formatted CSV_BLOCK keys at a time into 24-byte
+    rows and then packed, in place, to the longest text's width."""
     table = np.zeros((len(keys), 24), np.uint8)
     first = int(len(keys) > 0 and keys[0] == 0)   # 0.0 sorts first
     table[:first, 0] = ord("0")
@@ -285,7 +400,17 @@ def _float_text(keys):
     for k in range(first, len(keys), CSV_BLOCK):
         width = max(width, fmt(keys[k:k + CSV_BLOCK],
                                table[k:k + CSV_BLOCK]))
-    return table[:, :width]
+    # packed in place and shrunk: a packed copy beside it, made on the
+    # worker thread, kept solve_emit's peak resident set 1.1 MB higher
+    # (88.2 against 87.1 MB, medians of 10 benchmark runs)
+    flat = table.reshape(-1)
+    for k in range(0, len(keys), CSV_BLOCK):
+        rows = min(CSV_BLOCK, len(keys) - k)
+        flat[width * k:width * (k + rows)] = table[k:k + rows,
+                                                   :width].reshape(-1)
+    del flat
+    table.resize(len(keys) * width)
+    return table.reshape(len(keys), width)
 
 
 def _dtoa_rows(x, rows):

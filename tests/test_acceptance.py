@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from eulerlab import acceptance, elliptic2d
+from eulerlab import acceptance, elliptic2d, serialize
 
 
 def run_checks(name, cache, budget):
@@ -260,10 +260,10 @@ def test_a_failing_background_solve_raises_at_the_saddle_check(
 
 def test_run_suite_returns_the_freed_pages_once_the_saddle_is_dropped(
         cache, monkeypatch):
-    release, held = acceptance._release_freed_pages, []
+    release, held = serialize._release_freed_pages, []
     assert release() is None  # malloc_trim where glibc has it, else nothing
     made = recording(cache, monkeypatch)
-    monkeypatch.setattr(acceptance, "_release_freed_pages", lambda: held.append(
+    monkeypatch.setattr(serialize, "_release_freed_pages", lambda: held.append(
         (set(made[0]._memo), [(k, w) for k, w, _ in made[0].events])))
     acceptance.run_suite("all")
     # once, after the saddle's check returned and before the 512^2 torus is

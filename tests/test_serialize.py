@@ -6,6 +6,9 @@ bit pattern, so -0.0 and subnormals count; non-finite values have no
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import serialize
+from eulerlab import flows, serialize
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -110,7 +113,8 @@ def reference_csv(header, columns):
 # extreme exponents; the test gives each value both signs
 EDGE_VALUES = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                1e-300, 0.1, 1.0 / 3.0, 1e300, 1.7976931348623157e308]
-INT_DTYPES = [np.int64, np.int32, np.uint64]
+# int16 keys are too narrow to hold the ranks write_csv puts in their place
+INT_DTYPES = [np.int64, np.int32, np.uint64, np.int16]
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,6 +152,98 @@ def test_csv_bytes_match_per_cell_formatting(tmp_path_factory, block,
     assert path.read_text() == reference_csv(header, columns)
 
 
+def text_table(column):
+    """``(table, index, signed)`` of one column, as ``write_csv`` builds it:
+    the column deduplicated, then its distinct keys formatted."""
+    keys, index, signed = serialize._dedup(np.asarray(column))
+    return serialize._key_text(keys, signed), index, signed
+
+
+@pytest.mark.parametrize("blocks", [serialize._WORKER_BLOCKS + 1,
+                                    serialize._WORKER_BLOCKS + 2])
+@pytest.mark.parametrize("tail", [0, 1])
+def test_tables_above_the_threshold_go_through_the_worker(tmp_path,
+                                                          monkeypatch,
+                                                          blocks, tail):
+    # an odd and an even count of blocks (the calling thread builds the
+    # even ones, the worker the odd ones), with a full or a one-row last
+    # block; the worker is joined and its freed pages released once
+    block = 16
+    n = (blocks - 1) * block + (tail or block)
+    rng = np.random.default_rng(blocks + tail)
+    mags = rng.choice([0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300, 2.5], size=n)
+    columns = [np.where(rng.random(n) < 0.5, -mags, mags),
+               rng.integers(-3, 4, size=n), rng.standard_normal(n),
+               np.arange(n, dtype=np.uint64)]
+    header = ["a", "b", "c", "d"]
+    released, before = [], threading.active_count()
+    monkeypatch.setattr(serialize, "CSV_BLOCK", block)
+    monkeypatch.setattr(serialize, "_release_freed_pages",
+                        lambda: released.append(threading.active_count()))
+    path = tmp_path / "worker.csv"
+    # switch threads as often as the interpreter allows, so the two row
+    # buffers are written while the other thread runs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serialize.write_csv(path, header, columns)
+    finally:
+        sys.setswitchinterval(interval)
+    assert path.read_text() == reference_csv(header, columns)
+    assert released == [before]
+    # one block fewer stays on the calling thread, with the same bytes
+    short = [c[:serialize._WORKER_BLOCKS * block] for c in columns]
+    serialize.write_csv(path, header, short)
+    assert path.read_text() == reference_csv(header, short)
+    assert released == [before]
+
+
+def test_an_error_on_the_worker_comes_out_of_write_csv(tmp_path,
+                                                       monkeypatch):
+    # the float formatter raises on the worker: write_csv raises it before
+    # the file is opened, and the worker is gone when it does
+    threads, before = [], threading.active_count()
+
+    def broken(keys):
+        threads.append(threading.current_thread())
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(serialize, "CSV_BLOCK", 16)
+    monkeypatch.setattr(serialize, "_float_text", broken)
+    n = 16 * (serialize._WORKER_BLOCKS + 1)
+    path = tmp_path / "broken.csv"
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        serialize.write_csv(path, ["k", "v"],
+                            [np.arange(n), np.linspace(0.0, 1.0, n)])
+    assert not path.exists()
+    assert threading.active_count() == before
+    assert threads and threading.main_thread() not in threads
+
+
+def test_half_plane_table_working_set_is_bounded(saddle_full, tmp_path):
+    # the reference half-plane node table as save_flow writes it, in
+    # full-grid float arrays: 9.7 with one argsort and uint32 ranks per
+    # column, text tables packed in place and rows gathered as np.void
+    # cells (12.82 with np.unique's two int64 inverses and text rows 24
+    # bytes wide); the bound leaves 13%
+    fl = saddle_full[1]
+    g = fl.grid
+    columns = [*flows._node_table(g), fl.velocity.vx.T, fl.velocity.vy.T,
+               fl.pressure.values.T, fl.vorticity.values.T]
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        serialize.write_csv(tmp_path / "flow.csv",
+                            ["x", "y", "vx", "vy", "P", "omega"], columns)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (g.nx * g.ny * 8) <= 11.0
+
+
 def test_one_magnitude_with_both_signs_blocks_apart(tmp_path):
     # the column-wide table serves a value and its negation three blocks
     # apart, and -0.0 next to 0.0
@@ -155,7 +251,7 @@ def test_one_magnitude_with_both_signs_blocks_apart(tmp_path):
     col = np.arange(n) / 7.0
     col[[0, n - 1]] = [np.pi, -np.pi]
     col[[1, n - 2]] = [0.0, -0.0]
-    table, index, signed = serialize._text_table(col)
+    table, index, signed = text_table(col)
     assert signed and len(table) == n - 2
     path = tmp_path / "signs.csv"
     serialize.write_csv(path, ["v", "k"], [col, np.arange(n)])
@@ -192,16 +288,15 @@ def test_a_transposed_view_writes_its_c_order(tmp_path):
 
 
 def kernel_text(values):
-    """The text ``_text_table`` gives each value, checking that every row
-    is its text followed by NULs only."""
-    table, index, signed = serialize._text_table(
-        np.asarray(values, dtype=float))
-    assert signed and table.dtype == np.uint8
-    rows = [bytes(r) for r in table]
+    """The text ``write_csv`` gives each value, checking that every row of
+    its text table is the text followed by NULs only."""
+    table, index, signed = text_table(np.asarray(values, dtype=float))
+    assert signed and table.dtype.kind == "V"
+    rows = table.tolist()
     for r in rows:
         text = r.rstrip(b"\0")
         assert b"\0" not in text and len(text) > 0
-    assert table.shape[1] == max(len(r.rstrip(b"\0")) for r in rows)
+    assert table.itemsize == max(len(r.rstrip(b"\0")) for r in rows)
     return ["-" * int(i >> 31) + rows[i & 0x7FFFFFFF].rstrip(b"\0").decode()
             for i in index.tolist()]
 
@@ -299,13 +394,14 @@ FALLBACK_VALUES = np.concatenate([v for v in FAMILIES.values()]
     ("_digit_tables", lambda: None),
 ])
 def test_the_format_fallback_gives_the_same_bytes(patch):
-    want = serialize._text_table(FALLBACK_VALUES)
+    want = text_table(FALLBACK_VALUES)
     with mock.patch.object(serialize, *patch):
-        got = serialize._text_table(FALLBACK_VALUES)
+        got = text_table(FALLBACK_VALUES)
         assert kernel_text(FALLBACK_VALUES) == [
             "{:.17g}".format(v) for v in FALLBACK_VALUES]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert got[0].dtype == want[0].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 def test_an_exponent_guess_two_off_still_gives_format_text():
